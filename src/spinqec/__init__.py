@@ -3,16 +3,15 @@
 Layout
 ------
 ``spin``       spin systems, Hamiltonians, dressed states, transition data
-``linalg``     Hermitian eigensolver (Jacobi) and Kronecker helpers
+``linalg``     Hermitian eigensolver (cyclic Jacobi, numpy) and Kronecker helpers
 ``codewords``  code-word families, error sets, Knill-Laflamme residuals
 ``tailor``     branch-angle tailoring: Newton solves, sweeps, contours
 ``register``   three-qudit + ancilla state vector and pulse application
 ``blocks``     pulse-sequence synthesis (encode / entangle / detection)
 ``cycle``      detection plans, decode-cycle simulation, pulse budgets
-``backend``    numba/numpy kernel selection (SPINQEC_BACKEND)
+``cli``        command-line interface
 """
 
-from .backend import HAVE_NUMBA, backend_name
 from .blocks import Block, SynthesisError, detection_block, enc_block, \
     encode_register, entangle_block, psi_encoded
 from .codewords import CodeWord, ErrorSet, KLReport, kl_residuals, \
@@ -32,6 +31,16 @@ from .tailor import TailoringProblem, TailoringSolution, field_sweep_tailoring, 
     solve_full_tailoring_92, solve_partial_tailoring_72, trace_zero_contour
 
 __version__ = "0.1.0"
+
+#: No compiled kernels exist: every kernel is plain numpy.  These two names
+#: stay for callers that record run metadata.
+HAVE_NUMBA = False
+
+
+def backend_name():
+    """Name of the kernel implementation; always ``"numpy"``."""
+    return "numpy"
+
 
 __all__ = [
     "AnnihilationError", "Block", "CodeWord", "DetectionPlan",

@@ -16,14 +16,14 @@ import sys
 import click
 import numpy as np
 
-from .codewords import kl_residuals, lift_to_electron_nuclear, make_codeword, \
-    standard_error_sets
+from .codewords import _TWO_LEVEL, kl_residuals, lift_to_electron_nuclear, \
+    make_codeword, standard_error_sets
 from .cycle import build_detection_plan, case_weights, fidelity_threshold, \
     full_order, pulse_budget, run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
 from .spin import build_hamiltonian, get_system, load_system
-from .tailor import DEFAULT_BOX, TailoringProblem, field_sweep_tailoring, \
-    scan_common_zero_cells, solve_full_tailoring_92, solve_partial_tailoring_72, \
+from .tailor import DEFAULT_BOX, TailoringProblem, default_family, \
+    field_sweep_tailoring, scan_common_zero_cells, tailoring_solver, \
     trace_zero_contour
 
 _ORDERS = {"full": full_order, "z-biased": z_biased_order}
@@ -122,13 +122,7 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
     """
     system = _resolve_system(system_key)
     if family is None:
-        if abs(system.i - 3.5) < 1e-9:
-            family = "distorted-7/2" if (eps1 or eps2) else "ideal-7/2"
-        elif abs(system.i - 4.5) < 1e-9:
-            family = "tailored-9/2" if (eps1 or eps2) else "ideal-9/2"
-        else:
-            raise PreconditionError(
-                f"no default code family for I={system.i}; pass --family")
+        family = default_family(system.i, distorted=bool(eps1 or eps2))
     errs = lift_to_electron_nuclear(
         standard_error_sets("firstorder-B", system.i), system)
     header = ["b_tesla", "kl_max", "offdiag_max", "diagdiff_max", "z_diag_gap"]
@@ -148,16 +142,6 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
 # ---------------------------------------------------------------------------
 # tailoring
 # ---------------------------------------------------------------------------
-
-def _solver_for(system, family):
-    if family is None:
-        family = "tailored-9/2" if abs(system.i - 4.5) < 1e-9 else "distorted-7/2"
-    if family == "tailored-9/2":
-        return family, solve_full_tailoring_92
-    if family == "distorted-7/2":
-        return family, solve_partial_tailoring_72
-    raise PreconditionError(f"no tailoring solver for family {family!r}")
-
 
 @cli.command()
 @click.option("--system", "system_key", default="si-bi", show_default=True)
@@ -179,12 +163,14 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
            freeze_at, box, out):
     """Solve the branch-angle conditions (single field: JSON; sweep: CSV)."""
     system = _resolve_system(system_key)
-    family, solver = _solver_for(system, family)
+    if family is None:
+        family = default_family(system.i)
+    solver = tailoring_solver(family)
     if b_field is not None:
         sol = solver(system, b_field, box)
-        problem = TailoringProblem(family, system, b_field)
-        t1 = problem.theta0 + sol.eps1
-        t2 = problem.theta0 + sol.eps2
+        theta0 = _TWO_LEVEL[family][1]
+        t1 = theta0 + sol.eps1
+        t2 = theta0 + sol.eps2
         payload = {
             "system": sol.system_name,
             "family": sol.family,
@@ -232,7 +218,7 @@ def contour(system_key, family, b_field, box, step, what, scan_points, out):
     """
     system = _resolve_system(system_key)
     if family is None:
-        family = "tailored-9/2" if abs(system.i - 4.5) < 1e-9 else "distorted-7/2"
+        family = default_family(system.i)
     if family == "distorted-7/2":
         names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")
     else:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blocks import detection_block, enc_block, entangle_block, psi_encoded, \
     recovery_gates
-from .codewords import make_codeword, standard_error_sets
+from .codewords import _LINEAR, _QUADRATIC, make_codeword, standard_error_sets
 from .linalg import PreconditionError
 from .register import QuditRegister, apply_error, apply_gates, flat_index
 
@@ -32,8 +32,6 @@ GS_CUTOFF = 1e-12
 #: first-order error weight per storage interval used by the break-even model
 DEFAULT_ERROR_BUDGET = 0.017
 
-_LINEAR = ("X", "Y", "Z")
-_QUADRATIC = ("XX", "YY", "ZZ", "XY", "YZ", "ZX")
 _Z_BIASED = ("Z", "ZZ", "ZX", "YZ")
 
 

@@ -1,8 +1,8 @@
 """Dense Hermitian eigensolver and tensor-product helpers.
 
-The eigensolver is an in-package cyclic Jacobi routine (compiled or pure
-numpy, see :mod:`spinqec.backend`); library eigensolvers are used only as
-cross-checks in the test suite, never at runtime.
+The eigensolver is an in-package cyclic Jacobi routine in plain numpy;
+library eigensolvers are used only as cross-checks in the test suite, never
+at runtime.
 
 Conventions
 -----------
@@ -14,9 +14,6 @@ Conventions
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import _kernels
-from .backend import use_numba
 
 #: sweep cap for the Jacobi iteration; quadratic convergence makes ~10
 #: sweeps plenty for dim <= 64, the cap flags genuinely pathological input
@@ -79,6 +76,61 @@ def fix_phase(vec):
     return v * (np.conj(pivot) / abs(pivot))
 
 
+def _jacobi(a, v, tol, max_sweeps):
+    """Cyclic Jacobi sweeps on a complex Hermitian matrix, in place.
+
+    ``a`` is destroyed (diagonalised) while the unitary is accumulated in
+    ``v``.  Returns the number of sweeps used, or ``-1`` when the
+    off-diagonal norm failed to drop below ``tol`` within ``max_sweeps``.
+
+    The elementary step annihilates ``a[p, q]`` with the unitary that acts on
+    the (p, q) plane as ``[[c, s*u], [-s*conj(u), c]]`` where
+    ``u = a[p,q]/|a[p,q]|`` and ``t = tan(theta)`` is the stable small root of
+    ``t^2 + 2*tau*t - 1 = 0``, ``tau = (a[q,q] - a[p,p]) / (2*|a[p,q]|)``.
+    """
+    n = a.shape[0]
+    for sweep in range(max_sweeps):
+        off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
+        if off <= tol:
+            return sweep
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                absapq = abs(apq)
+                if absapq < 1e-300:
+                    continue
+                app = a[p, p].real
+                aqq = a[q, q].real
+                u = apq / absapq
+                tau = (aqq - app) / (2.0 * absapq)
+                t = np.sign(tau if tau != 0.0 else 1.0) / (
+                    abs(tau) + np.sqrt(1.0 + tau * tau)
+                )
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                uc = np.conj(u)
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * uc * col_q
+                a[:, q] = s * u * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * u * row_q
+                a[q, :] = s * uc * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                vcol_p = v[:, p].copy()
+                vcol_q = v[:, q].copy()
+                v[:, p] = c * vcol_p - s * uc * vcol_q
+                v[:, q] = s * u * vcol_p + c * vcol_q
+    off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
+    if off <= tol:
+        return max_sweeps
+    return -1
+
+
 def hermitian_eigendecompose(h, herm_tol=1e-10):
     """Diagonalise a Hermitian matrix with the in-package Jacobi iteration.
 
@@ -108,10 +160,7 @@ def hermitian_eigendecompose(h, herm_tol=1e-10):
     vecs = np.eye(n, dtype=np.complex128)
     scale = np.sqrt(np.sum(np.abs(work) ** 2))
     tol = 1e-14 * max(scale, 1e-300)
-    if use_numba():
-        sweeps = _kernels._jacobi_numba(work, vecs, tol, MAX_JACOBI_SWEEPS)
-    else:
-        sweeps = _kernels._jacobi_numpy(work, vecs, tol, MAX_JACOBI_SWEEPS)
+    sweeps = _jacobi(work, vecs, tol, MAX_JACOBI_SWEEPS)
     if sweeps < 0:
         raise NumericalError(
             f"Jacobi iteration did not converge in {MAX_JACOBI_SWEEPS} sweeps"

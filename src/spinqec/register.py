@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .backend import use_numba
 from .codewords import _single_spin_table
 from .linalg import NumericalError, PreconditionError
 
@@ -31,8 +29,6 @@ DIMS = (8, 8, 8, 2)
 TOTAL_DIM = 1024
 QUDIT_NAMES = {"A": 0, "B": 1, "C": 2}
 ANCILLA_AXIS = 3
-
-_DIMS_ARR = np.array(DIMS, dtype=np.int64)
 
 
 class AnnihilationError(NumericalError):
@@ -210,14 +206,25 @@ def gates_matrix(gates):
 
 
 def _apply_two_level(amp, axis, lp, lq, c, s, controls):
-    ctrl_axes = np.array([a for a, _ in controls], dtype=np.int64)
-    ctrl_levels = np.array([l for _, l in controls], dtype=np.int64)
-    if use_numba():
-        _kernels._two_level_numba(amp, _DIMS_ARR, axis, lp, lq, c, s,
-                                  ctrl_axes, ctrl_levels)
-    else:
-        _kernels._two_level_numpy(amp, DIMS, axis, lp, lq, c, s,
-                                  ctrl_axes, ctrl_levels)
+    """Rotate levels (lp, lq) of tensor factor ``axis`` by [[c,-s],[s,c]].
+
+    ``amp`` is the flat amplitude array; the rotation acts only where every
+    ``(axis, level)`` pair in ``controls`` holds.
+    """
+    view = amp.reshape(DIMS)
+    idx_p = [slice(None)] * len(DIMS)
+    idx_q = [slice(None)] * len(DIMS)
+    idx_p[axis] = lp
+    idx_q[axis] = lq
+    for cax, clev in controls:
+        idx_p[cax] = clev
+        idx_q[cax] = clev
+    tp = tuple(idx_p)
+    tq = tuple(idx_q)
+    ap = np.array(view[tp], copy=True)
+    aq = view[tq]
+    view[tp] = c * ap - s * aq
+    view[tq] = s * ap + c * aq
 
 
 # ---------------------------------------------------------------------------

@@ -196,11 +196,6 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
     return x, False, max_iter, float(np.linalg.norm(fx))
 
 
-def _grid(box, n):
-    xs = np.linspace(-box, box, n)
-    return xs
-
-
 def _sign_change(corner_vals):
     lo = min(corner_vals)
     hi = max(corner_vals)
@@ -209,7 +204,7 @@ def _sign_change(corner_vals):
 
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell."""
-    xs = _grid(box, n)
+    xs = np.linspace(-box, box, n)
     grids = []
     e1, e2 = np.meshgrid(xs, xs, indexing="ij")
     for fn in funcs:
@@ -264,13 +259,6 @@ class TailoringSolution:
     residuals: dict  # name -> value at the solution (targets and leftovers)
     kl_max: float  # max first-order KL residual at the solution (nan if unchecked)
     all_roots: tuple = field(default_factory=tuple)  # every distinct root found
-
-
-_FIRST_ORDER_CONDITIONS = (
-    "diag-IZ", "diag-IXIX", "diag-IYIY", "diag-IZIZ",
-    "offdiag-IX", "offdiag-IY", "offdiag-IZ",
-    "offdiag-IXIX", "offdiag-IXIY",
-)
 
 
 def _solve(problem, target_names, leftover_names, box, seed_grid, verify_kl):
@@ -343,6 +331,33 @@ def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX, seed_grid=41):
                   box, seed_grid, verify_kl=False)
 
 
+_SOLVERS = {
+    "tailored-9/2": solve_full_tailoring_92,
+    "distorted-7/2": solve_partial_tailoring_72,
+}
+
+
+def default_family(spin_i, distorted=True):
+    """The code family for nuclear spin ``spin_i`` when none is named.
+
+    ``distorted`` picks the branch-angle family (``distorted-7/2`` /
+    ``tailored-9/2``) over the ideal one.  Only I = 7/2 and 9/2 have a
+    family; any other spin raises :class:`PreconditionError`.
+    """
+    if abs(spin_i - 3.5) < 1e-9:
+        return "distorted-7/2" if distorted else "ideal-7/2"
+    if abs(spin_i - 4.5) < 1e-9:
+        return "tailored-9/2" if distorted else "ideal-9/2"
+    raise PreconditionError(f"no default code family for I={spin_i}; pass a family")
+
+
+def tailoring_solver(family):
+    """The root solver for ``distorted-7/2`` or ``tailored-9/2``."""
+    if family not in _SOLVERS:
+        raise PreconditionError(f"no tailoring solver for family {family!r}")
+    return _SOLVERS[family]
+
+
 def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
                           freeze_at=None, box=DEFAULT_BOX, seed_grid=41):
     """Tailoring solutions across a field range.
@@ -351,17 +366,12 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
     mode="frozen":   solve once at ``freeze_at`` (tesla) and re-evaluate the
                      frozen angles at every field point.
     Returns a list of dict rows (b_tesla, eps1_rad, eps2_rad, one column per
-    condition residual, converged).
+    condition residual, converged).  The residual columns are the solver's
+    targets followed by its leftovers.
     """
     if family is None:
-        family = "tailored-9/2" if abs(system.i - 4.5) < 1e-9 else "distorted-7/2"
-    if family == "tailored-9/2":
-        solver = solve_full_tailoring_92
-        report_names = ("diag-IZ", "diag-IXIX", "diag-IYIY", "diag-IZIZ",
-                        "offdiag-IXIX", "offdiag-IXIY")
-    else:
-        solver = solve_partial_tailoring_72
-        report_names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY", "diag-IXIX")
+        family = default_family(system.i)
+    solver = tailoring_solver(family)
     if mode not in ("re-solve", "frozen"):
         raise PreconditionError(f"unknown sweep mode {mode!r}")
     frozen = None
@@ -371,16 +381,18 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
         frozen = solver(system, freeze_at, box, seed_grid)
     rows = []
     for b in b_values:
-        if mode == "re-solve":
+        if frozen is None:
             sol = solver(system, b, box, seed_grid)
-            eps1, eps2, converged = sol.eps1, sol.eps2, sol.converged
+            residuals = sol.residuals
         else:
-            eps1, eps2, converged = frozen.eps1, frozen.eps2, frozen.converged
-        problem = TailoringProblem(family, system, b)
-        row = {"b_tesla": float(b), "eps1_rad": eps1, "eps2_rad": eps2}
-        for name in report_names:
-            row[f"residual_{name}"] = problem.evaluate(name, eps1, eps2)
-        row["converged"] = converged
+            sol = frozen
+            problem = TailoringProblem(family, system, b)
+            residuals = {name: problem.evaluate(name, sol.eps1, sol.eps2)
+                         for name in sol.residuals}
+        row = {"b_tesla": float(b), "eps1_rad": sol.eps1, "eps2_rad": sol.eps2}
+        for name, value in residuals.items():
+            row[f"residual_{name}"] = value
+        row["converged"] = sol.converged
         rows.append(row)
     return rows
 

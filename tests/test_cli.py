@@ -246,3 +246,47 @@ def test_system_file_path(runner, tmp_path):
                               "--bstart", "1", "--bstop", "1",
                               "--bpoints", "1"])
     assert res.output == ref.output
+
+
+#: (family without, family with branch-angle corrections); None: no default
+_DEFAULT_FAMILIES = {
+    "si-sb": ("ideal-7/2", "distorted-7/2"),
+    "si-bi": ("ideal-9/2", "tailored-9/2"),
+    "i11_2": None,
+}
+
+
+@pytest.mark.parametrize("command", ["klsweep", "tailor", "contour"])
+@pytest.mark.parametrize("system", sorted(_DEFAULT_FAMILIES))
+def test_family_default(runner, tmp_path, system, command):
+    key = system
+    if system == "i11_2":
+        cfg = tmp_path / "i11_2.cfg"
+        cfg.write_text("name = user-i11_2\nS = 1/2\nI = 11/2\n"
+                       "g_e_MHz_per_T = 28020.0\ng_n_MHz_per_T = 5.0\n"
+                       "A_MHz = 300.0\n")
+        key = str(cfg)
+    argv = {
+        "klsweep": ["klsweep", "--system", key, "--eps1", "1e-3",
+                    "--bstart", "1", "--bstop", "1", "--bpoints", "1"],
+        "tailor": ["tailor", "--system", key, "--b", "1"],
+        "contour": ["contour", "--system", key, "--b", "1",
+                    "--what", "common-cells", "--scan-points", "40"],
+    }[command]
+    res = runner.invoke(cli, argv)
+    if _DEFAULT_FAMILIES[system] is None:
+        assert res.exit_code == 2
+        assert "no default code family for I=5.5" in res.output
+        return
+    ideal, distorted = _DEFAULT_FAMILIES[system]
+    assert res.exit_code == 0, res.output
+    named = runner.invoke(cli, argv + ["--family", distorted])
+    assert named.exit_code == 0, named.output
+    assert res.output == named.output
+    if command == "klsweep":
+        # without corrections the ideal family is the default
+        plain = argv[:3] + argv[5:]
+        res = runner.invoke(cli, plain)
+        named = runner.invoke(cli, plain + ["--family", ideal])
+        assert res.exit_code == 0 and named.exit_code == 0, res.output
+        assert res.output == named.output

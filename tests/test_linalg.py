@@ -166,3 +166,11 @@ def test_decomposition_invariants(dim, seed):
 def test_sweep_cap_is_generous():
     # documents the convergence budget rather than probing a failure mode
     assert MAX_JACOBI_SWEEPS >= 20
+
+
+def test_kernel_route_metadata():
+    # run metadata records these names; every kernel is plain numpy
+    import spinqec
+
+    assert spinqec.backend_name() == "numpy"
+    assert spinqec.HAVE_NUMBA is False

@@ -1,14 +1,12 @@
 """Register state, pulse gates, error injection.
 
-The fast application kernels are cross-checked against the dense
-index-arithmetic matrix route and, when numba is importable, against the
-pure-numpy kernels.
+The fast application kernel is cross-checked against the dense
+index-arithmetic matrix route.
 """
 
 import numpy as np
 import pytest
 
-from spinqec.backend import HAVE_NUMBA
 from spinqec.codewords import standard_error_sets
 from spinqec.linalg import PreconditionError
 from spinqec.register import (
@@ -158,27 +156,6 @@ def test_inverted_gates_round_trip(rng):
     mat = gates_matrix(gates)
     mat_inv = gates_matrix(inverted_gates(gates))
     assert np.max(np.abs(mat_inv - mat.conj().T)) < 1e-12
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-def test_backend_parity(rng, monkeypatch):
-    gates = random_gates(rng, 15)
-    v = random_state(rng)
-    monkeypatch.setenv("SPINQEC_BACKEND", "numba")
-    fast = QuditRegister(v.copy())
-    apply_gates(fast, gates)
-    monkeypatch.setenv("SPINQEC_BACKEND", "numpy")
-    slow = QuditRegister(v.copy())
-    apply_gates(slow, gates)
-    assert np.max(np.abs(fast.amp - slow.amp)) < 1e-13
-
-
-def test_backend_flag_validation(monkeypatch):
-    from spinqec.backend import backend_name
-
-    monkeypatch.setenv("SPINQEC_BACKEND", "cuda")
-    with pytest.raises(ValueError):
-        backend_name()
 
 
 def test_single_qudit_error_table_matches_spin_ops():

@@ -191,6 +191,28 @@ def test_field_sweep_modes(sb):
         field_sweep_tailoring(sb, (1.0,), mode="bogus")
 
 
+@pytest.mark.parametrize("system, family, names", [
+    ("sb", "distorted-7/2",
+     ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY", "diag-IXIX")),
+    ("bi", "tailored-9/2",
+     ("diag-IZ", "diag-IXIX", "diag-IYIY", "diag-IZIZ", "offdiag-IXIX",
+      "offdiag-IXIY")),
+])
+def test_field_sweep_residuals_match_fresh_problem(request, system, family, names):
+    # re-solve rows reuse the solver's residuals; a fresh problem per field
+    # is the independent route
+    spin_system = request.getfixturevalue(system)
+    fields = (0.5, 1.0, 2.0)
+    rows = field_sweep_tailoring(spin_system, fields, mode="re-solve")
+    for b, row in zip(fields, rows):
+        problem = TailoringProblem(family, spin_system, b)
+        assert [k for k in row if k.startswith("residual_")] == \
+            [f"residual_{name}" for name in names]
+        for name in names:
+            assert row[f"residual_{name}"] == problem.evaluate(
+                name, row["eps1_rad"], row["eps2_rad"])
+
+
 def test_problem_preconditions(sb, bi):
     with pytest.raises(PreconditionError):
         TailoringProblem("tailored-9/2", sb, 1.0)  # wrong nuclear spin
