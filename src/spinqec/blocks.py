@@ -2,8 +2,8 @@
 
 Every block is a named list of :class:`spinqec.register.Gate` pulses plus a
 ``target_map`` of (input state, required output state) pairs that the
-sequence is validated against at construction time (fidelity > 1 - 1e-10,
-else :class:`SynthesisError`).
+sequence is validated against at construction time (fidelity > 1 - 1e-10
+and output within 1e-8 of the target in norm, else :class:`SynthesisError`).
 
 Synthesis strategy
 ------------------
@@ -80,7 +80,7 @@ class Block:
 
 
 def validate_block(block, tol=1e-10):
-    """Check every target_map pair; raise :class:`SynthesisError` on miss."""
+    """Check every target_map pair (fidelity and exact norm); raise on miss."""
     for vin, vout in block.target_map:
         reg = QuditRegister(np.array(vin, dtype=np.complex128))
         apply_gates(reg, block.gates)
@@ -91,6 +91,8 @@ def validate_block(block, tol=1e-10):
             raise SynthesisError(
                 f"block {block.name!r}: target fidelity {fid:.12f} <= 1 - {tol:g}"
             )
+        if np.linalg.norm(reg.amp - vout) > 1e-8:
+            raise SynthesisError(f"block {block.name!r}: output phase drifted")
     return block
 
 
@@ -345,15 +347,7 @@ def detection_block(name, p0, p1):
         "dec_pulses": sum(g.pulse_count for g in (*dec0, *dec1)),
         "excite_pulses": excite.pulse_count,
     }
-    block = Block(name, gates, targets, meta)
-    validate_block(block)
-    # exact-norm backstop on top of the fidelity gate
-    for vin, vout in targets:
-        reg = QuditRegister(np.array(vin))
-        apply_gates(reg, block.gates)
-        if np.linalg.norm(reg.amp - vout) > 1e-8:
-            raise SynthesisError(f"case {name!r}: output phase drifted")
-    return block
+    return validate_block(Block(name, gates, targets, meta))
 
 
 def recovery_gates(block):

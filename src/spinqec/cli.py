@@ -16,8 +16,8 @@ import sys
 import click
 import numpy as np
 
-from .codewords import _TWO_LEVEL, kl_residuals, lift_to_electron_nuclear, \
-    make_codeword, standard_error_sets
+from .codewords import _TWO_LEVEL, expectation, kl_residuals, \
+    lift_to_electron_nuclear, make_codeword, standard_error_sets
 from .cycle import build_detection_plan, case_weights, fidelity_threshold, \
     full_order, pulse_budget, run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
@@ -27,6 +27,10 @@ from .tailor import DEFAULT_BOX, TailoringProblem, default_family, \
     trace_zero_contour
 
 _ORDERS = {"full": full_order, "z-biased": z_biased_order}
+
+#: option types for counts and for lengths in radians (box, grid step)
+_COUNT = click.IntRange(min=1)
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
 
 
 def _resolve_system(key):
@@ -130,12 +134,10 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
     for b in _field_axis(bstart, bstop, bpoints):
         word = make_codeword(family, system, b, eps1, eps2)
         report = kl_residuals(word, errs)
-        iz = errs.as_dict()["Z"]
-        gap = (np.vdot(word.zero_l, iz @ word.zero_l)
-               - np.vdot(word.one_l, iz @ word.one_l))
+        iz0, iz1 = expectation(word, errs.as_dict()["Z"])
         rows.append([float(b), report.max_residual,
                      float(report.offdiag.max()), float(report.diagdiff.max()),
-                     float(gap.real)])
+                     float((iz0 - iz1).real)])
     _emit(_csv(header, rows), out)
 
 
@@ -155,7 +157,7 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
               default="re-solve", show_default=True)
 @click.option("--freeze-at", type=float, default=None,
               help="Field (T) whose angles a frozen sweep re-uses.")
-@click.option("--box", type=float, default=DEFAULT_BOX, show_default=True,
+@click.option("--box", type=_POSITIVE, default=DEFAULT_BOX, show_default=True,
               help="Half-width of the (eps1, eps2) search box in radians.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_mapped_errors
@@ -202,12 +204,12 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
 @click.option("--system", "system_key", default="si-sb", show_default=True)
 @click.option("--family", default=None)
 @click.option("--b", "b_field", type=float, required=True)
-@click.option("--box", type=float, default=DEFAULT_BOX, show_default=True)
-@click.option("--step", type=float, default=0.0025, show_default=True,
+@click.option("--box", type=_POSITIVE, default=DEFAULT_BOX, show_default=True)
+@click.option("--step", type=_POSITIVE, default=0.0025, show_default=True,
               help="Marching-squares cell size (radians).")
 @click.option("--what", type=click.Choice(["contours", "common-cells"]),
               default="contours", show_default=True)
-@click.option("--scan-points", type=int, default=400, show_default=True)
+@click.option("--scan-points", type=_COUNT, default=400, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_mapped_errors
 def contour(system_key, family, b_field, box, step, what, scan_points, out):
@@ -269,7 +271,7 @@ def _parse_amp(text):
               default="exact-branch", show_default=True,
               help="exact-branch lists every branch exactly; full / z-biased "
                    "sample trajectories against that detection order.")
-@click.option("--trajectories", type=int, default=1000, show_default=True,
+@click.option("--trajectories", type=_COUNT, default=1000, show_default=True,
               help="Number of sampled runs (full / z-biased modes only).")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

@@ -24,11 +24,13 @@ electron-nuclear system in the m_S = -1/2 manifold.
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import PreconditionError, kron
-from .spin import SpinSystem, manifold_states, spin_operators
+from .linalg import PreconditionError, kron, kron_all
+from .spin import manifold_states, spin_operators
 
 THETA0_72 = float(np.arccos(np.sqrt(3.0 / 10.0)))
 THETA0_92 = float(np.arccos(0.5))
@@ -187,6 +189,7 @@ class ErrorSet:
         return dict(zip(self.labels, self.ops))
 
 
+@lru_cache(maxsize=None)
 def _single_spin_table(j):
     jx, jy, jz = spin_operators(j)
     ops = {"I": np.eye(round(2 * j) + 1, dtype=np.complex128),
@@ -195,18 +198,15 @@ def _single_spin_table(j):
            "XY": (jx @ jy + jy @ jx) / 2.0,
            "YZ": (jy @ jz + jz @ jy) / 2.0,
            "ZX": (jz @ jx + jx @ jz) / 2.0}
-    return ops
+    for op in ops.values():
+        op.setflags(write=False)
+    return MappingProxyType(ops)
 
 
 def embed_on_qudit(op, qudit, n_qudits=3):
-    """Embed a single-spin operator on one factor of a qudit chain."""
-    dim = op.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    factors = [op if k == qudit else eye for k in range(n_qudits)]
-    out = factors[0]
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
+    """Dense embedding of ``op`` on one qudit of a chain (a test reference)."""
+    eye = np.eye(op.shape[0], dtype=np.complex128)
+    return kron_all(op if k == qudit else eye for k in range(n_qudits))
 
 
 def standard_error_sets(kind, j=None):
@@ -217,7 +217,7 @@ def standard_error_sets(kind, j=None):
       (squares and symmetrised cross products) -- ten operators (needs j).
     * ``multiqudit``: shared identity + the nine non-identity first-order
       electron-bath operators embedded on each of three spin-7/2 qudits
-      (28 operators on the 512-dimensional chain space).
+      (28 dense 512 x 512 operators: a test reference, no runtime path).
     """
     if kind not in ERROR_SET_KINDS:
         raise PreconditionError(f"unknown error-set kind {kind!r}")
@@ -281,9 +281,9 @@ class KLReport:
 def kl_residuals(codeword, errors):
     """Evaluate the Knill-Laflamme conditions for ``codeword`` / ``errors``.
 
-    Works from the images A_i |word>, so each matrix entry is a single inner
-    product; the test suite cross-checks against a naive double loop over
-    full operator products.
+    The images A_i |word> are the rows of M0 and M1, so the residuals are the
+    Gram products |M0^* M1^T| and |M0^* M0^T - M1^* M1^T|; the test suite
+    cross-checks them against a naive loop over full operator products.
     """
     dim = codeword.zero_l.shape[0]
     for op in errors.ops:
@@ -291,17 +291,10 @@ def kl_residuals(codeword, errors):
             raise PreconditionError(
                 f"operator shape {op.shape} does not match word dimension {dim}"
             )
-    images0 = [op @ codeword.zero_l for op in errors.ops]
-    images1 = [op @ codeword.one_l for op in errors.ops]
-    n = len(errors.ops)
-    offdiag = np.zeros((n, n))
-    diagdiff = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            offdiag[a, b] = abs(np.vdot(images0[a], images1[b]))
-            diagdiff[a, b] = abs(
-                np.vdot(images0[a], images0[b]) - np.vdot(images1[a], images1[b])
-            )
+    m0 = np.array([op @ codeword.zero_l for op in errors.ops])
+    m1 = np.array([op @ codeword.one_l for op in errors.ops])
+    offdiag = np.abs(m0.conj() @ m1.T)
+    diagdiff = np.abs(m0.conj() @ m0.T - m1.conj() @ m1.T)
     return KLReport(errors.labels, offdiag, diagdiff,
                     float(max(offdiag.max(), diagdiff.max())))
 

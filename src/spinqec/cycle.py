@@ -23,9 +23,10 @@ import numpy as np
 
 from .blocks import detection_block, enc_block, entangle_block, psi_encoded, \
     recovery_gates
-from .codewords import _LINEAR, _QUADRATIC, make_codeword, standard_error_sets
+from .codewords import _LINEAR, _QUADRATIC, make_codeword
 from .linalg import PreconditionError
-from .register import QuditRegister, apply_error, apply_gates, flat_index
+from .register import QUDIT_NAMES, QuditRegister, apply_error, apply_gates, \
+    apply_on_axis, flat_index, single_qudit_error
 
 GS_CUTOFF = 1e-12
 
@@ -91,27 +92,34 @@ class DetectionPlan:
 
 @lru_cache(maxsize=8)
 def build_detection_plan(order=None):
-    """Synthesise (and cache) the detection blocks for a case order."""
+    """Synthesise (and cache) the detection blocks for a case order.
+
+    Error words contract each case's 8 x 8 operator with one qudit axis of
+    the code words, never a dense 512 x 512 operator.
+    """
     order = tuple(order) if order is not None else full_order()
     if not order or order[0] != "I":
         raise PreconditionError("a detection order must start with case 'I'")
     if len(set(order)) != len(order):
         raise PreconditionError("duplicate case labels in the detection order")
-    ops = standard_error_sets("multiqudit").as_dict()
-    unknown = [l for l in order if l not in ops]
+    unknown = [l for l in order if l not in full_order()]
     if unknown:
         raise PreconditionError(f"unknown case labels {unknown}")
 
     word = make_codeword("three-qudit")
-    zero = word.zero_l.astype(np.complex128)
-    one = word.one_l.astype(np.complex128)
     basis0 = []  # orthonormal branch-0 detection words emitted so far
     basis1 = []
     cases = []
     for idx, label in enumerate(order):
-        op = ops[label]
-        v0 = op @ zero
-        v1 = op @ one
+        if label == "I":
+            v0 = word.zero_l
+            v1 = word.one_l
+        else:
+            name, qudit = label.split("@")
+            op = single_qudit_error(name)
+            axis = QUDIT_NAMES[qudit]
+            v0 = apply_on_axis(op, word.zero_l.reshape(8, 8, 8), axis).ravel()
+            v1 = apply_on_axis(op, word.one_l.reshape(8, 8, 8), axis).ravel()
         raw = max(float(np.linalg.norm(v0)), 1.0)
         # the two branches live in disjoint parity sectors, so cross-branch
         # projections vanish identically

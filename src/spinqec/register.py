@@ -79,13 +79,14 @@ def init_register(alpha, beta):
 
 
 def _axis_of(qudit):
-    if isinstance(qudit, str):
-        try:
-            return QUDIT_NAMES[qudit.upper()] if qudit.upper() in QUDIT_NAMES \
-                else int(qudit)
-        except ValueError:
-            raise PreconditionError(f"unknown qudit {qudit!r}") from None
-    return int(qudit)
+    key = qudit.upper() if isinstance(qudit, str) else qudit
+    try:
+        axis = QUDIT_NAMES[key] if key in QUDIT_NAMES else int(key)
+    except ValueError:
+        raise PreconditionError(f"unknown qudit {qudit!r}") from None
+    if not 0 <= axis < len(DIMS):
+        raise PreconditionError(f"axis {axis} outside 0..{len(DIMS) - 1}")
+    return axis
 
 
 @dataclass(frozen=True)
@@ -231,17 +232,17 @@ def _apply_two_level(amp, axis, lp, lq, c, s, controls):
 # error injection
 # ---------------------------------------------------------------------------
 
-_ERROR_TABLE = None
-
-
 def single_qudit_error(label):
-    """8 x 8 spin-7/2 error operator for a label like "X", "ZZ", "XY"."""
-    global _ERROR_TABLE
-    if _ERROR_TABLE is None:
-        _ERROR_TABLE = _single_spin_table(3.5)
-    if label not in _ERROR_TABLE:
+    """8 x 8 spin-7/2 error operator (read-only) for a label like "X", "ZZ"."""
+    table = _single_spin_table(3.5)
+    if label not in table:
         raise PreconditionError(f"unknown error label {label!r}")
-    return _ERROR_TABLE[label]
+    return table[label]
+
+
+def apply_on_axis(op, arr, axis):
+    """Apply the 8 x 8 operator ``op`` to tensor axis ``axis`` of ``arr``."""
+    return np.moveaxis(np.tensordot(op, arr, axes=([1], [axis])), 0, axis)
 
 
 def apply_error(reg, label, qudit):
@@ -259,9 +260,7 @@ def apply_error(reg, label, qudit):
     axis = _axis_of(qudit)
     if axis not in (0, 1, 2):
         raise PreconditionError("errors act on qudits A, B, or C")
-    view = reg.view()
-    new = np.tensordot(op, view, axes=([1], [axis]))
-    new = np.moveaxis(new, 0, axis)
+    new = apply_on_axis(op, reg.view(), axis)
     weight = float(np.sum(np.abs(new) ** 2))
     if weight < 1e-24:
         raise AnnihilationError(f"error {label}@{qudit} annihilated the state")

@@ -290,3 +290,17 @@ def test_family_default(runner, tmp_path, system, command):
         named = runner.invoke(cli, plain + ["--family", ideal])
         assert res.exit_code == 0 and named.exit_code == 0, res.output
         assert res.output == named.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["qec", "--mode", "full", "--trajectories", "0"],
+    ["qec", "--mode", "full", "--trajectories", "-5"],
+    ["contour", "--b", "1", "--step", "0"],
+    ["contour", "--b", "1", "--box", "0"],
+    ["contour", "--b", "1", "--what", "common-cells", "--scan-points", "0"],
+    ["tailor", "--b", "1", "--box", "-1e-3"],
+])
+def test_out_of_range_options_are_usage_errors(runner, argv):
+    res = runner.invoke(cli, argv)
+    assert res.exit_code == 2, res.output
+    assert "is not in the range" in res.output

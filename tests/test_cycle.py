@@ -7,6 +7,7 @@ against silent regressions in the collapse strategy.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_plan_absorption():
     zb = build_detection_plan(z_biased_order())
     assert zb.absorbed_labels == ZBIASED_ABSORBED
     assert len(zb.emitted) == 13 - len(ZBIASED_ABSORBED) == 9
+
+
+def test_cold_plan_build_stays_small():
+    # error words come from one-axis contractions, not from 28 dense
+    # 512 x 512 operators (117 MB)
+    tracemalloc.start()
+    try:
+        plan = build_detection_plan.__wrapped__(full_order())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.absorbed_labels == FULL_ABSORBED
+    assert peak < 10e6, f"cold plan build peaked at {peak / 1e6:.1f} MB"
 
 
 def test_plan_order_preconditions():

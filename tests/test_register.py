@@ -6,8 +6,10 @@ index-arithmetic matrix route.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinqec.codewords import standard_error_sets
+from spinqec.codewords import _single_spin_table, standard_error_sets
 from spinqec.linalg import PreconditionError
 from spinqec.register import (
     DIMS,
@@ -18,6 +20,7 @@ from spinqec.register import (
     apply_error,
     apply_gate,
     apply_gates,
+    apply_on_axis,
     flat_index,
     gates_matrix,
     init_register,
@@ -120,6 +123,14 @@ def test_gate_preconditions():
         rotation("A", 0, 1, 0.1, controls=(("B", 9),))
     with pytest.raises(PreconditionError):
         rotation("D", 0, 1, 0.1)
+    # axis indices outside 0..3, including a negative one that would
+    # otherwise wrap round onto the ancilla
+    with pytest.raises(PreconditionError):
+        rotation(5, 0, 1, 0.1)
+    with pytest.raises(PreconditionError):
+        rotation(-1, 0, 1, 0.1)
+    with pytest.raises(PreconditionError):
+        rotation("A", 0, 1, 0.1, controls=((9, 0),))
 
 
 def test_ancilla_excitation_and_pulse_count():
@@ -167,6 +178,37 @@ def test_single_qudit_error_table_matches_spin_ops():
     )
     with pytest.raises(PreconditionError):
         single_qudit_error("XXX")
+
+
+def test_cached_spin_tables_are_read_only():
+    with pytest.raises(ValueError):
+        single_qudit_error("X")[0, 1] = 0.0
+    for j in (3.5, 4.5):
+        for op in _single_spin_table(j).values():
+            with pytest.raises(ValueError):
+                op[0, 0] += 1.0
+    with pytest.raises(TypeError):
+        _single_spin_table(3.5)["X"] = np.eye(8)
+
+
+@pytest.fixture(scope="module")
+def dense_multiqudit():
+    return standard_error_sets("multiqudit")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_axis_contraction_matches_dense_error_set(dense_multiqudit, seed):
+    # the dense 512 x 512 embeddings are the oracle for the contraction
+    gen = np.random.default_rng(seed)
+    state = gen.normal(size=(8, 8, 8)) + 1j * gen.normal(size=(8, 8, 8))
+    for label, dense in dense_multiqudit.as_dict().items():
+        if label == "I":
+            continue
+        name, qudit = label.split("@")
+        got = apply_on_axis(single_qudit_error(name), state, "ABC".index(qudit))
+        want = dense @ state.reshape(512)
+        assert np.max(np.abs(got.reshape(512) - want)) < 1e-13
 
 
 def test_apply_error_weight_and_normalisation():
