@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codewords import make_codeword
+from .codewords import THREEQ_ONE, THREEQ_ZERO, make_codeword
 from .linalg import NumericalError
 from .register import QuditRegister, ancilla_excitation, apply_gates, flat_index, \
     inverted_gates, pi_pulse, rotation
@@ -47,10 +47,8 @@ from .register import QuditRegister, ancilla_excitation, apply_gates, flat_index
 AMP_CUT = 1e-12
 
 #: encode-stage branch profiles on qudit A: level -> amplitude
-BRANCH0_PROFILE = {0: np.sqrt(2.0 / 16.0), 2: np.sqrt(7.0 / 16.0),
-                   6: np.sqrt(7.0 / 16.0)}
-BRANCH1_PROFILE = {7: np.sqrt(2.0 / 16.0), 5: np.sqrt(7.0 / 16.0),
-                   1: -np.sqrt(7.0 / 16.0)}
+BRANCH0_PROFILE = dict(THREEQ_ZERO)
+BRANCH1_PROFILE = dict(THREEQ_ONE)
 
 #: A-levels whose (m, 0, 0) populations the entangling stage copies to B and C
 ENTANGLE_LEVELS = (1, 2, 5, 6, 7)

@@ -244,7 +244,8 @@ def sample_records(records, n_samples, rng=None):
     gen = np.random.default_rng(rng)
     probs = np.array([r.probability for r in records], dtype=float)
     total = float(probs.sum())
-    assert abs(total - 1.0) < 1e-9, "outcome probabilities must sum to one"
+    if not abs(total - 1.0) < 1e-9:
+        raise PreconditionError(f"outcome probabilities sum to {total}, not one")
     idx = gen.choice(len(records), size=int(n_samples), p=probs / total)
     return [records[i] for i in idx]
 

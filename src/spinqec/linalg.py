@@ -192,7 +192,8 @@ def kron(a, b):
 def kron_all(mats):
     """Left-fold of :func:`kron` over a sequence of matrices."""
     mats = list(mats)
-    assert mats, "kron_all needs at least one factor"
+    if not mats:
+        raise PreconditionError("kron_all needs at least one factor")
     out = np.asarray(mats[0], dtype=np.complex128)
     for m in mats[1:]:
         out = kron(out, m)

@@ -196,7 +196,10 @@ def product_index(system, m_s, m_i):
     """Full-space index of the product state |m_s> (x) |m_i>."""
     ks = round(m_s + system.s)
     ki = round(m_i + system.i)
-    assert 0 <= ks < system.dim_e and 0 <= ki < system.dim_n
+    if not (0 <= ks < system.dim_e and 0 <= ki < system.dim_n):
+        raise PreconditionError(
+            f"no product state m_S={m_s}, m_I={m_i} for S={system.s}, I={system.i}"
+        )
     return ks * system.dim_n + ki
 
 

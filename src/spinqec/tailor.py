@@ -19,11 +19,14 @@ amplitudes the discarded component vanishes identically).
 The solvers are plain two-dimensional Newton iterations with a
 central-difference Jacobian, seeded from a coarse grid scan for cells where
 every target condition changes sign.  Contours come from marching squares
-with per-edge bisection.
+with per-edge bisection.  The seed scan, the common-cell scan and the contour
+tracer read one edge mask, :func:`_edge_crossings`: a grid edge is crossed
+when its endpoint signs differ or an endpoint is exactly 0.
 """
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -135,22 +138,12 @@ class TailoringProblem:
         return float(out) if np.ndim(out) == 0 else out
 
     def condition(self, name):
+        """Condition ``name`` as a callable of (eps1, eps2)."""
         self._sandwiches(name)  # validate eagerly
-        return ResidualFunction(name, self)
+        return partial(self.evaluate, name)
 
     def codeword(self, eps1, eps2):
         return make_codeword(self.family, self.system, self.b_field, eps1, eps2)
-
-
-@dataclass(frozen=True)
-class ResidualFunction:
-    """One named tailoring condition as a callable of (eps1, eps2)."""
-
-    name: str
-    problem: TailoringProblem
-
-    def __call__(self, eps1, eps2):
-        return self.problem.evaluate(self.name, eps1, eps2)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +158,10 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
     norm < 1e-13 or residual norm < 1e-13.  Leaving the box |eps| <= box or
     a singular Jacobian counts as failure.
     """
-    assert len(funcs) == 2, "newton_solve is specialised to two conditions"
+    if len(funcs) != 2:
+        raise PreconditionError(
+            f"newton_solve is specialised to two conditions, got {len(funcs)}"
+        )
     x = np.array(x0, dtype=float)
 
     def f_of(x_):
@@ -196,31 +192,36 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
     return x, False, max_iter, float(np.linalg.norm(fx))
 
 
-def _sign_change(corner_vals):
-    lo = min(corner_vals)
-    hi = max(corner_vals)
-    return lo <= 0.0 <= hi
+def _edge_crossings(g):
+    """Grid edges of ``g`` that the zero set crosses, as two boolean masks.
+
+    ``h[i, j]`` is the edge (i, j)-(i+1, j) and ``v[i, j]`` the edge
+    (i, j)-(i, j+1).  An edge is crossed when its endpoint signs differ or
+    either endpoint is exactly 0.
+    """
+    neg = g < 0.0
+    zero = g == 0.0
+    h = (neg[:-1, :] != neg[1:, :]) | zero[:-1, :] | zero[1:, :]
+    v = (neg[:, :-1] != neg[:, 1:]) | zero[:, :-1] | zero[:, 1:]
+    return h, v
 
 
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
-    """Cell centres where every condition changes sign across the cell."""
+    """Cell centres where every condition changes sign across the cell.
+
+    A cell qualifies for a condition when one of its four edges is crossed
+    (see :func:`_edge_crossings`), i.e. when its corners hold a value <= 0
+    and a value >= 0; a corner exactly at 0 counts.  Centres come in
+    row-major (eps1, then eps2) order.
+    """
     xs = np.linspace(-box, box, n)
-    grids = []
+    centres = (xs[:-1] + xs[1:]) / 2.0
     e1, e2 = np.meshgrid(xs, xs, indexing="ij")
+    keep = np.ones((centres.size, centres.size), dtype=bool)
     for fn in funcs:
-        grids.append(np.asarray(fn(e1, e2)))
-    centres = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            ok = True
-            for g in grids:
-                corners = (g[i, j], g[i + 1, j], g[i, j + 1], g[i + 1, j + 1])
-                if not _sign_change(corners):
-                    ok = False
-                    break
-            if ok:
-                centres.append(((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0))
-    return centres
+        h, v = _edge_crossings(np.asarray(fn(e1, e2)))
+        keep &= h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
+    return [(centres[i], centres[j]) for i, j in zip(*np.nonzero(keep))]
 
 
 def find_roots(funcs, box=DEFAULT_BOX, seed_grid=41):
@@ -425,9 +426,13 @@ def _edge_bisect(fn, p_lo, p_hi, v_lo, v_hi):
 def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     """Trace the zero set of a condition inside the square |eps| <= box.
 
-    Marching squares on a uniform grid; every segment endpoint is refined by
-    bisection along its grid edge until |f| < 1e-10.  Returns a list of
-    ordered polylines (arrays of shape (k, 2)), one per connected chain.
+    Marching squares on a uniform grid over the crossed edges of
+    :func:`_edge_crossings` (the mask :func:`seed_cells` uses; a node exactly
+    at 0 counts as a crossing).  Cells with two crossed edges give one
+    segment, saddle cells with four give two; every segment endpoint is
+    refined by bisection along its grid edge until |f| < 1e-10.  Returns a
+    list of ordered polylines (arrays of shape (k, 2)), one per connected
+    chain.
 
     Raises
     ------
@@ -461,36 +466,26 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
         verts[key] = _edge_bisect(fn, p_lo, p_hi, v_lo, v_hi)
         return key
 
-    def crosses(v1, v2):
-        return (v1 < 0.0) != (v2 < 0.0) or v1 == 0.0 or v2 == 0.0
-
+    h, v = _edge_crossings(g)
+    # per cell, its edges in the order bottom, right, top, left
+    cell_edges = np.stack((h[:, :-1], v[1:, :], h[:, 1:], v[:-1, :]), axis=-1)
     segments = []
-    for i in range(n - 1):
-        for j in range(n - 1):
-            c00, c10 = g[i, j], g[i + 1, j]
-            c01, c11 = g[i, j + 1], g[i + 1, j + 1]
-            crossed = []
-            if crosses(c00, c10):
-                crossed.append(("h", i, j))
-            if crosses(c10, c11):
-                crossed.append(("v", i + 1, j))
-            if crosses(c01, c11):
-                crossed.append(("h", i, j + 1))
-            if crosses(c00, c01):
-                crossed.append(("v", i, j))
-            if len(crossed) == 2:
-                segments.append((edge_vertex(*crossed[0]), edge_vertex(*crossed[1])))
-            elif len(crossed) == 4:
-                centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
-                # saddle cell: pair the crossings so the curve separates signs
-                if (centre < 0.0) == (c00 < 0.0):
-                    pairs = ((0, 1), (2, 3))
-                else:
-                    pairs = ((0, 3), (1, 2))
-                for a, b in pairs:
-                    segments.append(
-                        (edge_vertex(*crossed[a]), edge_vertex(*crossed[b]))
-                    )
+    for i, j in np.argwhere(cell_edges.any(axis=-1)).tolist():
+        keys = (("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j))
+        crossed = [key for key, hit in zip(keys, cell_edges[i, j]) if hit]
+        if len(crossed) == 2:
+            segments.append((edge_vertex(*crossed[0]), edge_vertex(*crossed[1])))
+        elif len(crossed) == 4:
+            centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
+            # saddle cell: pair the crossings so the curve separates signs
+            if (centre < 0.0) == (g[i, j] < 0.0):
+                pairs = ((0, 1), (2, 3))
+            else:
+                pairs = ((0, 3), (1, 2))
+            for a, b in pairs:
+                segments.append(
+                    (edge_vertex(*crossed[a]), edge_vertex(*crossed[b]))
+                )
     if not segments:
         raise EmptyContourError("no zero crossing inside the box")
 

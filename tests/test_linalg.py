@@ -4,11 +4,17 @@ numpy.linalg.eigh / numpy.kron serve as the independent oracles here; the
 package itself never calls them.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinqec
 from conftest import random_hermitian
 from spinqec.linalg import (
     MAX_JACOBI_SWEEPS,
@@ -174,3 +180,41 @@ def test_kernel_route_metadata():
 
     assert spinqec.backend_name() == "numpy"
     assert spinqec.HAVE_NUMBA is False
+
+
+def test_preconditions_hold_under_python_O():
+    # ``python -O`` strips asserts; each of these calls must still refuse
+    script = textwrap.dedent("""
+        from spinqec.cycle import run_detection, sample_records
+        from spinqec.linalg import kron_all
+        from spinqec.spin import get_system, product_index
+        from spinqec.tailor import newton_solve
+
+        records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
+        calls = {
+            "product_index": lambda: product_index(get_system("si-sb"), 0.5, 9.5),
+            "sample_records": lambda: sample_records(records[:1], 3),
+            "newton_solve-1": lambda: newton_solve([lambda x, y: x], (0.0, 0.0)),
+            "newton_solve-3": lambda: newton_solve([lambda x, y: x] * 3, (0.0, 0.0)),
+            "kron_all": lambda: kron_all([]),
+        }
+        for name, call in calls.items():
+            try:
+                call()
+            except Exception as exc:
+                print(name, type(exc).__name__)
+            else:
+                print(name, "returned")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinqec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "product_index", "PreconditionError",
+        "sample_records", "PreconditionError",
+        "newton_solve-1", "PreconditionError",
+        "newton_solve-3", "PreconditionError",
+        "kron_all", "PreconditionError",
+    ]

@@ -7,6 +7,8 @@ dressed words.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqec.codewords import expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
@@ -18,6 +20,7 @@ from spinqec.tailor import (
     find_roots,
     newton_solve,
     scan_common_zero_cells,
+    seed_cells,
     solve_full_tailoring_92,
     solve_partial_tailoring_72,
     trace_zero_contour,
@@ -123,6 +126,53 @@ def test_scan_common_zero_cells():
         (lambda x, y: x - 0.01, lambda x, y: x + 0.01), box=0.05, n=100
     )
     assert none == []
+
+
+@st.composite
+def _integer_grids(draw):
+    side = draw(st.integers(min_value=2, max_value=12))
+    count = draw(st.integers(min_value=1, max_value=3))
+    values = st.integers(min_value=-2, max_value=2)
+    return [np.array(draw(st.lists(st.lists(values, min_size=side, max_size=side),
+                                   min_size=side, max_size=side)), dtype=float)
+            for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grids=_integer_grids())
+def test_seed_cells_matches_per_cell_corner_test(grids):
+    # reference: a cell qualifies when min(corners) <= 0 <= max(corners) for
+    # every grid; integer values put many corners exactly at 0
+    n = grids[0].shape[0]
+    xs = np.linspace(-0.05, 0.05, n)
+    expected = []
+    for i in range(n - 1):
+        for j in range(n - 1):
+            corners = [g[i:i + 2, j:j + 2].ravel() for g in grids]
+            if all(min(c) <= 0.0 <= max(c) for c in corners):
+                expected.append(((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0))
+    funcs = [lambda e1, e2, g=g: g for g in grids]
+    assert seed_cells(funcs, box=0.05, n=n) == expected
+
+
+@pytest.mark.parametrize("step", [0.01, 0.0025])
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+@pytest.mark.parametrize("at_cell_centre", [False, True])
+def test_trace_zero_contour_saddle(shift, step, at_cell_centre):
+    # (x - c)(y - c) + shift is a hyperbola whose two branches pass close to
+    # the saddle at (c, c); with c = 0 the saddle sits on a grid node, with
+    # c = step / 2 in the middle of a cell whose four edges are all crossed,
+    # and the pairing there must not join the branches
+    c = step / 2.0 if at_cell_centre else 0.0
+
+    def fn(x, y):
+        return (x - c) * (y - c) + shift
+
+    polys = trace_zero_contour(fn, box=0.05, step=step)
+    assert len(polys) == 2
+    for poly in polys:
+        assert np.all(poly[:, 0] > c) or np.all(poly[:, 0] < c)
+        assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) < 1e-10
 
 
 def test_full_tailoring_92_root_frozen(bi):
