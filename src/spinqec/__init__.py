@@ -3,7 +3,7 @@
 Layout
 ------
 ``spin``       spin systems, Hamiltonians, dressed states, transition data
-``linalg``     Hermitian eigensolver (cyclic Jacobi, numpy) and Kronecker helpers
+``linalg``     Hermitian eigensolver (round-robin Jacobi, numpy) and Kronecker helpers
 ``codewords``  code-word families, error sets, Knill-Laflamme residuals
 ``tailor``     branch-angle tailoring: Newton solves, sweeps, contours
 ``register``   three-qudit + ancilla state vector and pulse application

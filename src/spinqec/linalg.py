@@ -1,8 +1,11 @@
 """Dense Hermitian eigensolver and tensor-product helpers.
 
-The eigensolver is an in-package cyclic Jacobi routine in plain numpy;
-library eigensolvers are used only as cross-checks in the test suite, never
-at runtime.
+The eigensolver is an in-package Jacobi routine in plain numpy, kept for its
+relative accuracy; library eigensolvers are used only as cross-checks in the
+test suite, never at runtime.  Sweeps follow the round-robin ordering of
+Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 69 (1985)): n - 1 rounds, each
+pairing every index once (odd n is padded with one index, giving n rounds),
+so a round's rotations act on disjoint pairs and are applied as one update.
 
 Conventions
 -----------
@@ -11,6 +14,7 @@ Conventions
 * matrices are plain ``numpy.ndarray`` (complex128, C-contiguous).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +42,16 @@ class EigenDecomposition:
     ----------
     eigenvalues : (n,) float64, ascending
     eigenvectors : (n, n) complex128, column k pairs with eigenvalue k
+    sweeps, off_norm : int, float
+        Jacobi sweeps used; final Frobenius norm of the strict upper triangle.
     phase_convention : str
         Documents how the per-column gauge was fixed.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int
+    off_norm: float
     phase_convention: str = field(default=PHASE_CONVENTION)
 
 
@@ -68,67 +76,96 @@ def fix_phase(vec):
 
     Returns the rotated copy.  Zero vectors are returned unchanged.
     """
-    v = np.asarray(vec, dtype=np.complex128)
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    if abs(pivot) == 0.0:
-        return v.copy()
-    return v * (np.conj(pivot) / abs(pivot))
+    return _fix_column_phases(np.asarray(vec, dtype=np.complex128)[:, None])[:, 0]
 
 
-def _jacobi(a, v, tol, max_sweeps):
-    """Cyclic Jacobi sweeps on a complex Hermitian matrix, in place.
+def _fix_column_phases(m):
+    """:func:`fix_phase` of every column of ``m`` at once (a copy).
 
-    ``a`` is destroyed (diagonalised) while the unitary is accumulated in
-    ``v``.  Returns the number of sweeps used, or ``-1`` when the
-    off-diagonal norm failed to drop below ``tol`` within ``max_sweeps``.
-
-    The elementary step annihilates ``a[p, q]`` with the unitary that acts on
-    the (p, q) plane as ``[[c, s*u], [-s*conj(u), c]]`` where
-    ``u = a[p,q]/|a[p,q]|`` and ``t = tan(theta)`` is the stable small root of
-    ``t^2 + 2*tau*t - 1 = 0``, ``tau = (a[q,q] - a[p,p]) / (2*|a[p,q]|)``.
+    Real products, because numpy's complex multiply fuses multiply-adds in
+    some inner loops only, so its last bit would depend on the array's shape.
     """
-    n = a.shape[0]
+    mags = np.abs(m)
+    at = (np.argmax(mags, axis=0), np.arange(m.shape[1]))
+    zero = mags[at] == 0.0
+    size = np.where(zero, 1.0, mags[at])
+    fr, fi = m[at].real / size, -m[at].imag / size
+    out = np.empty_like(m)
+    out.real = m.real * fr - m.imag * fi
+    out.imag = m.real * fi + m.imag * fr
+    out[:, zero] = m[:, zero]
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _round_robin(n):
+    """Round-robin schedule of ``n`` indices: per round, read-only ``(p, q)``.
+
+    Circle method over m = n indices, or m = n + 1 for odd n: index m - 1
+    stays put while the others rotate, so the m - 1 rounds each pair every
+    index once and every pair meets exactly once.  For odd n the pair with
+    the padding index n is dropped, and its partner sits out that round.
+    """
+    m = n + n % 2
+    k = np.arange(1, m // 2)
+    rounds = []
+    for r in range(m - 1):
+        pairs = np.array([(r, m - 1), *zip((r - k) % (m - 1), (r + k) % (m - 1))])
+        p, q = np.sort(pairs[pairs.max(axis=1) < n], axis=1).T.copy()
+        p.flags.writeable = q.flags.writeable = False
+        rounds.append((p, q))
+    return tuple(rounds)
+
+
+def _jacobi(w, tol, max_sweeps):
+    """Round-robin Jacobi sweeps on a complex Hermitian matrix, in place.
+
+    ``w`` stacks the matrix ``a = w[:n]`` over ``v = w[n:]``; ``a`` is
+    diagonalised while the unitary is accumulated in ``v``.  Returns
+    ``(sweeps, off)``: the sweeps used (``-1`` if the norm ``off`` of the
+    strict upper triangle, tested before each sweep, stayed above ``tol``).
+
+    The elementary step annihilates ``a[p, q]`` (p < q) with the unitary that
+    acts on the (p, q) plane as ``[[c, s*u], [-s*conj(u), c]]`` where
+    ``u = a[p,q]/|a[p,q]|`` and ``t = tan(theta)`` is the stable small root of
+    ``t^2 + 2*tau*t - 1 = 0``, ``tau = (a[q,q] - a[p,p]) / (2*|a[p,q]|)``
+    (``t > 0`` at ``tau == 0``; ``hypot`` keeps a huge ``tau`` finite); pairs
+    with ``|a[p,q]| < 1e-300`` are skipped.  A sweep is the rounds of
+    :func:`_round_robin` (odd n padded with one index).  A round's pairs are
+    disjoint, so its rotations commute and read no entry another one writes:
+    the round is one update of columns p, q of ``w`` and rows p, q of ``a``.
+    """
+    n = w.shape[1]
+    a = w[:n]
     for sweep in range(max_sweeps):
         off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
         if off <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absapq = abs(apq)
-                if absapq < 1e-300:
+            return sweep, off
+        for p, q in _round_robin(n):
+            apq = a[p, q]
+            absapq = np.abs(apq)
+            live = absapq >= 1e-300
+            if not live.all():
+                if not live.any():
                     continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                u = apq / absapq
-                tau = (aqq - app) / (2.0 * absapq)
-                t = np.sign(tau if tau != 0.0 else 1.0) / (
-                    abs(tau) + np.sqrt(1.0 + tau * tau)
-                )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                uc = np.conj(u)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * uc * col_q
-                a[:, q] = s * u * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * uc * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * uc * vcol_q
-                v[:, q] = s * u * vcol_p + c * vcol_q
+                p, q, apq, absapq = p[live], q[live], apq[live], absapq[live]
+            tau = (a[q, q].real - a[p, p].real) / (2.0 * absapq)
+            t = np.where(tau < 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            su = t * c * (apq / absapq)
+            suc = np.conj(su)
+            col_p, col_q = w[:, p], w[:, q]
+            w[:, p] = c * col_p - suc * col_q
+            w[:, q] = su * col_p + c * col_q
+            c, su, suc = c[:, None], su[:, None], suc[:, None]
+            row_p, row_q = a[p], a[q]
+            a[p] = c * row_p - su * row_q
+            a[q] = suc * row_p + c * row_q
+            a[p, q] = a[q, p] = 0.0
+            a[p, p] = a[p, p].real
+            a[q, q] = a[q, q].real
     off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
-    if off <= tol:
-        return max_sweeps
-    return -1
+    return (max_sweeps if off <= tol else -1), off
 
 
 def hermitian_eigendecompose(h, herm_tol=1e-10):
@@ -156,22 +193,19 @@ def hermitian_eigendecompose(h, herm_tol=1e-10):
     if not is_hermitian(a, herm_tol):
         raise PreconditionError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
-    work = a.copy()
-    vecs = np.eye(n, dtype=np.complex128)
-    scale = np.sqrt(np.sum(np.abs(work) ** 2))
+    work = np.vstack([a, np.eye(n, dtype=np.complex128)])
+    scale = np.sqrt(np.sum(np.abs(a) ** 2))
     tol = 1e-14 * max(scale, 1e-300)
-    sweeps = _jacobi(work, vecs, tol, MAX_JACOBI_SWEEPS)
+    sweeps, off = _jacobi(work, tol, MAX_JACOBI_SWEEPS)
     if sweeps < 0:
         raise NumericalError(
             f"Jacobi iteration did not converge in {MAX_JACOBI_SWEEPS} sweeps"
         )
-    vals = work.diagonal().real.copy()
+    vals = work[:n].diagonal().real
     order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for k in range(n):
-        vecs[:, k] = fix_phase(vecs[:, k])
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return EigenDecomposition(eigenvalues=vals[order],
+                              eigenvectors=_fix_column_phases(work[n:, order]),
+                              sweeps=sweeps, off_norm=off)
 
 
 def kron(a, b):

@@ -220,13 +220,14 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
     dec = hermitian_eigendecompose(h)
     dim = system.dim
     weights = np.abs(dec.eigenvectors) ** 2  # [product index, state]
-    entries = sorted(
-        ((weights[p, k], k, p) for k in range(dim) for p in range(dim)),
-        key=lambda t: -t[0],
-    )
+    # entry k*dim + p pairs state k with product p; a stable sort on -weight
+    # visits them by descending overlap, ties in index order
+    flat = weights.T.ravel()
+    order = np.argsort(-flat, kind="stable")
     label_of_state = {}
     taken_weight = {}
-    for w, k, p in entries:
+    for idx, w in zip(order.tolist(), flat[order].tolist()):
+        k, p = divmod(idx, dim)
         if k in label_of_state:
             continue
         if p in taken_weight:
@@ -238,7 +239,12 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
             continue
         label_of_state[k] = p
         taken_weight[p] = w
-    assert len(label_of_state) == dim
+        if len(label_of_state) == dim:
+            break
+    if len(label_of_state) != dim:
+        raise NumericalError(
+            f"labelling is not a bijection: {len(label_of_state)} of {dim} states labelled"
+        )
     states = []
     for k in range(dim):
         p = label_of_state[k]
@@ -262,7 +268,10 @@ def manifold_states(system, b_field, m_s=-0.5):
     for st in dressed_eigenstates(system, b_field):
         if abs(st.m_s - m_s) < 1e-9:
             out[st.m_i] = st
-    assert len(out) == system.dim_n, "manifold is incomplete"
+    if len(out) != system.dim_n:
+        raise PreconditionError(
+            f"manifold m_S={m_s} is incomplete: {len(out)} of {system.dim_n} states"
+        )
     return out
 
 

@@ -11,15 +11,19 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinqec
 from conftest import random_hermitian
+from spinqec import linalg
 from spinqec.linalg import (
     MAX_JACOBI_SWEEPS,
     EigenDecomposition,
+    NumericalError,
     PreconditionError,
+    _fix_column_phases,
+    _round_robin,
     as_matrix,
     fix_phase,
     hermitian_eigendecompose,
@@ -66,6 +70,7 @@ def test_phase_convention(rng):
 def test_diagonal_input_is_sorted_permutation():
     d = np.array([3.0, -1.0, 2.0, 0.5])
     dec = hermitian_eigendecompose(np.diag(d))
+    assert dec.sweeps == 0 and dec.off_norm == 0.0
     np.testing.assert_allclose(dec.eigenvalues, np.sort(d), atol=1e-14)
     # eigenvectors must be the permutation matrix mapping sorted order back
     perm = np.abs(dec.eigenvectors)
@@ -155,23 +160,102 @@ def test_kron_matches_numpy(rng):
         kron(np.arange(3.0), np.eye(2))
 
 
-@settings(max_examples=15, deadline=None)
-@given(dim=st.integers(min_value=1, max_value=20),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_decomposition_invariants(dim, seed):
-    h = random_hermitian(np.random.default_rng(seed), dim)
-    dec = hermitian_eigendecompose(h)
-    assert isinstance(dec, EigenDecomposition)
-    assert np.all(np.diff(dec.eigenvalues) >= -1e-13)
-    v = dec.eigenvectors
-    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-11
-    recon = (v * dec.eigenvalues) @ v.conj().T
-    assert np.max(np.abs(recon - h)) < 1e-9 * max(1.0, np.max(np.abs(h)))
-
-
 def test_sweep_cap_is_generous():
     # documents the convergence budget rather than probing a failure mode
     assert MAX_JACOBI_SWEEPS >= 20
+
+
+def test_sweep_cap_raises_numerical_error(rng, monkeypatch):
+    h = random_hermitian(rng, 16)
+    monkeypatch.setattr(linalg, "MAX_JACOBI_SWEEPS", 1)
+    with pytest.raises(NumericalError, match="did not converge in 1 sweeps"):
+        hermitian_eigendecompose(h)
+
+
+def test_convergence_record(rng):
+    h = random_hermitian(rng, 20)
+    dec = hermitian_eigendecompose(h)
+    assert 1 <= dec.sweeps <= MAX_JACOBI_SWEEPS
+    assert dec.off_norm <= 1e-14 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_round_robin_schedule(n):
+    rounds = _round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    met = []
+    for p, q in rounds:
+        assert not p.flags.writeable and not q.flags.writeable
+        assert np.all(p < q)
+        # a round touches each index once; for odd n one index sits out
+        touched = np.concatenate([p, q])
+        assert len(set(touched.tolist())) == len(touched) == n - n % 2
+        met += zip(p.tolist(), q.tolist())
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    assert _round_robin(n) is rounds
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(min_value=1, max_value=12),
+       cols=st.integers(min_value=1, max_value=12),
+       zero_cols=st.sets(st.integers(min_value=0, max_value=11)),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_column_phases_match_fix_phase(rows, cols, zero_cols, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+    for k in zero_cols:
+        if k < cols:
+            m[:, k] = -0.0  # signed zeros must come back untouched too
+    out = _fix_column_phases(m)
+    for k in range(cols):
+        assert out[:, k].tobytes() == fix_phase(m[:, k]).tobytes()
+
+
+def _solver_input(kind, dim, seed):
+    """A Hermitian test matrix of one of the shapes the solver meets."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return random_hermitian(rng, dim)
+    if kind == "repeated":  # every eigenvalue exactly threefold
+        small = random_hermitian(rng, max(1, dim // 3))
+        return np.kron(small, np.eye(3))
+    # axial-field shape: 1x1 and 2x2 blocks, then a symmetric permutation
+    h = np.zeros((dim, dim), dtype=complex)
+    k = 0
+    while k < dim:
+        size = min(int(rng.integers(1, 3)), dim - k)
+        h[k:k + size, k:k + size] = random_hermitian(rng, size)
+        k += size
+    perm = rng.permutation(dim)
+    return h[np.ix_(perm, perm)]
+
+
+@settings(max_examples=40, deadline=None)
+@example(kind="dense", dim=1, scale=1.0, seed=0)
+@example(kind="blocks", dim=2, scale=1e8, seed=1)
+@example(kind="dense", dim=2, scale=1e-8, seed=2)
+@given(kind=st.sampled_from(["dense", "blocks", "repeated"]),
+       dim=st.integers(min_value=1, max_value=48),
+       scale=st.sampled_from([1.0, 1e-8, 1e8]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_decomposition_invariants(kind, dim, scale, seed):
+    h = scale * _solver_input(kind, dim, seed)
+    n = h.shape[0]
+    norm = np.linalg.norm(h)
+    dec = hermitian_eigendecompose(h)
+    assert isinstance(dec, EigenDecomposition)
+    assert dec.off_norm <= 1e-14 * max(norm, 1e-300)
+    assert np.all(np.diff(dec.eigenvalues) >= 0.0)
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
+                               rtol=0, atol=1e-13 * n * norm)
+    v = dec.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-13 * n
+    assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - h)) < 1e-13 * n * norm
+    for k in range(n):
+        mag = np.abs(v[:, k])
+        # the pivot is real positive; equal-magnitude ties may land on either
+        top = v[mag >= mag.max() * (1 - 1e-12), k]
+        assert np.any((top.real > 0) & (np.abs(top.imag) <= 1e-15 * mag.max()))
 
 
 def test_kernel_route_metadata():
@@ -187,7 +271,7 @@ def test_preconditions_hold_under_python_O():
     script = textwrap.dedent("""
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
-        from spinqec.spin import get_system, product_index
+        from spinqec.spin import get_system, manifold_states, product_index
         from spinqec.tailor import newton_solve
 
         records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
@@ -197,6 +281,7 @@ def test_preconditions_hold_under_python_O():
             "newton_solve-1": lambda: newton_solve([lambda x, y: x], (0.0, 0.0)),
             "newton_solve-3": lambda: newton_solve([lambda x, y: x] * 3, (0.0, 0.0)),
             "kron_all": lambda: kron_all([]),
+            "manifold_states": lambda: manifold_states(get_system("si-sb"), 1.0, 0.3),
         }
         for name, call in calls.items():
             try:
@@ -217,4 +302,5 @@ def test_preconditions_hold_under_python_O():
         "newton_solve-1", "PreconditionError",
         "newton_solve-3", "PreconditionError",
         "kron_all", "PreconditionError",
+        "manifold_states", "PreconditionError",
     ]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqec.linalg import PreconditionError, hermitian_eigendecompose
 from spinqec.spin import (
@@ -105,9 +107,65 @@ def test_zero_field_hyperfine_multiplets(sb):
     np.testing.assert_allclose(dec.eigenvalues, expect, atol=1e-9)
 
 
+def _sorted_labels(system, b_field, gap_tol=1e-6):
+    """The greedy labelling as a sort of dim^2 tuples, kept as the reference."""
+    dec = hermitian_eigendecompose(build_hamiltonian(system, b_field))
+    dim = system.dim
+    weights = np.abs(dec.eigenvectors) ** 2
+    entries = sorted(
+        ((weights[p, k], k, p) for k in range(dim) for p in range(dim)),
+        key=lambda t: -t[0],
+    )
+    label_of_state, taken_weight = {}, {}
+    for w, k, p in entries:
+        if k in label_of_state:
+            continue
+        if p in taken_weight:
+            if taken_weight[p] - w < gap_tol:
+                raise LabelingError(
+                    f"states compete for product label {p} with overlap gap "
+                    f"{taken_weight[p] - w:.2e} < {gap_tol:g}"
+                )
+            continue
+        label_of_state[k] = p
+        taken_weight[p] = w
+    out = []
+    for k in range(dim):
+        ks, ki = divmod(label_of_state[k], system.dim_n)
+        out.append((float(dec.eigenvalues[k]), ks - system.s, ki - system.i,
+                    float(weights[label_of_state[k], k])))
+    return sorted(out)
+
+
+def _labels_or_error(fn, system, b_field):
+    try:
+        return fn(system, b_field)
+    except LabelingError as exc:
+        return str(exc)
+
+
+def _package_labels(system, b_field):
+    return sorted((st.energy, st.m_s, st.m_i, st.weight)
+                  for st in dressed_eigenstates(system, b_field))
+
+
+@settings(max_examples=25, deadline=None)
+@given(key=st.sampled_from(["si-sb", "si-bi"]),
+       b_field=st.one_of(
+           st.floats(min_value=-5.0, max_value=5.0),
+           st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3)))
+def test_labelling_matches_sorted_reference(key, b_field):
+    system = get_system(key)
+    assert (_labels_or_error(_package_labels, system, b_field)
+            == _labels_or_error(_sorted_labels, system, b_field))
+
+
 def test_labeling_fails_at_zero_field(sb):
-    with pytest.raises(LabelingError):
+    expect = _labels_or_error(_sorted_labels, sb, 0.0)
+    assert isinstance(expect, str)
+    with pytest.raises(LabelingError) as info:
         dressed_eigenstates(sb, 0.0)
+    assert str(info.value) == expect
 
 
 def test_dressed_weights_high_field(sb, bi):
