@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .codewords import THREEQ_ONE, THREEQ_ZERO, make_codeword
-from .linalg import NumericalError
+from .linalg import NumericalError, PreconditionError
 from .register import QuditRegister, ancilla_excitation, apply_gates, flat_index, \
     inverted_gates, pi_pulse, rotation
 
@@ -115,7 +115,8 @@ def strip_global_phase(vec, tol=1e-9):
     """
     v = np.asarray(vec, dtype=np.complex128)
     scale = float(np.max(np.abs(v)))
-    assert scale > 0.0, "cannot phase-strip a zero vector"
+    if not scale > 0.0:
+        raise PreconditionError("cannot phase-strip a zero vector")
     if np.max(np.abs(v.imag)) < tol * scale:
         return v.real.copy(), 1.0 + 0.0j
     if np.max(np.abs(v.real)) < tol * scale:
@@ -158,7 +159,8 @@ def zigzag_merge(axis, amps, dest, controls=()):
     profile whenever more than one level was occupied.
     """
     cur = {int(l): float(a) for l, a in amps.items() if abs(a) > AMP_CUT}
-    assert cur, "zigzag_merge needs at least one occupied level"
+    if not cur:
+        raise PreconditionError("zigzag_merge needs at least one occupied level")
     order = sorted(cur, key=lambda l: (-abs(l - dest), l))
     gates = []
 
@@ -198,7 +200,8 @@ def collapse_gates(entries):
     (disentangle_gates, decode_gates, dest_level)
     """
     state = {k: float(v) for k, v in entries.items() if abs(v) > AMP_CUT}
-    assert state, "collapse_gates got an empty branch"
+    if not state:
+        raise PreconditionError("collapse_gates got an empty branch")
     disent = []
 
     # phase 1: clear qudit C (every pulse carries an A-level control: the two
@@ -217,7 +220,8 @@ def collapse_gates(entries):
             state[(la, m, 0)] = amp
 
     # phase 2: clear qudit B
-    assert all(k[2] == 0 for k in state)
+    if any(k[2] != 0 for k in state):
+        raise SynthesisError("phase 1 left qudit C occupied")
     for la in sorted({k[0] for k in state}, reverse=True):
         sub = {k[1]: a for k, a in state.items() if k[0] == la}
         if set(sub) == {0}:
@@ -231,10 +235,12 @@ def collapse_gates(entries):
     # phase 3: collapse qudit A
     a_amps = {k[0]: a for k, a in state.items()}
     parities = {l % 2 for l in a_amps}
-    assert len(parities) == 1, "branch support mixes A-level parities"
+    if len(parities) != 1:
+        raise PreconditionError("branch support mixes A-level parities")
     dest = 0 if parities == {0} else 7
     dec, final = zigzag_merge("A", a_amps, dest, ())
-    assert abs(final - 1.0) < 1e-9, "branch vector was not normalised"
+    if not abs(final - 1.0) < 1e-9:
+        raise PreconditionError("branch vector was not normalised")
     return disent, dec, dest
 
 
@@ -297,13 +303,22 @@ def encode_register(alpha, beta):
 def _register_entries(reg):
     """Real amplitude dict of a register state (ancilla must be empty)."""
     view = reg.view()
-    assert np.max(np.abs(view[..., 1])) < 1e-10, "ancilla unexpectedly occupied"
     arr = view[..., 0]
-    assert np.max(np.abs(arr.imag)) < 1e-9, "expected a real register state"
+    if not (np.max(np.abs(view[..., 1])) < 1e-10 and np.max(np.abs(arr.imag)) < 1e-9):
+        raise PreconditionError("expected a real register state with an empty ancilla")
     entries = {}
     for la, lb, lc in zip(*np.nonzero(np.abs(arr) > AMP_CUT)):
         entries[(int(la), int(lb), int(lc))] = float(arr[la, lb, lc].real)
     return entries
+
+
+@lru_cache(maxsize=None)
+def _excited(dest, phase):
+    """Read-only ``phase |dest, 0, 0>``, ancilla raised, shared by all blocks."""
+    out = np.zeros(1024, dtype=np.complex128)
+    out[flat_index(dest, 0, 0, 1)] = phase
+    out.setflags(write=False)
+    return out
 
 
 def detection_block(name, p0, p1):
@@ -331,24 +346,14 @@ def detection_block(name, p0, p1):
         raise SynthesisError(f"case {name!r}: branches collapse to the same end")
     excite = ancilla_excitation(((dest0, 0, 0), (dest1, 0, 0)))
     gates = (*pre, *dis0, *dec0, *dis1, *dec1, excite)
-    t0 = np.zeros(1024, dtype=np.complex128)
-    t0[flat_index(dest0, 0, 0, 1)] = ph0
-    t1 = np.zeros(1024, dtype=np.complex128)
-    t1[flat_index(dest1, 0, 0, 1)] = ph1
-    targets = ((embed_qudit_state(p0), t0), (embed_qudit_state(p1), t1))
-    meta = {
-        "dest0": dest0,
-        "dest1": dest1,
-        "phase": ph0,
-        "pre_pulses": sum(g.pulse_count for g in pre),
-        "disent_pulses": sum(g.pulse_count for g in (*dis0, *dis1)),
-        "dec_pulses": sum(g.pulse_count for g in (*dec0, *dec1)),
-        "excite_pulses": excite.pulse_count,
-    }
+    targets = ((embed_qudit_state(p0), _excited(dest0, ph0)),
+               (embed_qudit_state(p1), _excited(dest1, ph1)))
+    meta = {"dest0": dest0, "dest1": dest1, "phase": ph0}
     return validate_block(Block(name, gates, targets, meta))
 
 
 def recovery_gates(block):
     """Exact inverse of a detection block minus its ancilla excitation."""
-    assert block.gates[-1].kind == "ancilla-excitation"
+    if block.gates[-1].kind != "ancilla-excitation":
+        raise PreconditionError(f"block {block.name!r} ends without an ancilla excitation")
     return tuple(inverted_gates(block.gates[:-1]))

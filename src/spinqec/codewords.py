@@ -78,8 +78,9 @@ class CodeWord:
     def __post_init__(self):
         n0 = np.linalg.norm(self.zero_l)
         n1 = np.linalg.norm(self.one_l)
-        assert abs(n0 - 1.0) < 1e-12 and abs(n1 - 1.0) < 1e-12, "words not normalised"
-        assert abs(np.vdot(self.zero_l, self.one_l)) < 1e-12, "words not orthogonal"
+        overlap = abs(np.vdot(self.zero_l, self.one_l))
+        if not (abs(n0 - 1.0) < 1e-12 and abs(n1 - 1.0) < 1e-12 and overlap < 1e-12):
+            raise PreconditionError("code words are not orthonormal")
 
 
 def _levels_to_vector(dim_n, pairs, index_of):

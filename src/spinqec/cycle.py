@@ -8,15 +8,16 @@ error words are already inside the detected span (e.g. the z-linear words,
 which are identical on all three qudits) are *absorbed*: they execute no
 pulses and their errors fire at the earlier case that covers them.
 
-Running a plan on an encoded register is a deterministic branching tree:
-each case either detects (ancilla reads 1, the state collapses onto the two
-product-state targets) or passes (ancilla reads 0, the detected pair is
-projected out and the case's pulse sequence is exactly inverted).  The tree
-is walked once to produce the full exact outcome distribution; sampling a
-trajectory just draws from that distribution.
+A sweep is computed from projections, not by running pulses: each emitted
+block maps its Gram-Schmidt pair (p0, p1) onto ``ph |t0>``, ``ph |t1>`` with
+the ancilla raised (``validate_block`` certifies this) and its recovery
+undoes all but the excitation, so a passed case leaves ``(1 - P_case) psi``.
+With the pairs orthonormal across cases, the outcome distribution is one
+product of the plan's stacked, conjugated pairs with the register.  Pulses
+certify the blocks and count the budgets; sampling draws from the result.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -24,9 +25,9 @@ import numpy as np
 from .blocks import detection_block, enc_block, entangle_block, psi_encoded, \
     recovery_gates
 from .codewords import _LINEAR, _QUADRATIC, make_codeword
-from .linalg import PreconditionError
-from .register import QUDIT_NAMES, QuditRegister, apply_error, apply_gates, \
-    apply_on_axis, flat_index, single_qudit_error
+from .linalg import NumericalError, PreconditionError
+from .register import QUDIT_NAMES, QuditRegister, apply_error, apply_on_axis, \
+    single_qudit_error
 
 GS_CUTOFF = 1e-12
 
@@ -61,9 +62,8 @@ class PlanCase:
     label: str
     index: int
     block: object = None
-    recovery: tuple = ()
-    t0: int = -1  # flat index of the branch-0 detection target
-    t1: int = -1
+    detect_pulses: int = 0
+    recover_pulses: int = 0
 
     @property
     def absorbed(self):
@@ -72,8 +72,16 @@ class PlanCase:
 
 @dataclass(frozen=True)
 class DetectionPlan:
+    """Cases of one order plus the stacked pairs that sweeps project onto.
+
+    ``projector`` holds the m emitted cases' conjugated p0 rows, then their
+    p1 rows (read-only, 2m x 512); ``phases`` their blocks' target phases.
+    """
+
     order: tuple
     cases: tuple
+    projector: np.ndarray = field(compare=False)
+    phases: np.ndarray = field(compare=False)
 
     @property
     def emitted(self):
@@ -112,8 +120,7 @@ def build_detection_plan(order=None):
     cases = []
     for idx, label in enumerate(order):
         if label == "I":
-            v0 = word.zero_l
-            v1 = word.one_l
+            v0, v1 = word.zero_l, word.one_l
         else:
             name, qudit = label.split("@")
             op = single_qudit_error(name)
@@ -123,33 +130,32 @@ def build_detection_plan(order=None):
         raw = max(float(np.linalg.norm(v0)), 1.0)
         # the two branches live in disjoint parity sectors, so cross-branch
         # projections vanish identically
-        assert all(abs(np.vdot(q, v0)) < 1e-9 * raw for q in basis1)
-        assert all(abs(np.vdot(q, v1)) < 1e-9 * raw for q in basis0)
-        for q in basis0:
-            v0 = v0 - q * np.vdot(q, v0)
-        for q in basis1:
-            v1 = v1 - q * np.vdot(q, v1)
-        n0 = float(np.linalg.norm(v0))
-        n1 = float(np.linalg.norm(v1))
-        if n0 < GS_CUTOFF or n1 < GS_CUTOFF:
-            assert n0 < GS_CUTOFF and n1 < GS_CUTOFF, \
-                f"case {label}: branches disagree about absorption"
+        if any(abs(np.vdot(q, v0)) >= 1e-9 * raw for q in basis1) or \
+                any(abs(np.vdot(q, v1)) >= 1e-9 * raw for q in basis0):
+            raise NumericalError(f"case {label}: branches overlap")
+        for q0, q1 in zip(basis0, basis1):
+            v0 = v0 - q0 * np.vdot(q0, v0)
+            v1 = v1 - q1 * np.vdot(q1, v1)
+        n0, n1 = float(np.linalg.norm(v0)), float(np.linalg.norm(v1))
+        if n0 < GS_CUTOFF and n1 < GS_CUTOFF:
             cases.append(PlanCase(label, idx))
             continue
-        assert abs(n0 - n1) <= 1e-9 * max(n0, n1), \
-            f"case {label}: branch norms split ({n0} vs {n1})"
-        p0 = v0 / n0
-        p1 = v1 / n1
-        assert abs(np.vdot(p0, p1)) < 1e-10
+        if abs(n0 - n1) > 1e-9 * max(n0, n1):  # also one branch absorbed alone
+            raise NumericalError(f"case {label}: branch norms split ({n0} vs {n1})")
+        p0, p1 = v0 / n0, v1 / n1
+        if abs(np.vdot(p0, p1)) >= 1e-10:
+            raise NumericalError(f"case {label}: branch words not orthogonal")
         block = detection_block(label, p0, p1)
-        cases.append(PlanCase(
-            label, idx, block, tuple(recovery_gates(block)),
-            flat_index(block.meta["dest0"], 0, 0, 1),
-            flat_index(block.meta["dest1"], 0, 0, 1),
-        ))
+        recover = sum(g.pulse_count for g in recovery_gates(block))
+        cases.append(PlanCase(label, idx, block, block.pulse_count, recover))
         basis0.append(p0)
         basis1.append(p1)
-    return DetectionPlan(order, tuple(cases))
+    projector = np.array(basis0 + basis1)
+    np.conjugate(projector, out=projector)
+    phases = np.array([c.block.meta["phase"] for c in cases if not c.absorbed])
+    projector.setflags(write=False)
+    phases.setflags(write=False)
+    return DetectionPlan(order, tuple(cases), projector, phases)
 
 
 # ---------------------------------------------------------------------------
@@ -179,46 +185,42 @@ class SyndromeRecord:
 def detection_records(reg, order=None, reference=None):
     """Exact outcome distribution of one full detection sweep.
 
-    The register itself is left untouched.  Probabilities sum to one; an
-    uncorrectable record absorbs any weight outside the detectable span.
+    One product ``c = plan.projector @ data`` of the ancilla-0 amplitudes
+    gives case k's amplitudes ``ph * c[k]`` and ``ph * c[m + k]``; the
+    residual ``data - P data`` is what no case detects.  A case is recorded
+    when its weight relative to the surviving state exceeds 1e-24; the sweep
+    stops once the surviving fraction drops below 1e-15.  The register is
+    left untouched; probabilities sum to one, with an uncorrectable record
+    for any weight outside the detectable span.
     """
     plan = build_detection_plan(tuple(order) if order is not None else None)
-    work = QuditRegister(reg.amp.copy())
-    if abs(work.norm() - 1.0) > 1e-8:
+    if abs(reg.norm() - 1.0) > 1e-8:
         raise PreconditionError("register state must be normalised")
+    pairs = reg.amp.reshape(512, 2)
+    if np.max(np.abs(pairs[:, 1])) > 1e-10:
+        raise PreconditionError("a sweep needs the ancilla empty")
+    data = pairs[:, 0]
+    c = plan.projector @ data
+    resid = data - (c.conj() @ plan.projector).conj()
+    amps = plan.phases * c.reshape(2, -1)  # row b: branch-b amplitudes
+    cap = np.sum(np.abs(amps) ** 2, axis=0)
+    rest = float(np.vdot(resid, resid).real)
+    # surviving weight before each emitted case, and after the last one
+    survival = np.append(rest + np.cumsum(cap[::-1])[::-1], rest)
     records = []
-    outcomes = []
-    survival = 1.0
-    for case in plan.cases:
-        if case.absorbed:
-            continue
-        apply_gates(work, case.block.gates)
-        a0 = complex(work.amp[case.t0])
-        a1 = complex(work.amp[case.t1])
-        w = abs(a0) ** 2 + abs(a1) ** 2
-        if w > 1e-24:
-            rec = (a0 / np.sqrt(w), a1 / np.sqrt(w))
-            fid = None
-            if reference is not None:
-                alpha, beta = reference
-                fid = float(abs(np.conj(alpha) * rec[0]
-                                + np.conj(beta) * rec[1]) ** 2)
+    for k, case in enumerate(plan.emitted):
+        w = float(cap[k])
+        if w > 1e-24 * survival[k]:
+            rec = tuple(complex(a) / np.sqrt(w) for a in amps[:, k])
+            fid = None if reference is None else \
+                float(abs(np.vdot(reference, rec)) ** 2)
             records.append(SyndromeRecord(case.label, case.index,
-                                          tuple(outcomes) + (1,),
-                                          survival * w, rec, fid))
-        work.amp[case.t0] = 0.0
-        work.amp[case.t1] = 0.0
-        rem2 = float(np.real(np.vdot(work.amp, work.amp)))
-        survival *= rem2
-        if rem2 < 1e-15:
-            survival = 0.0
-            break
-        work.amp /= np.sqrt(rem2)
-        apply_gates(work, case.recovery)
-        outcomes.append(0)
-    if survival > 1e-12:
+                                          (0,) * k + (1,), w, rec, fid))
+        if survival[k + 1] < 1e-15 * survival[k]:
+            return tuple(records)
+    if rest > 1e-12:
         records.append(SyndromeRecord(
-            None, None, tuple(outcomes), survival, None,
+            None, None, (0,) * len(cap), rest, None,
             0.0 if reference is not None else None))
     return tuple(records)
 
@@ -289,17 +291,9 @@ def pulse_budget(order=None):
     separately and are not part of ``total``.
     """
     plan = build_detection_plan(tuple(order) if order is not None else None)
-    per_case = {}
-    total = 0
-    for case in plan.cases:
-        if case.absorbed:
-            per_case[case.label] = {"detect": 0, "recover": 0, "absorbed": True}
-            continue
-        det = case.block.pulse_count
-        rec = sum(g.pulse_count for g in case.recovery)
-        per_case[case.label] = {"detect": det, "recover": rec,
-                                "absorbed": False}
-        total += det + rec
+    per_case = {c.label: {"detect": c.detect_pulses, "recover": c.recover_pulses,
+                          "absorbed": c.absorbed} for c in plan.cases}
+    total = sum(c.detect_pulses + c.recover_pulses for c in plan.cases)
     encode = enc_block().pulse_count + entangle_block().pulse_count
     return {"order": plan.order, "total": total, "encode": encode,
             "cases": per_case}

@@ -238,9 +238,9 @@ def test_make_codeword_preconditions(sb, bi):
 def test_codeword_asserts_orthonormality():
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionError):
         CodeWord("ideal-7/2", "ideal", 2.0 * v, v)
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionError):
         CodeWord("ideal-7/2", "ideal", v, v)
 
 

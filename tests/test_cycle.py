@@ -3,7 +3,9 @@
 Expected detection weights were frozen from hand expansions of the error
 words on the code words (branch overlaps reduce to small rational numbers);
 pulse totals were frozen from the first verified synthesis run and guard
-against silent regressions in the collapse strategy.
+against silent regressions in the collapse strategy.  Sweeps are computed
+from projections; ``_pulse_records`` runs the plan's pulses instead and
+serves as the oracle they must match.
 """
 
 import math
@@ -11,8 +13,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinqec.blocks import psi_encoded, recovery_gates
 from spinqec.cycle import (
+    SyndromeRecord,
     build_detection_plan,
     case_weights,
     detection_cycle,
@@ -25,7 +31,7 @@ from spinqec.cycle import (
     z_biased_order,
 )
 from spinqec.linalg import PreconditionError
-from spinqec.register import QuditRegister, apply_error, init_register
+from spinqec.register import QuditRegister, apply_error, apply_gates, flat_index
 
 FULL_ABSORBED = ("Z@B", "Z@C", "ZZ@A", "YY@B", "ZZ@B", "YY@C", "ZZ@C")
 ZBIASED_ABSORBED = ("Z@B", "ZZ@B", "Z@C", "ZZ@C")
@@ -43,6 +49,72 @@ PER_CASE = {
     "X@B": {"detect": 24, "recover": 22},
     "XY@C": {"detect": 18, "recover": 16},
 }
+
+
+def _pulse_records(reg, order=None, reference=None):
+    """Outcome distribution of a sweep by running every block's pulses.
+
+    Each case either detects (ancilla reads 1 on the two product-state
+    targets) or passes (the targets are cleared, the rest renormalised and
+    the case's pulses exactly inverted); the branching tree is walked once.
+    """
+    plan = build_detection_plan(tuple(order) if order is not None else None)
+    work = QuditRegister(reg.amp.copy())
+    records = []
+    outcomes = []
+    survival = 1.0
+    for case in plan.emitted:
+        t0 = flat_index(case.block.meta["dest0"], 0, 0, 1)
+        t1 = flat_index(case.block.meta["dest1"], 0, 0, 1)
+        apply_gates(work, case.block.gates)
+        a0 = complex(work.amp[t0])
+        a1 = complex(work.amp[t1])
+        w = abs(a0) ** 2 + abs(a1) ** 2
+        if w > 1e-24:
+            rec = (a0 / np.sqrt(w), a1 / np.sqrt(w))
+            fid = None
+            if reference is not None:
+                alpha, beta = reference
+                fid = float(abs(np.conj(alpha) * rec[0]
+                                + np.conj(beta) * rec[1]) ** 2)
+            records.append(SyndromeRecord(case.label, case.index,
+                                          tuple(outcomes) + (1,),
+                                          survival * w, rec, fid))
+        work.amp[t0] = 0.0
+        work.amp[t1] = 0.0
+        rem2 = float(np.real(np.vdot(work.amp, work.amp)))
+        survival *= rem2
+        if rem2 < 1e-15:
+            survival = 0.0
+            break
+        work.amp /= np.sqrt(rem2)
+        apply_gates(work, recovery_gates(case.block))
+        outcomes.append(0)
+    if survival > 1e-12:
+        records.append(SyndromeRecord(
+            None, None, tuple(outcomes), survival, None,
+            0.0 if reference is not None else None))
+    return tuple(records)
+
+
+def _assert_routes_agree(reg, order, reference=None):
+    fast = detection_records(reg, order, reference)
+    slow = _pulse_records(reg, order, reference)
+    assert [r.detected_case for r in fast] == [r.detected_case for r in slow]
+    assert [r.ancilla_outcomes for r in fast] == \
+        [r.ancilla_outcomes for r in slow]
+    for f, s in zip(fast, slow):
+        assert abs(f.probability - s.probability) < 1e-12, f.detected_case
+        if s.recovered_amplitudes is None:
+            assert f.recovered_amplitudes is None
+        else:
+            diff = np.subtract(f.recovered_amplitudes, s.recovered_amplitudes)
+            assert np.max(np.abs(diff)) < 1e-12, f.detected_case
+        if s.logical_fidelity is None:
+            assert f.logical_fidelity is None
+        else:
+            assert abs(f.logical_fidelity - s.logical_fidelity) < 1e-12
+    return fast
 
 
 def test_case_orders():
@@ -182,10 +254,6 @@ def test_sampled_statistics_match_exact_weights(rng):
 
 
 def test_detection_cycle_modes(rng):
-    reg = QuditRegister(np.zeros(1024))
-    reg.amp[0] = 1.0
-    from spinqec.blocks import psi_encoded
-
     reg = QuditRegister(psi_encoded(1.0, 0.0))
     records = detection_cycle(reg, mode="exact-branch")
     assert isinstance(records, tuple) and len(records) == 1
@@ -250,3 +318,50 @@ def test_recovery_restores_state_after_pass():
     assert rec.detected_case == "X@A"
     assert rec.ancilla_outcomes == (0, 1)  # case I passed first
     assert abs(rec.recovered_amplitudes[0]) > 1.0 - 1e-10
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_projections_match_pulses_on_random_states(seed):
+    gen = np.random.default_rng(seed)
+    data = gen.normal(size=512) + 1j * gen.normal(size=512)
+    reg = QuditRegister()
+    reg.amp.reshape(512, 2)[:, 0] = data / np.linalg.norm(data)
+    for order in (full_order(), z_biased_order()):
+        records = _assert_routes_agree(reg, order)
+        assert records[-1].detected_case is None  # generic states leave the span
+
+
+@settings(max_examples=5, deadline=None)
+@given(theta=st.floats(min_value=0.0, max_value=math.pi),
+       phi=st.floats(min_value=0.0, max_value=2.0 * math.pi))
+def test_projections_match_pulses_on_every_error(theta, phi):
+    alpha = math.cos(theta / 2.0)
+    beta = complex(np.exp(1j * phi) * math.sin(theta / 2.0))
+    psi = psi_encoded(alpha, beta)
+    for order in (full_order(), z_biased_order()):
+        for label in full_order()[1:]:
+            reg = QuditRegister(psi.copy())
+            apply_error(reg, *label.split("@"))
+            _assert_routes_agree(reg, order, (alpha, beta))
+
+
+def test_occupied_ancilla_is_refused():
+    amp = psi_encoded(0.6, 0.8)
+    amp[1] = 1e-6  # ancilla raised on |000>
+    with pytest.raises(PreconditionError):
+        detection_records(QuditRegister(amp / np.linalg.norm(amp)))
+
+
+def test_state_inside_detected_span_has_no_uncorrectable_record():
+    # error images of encoded states lie in the span of the words the plan
+    # detects, absorbed labels included
+    image = np.zeros(1024, dtype=np.complex128)
+    for label, qudit, a, b in (("XX", "A", 0.6, 0.8), ("Y", "C", 1.0, 0.0),
+                               ("ZZ", "B", 0.0, 1j)):
+        reg, weight = apply_error(QuditRegister(psi_encoded(a, b)), label, qudit)
+        image += np.sqrt(weight) * reg.amp
+    reg = QuditRegister(image / np.linalg.norm(image))
+    records = _assert_routes_agree(reg, full_order())
+    assert all(r.detected_case is not None for r in records)
+    assert np.isclose(sum(r.probability for r in records), 1.0, atol=1e-12)

@@ -269,12 +269,17 @@ def test_kernel_route_metadata():
 def test_preconditions_hold_under_python_O():
     # ``python -O`` strips asserts; each of these calls must still refuse
     script = textwrap.dedent("""
+        import numpy as np
+        from spinqec.blocks import collapse_gates, enc_block, recovery_gates
+        from spinqec.blocks import strip_global_phase
+        from spinqec.codewords import CodeWord
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.spin import get_system, manifold_states, product_index
         from spinqec.tailor import newton_solve
 
         records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
+        v = np.eye(8)[0]
         calls = {
             "product_index": lambda: product_index(get_system("si-sb"), 0.5, 9.5),
             "sample_records": lambda: sample_records(records[:1], 3),
@@ -282,6 +287,14 @@ def test_preconditions_hold_under_python_O():
             "newton_solve-3": lambda: newton_solve([lambda x, y: x] * 3, (0.0, 0.0)),
             "kron_all": lambda: kron_all([]),
             "manifold_states": lambda: manifold_states(get_system("si-sb"), 1.0, 0.3),
+            "collapse_gates-empty": lambda: collapse_gates({}),
+            "collapse_gates-norm": lambda: collapse_gates({(0, 0, 0): 0.5}),
+            "collapse_gates-parity": lambda: collapse_gates({(0, 0, 0): 0.6,
+                                                             (1, 0, 0): 0.8}),
+            "strip_global_phase": lambda: strip_global_phase(np.zeros(4)),
+            "recovery_gates": lambda: recovery_gates(enc_block()),
+            "CodeWord-norm": lambda: CodeWord("ideal-7/2", "ideal", 2.0 * v, v),
+            "CodeWord-orth": lambda: CodeWord("ideal-7/2", "ideal", v, v),
         }
         for name, call in calls.items():
             try:
@@ -303,4 +316,11 @@ def test_preconditions_hold_under_python_O():
         "newton_solve-3", "PreconditionError",
         "kron_all", "PreconditionError",
         "manifold_states", "PreconditionError",
+        "collapse_gates-empty", "PreconditionError",
+        "collapse_gates-norm", "PreconditionError",
+        "collapse_gates-parity", "PreconditionError",
+        "strip_global_phase", "PreconditionError",
+        "recovery_gates", "PreconditionError",
+        "CodeWord-norm", "PreconditionError",
+        "CodeWord-orth", "PreconditionError",
     ]
