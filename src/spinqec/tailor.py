@@ -11,17 +11,18 @@ where ``kind`` is
 * ``offdiag`` -- cross element <0|op|1>
 
 and ``op`` is a product of nuclear-spin factors (IX, IY, IZ, IXIX, IXIY, ...)
-lifted to the electron-nuclear space.  Each condition evaluates to one real
-number: the real part when the assembled operator has real entries, the
-imaginary part when its entries are purely imaginary (for real dressed
-amplitudes the discarded component vanishes identically).
+acting on the nuclear axis of the electron-nuclear space.  Each condition
+evaluates to one real number: the real part when the assembled operator has
+real entries, the imaginary part when its entries are purely imaginary (for
+real dressed amplitudes the discarded component vanishes identically).
 
 The solvers are plain two-dimensional Newton iterations with a
 central-difference Jacobian, seeded from a coarse grid scan for cells where
 every target condition changes sign.  Contours come from marching squares
-with per-edge bisection.  The seed scan, the common-cell scan and the contour
-tracer read one edge mask, :func:`_edge_crossings`: a grid edge is crossed
-when its endpoint signs differ or an endpoint is exactly 0.
+with one bisection over all crossed edges at once.  The seed scan, the
+common-cell scan and the contour tracer read one edge mask,
+:func:`_edge_crossings`: a grid edge is crossed when one endpoint is < 0 and
+the other >= 0.
 """
 
 import re
@@ -32,7 +33,7 @@ import numpy as np
 
 from .codewords import _TWO_LEVEL, kl_residuals, lift_to_electron_nuclear, \
     make_codeword, standard_error_sets
-from .linalg import NumericalError, PreconditionError, kron
+from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
 DEFAULT_BOX = 0.05
@@ -82,11 +83,11 @@ class TailoringProblem:
         self.theta0 = theta0
         self.sign1 = sign1
         manifold = manifold_states(system, b_field, m_s=-0.5)
-        self._v0 = np.column_stack([manifold[m].vector for m in sup0])
-        self._v1 = np.column_stack([manifold[m].vector for m in sup1])
+        shape = (system.dim_e, system.dim_n, 2)  # nuclear operators act on axis 1
+        self._v0 = np.column_stack([manifold[m].vector for m in sup0]).reshape(shape)
+        self._v1 = np.column_stack([manifold[m].vector for m in sup1]).reshape(shape)
         ix, iy, iz = spin_operators(system.i)
         self._nuclear = {"IX": ix, "IY": iy, "IZ": iz}
-        self._eye_e = np.eye(system.dim_e, dtype=np.complex128)
         self._cache = {}
 
     def _assemble(self, op_label):
@@ -103,7 +104,7 @@ class TailoringProblem:
             component = "im"
         else:  # pragma: no cover - not reachable for IX/IY/IZ products of <= 2
             raise PreconditionError(f"operator {op_label} has mixed-type entries")
-        return kron(self._eye_e, op), component
+        return op, component
 
     def _sandwiches(self, name):
         if name in self._cache:
@@ -112,9 +113,9 @@ class TailoringProblem:
         if kind not in ("diag", "offdiag"):
             raise PreconditionError(f"unknown condition kind in {name!r}")
         op, component = self._assemble(op_label)
-        m00 = self._v0.conj().T @ op @ self._v0
-        m11 = self._v1.conj().T @ op @ self._v1
-        m01 = self._v0.conj().T @ op @ self._v1
+        v0, v1 = self._v0, self._v1
+        m00, m11, m01 = (np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket)
+                         for bra, ket in ((v0, v0), (v1, v1), (v0, v1)))
         entry = (kind, component, m00, m11, m01)
         self._cache[name] = entry
         return entry
@@ -196,31 +197,33 @@ def _edge_crossings(g):
     """Grid edges of ``g`` that the zero set crosses, as two boolean masks.
 
     ``h[i, j]`` is the edge (i, j)-(i+1, j) and ``v[i, j]`` the edge
-    (i, j)-(i, j+1).  An edge is crossed when its endpoint signs differ or
-    either endpoint is exactly 0.
+    (i, j)-(i, j+1).  An edge is crossed when one endpoint is < 0 and the
+    other >= 0, the strict split of marching squares, so every grid cell
+    has 0, 2 or 4 crossed edges.
     """
     neg = g < 0.0
-    zero = g == 0.0
-    h = (neg[:-1, :] != neg[1:, :]) | zero[:-1, :] | zero[1:, :]
-    v = (neg[:, :-1] != neg[:, 1:]) | zero[:, :-1] | zero[:, 1:]
-    return h, v
+    return neg[:-1, :] != neg[1:, :], neg[:, :-1] != neg[:, 1:]
 
 
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell.
 
     A cell qualifies for a condition when one of its four edges is crossed
-    (see :func:`_edge_crossings`), i.e. when its corners hold a value <= 0
-    and a value >= 0; a corner exactly at 0 counts.  Centres come in
-    row-major (eps1, then eps2) order.
+    (see :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its
+    corners hold a value <= 0 and a value >= 0.  Centres come in row-major
+    (eps1, then eps2) order.
     """
     xs = np.linspace(-box, box, n)
     centres = (xs[:-1] + xs[1:]) / 2.0
     e1, e2 = np.meshgrid(xs, xs, indexing="ij")
     keep = np.ones((centres.size, centres.size), dtype=bool)
     for fn in funcs:
-        h, v = _edge_crossings(np.asarray(fn(e1, e2)))
-        keep &= h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
+        g = np.asarray(fn(e1, e2))
+        h, v = _edge_crossings(g)
+        zero = g == 0.0
+        keep &= (h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
+                 | zero[:-1, :-1] | zero[1:, :-1] | zero[1:, 1:] | zero[:-1, 1:])
+        del g, zero  # peak memory: free this grid before the next is built
     return [(centres[i], centres[j]) for i, j in zip(*np.nonzero(keep))]
 
 
@@ -402,46 +405,80 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
 # contours
 # ---------------------------------------------------------------------------
 
-def _edge_bisect(fn, p_lo, p_hi, v_lo, v_hi):
-    """Bisect along a straight edge to a contour vertex with |f| < 1e-10."""
-    if v_lo == 0.0:
-        return p_lo
-    if v_hi == 0.0:
-        return p_hi
-    a = np.array(p_lo, dtype=float)
-    b = np.array(p_hi, dtype=float)
-    fa = v_lo
+def _bisect_edges(fn, lo, hi, f_lo):
+    """Bisect the edges lo[r]-hi[r] together to vertices with |f| < 1e-10.
+
+    Each step evaluates ``fn`` once on the midpoints of the unfinished rows;
+    a row leaves at its first midpoint with |f| < 1e-10, and a row still
+    open after 200 steps raises :class:`NumericalError`.
+    """
+    out = np.empty_like(lo)
+    rows = np.arange(len(lo))
     for _ in range(200):
-        mid = (a + b) / 2.0
-        fm = fn(mid[0], mid[1])
-        if abs(fm) < CONTOUR_FTOL:
-            return tuple(mid)
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
+        mid = (lo + hi) / 2.0
+        f_mid = np.asarray(fn(mid[:, 0], mid[:, 1]), dtype=float)
+        done = np.abs(f_mid) < CONTOUR_FTOL
+        out[rows[done]] = mid[done]
+        same = ((f_lo < 0.0) == (f_mid < 0.0))[:, None]
+        lo, hi = np.where(same, mid, lo)[~done], np.where(same, hi, mid)[~done]
+        f_lo = np.where(same[:, 0], f_mid, f_lo)[~done]
+        rows = rows[~done]
+        if not rows.size:
+            return out
     raise NumericalError("edge bisection failed to reach |f| < 1e-10")
+
+
+def _chains(segments):
+    """Join segments (pairs of vertex ids) into ordered chains of vertex ids."""
+    adjacency, unused = {}, set()
+    for a, b in segments:
+        # a row of zero nodes that f <= 0 only touches gets each segment twice
+        if frozenset((a, b)) not in unused:
+            unused.add(frozenset((a, b)))
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+
+    def next_unused(key):
+        return next((nb for nb in adjacency[key] if frozenset((key, nb)) in unused),
+                    None)
+
+    def walk(start):
+        chain = [start]
+        while (nxt := next_unused(chain[-1])) is not None:
+            unused.discard(frozenset((chain[-1], nxt)))
+            chain.append(nxt)
+        return chain
+
+    # open chains first, each walked from an end (odd degree), then closed loops
+    ends = [key for key in adjacency if len(adjacency[key]) % 2]
+    return [walk(key) for key in ends + list(adjacency) if next_unused(key) is not None]
 
 
 def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     """Trace the zero set of a condition inside the square |eps| <= box.
 
     Marching squares on a uniform grid over the crossed edges of
-    :func:`_edge_crossings` (the mask :func:`seed_cells` uses; a node exactly
-    at 0 counts as a crossing).  Cells with two crossed edges give one
-    segment, saddle cells with four give two; every segment endpoint is
-    refined by bisection along its grid edge until |f| < 1e-10.  Returns a
-    list of ordered polylines (arrays of shape (k, 2)), one per connected
-    chain.
+    :func:`_edge_crossings`, whose strict split (f < 0 against f >= 0) gives
+    every cell 0, 2 or 4 crossed edges.  Cells with two give one segment,
+    saddle cells with four give two.  A crossed edge with an endpoint exactly
+    at 0 has that node as its vertex, shared by every segment that reaches
+    the node; all other vertices come from one bisection over the remaining
+    crossed edges, run until |f| < 1e-10.  ``fn`` must accept arrays.
+    Returns a list of ordered polylines (arrays of shape (k, 2)), one per
+    connected chain.
 
     Raises
     ------
+    PreconditionError
+        If ``box`` or ``step`` is not a finite positive number.
     EmptyContourError
         If no grid edge changes sign.
     NumericalError
         If the condition vanishes on essentially the whole box (its "contour"
         is two-dimensional, not a curve).
     """
+    if not (0.0 < box < np.inf and 0.0 < step < np.inf):
+        raise PreconditionError(f"need box > 0 and step > 0, got {box!r}, {step!r}")
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
     xs = np.linspace(-box, box, n)
     e1, e2 = np.meshgrid(xs, xs, indexing="ij")
@@ -451,80 +488,40 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
             "condition vanishes identically over the box; no curve to trace"
         )
 
-    verts = {}  # edge key -> vertex coordinates
-
-    def edge_vertex(kind, i, j):
-        key = (kind, i, j)
-        if key in verts:
-            return key
-        if kind == "h":
-            p_lo, p_hi = (xs[i], xs[j]), (xs[i + 1], xs[j])
-            v_lo, v_hi = g[i, j], g[i + 1, j]
-        else:
-            p_lo, p_hi = (xs[i], xs[j]), (xs[i], xs[j + 1])
-            v_lo, v_hi = g[i, j], g[i, j + 1]
-        verts[key] = _edge_bisect(fn, p_lo, p_hi, v_lo, v_hi)
-        return key
-
     h, v = _edge_crossings(g)
-    # per cell, its edges in the order bottom, right, top, left
-    cell_edges = np.stack((h[:, :-1], v[1:, :], h[:, 1:], v[:-1, :]), axis=-1)
+    # one row per crossed edge: its lower node and the node one step up
+    lo = np.concatenate((np.argwhere(h), np.argwhere(v)))
+    hi = lo + np.repeat([[1, 0], [0, 1]], (h.sum(), v.sum()), axis=0)
+    f_lo, f_hi = g[tuple(lo.T)], g[tuple(hi.T)]
+    node = np.where((f_lo == 0.0)[:, None], lo, hi)
+    at_node = (f_lo == 0.0) | (f_hi == 0.0)
+    pts = xs[node]
+    pts[~at_node] = _bisect_edges(fn, xs[lo[~at_node]], xs[hi[~at_node]],
+                                  f_lo[~at_node])
+    # a vertex is its edge's row, or the first row of its exactly-zero node
+    uid = np.where(at_node, node[:, 0] * n + node[:, 1], n * n + np.arange(len(lo)))
+    _, first, inverse = np.unique(uid, return_index=True, return_inverse=True)
+    vert_h, vert_v = np.full(h.shape, -1), np.full(v.shape, -1)
+    vert_h[h], vert_v[v] = np.split(first[inverse], [np.count_nonzero(h)])
+    # per cell, its edges' vertices in the order bottom, right, top, left
+    cells = np.stack((vert_h[:, :-1], vert_v[1:, :], vert_h[:, 1:], vert_v[:-1, :]),
+                     axis=-1)
     segments = []
-    for i, j in np.argwhere(cell_edges.any(axis=-1)).tolist():
-        keys = (("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j))
-        crossed = [key for key, hit in zip(keys, cell_edges[i, j]) if hit]
-        if len(crossed) == 2:
-            segments.append((edge_vertex(*crossed[0]), edge_vertex(*crossed[1])))
-        elif len(crossed) == 4:
+    for i, j in np.argwhere(cells.max(axis=-1) >= 0).tolist():
+        crossed = [k for k in cells[i, j].tolist() if k >= 0]
+        pairs = ((0, 1),)
+        if len(crossed) == 4:
             centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
             # saddle cell: pair the crossings so the curve separates signs
             if (centre < 0.0) == (g[i, j] < 0.0):
                 pairs = ((0, 1), (2, 3))
             else:
                 pairs = ((0, 3), (1, 2))
-            for a, b in pairs:
-                segments.append(
-                    (edge_vertex(*crossed[a]), edge_vertex(*crossed[b]))
-                )
+        segments += [(crossed[a], crossed[b]) for a, b in pairs
+                     if crossed[a] != crossed[b]]
     if not segments:
         raise EmptyContourError("no zero crossing inside the box")
-
-    adjacency = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    unused = {frozenset(seg) for seg in segments}
-
-    def walk(start):
-        chain = [start]
-        current = start
-        while True:
-            nxt = None
-            for nb in adjacency[current]:
-                if frozenset((current, nb)) in unused:
-                    nxt = nb
-                    break
-            if nxt is None:
-                return chain
-            unused.discard(frozenset((current, nxt)))
-            chain.append(nxt)
-            current = nxt
-
-    polylines = []
-    # open chains first (endpoints have odd degree)
-    for key in list(adjacency):
-        if len(adjacency[key]) % 2 == 1 and any(
-            frozenset((key, nb)) in unused for nb in adjacency[key]
-        ):
-            chain = walk(key)
-            polylines.append(np.array([verts[k] for k in chain]))
-    # remaining closed loops
-    for key in list(adjacency):
-        if any(frozenset((key, nb)) in unused for nb in adjacency[key]):
-            chain = walk(key)
-            polylines.append(np.array([verts[k] for k in chain]))
-    return polylines
+    return [pts[chain] for chain in _chains(segments)]
 
 
 def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=400):
@@ -533,4 +530,6 @@ def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=400):
     A uniform n x n cell scan; used to test whether several conditions can
     vanish simultaneously inside the box.
     """
+    if not n >= 1:
+        raise PreconditionError(f"need n >= 1 grid cells, got {n!r}")
     return seed_cells(funcs, box, n + 1)

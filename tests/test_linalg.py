@@ -276,7 +276,8 @@ def test_preconditions_hold_under_python_O():
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.spin import get_system, manifold_states, product_index
-        from spinqec.tailor import newton_solve
+        from spinqec.tailor import newton_solve, scan_common_zero_cells
+        from spinqec.tailor import trace_zero_contour
 
         records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
         v = np.eye(8)[0]
@@ -285,6 +286,12 @@ def test_preconditions_hold_under_python_O():
             "sample_records": lambda: sample_records(records[:1], 3),
             "newton_solve-1": lambda: newton_solve([lambda x, y: x], (0.0, 0.0)),
             "newton_solve-3": lambda: newton_solve([lambda x, y: x] * 3, (0.0, 0.0)),
+            "trace-step-0": lambda: trace_zero_contour(lambda x, y: x, 0.05, 0.0),
+            "trace-step-neg": lambda: trace_zero_contour(lambda x, y: x, 0.05, -0.01),
+            "trace-box-0": lambda: trace_zero_contour(lambda x, y: x, 0.0, 0.01),
+            "trace-box-neg": lambda: trace_zero_contour(lambda x, y: x, -0.05, 0.01),
+            "scan-n-0": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, 0),
+            "scan-n-neg": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, -3),
             "kron_all": lambda: kron_all([]),
             "manifold_states": lambda: manifold_states(get_system("si-sb"), 1.0, 0.3),
             "collapse_gates-empty": lambda: collapse_gates({}),
@@ -314,6 +321,12 @@ def test_preconditions_hold_under_python_O():
         "sample_records", "PreconditionError",
         "newton_solve-1", "PreconditionError",
         "newton_solve-3", "PreconditionError",
+        "trace-step-0", "PreconditionError",
+        "trace-step-neg", "PreconditionError",
+        "trace-box-0", "PreconditionError",
+        "trace-box-neg", "PreconditionError",
+        "scan-n-0", "PreconditionError",
+        "scan-n-neg", "PreconditionError",
         "kron_all", "PreconditionError",
         "manifold_states", "PreconditionError",
         "collapse_gates-empty", "PreconditionError",

@@ -7,15 +7,18 @@ dressed words.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinqec.codewords import expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import spin_operators
 from spinqec.tailor import (
+    CONTOUR_FTOL,
     EmptyContourError,
     TailoringProblem,
+    _chains,
+    _edge_crossings,
     field_sweep_tailoring,
     find_roots,
     newton_solve,
@@ -153,6 +156,117 @@ def test_seed_cells_matches_per_cell_corner_test(grids):
                 expected.append(((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0))
     funcs = [lambda e1, e2, g=g: g for g in grids]
     assert seed_cells(funcs, box=0.05, n=n) == expected
+
+
+@pytest.mark.parametrize("fn, closed", [
+    (lambda x, y: y + 0.0 * x, False),
+    (lambda x, y: x + 0.0 * y, False),
+    (lambda x, y: x + y, False),
+    (lambda x, y: x * x + y * y - 0.02 ** 2, True),
+    (lambda x, y: x * x + y * y - 0.03 ** 2, True),
+    (lambda x, y: x * x + y * y - 0.04 ** 2, True),
+    (lambda x, y: 0.0 * x - y * y, False),
+], ids=["y", "x", "x+y", "r=0.02", "r=0.03", "r=0.04", "touching-y"])
+def test_trace_zero_contour_through_zero_nodes(fn, closed):
+    # on the 0.01 grid all but the r = 0.02 circle pass through nodes where fn
+    # is exactly 0; a vertex there joins the segments on either side of it
+    (poly,) = trace_zero_contour(fn, box=0.05, step=0.01)
+    assert np.array_equal(poly[0], poly[-1]) == closed
+    assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) < 1e-10
+
+
+def _edge_bisect(fn, p_lo, p_hi, v_lo, v_hi):
+    """Bisect along one straight edge to a contour vertex with |f| < 1e-10."""
+    if v_lo == 0.0:
+        return p_lo
+    if v_hi == 0.0:
+        return p_hi
+    a = np.array(p_lo, dtype=float)
+    b = np.array(p_hi, dtype=float)
+    fa = v_lo
+    for _ in range(200):
+        mid = (a + b) / 2.0
+        fm = fn(mid[0], mid[1])
+        if abs(fm) < CONTOUR_FTOL:
+            return tuple(mid)
+        if (fa < 0.0) == (fm < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    raise NumericalError("edge bisection failed to reach |f| < 1e-10")
+
+
+def _scalar_trace(fn, box, step):
+    """Reference tracer: one scalar bisection per crossed edge, memoised by edge."""
+    n = max(3, int(np.ceil(2.0 * box / step)) + 1)
+    xs = np.linspace(-box, box, n)
+    e1, e2 = np.meshgrid(xs, xs, indexing="ij")
+    g = np.asarray(fn(e1, e2), dtype=float)
+    verts = {}
+
+    def edge_vertex(kind, i, j):
+        key = (kind, i, j)
+        if key not in verts:
+            di, dj = (1, 0) if kind == "h" else (0, 1)
+            verts[key] = _edge_bisect(fn, (xs[i], xs[j]), (xs[i + di], xs[j + dj]),
+                                      g[i, j], g[i + di, j + dj])
+        return key
+
+    h, v = _edge_crossings(g)
+    cell_edges = np.stack((h[:, :-1], v[1:, :], h[:, 1:], v[:-1, :]), axis=-1)
+    segments = []
+    for i, j in np.argwhere(cell_edges.any(axis=-1)).tolist():
+        keys = (("h", i, j), ("v", i + 1, j), ("h", i, j + 1), ("v", i, j))
+        crossed = [edge_vertex(*key) for key, hit in zip(keys, cell_edges[i, j]) if hit]
+        pairs = ((0, 1),)
+        if len(crossed) == 4:
+            centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
+            if (centre < 0.0) == (g[i, j] < 0.0):
+                pairs = ((0, 1), (2, 3))
+            else:
+                pairs = ((0, 3), (1, 2))
+        segments += [(crossed[a], crossed[b]) for a, b in pairs]
+    if not segments:
+        raise EmptyContourError("no zero crossing inside the box")
+    return [np.array([verts[key] for key in chain]) for chain in _chains(segments)]
+
+
+_coord = st.floats(min_value=-0.04, max_value=0.04)
+
+
+@st.composite
+def _off_node_shapes(draw):
+    kind = draw(st.sampled_from(["line", "circle", "saddle"]))
+    cx, cy = draw(_coord), draw(_coord)
+    if kind == "line":
+        angle = draw(st.floats(min_value=0.0, max_value=np.pi))
+        a, b = np.cos(angle), np.sin(angle)
+        return lambda x, y: a * (x - cx) + b * (y - cy)
+    if kind == "circle":
+        r = draw(st.floats(min_value=0.003, max_value=0.04))
+        return lambda x, y: (x - cx) ** 2 + (y - cy) ** 2 - r * r
+    shift = draw(st.floats(min_value=-1e-4, max_value=1e-4))
+    return lambda x, y: (x - cx) * (y - cy) + shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(fn=_off_node_shapes(), step=st.sampled_from([0.01, 0.005, 0.0025]))
+def test_batched_bisection_matches_scalar_route(fn, step):
+    # polynomials evaluate identically on scalars and arrays, so the batched
+    # bisection must reproduce every scalar vertex bit for bit
+    xs = np.linspace(-0.05, 0.05, max(3, int(np.ceil(0.1 / step)) + 1))
+    assume(np.all(fn(*np.meshgrid(xs, xs, indexing="ij")) != 0.0))
+    try:
+        ref = _scalar_trace(fn, 0.05, step)
+    except EmptyContourError:
+        with pytest.raises(EmptyContourError):
+            trace_zero_contour(fn, box=0.05, step=step)
+        return
+    got = trace_zero_contour(fn, box=0.05, step=step)
+    assert len(got) == len(ref)
+    for poly, want in zip(got, ref):
+        assert np.array_equal(poly, want)
+        assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) < CONTOUR_FTOL
 
 
 @pytest.mark.parametrize("step", [0.01, 0.0025])
