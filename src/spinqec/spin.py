@@ -13,8 +13,8 @@ with both quantum numbers ascending; a full-space index is
 
 Dressed (exact) eigenstates are labelled by the product-basis state they
 overlap most with; the labelling is a greedy bijection on descending overlap
-and raises :class:`LabelingError` when two states claim one label with an
-overlap gap below 1e-6 (e.g. at B = 0).
+and raises :class:`LabelingError` when a state's two largest overlaps, or two
+states claiming one label, are within a gap of 1e-6 (e.g. at B = 0).
 """
 
 from dataclasses import dataclass
@@ -214,12 +214,22 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
     Raises
     ------
     LabelingError
-        If the greedy overlap labelling is ambiguous within ``gap_tol``.
+        If the greedy overlap labelling is ambiguous within ``gap_tol``: a
+        state's two largest product weights, or two states competing for one
+        label, differ by less than ``gap_tol``.
     """
     h = build_hamiltonian(system, b_field)
     dec = hermitian_eigendecompose(h)
     dim = system.dim
     weights = np.abs(dec.eigenvectors) ** 2  # [product index, state]
+    top = np.sort(weights, axis=0)
+    tied = top[-1] - top[-2] < gap_tol
+    if tied.any():
+        k = int(np.argmax(tied))
+        raise LabelingError(
+            f"state {k} has two product labels with overlap gap "
+            f"{top[-1, k] - top[-2, k]:.2e} < {gap_tol:g}"
+        )
     # entry k*dim + p pairs state k with product p; a stable sort on -weight
     # visits them by descending overlap, ties in index order
     flat = weights.T.ravel()

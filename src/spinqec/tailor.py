@@ -20,9 +20,10 @@ The solvers are plain two-dimensional Newton iterations with a
 central-difference Jacobian, seeded from a coarse grid scan for cells where
 every target condition changes sign.  Contours come from marching squares
 with one bisection over all crossed edges at once.  The seed scan, the
-common-cell scan and the contour tracer read one edge mask,
-:func:`_edge_crossings`: a grid edge is crossed when one endpoint is < 0 and
-the other >= 0.
+common-cell scan and the contour tracer call ``fn(xs[:, None], xs[None, :])``
+once on the grid axes, which ``fn`` must broadcast (a condition's trig then
+runs on the axes only), broadcast the result to (n, n) and read one edge
+mask, :func:`_edge_crossings`.
 """
 
 import re
@@ -99,12 +100,11 @@ class TailoringProblem:
             op = op @ self._nuclear[tok]
         scale = np.max(np.abs(op))
         if np.max(np.abs(op.imag)) < 1e-12 * scale:
-            component = "re"
-        elif np.max(np.abs(op.real)) < 1e-12 * scale:
-            component = "im"
-        else:  # pragma: no cover - not reachable for IX/IY/IZ products of <= 2
-            raise PreconditionError(f"operator {op_label} has mixed-type entries")
-        return op, component
+            return op, "real"
+        if np.max(np.abs(op.real)) < 1e-12 * scale:
+            return op, "imag"
+        # not reachable for IX/IY/IZ products of <= 2
+        raise PreconditionError(f"operator {op_label} has mixed-type entries")
 
     def _sandwiches(self, name):
         if name in self._cache:
@@ -114,17 +114,15 @@ class TailoringProblem:
             raise PreconditionError(f"unknown condition kind in {name!r}")
         op, component = self._assemble(op_label)
         v0, v1 = self._v0, self._v1
-        m00, m11, m01 = (np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket)
-                         for bra, ket in ((v0, v0), (v1, v1), (v0, v1)))
-        entry = (kind, component, m00, m11, m01)
-        self._cache[name] = entry
-        return entry
+        self._cache[name] = (kind, *(
+            getattr(np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket), component)
+            for bra, ket in ((v0, v0), (v1, v1), (v0, v1))))
+        return self._cache[name]
 
     def evaluate(self, name, eps1, eps2):
-        """Evaluate one condition; eps1/eps2 may be scalars or arrays."""
-        kind, component, m00, m11, m01 = self._sandwiches(name)
-        e1 = np.asarray(eps1, dtype=float)
-        e2 = np.asarray(eps2, dtype=float)
+        """Evaluate one condition, in real arithmetic, on broadcastable eps1/eps2."""
+        kind, m00, m11, m01 = self._sandwiches(name)
+        e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
         c1, s1 = np.cos(self.theta0 + e1), np.sin(self.theta0 + e1)
         c2, s2 = self.sign1 * np.cos(self.theta0 + e2), np.sin(self.theta0 + e2)
         if kind == "diag":
@@ -135,8 +133,7 @@ class TailoringProblem:
         else:
             z = (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
                  + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
-        out = z.real if component == "re" else z.imag
-        return float(out) if np.ndim(out) == 0 else out
+        return float(z) if np.ndim(z) == 0 else z
 
     def condition(self, name):
         """Condition ``name`` as a callable of (eps1, eps2)."""
@@ -208,17 +205,20 @@ def _edge_crossings(g):
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell.
 
-    A cell qualifies for a condition when one of its four edges is crossed
-    (see :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its
-    corners hold a value <= 0 and a value >= 0.  Centres come in row-major
-    (eps1, then eps2) order.
+    Each ``fn`` is called once on the grid axes, which it must broadcast, and
+    its result is broadcast to (n, n).  A cell qualifies for a condition when
+    one of its four edges is crossed (see :func:`_edge_crossings`) or a corner
+    is exactly 0, i.e. when its corners hold a value <= 0 and a value >= 0.
+    Centres come in row-major (eps1, then eps2) order; n < 2 or a box that is
+    not finite and positive raises :class:`PreconditionError`.
     """
+    if not (n >= 2 and 0.0 < box < np.inf):
+        raise PreconditionError(f"need n >= 2 grid nodes and box > 0, got {n!r}, {box!r}")
     xs = np.linspace(-box, box, n)
     centres = (xs[:-1] + xs[1:]) / 2.0
-    e1, e2 = np.meshgrid(xs, xs, indexing="ij")
     keep = np.ones((centres.size, centres.size), dtype=bool)
     for fn in funcs:
-        g = np.asarray(fn(e1, e2))
+        g = np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n))
         h, v = _edge_crossings(g)
         zero = g == 0.0
         keep &= (h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
@@ -463,9 +463,10 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     saddle cells with four give two.  A crossed edge with an endpoint exactly
     at 0 has that node as its vertex, shared by every segment that reaches
     the node; all other vertices come from one bisection over the remaining
-    crossed edges, run until |f| < 1e-10.  ``fn`` must accept arrays.
-    Returns a list of ordered polylines (arrays of shape (k, 2)), one per
-    connected chain.
+    crossed edges, run until |f| < 1e-10.  The grid is one call on its axes,
+    ``fn(xs[:, None], xs[None, :])``, which ``fn`` must broadcast; its result
+    is broadcast to (n, n).  Returns a list of ordered polylines (arrays of
+    shape (k, 2)), one per connected chain.
 
     Raises
     ------
@@ -481,8 +482,7 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
         raise PreconditionError(f"need box > 0 and step > 0, got {box!r}, {step!r}")
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
     xs = np.linspace(-box, box, n)
-    e1, e2 = np.meshgrid(xs, xs, indexing="ij")
-    g = np.asarray(fn(e1, e2), dtype=float)
+    g = np.broadcast_to(np.asarray(fn(xs[:, None], xs[None, :]), dtype=float), (n, n))
     if np.mean(np.abs(g) < 1e-13) > 0.9:
         raise NumericalError(
             "condition vanishes identically over the box; no curve to trace"
@@ -527,9 +527,8 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
 def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=400):
     """Grid cells (centres) where every condition changes sign.
 
-    A uniform n x n cell scan; used to test whether several conditions can
-    vanish simultaneously inside the box.
+    A uniform n x n cell scan (on n + 1 grid nodes, so n >= 1; see
+    :func:`seed_cells`); used to test whether several conditions can vanish
+    simultaneously inside the box.
     """
-    if not n >= 1:
-        raise PreconditionError(f"need n >= 1 grid cells, got {n!r}")
     return seed_cells(funcs, box, n + 1)

@@ -276,7 +276,8 @@ def test_preconditions_hold_under_python_O():
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.spin import get_system, manifold_states, product_index
-        from spinqec.tailor import newton_solve, scan_common_zero_cells
+        from spinqec.tailor import find_roots, newton_solve, scan_common_zero_cells
+        from spinqec.tailor import seed_cells, solve_partial_tailoring_72
         from spinqec.tailor import trace_zero_contour
 
         records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
@@ -292,6 +293,13 @@ def test_preconditions_hold_under_python_O():
             "trace-box-neg": lambda: trace_zero_contour(lambda x, y: x, -0.05, 0.01),
             "scan-n-0": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, 0),
             "scan-n-neg": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, -3),
+            "seed-box-neg": lambda: seed_cells([lambda x, y: x], -0.05, 5),
+            "seed-box-inf": lambda: seed_cells([lambda x, y: x], float("inf"), 5),
+            "seed-n-1": lambda: seed_cells([lambda x, y: x], 0.05, 1),
+            "find_roots-grid-1": lambda: find_roots([lambda x, y: x, lambda x, y: y],
+                                                    0.05, 1),
+            "solver-grid-neg": lambda: solve_partial_tailoring_72(get_system("si-sb"),
+                                                                  1.0, seed_grid=-3),
             "kron_all": lambda: kron_all([]),
             "manifold_states": lambda: manifold_states(get_system("si-sb"), 1.0, 0.3),
             "collapse_gates-empty": lambda: collapse_gates({}),
@@ -327,6 +335,11 @@ def test_preconditions_hold_under_python_O():
         "trace-box-neg", "PreconditionError",
         "scan-n-0", "PreconditionError",
         "scan-n-neg", "PreconditionError",
+        "seed-box-neg", "PreconditionError",
+        "seed-box-inf", "PreconditionError",
+        "seed-n-1", "PreconditionError",
+        "find_roots-grid-1", "PreconditionError",
+        "solver-grid-neg", "PreconditionError",
         "kron_all", "PreconditionError",
         "manifold_states", "PreconditionError",
         "collapse_gates-empty", "PreconditionError",

@@ -5,6 +5,8 @@ were cross-checked against a numpy.linalg.eigh reconstruction of the same
 dressed words.
 """
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from spinqec.codewords import expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
-from spinqec.spin import spin_operators
+from spinqec.spin import get_system, spin_operators
 from spinqec.tailor import (
     CONTOUR_FTOL,
     EmptyContourError,
@@ -287,6 +289,111 @@ def test_trace_zero_contour_saddle(shift, step, at_cell_centre):
     for poly in polys:
         assert np.all(poly[:, 0] > c) or np.all(poly[:, 0] < c)
         assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) < 1e-10
+
+
+_CONDITIONS = ("diag-IZ", "diag-IXIX", "diag-IYIY", "diag-IZIZ", "offdiag-IXIX",
+               "offdiag-IXIY")
+_SYSTEM_OF = {"tailored-9/2": "si-bi", "distorted-7/2": "si-sb"}
+
+
+def _complex_meshgrid_route(problem, name, xs):
+    """The former grid evaluation, kept as the oracle.
+
+    Complex 2 x 2 sandwiches, evaluated on a full meshgrid, with the real or
+    imaginary part taken at the end.
+    """
+    kind, _, op_label = name.partition("-")
+    factors = dict(zip(("IX", "IY", "IZ"), spin_operators(problem.system.i)))
+    op = reduce(np.matmul, (factors[op_label[k:k + 2]] for k in range(0, len(op_label), 2)))
+    real = np.max(np.abs(op.imag)) < 1e-12 * np.max(np.abs(op))
+    v0, v1 = problem._v0, problem._v1
+    m00, m11, m01 = (np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket)
+                     for bra, ket in ((v0, v0), (v1, v1), (v0, v1)))
+    e1, e2 = np.meshgrid(xs, xs, indexing="ij")
+    c1, s1 = np.cos(problem.theta0 + e1), np.sin(problem.theta0 + e1)
+    c2, s2 = problem.sign1 * np.cos(problem.theta0 + e2), np.sin(problem.theta0 + e2)
+    if kind == "diag":
+        z = (c1 * c1 * m00[0, 0] + c1 * s1 * (m00[0, 1] + m00[1, 0])
+             + s1 * s1 * m00[1, 1])
+        z = z - (c2 * c2 * m11[0, 0] + c2 * s2 * (m11[0, 1] + m11[1, 0])
+                 + s2 * s2 * m11[1, 1])
+    else:
+        z = (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
+             + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
+    return z.real if real else z.imag
+
+
+def _corner_cells(grids, xs):
+    """Cells whose corners hold a value <= 0 and a value >= 0 on every grid."""
+    keep = True
+    for g in grids:
+        corners = np.stack((g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]))
+        keep = keep & (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+    centres = (xs[:-1] + xs[1:]) / 2.0
+    return [(centres[i], centres[j]) for i, j in zip(*np.nonzero(keep))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)),
+       scanned=st.lists(st.sampled_from(_CONDITIONS), min_size=1, max_size=3,
+                        unique=True))
+def test_axis_evaluation_matches_complex_meshgrid_route(b, family, scanned):
+    # real coefficients on broadcast axes run the same elementwise operations
+    # in the same order as complex sandwiches on a meshgrid, so every value
+    # and sign bit agrees, and with them the common cells
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b)
+    xs = np.linspace(-0.05, 0.05, 401)
+    oracle = {}
+    for name in _CONDITIONS:
+        oracle[name] = _complex_meshgrid_route(problem, name, xs)
+        got = problem.evaluate(name, xs[:, None], xs[None, :])
+        got = np.broadcast_to(got, oracle[name].shape)
+        assert np.array_equal(got, oracle[name])
+        assert np.array_equal(np.signbit(got), np.signbit(oracle[name]))
+    funcs = [problem.condition(name) for name in scanned]
+    assert scan_common_zero_cells(funcs, 0.05, 400) == \
+        _corner_cells([oracle[name] for name in scanned], xs)
+
+
+def _recording(fn, calls):
+    def recorded(x, y):
+        calls.append((np.shape(x), np.shape(y)))
+        return fn(x, y)
+    return recorded
+
+
+def test_grid_is_evaluated_on_broadcast_axes():
+    # the grid call gets the two axes, never a full (n, n) input grid
+    calls = []
+    scan_common_zero_cells([_recording(lambda x, y: x * x + y * y - 4e-4, calls)],
+                           0.05, 40)
+    assert calls == [((41, 1), (1, 41))]
+    calls.clear()
+    trace_zero_contour(_recording(lambda x, y: x * x + y * y - 4e-4, calls), 0.05, 0.01)
+    assert calls[0] == ((11, 1), (1, 11))
+    assert all(len(shape) <= 1 for call in calls[1:] for shape in call)
+
+
+@pytest.mark.parametrize("low, full", [
+    (lambda x, y: x, lambda x, y: x + 0.0 * y),
+    (lambda x, y: y - 0.003, lambda x, y: y - 0.003 + 0.0 * x),
+    (lambda x, y: 0.0 * x, lambda x, y: 0.0 * (x + y)),
+    (lambda x, y: 1.0, lambda x, y: 1.0 + 0.0 * (x + y)),
+], ids=["x", "y", "zero", "constant"])
+def test_lower_rank_results_are_broadcast(low, full):
+    # a result that depends on one axis (or none) stands for the whole grid
+    assert scan_common_zero_cells([low], 0.05, 40) == \
+        scan_common_zero_cells([full], 0.05, 40)
+    try:
+        want = trace_zero_contour(full, 0.05, 0.01)
+    except NumericalError as exc:
+        with pytest.raises(type(exc)):
+            trace_zero_contour(low, 0.05, 0.01)
+        return
+    got = trace_zero_contour(low, 0.05, 0.01)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_full_tailoring_92_root_frozen(bi):
