@@ -2,10 +2,11 @@
 
 The eigensolver is an in-package Jacobi routine in plain numpy, kept for its
 relative accuracy; library eigensolvers are used only as cross-checks in the
-test suite, never at runtime.  Sweeps follow the round-robin ordering of
-Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 69 (1985)): n - 1 rounds, each
-pairing every index once (odd n is padded with one index, giving n rounds),
-so a round's rotations act on disjoint pairs and are applied as one update.
+test suite, never at runtime.  Each sweep opens with one round over the
+dominant pairs (each holds the largest off-diagonal |a| of both its rows, after
+Becka, Oksa & Vajtersic, Parallel Comput. 28, 243 (2002)), then runs the
+round-robin rounds of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 69 (1985)).
+A round's rotations act on disjoint pairs and are applied as one update.
 
 Conventions
 -----------
@@ -117,8 +118,19 @@ def _round_robin(n):
     return tuple(rounds)
 
 
+def _dominant_pairs(a):
+    """Pairs p < q with |a_pq| the first largest off-diagonal |a| of rows p and q:
+    disjoint, and holding the unique largest entry if there is one."""
+    mags = np.abs(a)
+    np.fill_diagonal(mags, 0.0)
+    best = np.argmax(mags, axis=1)
+    p = np.flatnonzero(best[best] == np.arange(len(best)))
+    p = p[p < best[p]]
+    return p, best[p]
+
+
 def _jacobi(w, tol, max_sweeps):
-    """Round-robin Jacobi sweeps on a complex Hermitian matrix, in place.
+    """Jacobi sweeps on a complex Hermitian matrix, in place.
 
     ``w`` stacks the matrix ``a = w[:n]`` over ``v = w[n:]``; ``a`` is
     diagonalised while the unitary is accumulated in ``v``.  Returns
@@ -130,24 +142,25 @@ def _jacobi(w, tol, max_sweeps):
     ``u = a[p,q]/|a[p,q]|`` and ``t = tan(theta)`` is the stable small root of
     ``t^2 + 2*tau*t - 1 = 0``, ``tau = (a[q,q] - a[p,p]) / (2*|a[p,q]|)``
     (``t > 0`` at ``tau == 0``; ``hypot`` keeps a huge ``tau`` finite); pairs
-    with ``|a[p,q]| < 1e-300`` are skipped.  A sweep is the rounds of
-    :func:`_round_robin` (odd n padded with one index).  A round's pairs are
-    disjoint, so its rotations commute and read no entry another one writes:
-    the round is one update of columns p, q of ``w`` and rows p, q of ``a``.
+    with ``|a[p,q]| < 1e-300`` are skipped.  A sweep opens with a round over
+    :func:`_dominant_pairs`, which alone diagonalises a matrix whose live pairs
+    are disjoint, then runs the rounds of :func:`_round_robin`.  A round's
+    pairs are disjoint, so its rotations commute and read no entry another one
+    writes: the round is one update of columns p, q of ``w`` and rows p, q of ``a``.
     """
     n = w.shape[1]
     a = w[:n]
-    for sweep in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
-        if off <= tol:
-            return sweep, off
-        for p, q in _round_robin(n):
+        if off <= tol or sweep == max_sweeps:
+            return (sweep if off <= tol else -1), off
+        for p, q in (_dominant_pairs(a), *_round_robin(n)):
             apq = a[p, q]
             absapq = np.abs(apq)
             live = absapq >= 1e-300
+            if not live.any():
+                continue
             if not live.all():
-                if not live.any():
-                    continue
                 p, q, apq, absapq = p[live], q[live], apq[live], absapq[live]
             tau = (a[q, q].real - a[p, p].real) / (2.0 * absapq)
             t = np.where(tau < 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
@@ -164,8 +177,6 @@ def _jacobi(w, tol, max_sweeps):
             a[p, q] = a[q, p] = 0.0
             a[p, p] = a[p, p].real
             a[q, q] = a[q, q].real
-    off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
-    return (max_sweeps if off <= tol else -1), off
 
 
 def hermitian_eigendecompose(h, herm_tol=1e-10):
@@ -185,11 +196,14 @@ def hermitian_eigendecompose(h, herm_tol=1e-10):
     Raises
     ------
     PreconditionError
-        If ``h`` is not square or not Hermitian within tolerance.
+        If ``h`` is empty, not square, non-finite or not Hermitian within tolerance.
     NumericalError
         If the sweep cap is reached before convergence.
     """
     a = as_matrix(h)
+    if not (a.size and np.isfinite(a).all()):
+        raise PreconditionError("matrix has non-finite (NaN or inf) entries"
+                                if a.size else "matrix is empty (0 x 0)")
     if not is_hermitian(a, herm_tol):
         raise PreconditionError("matrix is not Hermitian within tolerance")
     n = a.shape[0]

@@ -173,10 +173,9 @@ def build_hamiltonian(system, b_field):
     ix, iy, iz = spin_operators(system.i)
     eye_e = np.eye(system.dim_e, dtype=np.complex128)
     eye_n = np.eye(system.dim_n, dtype=np.complex128)
-    h = system.g_e * (b[0] * kron(sx, eye_n) + b[1] * kron(sy, eye_n)
-                      + b[2] * kron(sz, eye_n))
-    h += system.g_n * (b[0] * kron(eye_e, ix) + b[1] * kron(eye_e, iy)
-                       + b[2] * kron(eye_e, iz))
+    # lifting B.S and B.I once equals lifting each term: kron by an identity is exact
+    h = system.g_e * kron(b[0] * sx + b[1] * sy + b[2] * sz, eye_n)
+    h += system.g_n * kron(eye_e, b[0] * ix + b[1] * iy + b[2] * iz)
     h += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
     return h
 

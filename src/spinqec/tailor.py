@@ -408,45 +408,46 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
 def _bisect_edges(fn, lo, hi, f_lo):
     """Bisect the edges lo[r]-hi[r] together to vertices with |f| < 1e-10.
 
-    Each step evaluates ``fn`` once on the midpoints of the unfinished rows;
-    a row leaves at its first midpoint with |f| < 1e-10, and a row still
-    open after 200 steps raises :class:`NumericalError`.
+    Each step evaluates ``fn`` once on every row's midpoint (``lo`` only moves
+    to a midpoint of its sign); a row's vertex is its first midpoint with
+    |f| < 1e-10, and a row still open after 200 steps raises NumericalError.
     """
     out = np.empty_like(lo)
-    rows = np.arange(len(lo))
+    neg_lo = f_lo < 0.0
+    open_rows = np.ones(len(lo), dtype=bool)
     for _ in range(200):
         mid = (lo + hi) / 2.0
         f_mid = np.asarray(fn(mid[:, 0], mid[:, 1]), dtype=float)
-        done = np.abs(f_mid) < CONTOUR_FTOL
-        out[rows[done]] = mid[done]
-        same = ((f_lo < 0.0) == (f_mid < 0.0))[:, None]
-        lo, hi = np.where(same, mid, lo)[~done], np.where(same, hi, mid)[~done]
-        f_lo = np.where(same[:, 0], f_mid, f_lo)[~done]
-        rows = rows[~done]
-        if not rows.size:
+        done = open_rows & (np.abs(f_mid) < CONTOUR_FTOL)
+        out[done] = mid[done]
+        open_rows &= ~done
+        if not open_rows.any():
             return out
+        same = (neg_lo == (f_mid < 0.0))[:, None]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     raise NumericalError("edge bisection failed to reach |f| < 1e-10")
 
 
 def _chains(segments):
     """Join segments (pairs of vertex ids) into ordered chains of vertex ids."""
-    adjacency, unused = {}, set()
+    adjacency, pairs, used = {}, set(), []
     for a, b in segments:
         # a row of zero nodes that f <= 0 only touches gets each segment twice
-        if frozenset((a, b)) not in unused:
-            unused.add(frozenset((a, b)))
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
+        if (a, b) not in pairs and (b, a) not in pairs:
+            pairs.add((a, b))
+            adjacency.setdefault(a, []).append((b, len(used)))
+            adjacency.setdefault(b, []).append((a, len(used)))
+            used.append(False)
 
     def next_unused(key):
-        return next((nb for nb in adjacency[key] if frozenset((key, nb)) in unused),
+        return next(((nb, edge) for nb, edge in adjacency[key] if not used[edge]),
                     None)
 
     def walk(start):
         chain = [start]
-        while (nxt := next_unused(chain[-1])) is not None:
-            unused.discard(frozenset((chain[-1], nxt)))
-            chain.append(nxt)
+        while (step := next_unused(chain[-1])) is not None:
+            used[step[1]] = True
+            chain.append(step[0])
         return chain
 
     # open chains first, each walked from an end (odd degree), then closed loops

@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinqec
@@ -22,6 +23,7 @@ from spinqec.linalg import (
     EigenDecomposition,
     NumericalError,
     PreconditionError,
+    _dominant_pairs,
     _fix_column_phases,
     _round_robin,
     as_matrix,
@@ -31,6 +33,7 @@ from spinqec.linalg import (
     kron,
     kron_all,
 )
+from spinqec.spin import build_hamiltonian, get_system
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 20, 33, 64])
@@ -350,3 +353,103 @@ def test_preconditions_hold_under_python_O():
         "CodeWord-norm", "PreconditionError",
         "CodeWord-orth", "PreconditionError",
     ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12),
+       levels=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_dominant_pairs_are_disjoint_mutual_row_maxima(n, levels, seed):
+    # few magnitude levels, so rows tie often and many entries are zero
+    rng = np.random.default_rng(seed)
+    mags = np.triu(rng.integers(0, levels, size=(n, n)).astype(float), 1)
+    upper = mags * np.exp(2j * np.pi * rng.random((n, n)))
+    a = upper + upper.conj().T + np.diag(rng.normal(size=n))
+    p, q = _dominant_pairs(a)
+    assert np.all(p < q)
+    assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+    off = np.abs(a) * (1.0 - np.eye(n))
+    for i, j in zip(p.tolist(), q.tolist()):
+        assert np.argmax(off[i]) == j and np.argmax(off[j]) == i
+    # a unique largest entry is always a pair, and a Hermitian matrix with
+    # any nonzero off-diagonal entry always has one (the lowest-index pair
+    # among those of largest magnitude is mutual)
+    top = np.argwhere(mags == mags.max())
+    if len(top) == 1 and mags.max() > 0.0:
+        assert tuple(top[0]) in set(zip(p.tolist(), q.tolist()))
+    assert (len(p) > 0) == bool(np.any(mags > 0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=2, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_disjoint_live_pairs_take_one_sweep(dim, seed):
+    # permuted 2x2 blocks and isolated indices: the opening round of
+    # dominant pairs holds every live pair, so one sweep diagonalises
+    h = _solver_input("blocks", dim, seed)
+    assume(np.any(np.triu(h, 1)))
+    dec = hermitian_eigendecompose(h)
+    assert dec.sweeps == 1 and dec.off_norm == 0.0
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
+                               rtol=0, atol=1e-14 * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("key", ["si-sb", "si-bi"])
+def test_axial_hamiltonians_take_one_sweep(key):
+    # an axial field conserves m_F, so the m_F blocks have size <= 2 for S = 1/2
+    system = get_system(key)
+    for b in np.geomspace(0.01, 10.0, 12):
+        h = build_hamiltonian(system, b)
+        dec = hermitian_eigendecompose(h)
+        assert dec.sweeps == 1 and dec.off_norm == 0.0
+        np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
+                                   rtol=0, atol=1e-14 * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("dim", [3, 8, 17])
+def test_equal_magnitude_off_diagonals_converge(rng, dim):
+    # every off-diagonal |a_pq| ties, so argmax order alone picks the pairs
+    phases = np.exp(2j * np.pi * rng.random((dim, dim)))
+    upper = np.triu(phases, 1)
+    for diag in (np.zeros(dim), rng.normal(size=dim)):
+        h = upper + upper.conj().T + np.diag(diag)
+        dec = hermitian_eigendecompose(h)
+        assert 1 <= dec.sweeps <= MAX_JACOBI_SWEEPS
+        assert dec.off_norm <= 1e-14 * np.linalg.norm(h)
+        np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
+                                   rtol=0, atol=1e-13 * dim * np.linalg.norm(h))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.zeros((0, 0)), "empty"),
+    (np.array([[1.0, np.nan], [np.nan, 2.0]]), "non-finite"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "non-finite"),
+    (np.array([[1.0, -np.inf], [np.inf, 1.0]]), "non-finite"),
+])
+def test_rejects_empty_and_non_finite_input(bad, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=message):
+            hermitian_eigendecompose(bad)
+
+
+def test_empty_and_non_finite_input_refused_under_python_O():
+    script = textwrap.dedent("""
+        import numpy as np
+        from spinqec.linalg import hermitian_eigendecompose
+
+        for bad in (np.zeros((0, 0)), np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                    np.full((3, 3), np.inf)):
+            try:
+                hermitian_eigendecompose(bad)
+            except Exception as exc:
+                print(type(exc).__name__)
+            else:
+                print("returned")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinqec.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-W", "error", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["PreconditionError"] * 3

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinqec.linalg import PreconditionError, hermitian_eigendecompose
+from spinqec.linalg import PreconditionError, hermitian_eigendecompose, kron
 from spinqec.spin import (
     PRESETS,
     LabelingError,
@@ -87,6 +87,28 @@ def test_transverse_field_same_spectrum():
     )
     with pytest.raises(PreconditionError):
         build_hamiltonian(sys0, [1.0, 2.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(key=st.sampled_from(["si-sb", "si-bi"]),
+       field=st.tuples(*[st.floats(min_value=-5.0, max_value=5.0)] * 3),
+       axial=st.booleans())
+def test_hamiltonian_matches_term_by_term_lift(key, field, axial):
+    # the build lifts B.S and B.I once each; lifting every Zeeman term on its
+    # own (15 kron calls) must give the same matrix bit for bit
+    system = get_system(key)
+    b = np.array([0.0, 0.0, field[2]]) if axial else np.array(field)
+    sx, sy, sz = spin_operators(system.s)
+    ix, iy, iz = spin_operators(system.i)
+    eye_e = np.eye(system.dim_e, dtype=complex)
+    eye_n = np.eye(system.dim_n, dtype=complex)
+    ref = system.g_e * (b[0] * kron(sx, eye_n) + b[1] * kron(sy, eye_n)
+                        + b[2] * kron(sz, eye_n))
+    ref += system.g_n * (b[0] * kron(eye_e, ix) + b[1] * kron(eye_e, iy)
+                         + b[2] * kron(eye_e, iz))
+    ref += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+    h = build_hamiltonian(system, field[2] if axial else b)
+    assert np.array_equal(h, ref)
 
 
 def test_hamiltonian_is_hermitian(sb, bi):
