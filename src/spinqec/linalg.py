@@ -4,14 +4,18 @@ The eigensolver is an in-package Jacobi routine in plain numpy, kept for its
 relative accuracy; library eigensolvers are used only as cross-checks in the
 test suite, never at runtime.  Each sweep opens with one round over the
 dominant pairs (each holds the largest off-diagonal |a| of both its rows, after
-Becka, Oksa & Vajtersic, Parallel Comput. 28, 243 (2002)), then runs the
-round-robin rounds of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 69 (1985)).
-A round's rotations act on disjoint pairs and are applied as one update.
+Becka, Oksa & Vajtersic, Parallel Comput. 28, 243 (2002)), then, unless that
+round left the matrix diagonal, runs the round-robin rounds of Brent & Luk
+(SIAM J. Sci. Stat. Comput. 6, 69 (1985)).  A round's rotations act on
+disjoint pairs and are applied as one update.
 
 Conventions
 -----------
 * eigenvalues ascending;
-* each eigenvector's largest-magnitude component is made real positive;
+* each eigenvector's largest-magnitude component is made real positive; when
+  the two largest |components| tie to rounding (within about 2e-14), rounding
+  picks the pivot, so the column's global phase is unstable: a last-bit change
+  can turn it (|v|^2, and everything read from it, is unaffected);
 * matrices are plain ``numpy.ndarray`` (complex128, C-contiguous).
 """
 
@@ -68,7 +72,9 @@ def is_hermitian(m, tol=1e-10):
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
+    if not a.size:
+        raise PreconditionError("matrix is empty (0 x 0)")
+    scale = max(1.0, float(np.max(np.abs(a))))
     return bool(np.max(np.abs(a - a.conj().T)) <= tol * scale)
 
 
@@ -129,6 +135,33 @@ def _dominant_pairs(a):
     return p, best[p]
 
 
+def _rotate(w, p, q):
+    """One Jacobi round on the disjoint pairs (p, q) of ``w`` (see :func:`_jacobi`)."""
+    a = w[:w.shape[1]]
+    apq = a[p, q]
+    absapq = np.abs(apq)
+    live = absapq >= 1e-300
+    if not live.any():
+        return
+    if not live.all():
+        p, q, apq, absapq = p[live], q[live], apq[live], absapq[live]
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * absapq)
+    t = np.where(tau < 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    su = t * c * (apq / absapq)
+    suc = np.conj(su)
+    col_p, col_q = w[:, p], w[:, q]
+    w[:, p] = c * col_p - suc * col_q
+    w[:, q] = su * col_p + c * col_q
+    c, su, suc = c[:, None], su[:, None], suc[:, None]
+    row_p, row_q = a[p], a[q]
+    a[p] = c * row_p - su * row_q
+    a[q] = suc * row_p + c * row_q
+    a[p, q] = a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+
 def _jacobi(w, tol, max_sweeps):
     """Jacobi sweeps on a complex Hermitian matrix, in place.
 
@@ -144,9 +177,10 @@ def _jacobi(w, tol, max_sweeps):
     (``t > 0`` at ``tau == 0``; ``hypot`` keeps a huge ``tau`` finite); pairs
     with ``|a[p,q]| < 1e-300`` are skipped.  A sweep opens with a round over
     :func:`_dominant_pairs`, which alone diagonalises a matrix whose live pairs
-    are disjoint, then runs the rounds of :func:`_round_robin`.  A round's
-    pairs are disjoint, so its rotations commute and read no entry another one
-    writes: the round is one update of columns p, q of ``w`` and rows p, q of ``a``.
+    are disjoint, then runs the rounds of :func:`_round_robin` unless the
+    opening round left no live pair.  A round's pairs are disjoint, so its
+    rotations commute and read no entry another one writes: the round is one
+    update of columns p, q of ``w`` and rows p, q of ``a`` (:func:`_rotate`).
     """
     n = w.shape[1]
     a = w[:n]
@@ -154,29 +188,10 @@ def _jacobi(w, tol, max_sweeps):
         off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
         if off <= tol or sweep == max_sweeps:
             return (sweep if off <= tol else -1), off
-        for p, q in (_dominant_pairs(a), *_round_robin(n)):
-            apq = a[p, q]
-            absapq = np.abs(apq)
-            live = absapq >= 1e-300
-            if not live.any():
-                continue
-            if not live.all():
-                p, q, apq, absapq = p[live], q[live], apq[live], absapq[live]
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * absapq)
-            t = np.where(tau < 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            su = t * c * (apq / absapq)
-            suc = np.conj(su)
-            col_p, col_q = w[:, p], w[:, q]
-            w[:, p] = c * col_p - suc * col_q
-            w[:, q] = su * col_p + c * col_q
-            c, su, suc = c[:, None], su[:, None], suc[:, None]
-            row_p, row_q = a[p], a[q]
-            a[p] = c * row_p - su * row_q
-            a[q] = suc * row_p + c * row_q
-            a[p, q] = a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
+        _rotate(w, *_dominant_pairs(a))
+        if (np.abs(np.triu(a, 1)) >= 1e-300).any():
+            for p, q in _round_robin(n):
+                _rotate(w, p, q)
 
 
 def hermitian_eigendecompose(h, herm_tol=1e-10):

@@ -18,12 +18,12 @@ real dressed amplitudes the discarded component vanishes identically).
 
 The solvers are plain two-dimensional Newton iterations with a
 central-difference Jacobian, seeded from a coarse grid scan for cells where
-every target condition changes sign.  Contours come from marching squares
-with one bisection over all crossed edges at once.  The seed scan, the
-common-cell scan and the contour tracer call ``fn(xs[:, None], xs[None, :])``
-once on the grid axes, which ``fn`` must broadcast (a condition's trig then
-runs on the axes only), broadcast the result to (n, n) and read one edge
-mask, :func:`_edge_crossings`.
+every target condition changes sign.  Contours come from marching squares,
+with every vertex in closed form (:meth:`TailoringProblem.edge_zeros`).  The
+seed scan, the common-cell scan and the contour tracer call
+``fn(xs[:, None], xs[None, :])`` once on the grid axes, which ``fn`` must
+broadcast (a condition's trig then runs on the axes only), broadcast the
+result to (n, n) and read one edge mask, :func:`_edge_crossings`.
 """
 
 import re
@@ -42,7 +42,6 @@ FD_STEP = 1e-7
 STEP_TOL = 1e-13
 RESIDUAL_TOL = 1e-13
 MAX_NEWTON_ITER = 100
-CONTOUR_FTOL = 1e-10
 
 
 class EmptyContourError(NumericalError):
@@ -135,10 +134,33 @@ class TailoringProblem:
                  + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
         return float(z) if np.ndim(z) == 0 else z
 
+    def edge_zeros(self, name, lo, hi):
+        """The zero of condition ``name`` on each edge from lo[r] up to hi[r] (k x 2).
+
+        Along an edge one angle moves; in t = theta0 + eps the condition is
+        alpha + a cos kt + b sin kt (k = 2 diag, 1 offdiag), and evaluations at
+        kt = 0, pi/2, pi give (alpha, a, b).  The vertex is the root atan2(b, a) +-
+        arccos(-alpha / hypot(a, b)) + 2 pi n nearest the midpoint, clipped into the edge.
+        """
+        k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
+        moving = lo != hi
+        f0, f1, f2 = (self.evaluate(name, *np.where(moving, kt / k - self.theta0, lo).T)
+                      for kt in (0.0, np.pi / 2.0, np.pi))
+        alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
+        half = np.arccos(np.clip(-alpha / np.maximum(np.hypot(a, b), 1e-300), -1.0, 1.0))
+        ends = lo[moving], hi[moving]
+        mid = k * (self.theta0 + (ends[0] + ends[1]) / 2.0)
+        roots = np.arctan2(b, a) + np.multiply.outer((-1.0, 1.0), half)
+        roots += 2.0 * np.pi * np.round((mid - roots) / (2.0 * np.pi))
+        kt = np.where(np.abs(roots[0] - mid) <= np.abs(roots[1] - mid), *roots)
+        return np.where(moving, np.clip(kt / k - self.theta0, *ends)[:, None], lo)
+
     def condition(self, name):
-        """Condition ``name`` as a callable of (eps1, eps2)."""
+        """Condition ``name`` as a callable of (eps1, eps2) with an ``edge_zeros``."""
         self._sandwiches(name)  # validate eagerly
-        return partial(self.evaluate, name)
+        fn = partial(self.evaluate, name)
+        fn.edge_zeros = partial(self.edge_zeros, name)
+        return fn
 
     def codeword(self, eps1, eps2):
         return make_codeword(self.family, self.system, self.b_field, eps1, eps2)
@@ -405,29 +427,6 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
 # contours
 # ---------------------------------------------------------------------------
 
-def _bisect_edges(fn, lo, hi, f_lo):
-    """Bisect the edges lo[r]-hi[r] together to vertices with |f| < 1e-10.
-
-    Each step evaluates ``fn`` once on every row's midpoint (``lo`` only moves
-    to a midpoint of its sign); a row's vertex is its first midpoint with
-    |f| < 1e-10, and a row still open after 200 steps raises NumericalError.
-    """
-    out = np.empty_like(lo)
-    neg_lo = f_lo < 0.0
-    open_rows = np.ones(len(lo), dtype=bool)
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        f_mid = np.asarray(fn(mid[:, 0], mid[:, 1]), dtype=float)
-        done = open_rows & (np.abs(f_mid) < CONTOUR_FTOL)
-        out[done] = mid[done]
-        open_rows &= ~done
-        if not open_rows.any():
-            return out
-        same = (neg_lo == (f_mid < 0.0))[:, None]
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-    raise NumericalError("edge bisection failed to reach |f| < 1e-10")
-
-
 def _chains(segments):
     """Join segments (pairs of vertex ids) into ordered chains of vertex ids."""
     adjacency, pairs, used = {}, set(), []
@@ -463,16 +462,16 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     every cell 0, 2 or 4 crossed edges.  Cells with two give one segment,
     saddle cells with four give two.  A crossed edge with an endpoint exactly
     at 0 has that node as its vertex, shared by every segment that reaches
-    the node; all other vertices come from one bisection over the remaining
-    crossed edges, run until |f| < 1e-10.  The grid is one call on its axes,
-    ``fn(xs[:, None], xs[None, :])``, which ``fn`` must broadcast; its result
-    is broadcast to (n, n).  Returns a list of ordered polylines (arrays of
-    shape (k, 2)), one per connected chain.
+    the node; all other vertices come from one ``fn.edge_zeros(lo, hi)`` call
+    on those edges' (k, 2) ends (closed form for a :meth:`TailoringProblem.condition`).
+    The grid is one call on its axes, ``fn(xs[:, None], xs[None, :])``, which
+    ``fn`` must broadcast; its result is broadcast to (n, n).  Returns a list
+    of ordered polylines (arrays of shape (k, 2)), one per connected chain.
 
     Raises
     ------
     PreconditionError
-        If ``box`` or ``step`` is not a finite positive number.
+        If ``box`` or ``step`` is not finite and positive, or ``fn`` lacks ``edge_zeros``.
     EmptyContourError
         If no grid edge changes sign.
     NumericalError
@@ -481,6 +480,8 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     """
     if not (0.0 < box < np.inf and 0.0 < step < np.inf):
         raise PreconditionError(f"need box > 0 and step > 0, got {box!r}, {step!r}")
+    if not hasattr(fn, "edge_zeros"):
+        raise PreconditionError("fn has no edge_zeros; trace TailoringProblem.condition")
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
     xs = np.linspace(-box, box, n)
     g = np.broadcast_to(np.asarray(fn(xs[:, None], xs[None, :]), dtype=float), (n, n))
@@ -497,8 +498,7 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     node = np.where((f_lo == 0.0)[:, None], lo, hi)
     at_node = (f_lo == 0.0) | (f_hi == 0.0)
     pts = xs[node]
-    pts[~at_node] = _bisect_edges(fn, xs[lo[~at_node]], xs[hi[~at_node]],
-                                  f_lo[~at_node])
+    pts[~at_node] = fn.edge_zeros(xs[lo[~at_node]], xs[hi[~at_node]])
     # a vertex is its edge's row, or the first row of its exactly-zero node
     uid = np.where(at_node, node[:, 0] * n + node[:, 1], n * n + np.arange(len(lo)))
     _, first, inverse = np.unique(uid, return_index=True, return_inverse=True)

@@ -139,6 +139,8 @@ def test_is_hermitian_cases(rng):
     assert not is_hermitian(np.ones((2, 3)))
     # scale-relative: a large matrix tolerates proportionally large asymmetry
     assert is_hermitian(1e8 * np.eye(2) + np.array([[0, 1e-4], [0, 0]]))
+    with pytest.raises(PreconditionError, match="empty"):
+        is_hermitian(np.zeros((0, 0)))
 
 
 def test_fix_phase(rng):
@@ -294,6 +296,7 @@ def test_preconditions_hold_under_python_O():
             "trace-step-neg": lambda: trace_zero_contour(lambda x, y: x, 0.05, -0.01),
             "trace-box-0": lambda: trace_zero_contour(lambda x, y: x, 0.0, 0.01),
             "trace-box-neg": lambda: trace_zero_contour(lambda x, y: x, -0.05, 0.01),
+            "trace-no-edge_zeros": lambda: trace_zero_contour(lambda x, y: x, 0.05, 0.01),
             "scan-n-0": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, 0),
             "scan-n-neg": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, -3),
             "seed-box-neg": lambda: seed_cells([lambda x, y: x], -0.05, 5),
@@ -336,6 +339,7 @@ def test_preconditions_hold_under_python_O():
         "trace-step-neg", "PreconditionError",
         "trace-box-0", "PreconditionError",
         "trace-box-neg", "PreconditionError",
+        "trace-no-edge_zeros", "PreconditionError",
         "scan-n-0", "PreconditionError",
         "scan-n-neg", "PreconditionError",
         "seed-box-neg", "PreconditionError",
@@ -404,6 +408,19 @@ def test_axial_hamiltonians_take_one_sweep(key):
         assert dec.sweeps == 1 and dec.off_norm == 0.0
         np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
                                    rtol=0, atol=1e-14 * np.linalg.norm(h))
+
+
+def test_round_robin_is_skipped_once_the_opening_round_diagonalises(monkeypatch, rng):
+    # a spy on the schedule: an axial matrix is diagonal after the dominant-pair
+    # round, so no sweep asks for the round-robin rounds; a dense one does
+    calls = []
+    monkeypatch.setattr(linalg, "_round_robin", lambda n: calls.append(n) or _round_robin(n))
+    for key in ("si-sb", "si-bi"):
+        dec = hermitian_eigendecompose(build_hamiltonian(get_system(key), 1.0))
+        assert dec.sweeps == 1 and dec.off_norm == 0.0
+    assert calls == []
+    dec = hermitian_eigendecompose(random_hermitian(rng, 6))
+    assert calls == [6] * dec.sweeps
 
 
 @pytest.mark.parametrize("dim", [3, 8, 17])

@@ -16,7 +16,6 @@ from spinqec.codewords import expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import get_system, spin_operators
 from spinqec.tailor import (
-    CONTOUR_FTOL,
     EmptyContourError,
     TailoringProblem,
     _chains,
@@ -38,6 +37,41 @@ PARTIAL_72_ROOTS = {
     2.0: (-1.887521610e-06, 1.873796714e-06, 1.240443028e-07),
 }
 BI_ROOT_1T = (-2.396351951977e-03, 1.773512305037e-03)
+CONTOUR_FTOL = 1e-10
+
+
+def _bisect_edges(fn, lo, hi, f_lo):
+    """Bisect the edges lo[r]-hi[r] together to vertices with |f| < 1e-10.
+
+    The former runtime route, kept as the oracle for the closed-form vertices.
+    Each step evaluates ``fn`` once on every row's midpoint (``lo`` only moves
+    to a midpoint of its sign); a row's vertex is its first midpoint with
+    |f| < 1e-10, and a row still open after 200 steps raises NumericalError.
+    """
+    out = np.empty_like(lo)
+    neg_lo = f_lo < 0.0
+    open_rows = np.ones(len(lo), dtype=bool)
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        f_mid = np.asarray(fn(mid[:, 0], mid[:, 1]), dtype=float)
+        done = open_rows & (np.abs(f_mid) < CONTOUR_FTOL)
+        out[done] = mid[done]
+        open_rows &= ~done
+        if not open_rows.any():
+            return out
+        same = (neg_lo == (f_mid < 0.0))[:, None]
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    raise NumericalError("edge bisection failed to reach |f| < 1e-10")
+
+
+def _bisected(fn):
+    """``fn`` with an ``edge_zeros`` that bisects, so the tracer takes any function."""
+    def traced(x, y):
+        return fn(x, y)
+
+    traced.edge_zeros = lambda lo, hi: _bisect_edges(
+        fn, lo, hi, np.broadcast_to(fn(lo[:, 0], lo[:, 1]), len(lo)))
+    return traced
 
 
 def test_evaluate_is_vectorised(bi):
@@ -97,7 +131,8 @@ def test_find_roots_on_circle_and_line():
 
 
 def test_trace_zero_contour_line_and_circle():
-    polys = trace_zero_contour(lambda x, y: x + y - 0.0031, box=0.05, step=0.01)
+    polys = trace_zero_contour(_bisected(lambda x, y: x + y - 0.0031), box=0.05,
+                               step=0.01)
     assert len(polys) >= 1
     allv = np.vstack(polys)
     assert np.max(np.abs(allv[:, 0] + allv[:, 1] - 0.0031)) < 1e-9
@@ -106,7 +141,7 @@ def test_trace_zero_contour_line_and_circle():
 
     r = 0.0213
     polys = trace_zero_contour(
-        lambda x, y: x * x + y * y - r * r, box=0.05, step=0.005
+        _bisected(lambda x, y: x * x + y * y - r * r), box=0.05, step=0.005
     )
     verts = np.vstack(polys)
     radii = np.hypot(verts[:, 0], verts[:, 1])
@@ -115,9 +150,12 @@ def test_trace_zero_contour_line_and_circle():
 
 def test_trace_zero_contour_errors():
     with pytest.raises(EmptyContourError):
-        trace_zero_contour(lambda x, y: x + y + 10.0, box=0.05)
+        trace_zero_contour(_bisected(lambda x, y: x + y + 10.0), box=0.05)
     with pytest.raises(NumericalError):
-        trace_zero_contour(lambda x, y: 0.0 * x, box=0.05)
+        trace_zero_contour(_bisected(lambda x, y: 0.0 * x), box=0.05)
+    # a plain function has no edge_zeros to place its vertices
+    with pytest.raises(PreconditionError, match="TailoringProblem.condition"):
+        trace_zero_contour(lambda x, y: x + y, box=0.05)
 
 
 def test_scan_common_zero_cells():
@@ -172,7 +210,7 @@ def test_seed_cells_matches_per_cell_corner_test(grids):
 def test_trace_zero_contour_through_zero_nodes(fn, closed):
     # on the 0.01 grid all but the r = 0.02 circle pass through nodes where fn
     # is exactly 0; a vertex there joins the segments on either side of it
-    (poly,) = trace_zero_contour(fn, box=0.05, step=0.01)
+    (poly,) = trace_zero_contour(_bisected(fn), box=0.05, step=0.01)
     assert np.array_equal(poly[0], poly[-1]) == closed
     assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) < 1e-10
 
@@ -262,9 +300,9 @@ def test_batched_bisection_matches_scalar_route(fn, step):
         ref = _scalar_trace(fn, 0.05, step)
     except EmptyContourError:
         with pytest.raises(EmptyContourError):
-            trace_zero_contour(fn, box=0.05, step=step)
+            trace_zero_contour(_bisected(fn), box=0.05, step=step)
         return
-    got = trace_zero_contour(fn, box=0.05, step=step)
+    got = trace_zero_contour(_bisected(fn), box=0.05, step=step)
     assert len(got) == len(ref)
     for poly, want in zip(got, ref):
         assert np.array_equal(poly, want)
@@ -284,7 +322,7 @@ def test_trace_zero_contour_saddle(shift, step, at_cell_centre):
     def fn(x, y):
         return (x - c) * (y - c) + shift
 
-    polys = trace_zero_contour(fn, box=0.05, step=step)
+    polys = trace_zero_contour(_bisected(fn), box=0.05, step=step)
     assert len(polys) == 2
     for poly in polys:
         assert np.all(poly[:, 0] > c) or np.all(poly[:, 0] < c)
@@ -370,7 +408,8 @@ def test_grid_is_evaluated_on_broadcast_axes():
                            0.05, 40)
     assert calls == [((41, 1), (1, 41))]
     calls.clear()
-    trace_zero_contour(_recording(lambda x, y: x * x + y * y - 4e-4, calls), 0.05, 0.01)
+    trace_zero_contour(_bisected(_recording(lambda x, y: x * x + y * y - 4e-4, calls)),
+                       0.05, 0.01)
     assert calls[0] == ((11, 1), (1, 11))
     assert all(len(shape) <= 1 for call in calls[1:] for shape in call)
 
@@ -386,14 +425,56 @@ def test_lower_rank_results_are_broadcast(low, full):
     assert scan_common_zero_cells([low], 0.05, 40) == \
         scan_common_zero_cells([full], 0.05, 40)
     try:
-        want = trace_zero_contour(full, 0.05, 0.01)
+        want = trace_zero_contour(_bisected(full), 0.05, 0.01)
     except NumericalError as exc:
         with pytest.raises(type(exc)):
-            trace_zero_contour(low, 0.05, 0.01)
+            trace_zero_contour(_bisected(low), 0.05, 0.01)
         return
-    got = trace_zero_contour(low, 0.05, 0.01)
+    got = trace_zero_contour(_bisected(low), 0.05, 0.01)
     assert len(got) == len(want)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)),
+       name=st.sampled_from(_CONDITIONS),
+       box_step=st.sampled_from([(0.05, 0.0025), (5e-4, 1e-4)]))
+def test_closed_form_vertices_match_bisection_oracle(b, family, name, box_step):
+    # both routes share the grid and its crossed edges, so the chains agree in
+    # number and length; the closed form lands on the zero to rounding, the
+    # oracle within |f| < 1e-10 of it
+    fn = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b).condition(name)
+    try:
+        ref = trace_zero_contour(_bisected(fn), *box_step)
+    except NumericalError as exc:  # empty, or identically zero (9/2 offdiag)
+        with pytest.raises(NumericalError) as info:
+            trace_zero_contour(fn, *box_step)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = trace_zero_contour(fn, *box_step)
+    assert [len(poly) for poly in got] == [len(poly) for poly in ref]
+    for poly, want in zip(got, ref):
+        assert np.max(np.abs(poly - want)) <= 1e-10
+        assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) <= 1e-13
+
+
+def test_condition_edges_take_three_evaluations(monkeypatch, sb):
+    # one grid call on the axes, then three calls over every off-node crossed
+    # edge at once; scalar calls are the saddle-cell centres
+    calls = []
+    evaluate = TailoringProblem.evaluate
+    monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
+        calls.append((np.shape(e1), np.shape(e2))) or evaluate(self, name, e1, e2)))
+    problem = TailoringProblem("distorted-7/2", sb, 1.0)
+    for name in ("diag-IZ", "offdiag-IXIX"):
+        calls.clear()
+        trace_zero_contour(problem.condition(name), 0.05, 0.0025)
+        edges = [call for call in calls[1:] if call != ((), ())]
+        assert calls[0] == ((41, 1), (1, 41))
+        assert len(edges) == 3 and len(set(edges)) == 1
+        (rows,), (rows_too,) = edges[0]
+        assert rows == rows_too > 0
 
 
 def test_full_tailoring_92_root_frozen(bi):
