@@ -1,9 +1,9 @@
 """Pulse-sequence synthesis: encode, entangle, and detection blocks.
 
-Every block is a named list of :class:`spinqec.register.Gate` pulses plus a
-``target_map`` of (input state, required output state) pairs that the
-sequence is validated against at construction time (fidelity > 1 - 1e-10
-and output within 1e-8 of the target in norm, else :class:`SynthesisError`).
+Every block is a named list of :class:`spinqec.register.Gate` pulses,
+validated at construction time against (input state, required output state)
+pairs that are not kept (fidelity > 1 - 1e-10 and output within 1e-8 of the
+target in norm, else :class:`SynthesisError`).
 
 Synthesis strategy
 ------------------
@@ -60,11 +60,10 @@ class SynthesisError(NumericalError):
 
 @dataclass(frozen=True)
 class Block:
-    """A named pulse sequence with its validated input/output pairs."""
+    """A named pulse sequence, validated at construction."""
 
     name: str
     gates: tuple
-    target_map: tuple  # ((input, output), ...) of flat 1024-vectors
     meta: dict = field(default_factory=dict)
 
     @property
@@ -77,9 +76,9 @@ class Block:
                             for g in self.gates if g.kind == "rotation"))
 
 
-def validate_block(block, tol=1e-10):
-    """Check every target_map pair (fidelity and exact norm); raise on miss."""
-    for vin, vout in block.target_map:
+def validate_block(block, targets, tol=1e-10):
+    """Check each (input, output) 1024-vector pair in ``targets``; raise on a miss."""
+    for vin, vout in targets:
         reg = QuditRegister(np.array(vin, dtype=np.complex128))
         apply_gates(reg, block.gates)
         nin = np.linalg.norm(vin)
@@ -268,7 +267,7 @@ def enc_block():
     targets = tuple(
         (psi_initial(a, b), psi_spread(a, b)) for a, b in ((1, 0), (0, 1))
     )
-    return validate_block(Block("ENC", gates, targets))
+    return validate_block(Block("ENC", gates), targets)
 
 
 @lru_cache(maxsize=1)
@@ -285,7 +284,7 @@ def entangle_block():
     targets = tuple(
         (psi_spread(a, b), psi_encoded(a, b)) for a, b in ((1, 0), (0, 1))
     )
-    return validate_block(Block("ENTANGLE", tuple(gates), targets))
+    return validate_block(Block("ENTANGLE", tuple(gates)), targets)
 
 
 def encode_register(alpha, beta):
@@ -310,15 +309,6 @@ def _register_entries(reg):
     for la, lb, lc in zip(*np.nonzero(np.abs(arr) > AMP_CUT)):
         entries[(int(la), int(lb), int(lc))] = float(arr[la, lb, lc].real)
     return entries
-
-
-@lru_cache(maxsize=None)
-def _excited(dest, phase):
-    """Read-only ``phase |dest, 0, 0>``, ancilla raised, shared by all blocks."""
-    out = np.zeros(1024, dtype=np.complex128)
-    out[flat_index(dest, 0, 0, 1)] = phase
-    out.setflags(write=False)
-    return out
 
 
 def detection_block(name, p0, p1):
@@ -346,10 +336,10 @@ def detection_block(name, p0, p1):
         raise SynthesisError(f"case {name!r}: branches collapse to the same end")
     excite = ancilla_excitation(((dest0, 0, 0), (dest1, 0, 0)))
     gates = (*pre, *dis0, *dec0, *dis1, *dec1, excite)
-    targets = ((embed_qudit_state(p0), _excited(dest0, ph0)),
-               (embed_qudit_state(p1), _excited(dest1, ph1)))
+    targets = [(embed_qudit_state(p), ph * (np.arange(1024) == flat_index(d, 0, 0, 1)))
+               for p, ph, d in ((p0, ph0, dest0), (p1, ph1, dest1))]
     meta = {"dest0": dest0, "dest1": dest1, "phase": ph0}
-    return validate_block(Block(name, gates, targets, meta))
+    return validate_block(Block(name, gates, meta), targets)
 
 
 def recovery_gates(block):

@@ -13,12 +13,15 @@ block maps its Gram-Schmidt pair (p0, p1) onto ``ph |t0>``, ``ph |t1>`` with
 the ancilla raised (``validate_block`` certifies this) and its recovery
 undoes all but the excitation, so a passed case leaves ``(1 - P_case) psi``.
 With the pairs orthonormal across cases, the outcome distribution is one
-product of the plan's stacked, conjugated pairs with the register.  Pulses
-certify the blocks and count the budgets; sampling draws from the result.
+product of the plan's stacked, conjugated pairs with the register, and the
+records are built from it in one pass.  Pulses certify the blocks and count
+the budgets; sampling is an inverse-CDF draw identical to ``Generator.choice``.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -82,10 +85,11 @@ class DetectionPlan:
     cases: tuple
     projector: np.ndarray = field(compare=False)
     phases: np.ndarray = field(compare=False)
+    emitted: tuple = field(init=False, compare=False, repr=False)
 
-    @property
-    def emitted(self):
-        return tuple(c for c in self.cases if not c.absorbed)
+    def __post_init__(self):
+        object.__setattr__(self, "emitted",
+                           tuple(c for c in self.cases if not c.absorbed))
 
     @property
     def absorbed_labels(self):
@@ -187,11 +191,12 @@ def detection_records(reg, order=None, reference=None):
 
     One product ``c = plan.projector @ data`` of the ancilla-0 amplitudes
     gives case k's amplitudes ``ph * c[k]`` and ``ph * c[m + k]``; the
-    residual ``data - P data`` is what no case detects.  A case is recorded
-    when its weight relative to the surviving state exceeds 1e-24; the sweep
-    stops once the surviving fraction drops below 1e-15.  The register is
-    left untouched; probabilities sum to one, with an uncorrectable record
-    for any weight outside the detectable span.
+    residual ``data - P data`` is what no case detects.  The records come
+    from one Python pass over those m pairs: a case is recorded when its
+    weight relative to the surviving state exceeds 1e-24; the sweep stops
+    once the surviving fraction drops below 1e-15.  The register is left
+    untouched; probabilities sum to one, with an uncorrectable record for
+    any weight outside the detectable span.
     """
     plan = build_detection_plan(tuple(order) if order is not None else None)
     if abs(reg.norm() - 1.0) > 1e-8:
@@ -202,18 +207,17 @@ def detection_records(reg, order=None, reference=None):
     data = pairs[:, 0]
     c = plan.projector @ data
     resid = data - (c.conj() @ plan.projector).conj()
-    amps = plan.phases * c.reshape(2, -1)  # row b: branch-b amplitudes
-    cap = np.sum(np.abs(amps) ** 2, axis=0)
     rest = float(np.vdot(resid, resid).real)
+    amps = (plan.phases * c.reshape(2, -1)).T.tolist()  # case k: (a0, a1)
+    cap = [abs(a0) ** 2 + abs(a1) ** 2 for a0, a1 in amps]
     # surviving weight before each emitted case, and after the last one
-    survival = np.append(rest + np.cumsum(cap[::-1])[::-1], rest)
+    survival = [rest + t for t in accumulate(reversed(cap), initial=0.0)][::-1]
+    ref = None if reference is None else [complex(z).conjugate() for z in reference]
     records = []
-    for k, case in enumerate(plan.emitted):
-        w = float(cap[k])
+    for k, (case, (a0, a1), w) in enumerate(zip(plan.emitted, amps, cap)):
         if w > 1e-24 * survival[k]:
-            rec = tuple(complex(a) / np.sqrt(w) for a in amps[:, k])
-            fid = None if reference is None else \
-                float(abs(np.vdot(reference, rec)) ** 2)
+            rec = (a0 / math.sqrt(w), a1 / math.sqrt(w))
+            fid = None if ref is None else abs(ref[0] * rec[0] + ref[1] * rec[1]) ** 2
             records.append(SyndromeRecord(case.label, case.index,
                                           (0,) * k + (1,), w, rec, fid))
         if survival[k + 1] < 1e-15 * survival[k]:
@@ -242,14 +246,20 @@ def detection_cycle(reg, order=None, mode="exact-branch", rng=None,
 
 
 def sample_records(records, n_samples, rng=None):
-    """Draw trajectory outcomes from an exact record distribution."""
-    gen = np.random.default_rng(rng)
+    """Draw trajectory outcomes from an exact record distribution by the
+    inverse-CDF steps of ``Generator.choice(p=...)``: the same draws."""
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
+        raise PreconditionError(f"n_samples {n_samples!r} is not a count")
     probs = np.array([r.probability for r in records], dtype=float)
+    if not np.all(probs >= 0.0):  # NaN fails too; inf fails the sum below
+        raise PreconditionError(f"outcome probabilities {probs} must be >= 0")
     total = float(probs.sum())
     if not abs(total - 1.0) < 1e-9:
         raise PreconditionError(f"outcome probabilities sum to {total}, not one")
-    idx = gen.choice(len(records), size=int(n_samples), p=probs / total)
-    return [records[i] for i in idx]
+    cdf = np.cumsum(probs / total)
+    cdf /= cdf[-1]
+    draws = np.random.default_rng(rng).random(int(n_samples))
+    return [records[i] for i in cdf.searchsorted(draws, side="right").tolist()]
 
 
 def case_weights(records):

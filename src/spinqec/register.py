@@ -242,7 +242,7 @@ def single_qudit_error(label):
 
 def apply_on_axis(op, arr, axis):
     """Apply the 8 x 8 operator ``op`` to tensor axis ``axis`` of ``arr``."""
-    return np.moveaxis(np.tensordot(op, arr, axes=([1], [axis])), 0, axis)
+    return (op @ arr.reshape(arr.shape[:axis + 1] + (-1,))).reshape(arr.shape)
 
 
 def apply_error(reg, label, qudit):
@@ -261,8 +261,8 @@ def apply_error(reg, label, qudit):
     if axis not in (0, 1, 2):
         raise PreconditionError("errors act on qudits A, B, or C")
     new = apply_on_axis(op, reg.view(), axis)
-    weight = float(np.sum(np.abs(new) ** 2))
+    weight = float(np.vdot(new, new).real)
     if weight < 1e-24:
         raise AnnihilationError(f"error {label}@{qudit} annihilated the state")
-    reg.amp[:] = (new / np.sqrt(weight)).reshape(TOTAL_DIM)
+    np.multiply(new.reshape(TOTAL_DIM), 1.0 / np.sqrt(weight), out=reg.amp)
     return reg, weight

@@ -117,27 +117,41 @@ def test_all_emitted_blocks_are_unitary():
         assert np.max(np.abs(mat.conj().T @ mat - eye)) < 1e-10, case.label
 
 
+def _branch_inputs(plan):
+    """(case, p0, p1) per emitted case, read back from the plan's projector."""
+    m = len(plan.emitted)
+    return [(case, plan.projector[k].conj(), plan.projector[m + k].conj())
+            for k, case in enumerate(plan.emitted)]
+
+
 def test_detection_block_target_maps_rerun():
+    # blocks keep no targets: rebuild each (input, output) pair from the
+    # projector rows and the block's destinations and phase, then rerun
     plan = build_detection_plan()
-    for case in plan.emitted:
+    for case, p0, p1 in _branch_inputs(plan):
         blk = case.block
-        for vin, vout in blk.target_map:
-            reg = QuditRegister(np.array(vin))
-            apply_gates(reg, blk.gates)
-            assert np.max(np.abs(reg.amp - vout)) < 1e-8, blk.name
         # outputs are single ancilla-up product states at opposite A ends
         d0, d1 = blk.meta["dest0"], blk.meta["dest1"]
         assert {d0, d1} == {0, 7}
-        assert abs(abs(blk.target_map[0][1][flat_index(d0, 0, 0, 1)]) - 1) < 1e-12
+        assert abs(abs(blk.meta["phase"]) - 1) < 1e-12
+        targets = []
+        for vin, dest in ((p0, d0), (p1, d1)):
+            vout = np.zeros(1024, dtype=np.complex128)
+            vout[flat_index(dest, 0, 0, 1)] = blk.meta["phase"]
+            reg = QuditRegister(embed_qudit_state(vin))
+            apply_gates(reg, blk.gates)
+            assert np.max(np.abs(reg.amp - vout)) < 1e-8, blk.name
+            targets.append((embed_qudit_state(vin), vout))
+        assert validate_block(blk, targets) is blk
 
 
 def test_branch_parity_disjoint_across_cases():
     plan = build_detection_plan()
-    for case in plan.emitted:
+    for case, p0, p1 in _branch_inputs(plan):
         par = []
-        for vin, _ in case.block.target_map:
+        for vin in (p0, p1):
             support = np.nonzero(np.abs(vin) > 1e-12)[0]
-            a_levels = {int(ix) // 128 for ix in support}
+            a_levels = {int(ix) // 64 for ix in support}
             assert len({l % 2 for l in a_levels}) == 1, case.label
             par.append(min(a_levels) % 2)
         assert par[0] != par[1], case.label
@@ -238,8 +252,10 @@ def test_validate_block_rejects_tampered_angle():
     bad = list(blk.gates)
     g = bad[1]
     bad[1] = type(g)(g.kind, g.axis, g.levels, g.theta + 1e-3, g.controls)
+    targets = [(psi_initial(a, b), psi_spread(a, b)) for a, b in ((1, 0), (0, 1))]
+    assert validate_block(Block("ENC", blk.gates), targets).name == "ENC"
     with pytest.raises(SynthesisError):
-        validate_block(Block("ENC-tampered", tuple(bad), blk.target_map))
+        validate_block(Block("ENC-tampered", tuple(bad)), targets)
 
 
 def test_recovery_gates_invert_detection():

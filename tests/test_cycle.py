@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinqec.blocks import psi_encoded, recovery_gates
@@ -138,6 +138,9 @@ def test_plan_absorption():
     zb = build_detection_plan(z_biased_order())
     assert zb.absorbed_labels == ZBIASED_ABSORBED
     assert len(zb.emitted) == 13 - len(ZBIASED_ABSORBED) == 9
+    # the emitted cases are computed once per plan, not on every access
+    assert plan.emitted is plan.emitted and zb.emitted is zb.emitted
+    assert zb.emitted == tuple(c for c in zb.cases if not c.absorbed)
 
 
 def test_cold_plan_build_stays_small():
@@ -251,6 +254,25 @@ def test_sampled_statistics_match_exact_weights(rng):
     p = 21.0 / 34.0
     sigma = math.sqrt(n * p * (1.0 - p))
     assert abs(hits - n * p) < 3.0 * sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                        max_size=30),
+       n=st.integers(min_value=0, max_value=500),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_sampling_draws_what_generator_choice_draws(weights, n, seed):
+    # Generator.choice(p=...) is the oracle: the same generator must give
+    # the same records, index for index
+    assume(sum(weights) > 0.0)
+    records = [SyndromeRecord(f"c{k}", k, (), w / sum(weights), None, None)
+               for k, w in enumerate(weights)]
+    probs = np.array([r.probability for r in records])
+    idx = np.random.default_rng(seed).choice(len(records), size=n,
+                                             p=probs / probs.sum())
+    got = sample_records(records, n, np.random.default_rng(seed))
+    assert len(got) == n
+    assert all(g is records[i] for g, i in zip(got, idx))
 
 
 def test_detection_cycle_modes(rng):

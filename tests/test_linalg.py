@@ -274,6 +274,8 @@ def test_kernel_route_metadata():
 def test_preconditions_hold_under_python_O():
     # ``python -O`` strips asserts; each of these calls must still refuse
     script = textwrap.dedent("""
+        from dataclasses import replace
+
         import numpy as np
         from spinqec.blocks import collapse_gates, enc_block, recovery_gates
         from spinqec.blocks import strip_global_phase
@@ -287,6 +289,9 @@ def test_preconditions_hold_under_python_O():
 
         records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
         v = np.eye(8)[0]
+        negative = (replace(records[0], probability=1.5),
+                    replace(records[0], probability=-0.5))
+        nan = (replace(records[0], probability=float("nan")),)
         calls = {
             "product_index": lambda: product_index(get_system("si-sb"), 0.5, 9.5),
             "sample_records": lambda: sample_records(records[:1], 3),
@@ -316,6 +321,10 @@ def test_preconditions_hold_under_python_O():
             "recovery_gates": lambda: recovery_gates(enc_block()),
             "CodeWord-norm": lambda: CodeWord("ideal-7/2", "ideal", 2.0 * v, v),
             "CodeWord-orth": lambda: CodeWord("ideal-7/2", "ideal", v, v),
+            "sample_records-p-neg": lambda: sample_records(negative, 3),
+            "sample_records-p-nan": lambda: sample_records(nan, 3),
+            "sample_records-n-2.7": lambda: sample_records(records, 2.7),
+            "sample_records-n-neg": lambda: sample_records(records, -1),
         }
         for name, call in calls.items():
             try:
@@ -356,6 +365,10 @@ def test_preconditions_hold_under_python_O():
         "recovery_gates", "PreconditionError",
         "CodeWord-norm", "PreconditionError",
         "CodeWord-orth", "PreconditionError",
+        "sample_records-p-neg", "PreconditionError",
+        "sample_records-p-nan", "PreconditionError",
+        "sample_records-n-2.7", "PreconditionError",
+        "sample_records-n-neg", "PreconditionError",
     ]
 
 

@@ -211,6 +211,22 @@ def test_axis_contraction_matches_dense_error_set(dense_multiqudit, seed):
         assert np.max(np.abs(got.reshape(512) - want)) < 1e-13
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_axis_contraction_matches_tensordot(seed):
+    # the former tensordot + moveaxis route is the oracle for the matmul one
+    gen = np.random.default_rng(seed)
+    for shape in ((8, 8, 8), (8, 8, 8, 2)):
+        arr = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        for name in _single_spin_table(3.5):
+            op = single_qudit_error(name)
+            for axis in range(3):
+                want = np.moveaxis(np.tensordot(op, arr, axes=([1], [axis])), 0, axis)
+                got = apply_on_axis(op, arr, axis)
+                assert got.shape == shape
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.linalg.norm(want)
+
+
 def test_apply_error_weight_and_normalisation():
     reg = init_register(1.0, 0.0)  # |0,0,0>, ancilla down
     _, weight = apply_error(reg, "X", "A")
