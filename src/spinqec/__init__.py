@@ -5,7 +5,7 @@ Layout
 ``spin``       spin systems, Hamiltonians, dressed states, transition data
 ``linalg``     Hermitian eigensolver (round-robin Jacobi, numpy) and Kronecker helpers
 ``codewords``  code-word families, error sets, Knill-Laflamme residuals
-``tailor``     branch-angle tailoring: Newton solves, sweeps, contours
+``tailor``     branch-angle tailoring: closed-form solves, sweeps, contours
 ``register``   three-qudit + ancilla state vector and pulse application
 ``blocks``     pulse-sequence synthesis (encode / entangle / detection)
 ``cycle``      detection plans, decode-cycle simulation, pulse budgets

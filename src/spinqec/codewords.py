@@ -139,9 +139,8 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
         return CodeWord(family, "ideal", zero, one)
 
     spin_i, theta0, sup0, sup1, sign1 = _TWO_LEVEL[family]
-    pairs0, pairs1 = _two_level_pairs(theta0, sup0, sup1, sign1, eps1, eps2)
-
     if system is None and b_field is None:
+        pairs0, pairs1 = _two_level_pairs(theta0, sup0, sup1, sign1, eps1, eps2)
         dim = round(2 * spin_i) + 1
         idx = lambda m: round(m + spin_i)  # noqa: E731
         zero = _levels_to_vector(dim, pairs0, idx)
@@ -154,7 +153,18 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
         raise PreconditionError(
             f"{family} needs a nuclear spin {spin_i}, system has I={system.i}"
         )
-    manifold = manifold_states(system, b_field, m_s=-0.5)
+    return dressed_word(family, system, b_field,
+                        manifold_states(system, b_field, m_s=-0.5), eps1, eps2)
+
+
+def dressed_word(family, system, b_field, manifold, eps1, eps2):
+    """A two-level family's words from its dressed m_S = -1/2 states.
+
+    ``manifold`` is ``manifold_states(system, b_field, m_s=-0.5)``, passed in
+    so that a caller holding it skips the labelled eigensolve.
+    """
+    _, theta0, sup0, sup1, sign1 = _TWO_LEVEL[family]
+    pairs0, pairs1 = _two_level_pairs(theta0, sup0, sup1, sign1, eps1, eps2)
     zero = np.zeros(system.dim, dtype=np.complex128)
     one = np.zeros(system.dim, dtype=np.complex128)
     for m, amp in pairs0:

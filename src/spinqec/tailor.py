@@ -16,14 +16,19 @@ evaluates to one real number: the real part when the assembled operator has
 real entries, the imaginary part when its entries are purely imaginary (for
 real dressed amplitudes the discarded component vanishes identically).
 
-The solvers are plain two-dimensional Newton iterations with a
-central-difference Jacobian, seeded from a coarse grid scan for cells where
-every target condition changes sign.  Contours come from marching squares,
+In t = theta0 + eps a diag condition is (a1 + b1 cos 2t1) - (a2 + b2 cos 2t2)
+and an offdiag one p cos t1 sin t2 + q sin t1 cos t2
+(:meth:`TailoringProblem.coefficients`), so the solvers need no iteration:
+two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
+diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
+tan^2 t1 (:func:`closed_form_roots`).  Contours come from marching squares,
 with every vertex in closed form (:meth:`TailoringProblem.edge_zeros`).  The
-seed scan, the common-cell scan and the contour tracer call
-``fn(xs[:, None], xs[None, :])`` once on the grid axes, which ``fn`` must
-broadcast (a condition's trig then runs on the axes only), broadcast the
-result to (n, n) and read one edge mask, :func:`_edge_crossings`.
+common-cell scan and the contour tracer call ``fn(xs[:, None], xs[None, :])``
+once on the grid axes, which ``fn`` must broadcast (a condition's trig then
+runs on the axes only), broadcast the result to (n, n) and read one edge mask,
+:func:`_edge_crossings`; the scan evaluates a further condition only at the
+corners of the cells still in play.  ``newton_solve`` and ``find_roots``, the
+former Newton route, remain as the tests' oracle for the closed form.
 """
 
 import re
@@ -32,8 +37,8 @@ from functools import partial
 
 import numpy as np
 
-from .codewords import _TWO_LEVEL, kl_residuals, lift_to_electron_nuclear, \
-    make_codeword, standard_error_sets
+from .codewords import _TWO_LEVEL, dressed_word, kl_residuals, \
+    lift_to_electron_nuclear, standard_error_sets
 from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
@@ -50,6 +55,14 @@ class EmptyContourError(NumericalError):
 
 class VerificationError(NumericalError):
     """A converged root failed the independent residual verification."""
+
+
+class DegenerateConditionsError(NumericalError):
+    """The target conditions are near-dependent, so their roots are not isolated."""
+
+
+class StructuralZeroError(NumericalError):
+    """A coefficient the closed form takes to be zero is not zero."""
 
 
 _OP_TOKEN = re.compile(r"I[XYZ]")
@@ -82,10 +95,11 @@ class TailoringProblem:
         self.b_field = float(b_field)
         self.theta0 = theta0
         self.sign1 = sign1
-        manifold = manifold_states(system, b_field, m_s=-0.5)
+        self._manifold = manifold_states(system, b_field, m_s=-0.5)
         shape = (system.dim_e, system.dim_n, 2)  # nuclear operators act on axis 1
-        self._v0 = np.column_stack([manifold[m].vector for m in sup0]).reshape(shape)
-        self._v1 = np.column_stack([manifold[m].vector for m in sup1]).reshape(shape)
+        self._v0, self._v1 = (
+            np.column_stack([self._manifold[m].vector for m in sup]).reshape(shape)
+            for sup in (sup0, sup1))
         ix, iy, iz = spin_operators(system.i)
         self._nuclear = {"IX": ix, "IY": iy, "IZ": iz}
         self._cache = {}
@@ -155,6 +169,31 @@ class TailoringProblem:
         kt = np.where(np.abs(roots[0] - mid) <= np.abs(roots[1] - mid), *roots)
         return np.where(moving, np.clip(kt / k - self.theta0, *ends)[:, None], lo)
 
+    def coefficients(self, name):
+        """The closed-form coefficients of condition ``name`` in t_k = theta0 + eps_k.
+
+        diag:    ((a1, b1), (a2, b2)), f = (a1 + b1 cos 2t1) - (a2 + b2 cos 2t2)
+        offdiag: (p, q),               f = p cos t1 sin t2 + q sin t1 cos t2
+
+        Both forms rest on structural zeros of the sandwiches: the diag cross
+        terms m[0, 1] + m[1, 0] and the offdiag diagonal m01[0, 0], m01[1, 1].
+        One above 1e-12 of the largest entry raises :class:`StructuralZeroError`.
+        """
+        kind, m00, m11, m01 = self._sandwiches(name)
+        if kind == "diag":
+            zeros = (m00[0, 1] + m00[1, 0], m11[0, 1] + m11[1, 0])
+            coeffs = tuple(((m[0, 0] + m[1, 1]) / 2.0, (m[0, 0] - m[1, 1]) / 2.0)
+                           for m in (m00, m11))
+        else:
+            zeros = (m01[0, 0], m01[1, 1])
+            coeffs = (m01[0, 1], self.sign1 * m01[1, 0])
+        scale = max(np.max(np.abs(m)) for m in (m00, m11, m01))
+        if max(abs(z) for z in zeros) > 1e-12 * scale:
+            raise StructuralZeroError(
+                f"{name} of {self.family} at B={self.b_field:g} T has a non-zero "
+                f"structural coefficient; its roots have no closed form here")
+        return coeffs
+
     def condition(self, name):
         """Condition ``name`` as a callable of (eps1, eps2) with an ``edge_zeros``."""
         self._sandwiches(name)  # validate eagerly
@@ -163,20 +202,121 @@ class TailoringProblem:
         return fn
 
     def codeword(self, eps1, eps2):
-        return make_codeword(self.family, self.system, self.b_field, eps1, eps2)
+        """The dressed code word at (eps1, eps2), as ``make_codeword`` builds it."""
+        return dressed_word(self.family, self.system, self.b_field, self._manifold,
+                            eps1, eps2)
 
 
 # ---------------------------------------------------------------------------
-# Newton iteration and seeding
+# closed-form roots
+# ---------------------------------------------------------------------------
+
+def _branches(t, box, theta0):
+    """Every eps = t + k pi - theta0 (k integer) with |eps| <= box."""
+    lo, hi = (theta0 - box - t) / np.pi, (theta0 + box - t) / np.pi
+    k = np.arange(np.ceil(lo), np.floor(hi) + 1.0)
+    return [float(eps) for eps in t + k * np.pi - theta0 if abs(eps) <= box]
+
+
+def _diag_pair_roots(problem, names, box):
+    """Two diag conditions: a 2 x 2 linear system in (cos 2t1, cos 2t2)."""
+    rows, rhs = [], []
+    for name in names:
+        (a1, b1), (a2, b2) = problem.coefficients(name)
+        rows.append((b1, -b2))
+        rhs.append(a2 - a1)
+    (r00, r01), (r10, r11) = rows
+    det = r00 * r11 - r01 * r10
+    if abs(det) <= 1e-12 * np.hypot(r00, r01) * np.hypot(r10, r11):
+        raise DegenerateConditionsError(
+            f"{names[0]} and {names[1]} are near-dependent at B={problem.b_field:g} T "
+            f"(2 x 2 determinant {det:.3e})")
+    cos2t = ((r11 * rhs[0] - r01 * rhs[1]) / det, (r00 * rhs[1] - r10 * rhs[0]) / det)
+    if max(abs(u) for u in cos2t) > 1.0:
+        return []
+    eps = [{e for sign in (-1.0, 1.0)
+            for e in _branches(sign * np.arccos(u) / 2.0, box, problem.theta0)}
+           for u in cos2t]
+    return [(e1, e2) for e1 in eps[0] for e2 in eps[1]]
+
+
+def _mixed_pair_roots(problem, diag_name, offdiag_name, box):
+    """A diag and an offdiag condition: tan t2 = kappa tan t1, then a quadratic.
+
+    With x = tan^2 t1, cos 2t1 = (1 - x) / (1 + x) and cos 2t2 =
+    (1 - kappa^2 x) / (1 + kappa^2 x); clearing the (positive) denominators
+    leaves A x^2 + B x + C = 0.  Roots with cos t1 = 0 need A = 0 exactly
+    and are not listed.
+    """
+    (a1, b1), (a2, b2) = problem.coefficients(diag_name)
+    p, q = problem.coefficients(offdiag_name)
+    if min(abs(p), abs(q)) <= 1e-12 * max(abs(p), abs(q), 1e-300):
+        raise DegenerateConditionsError(
+            f"{offdiag_name} vanishes or factorises at B={problem.b_field:g} T "
+            f"(coefficients {p:.3e}, {q:.3e}); no isolated roots with {diag_name}")
+    kappa = -q / p
+    k2, d = kappa * kappa, a1 - a2
+    quad_a = k2 * (d - b1 + b2)
+    quad_b = d * (1.0 + k2) + (b1 + b2) * (k2 - 1.0)
+    quad_c = d + b1 - b2
+    disc = quad_b * quad_b - 4.0 * quad_a * quad_c
+    if disc < 0.0:
+        return []
+    # the root of larger magnitude first, the other from the product C / A
+    big = -(quad_b + np.copysign(np.sqrt(disc), quad_b)) / 2.0
+    tan_sq = (big / quad_a if quad_a else np.inf, quad_c / big if big else np.inf)
+    roots = set()
+    for tan1 in {sign * np.sqrt(x) for x in tan_sq if 0.0 <= x < np.inf
+                 for sign in (-1.0, 1.0)}:
+        for e1 in _branches(np.arctan(tan1), box, problem.theta0):
+            for e2 in _branches(np.arctan(kappa * tan1), box, problem.theta0):
+                roots.add((e1, e2))
+    return list(roots)
+
+
+def closed_form_roots(problem, names, box=DEFAULT_BOX):
+    """Every common root of the two conditions ``names`` with |eps1|, |eps2| <= box.
+
+    Sorted by distance from the origin (nearest first); an empty list when
+    the solution's cosines leave [-1, 1] or no branch lies in the box.
+
+    Raises
+    ------
+    PreconditionError
+        If ``box`` is not finite and positive, or ``names`` is not two diag
+        conditions or a diag then an offdiag one.
+    DegenerateConditionsError
+        If two diag conditions are near-dependent (the sine between the rows
+        of their 2 x 2 system is below 1e-12), or the offdiag condition
+        vanishes or factorises (one of p, q below 1e-12 of the other).
+    StructuralZeroError
+        See :meth:`TailoringProblem.coefficients`.
+    """
+    if not 0.0 < box < np.inf:
+        raise PreconditionError(f"need box > 0, got {box!r}")
+    kinds = [problem._sandwiches(name)[0] for name in names]
+    if kinds == ["diag", "diag"]:
+        roots = _diag_pair_roots(problem, names, box)
+    elif kinds == ["diag", "offdiag"]:
+        roots = _mixed_pair_roots(problem, *names, box)
+    else:
+        raise PreconditionError(f"no closed form for the conditions {tuple(names)}")
+    return sorted(roots, key=lambda r: (float(np.hypot(*r)), r))
+
+
+# ---------------------------------------------------------------------------
+# Newton iteration: the tests' oracle for the closed form
 # ---------------------------------------------------------------------------
 
 def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
                  max_iter=MAX_NEWTON_ITER):
     """Two-dimensional Newton with central-difference Jacobian.
 
-    Returns (x, converged, iterations, residual_norm).  Convergence: step
-    norm < 1e-13 or residual norm < 1e-13.  Leaving the box |eps| <= box or
-    a singular Jacobian counts as failure.
+    The former runtime route, kept as the test oracle for
+    :func:`closed_form_roots`; no solver calls it.  Returns (x, converged,
+    iterations, residual_norm).  Convergence: step norm < 1e-13 or residual
+    norm < 1e-13.  Leaving the box |eps| <= box or a singular Jacobian
+    counts as failure.
     """
     if len(funcs) != 2:
         raise PreconditionError(
@@ -227,31 +367,64 @@ def _edge_crossings(g):
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell.
 
-    Each ``fn`` is called once on the grid axes, which it must broadcast, and
-    its result is broadcast to (n, n).  A cell qualifies for a condition when
-    one of its four edges is crossed (see :func:`_edge_crossings`) or a corner
-    is exactly 0, i.e. when its corners hold a value <= 0 and a value >= 0.
-    Centres come in row-major (eps1, then eps2) order; n < 2 or a box that is
-    not finite and positive raises :class:`PreconditionError`.
+    A cell qualifies for a condition when one of its four edges is crossed
+    (see :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its
+    corners hold a value <= 0 and a value >= 0.  The first ``fn``, and every
+    ``fn`` without ``edge_zeros``, is called once on the grid axes,
+    ``fn(xs[:, None], xs[None, :])``, which it must broadcast; its result is
+    broadcast to (n, n).  A later ``fn`` with ``edge_zeros`` (a
+    :meth:`TailoringProblem.condition`, elementwise by construction) is called
+    once on two 1-d arrays holding the unique corner nodes of the cells still
+    kept, which gives the grid's values at those nodes.  The scan stops once
+    no cell is left.  Centres come in row-major (eps1, then eps2) order; n < 2
+    or a box that is not finite and positive raises :class:`PreconditionError`.
     """
     if not (n >= 2 and 0.0 < box < np.inf):
         raise PreconditionError(f"need n >= 2 grid nodes and box > 0, got {n!r}, {box!r}")
     xs = np.linspace(-box, box, n)
     centres = (xs[:-1] + xs[1:]) / 2.0
-    keep = np.ones((centres.size, centres.size), dtype=bool)
+    rows = cols = None  # the kept cells' lower-left nodes, row-major
     for fn in funcs:
-        g = np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n))
-        h, v = _edge_crossings(g)
-        zero = g == 0.0
-        keep &= (h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
-                 | zero[:-1, :-1] | zero[1:, :-1] | zero[1:, 1:] | zero[:-1, 1:])
-        del g, zero  # peak memory: free this grid before the next is built
-    return [(centres[i], centres[j]) for i, j in zip(*np.nonzero(keep))]
+        if rows is None:
+            # flat indices: a 2-d np.nonzero of a 400 x 400 mask is ten times slower
+            rows, cols = np.divmod(np.flatnonzero(_grid_cells(fn, xs)), n - 1)
+        else:
+            keep = (_corner_cells(fn, xs, rows, cols) if hasattr(fn, "edge_zeros")
+                    else _grid_cells(fn, xs)[rows, cols])
+            rows, cols = rows[keep], cols[keep]
+        if not rows.size:
+            break
+    return [(centres[i], centres[j]) for i, j in zip(rows, cols)]
+
+
+def _grid_cells(fn, xs):
+    """The (n - 1, n - 1) mask of the cells that qualify for ``fn`` on xs x xs."""
+    n = xs.size
+    g = np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n))
+    h, v = _edge_crossings(g)
+    zero = g == 0.0
+    return (h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
+            | zero[:-1, :-1] | zero[1:, :-1] | zero[1:, 1:] | zero[:-1, 1:])
+
+
+def _corner_cells(fn, xs, rows, cols):
+    """Which of the cells (rows, cols) qualify for ``fn``, from one call on their corners.
+
+    An edge of a cell is crossed when its corners' signs (< 0 or not) differ,
+    so some edge is crossed unless all four agree.
+    """
+    n = xs.size
+    nodes = (rows + [[0], [1], [1], [0]]) * n + cols + [[0], [0], [1], [1]]
+    unique, inverse = np.unique(nodes, return_inverse=True)
+    corners = np.asarray(fn(xs[unique // n], xs[unique % n]))[inverse].reshape(nodes.shape)
+    neg = corners < 0.0
+    return (neg.any(axis=0) & ~neg.all(axis=0)) | (corners == 0.0).any(axis=0)
 
 
 def find_roots(funcs, box=DEFAULT_BOX, seed_grid=41):
     """All distinct converged Newton roots seeded from the grid scan.
 
+    The test oracle for :func:`closed_form_roots`; no solver calls it.
     Sorted by distance from the origin (nearest first).
     """
     roots = []
@@ -279,23 +452,22 @@ class TailoringSolution:
     b_field: float
     eps1: float
     eps2: float
-    converged: bool
-    iterations: int
+    converged: bool  # always True: a solver without a root raises
+    iterations: int  # always 0: the roots are closed-form
     targets: tuple  # condition names driven to zero
     residuals: dict  # name -> value at the solution (targets and leftovers)
     kl_max: float  # max first-order KL residual at the solution (nan if unchecked)
-    all_roots: tuple = field(default_factory=tuple)  # every distinct root found
+    all_roots: tuple = field(default_factory=tuple)  # every root in the box, nearest first
 
 
-def _solve(problem, target_names, leftover_names, box, seed_grid, verify_kl):
-    funcs = [problem.condition(name) for name in target_names]
-    roots = find_roots(funcs, box, seed_grid)
+def _solve(problem, target_names, leftover_names, box, verify_kl):
+    roots = closed_form_roots(problem, target_names, box)
     if not roots:
         raise NumericalError(
             f"no tailoring root found for {problem.family} on "
             f"{problem.system.name} at B={problem.b_field:g} T"
         )
-    (x, iters, _res) = roots[0]
+    x = roots[0]
     residuals = {name: problem.evaluate(name, x[0], x[1])
                  for name in (*target_names, *leftover_names)}
     kl_max = float("nan")
@@ -318,15 +490,15 @@ def _solve(problem, target_names, leftover_names, box, seed_grid, verify_kl):
         eps1=float(x[0]),
         eps2=float(x[1]),
         converged=True,
-        iterations=iters,
+        iterations=0,
         targets=tuple(target_names),
         residuals=residuals,
         kl_max=kl_max,
-        all_roots=tuple((float(r[0][0]), float(r[0][1])) for r in roots),
+        all_roots=tuple(roots),
     )
 
 
-def solve_full_tailoring_92(system, b_field, box=DEFAULT_BOX, seed_grid=41):
+def solve_full_tailoring_92(system, b_field, box=DEFAULT_BOX):
     """Zero both independent diagonal conditions of the spin-9/2 family.
 
     Branch supports of the 9/2 words differ by |dm| >= 3, so every
@@ -339,10 +511,10 @@ def solve_full_tailoring_92(system, b_field, box=DEFAULT_BOX, seed_grid=41):
     return _solve(problem,
                   ("diag-IZ", "diag-IXIX"),
                   ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"),
-                  box, seed_grid, verify_kl=True)
+                  box, verify_kl=True)
 
 
-def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX, seed_grid=41):
+def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX):
     """Zero ``diag-IZ`` and ``offdiag-IXIX`` for the spin-7/2 family.
 
     Two angles cannot close the full first-order set here; the solution
@@ -354,7 +526,7 @@ def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX, seed_grid=41):
     return _solve(problem,
                   ("diag-IZ", "offdiag-IXIX"),
                   ("offdiag-IXIY", "diag-IXIX"),
-                  box, seed_grid, verify_kl=False)
+                  box, verify_kl=False)
 
 
 _SOLVERS = {
@@ -385,7 +557,7 @@ def tailoring_solver(family):
 
 
 def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
-                          freeze_at=None, box=DEFAULT_BOX, seed_grid=41):
+                          freeze_at=None, box=DEFAULT_BOX):
     """Tailoring solutions across a field range.
 
     mode="re-solve": solve at every field point.
@@ -404,11 +576,11 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
     if mode == "frozen":
         if freeze_at is None:
             raise PreconditionError("frozen mode needs freeze_at (tesla)")
-        frozen = solver(system, freeze_at, box, seed_grid)
+        frozen = solver(system, freeze_at, box)
     rows = []
     for b in b_values:
         if frozen is None:
-            sol = solver(system, b, box, seed_grid)
+            sol = solver(system, b, box)
             residuals = sol.residuals
         else:
             sol = frozen
@@ -506,20 +678,28 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     vert_h[h], vert_v[v] = np.split(first[inverse], [np.count_nonzero(h)])
     # per cell, its edges' vertices in the order bottom, right, top, left
     cells = np.stack((vert_h[:, :-1], vert_v[1:, :], vert_h[:, 1:], vert_v[:-1, :]),
-                     axis=-1)
-    segments = []
-    for i, j in np.argwhere(cells.max(axis=-1) >= 0).tolist():
-        crossed = [k for k in cells[i, j].tolist() if k >= 0]
-        pairs = ((0, 1),)
-        if len(crossed) == 4:
-            centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
-            # saddle cell: pair the crossings so the curve separates signs
-            if (centre < 0.0) == (g[i, j] < 0.0):
-                pairs = ((0, 1), (2, 3))
-            else:
-                pairs = ((0, 3), (1, 2))
-        segments += [(crossed[a], crossed[b]) for a, b in pairs
-                     if crossed[a] != crossed[b]]
+                     axis=-1).reshape(-1, 4)
+    crossed = cells >= 0
+    count = crossed.sum(axis=1)
+    # a cell with two crossed edges joins them, first to last in the edge order
+    two = np.flatnonzero(count == 2)
+    seg_cell = [two]
+    seg_ends = [np.stack((cells[two, np.argmax(crossed[two], axis=1)],
+                          cells[two, 3 - np.argmax(crossed[two, ::-1], axis=1)]), axis=1)]
+    for cell in np.flatnonzero(count == 4).tolist():
+        i, j = divmod(cell, n - 1)
+        bottom, right, top, left = cells[cell].tolist()
+        centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
+        # saddle cell: pair the crossings so the curve separates signs
+        if (centre < 0.0) == (g[i, j] < 0.0):
+            pairs = ((bottom, right), (top, left))
+        else:
+            pairs = ((bottom, left), (right, top))
+        seg_cell.append([cell, cell])
+        seg_ends.append(pairs)
+    order = np.argsort(np.concatenate(seg_cell), kind="stable")
+    ends = np.concatenate(seg_ends)[order]
+    segments = [tuple(pair) for pair in ends[ends[:, 0] != ends[:, 1]].tolist()]
     if not segments:
         raise EmptyContourError("no zero crossing inside the box")
     return [pts[chain] for chain in _chains(segments)]

@@ -309,8 +309,8 @@ def test_preconditions_hold_under_python_O():
             "seed-n-1": lambda: seed_cells([lambda x, y: x], 0.05, 1),
             "find_roots-grid-1": lambda: find_roots([lambda x, y: x, lambda x, y: y],
                                                     0.05, 1),
-            "solver-grid-neg": lambda: solve_partial_tailoring_72(get_system("si-sb"),
-                                                                  1.0, seed_grid=-3),
+            "solver-box-neg": lambda: solve_partial_tailoring_72(get_system("si-sb"),
+                                                                 1.0, box=-3.0),
             "kron_all": lambda: kron_all([]),
             "manifold_states": lambda: manifold_states(get_system("si-sb"), 1.0, 0.3),
             "collapse_gates-empty": lambda: collapse_gates({}),
@@ -355,7 +355,7 @@ def test_preconditions_hold_under_python_O():
         "seed-box-inf", "PreconditionError",
         "seed-n-1", "PreconditionError",
         "find_roots-grid-1", "PreconditionError",
-        "solver-grid-neg", "PreconditionError",
+        "solver-box-neg", "PreconditionError",
         "kron_all", "PreconditionError",
         "manifold_states", "PreconditionError",
         "collapse_gates-empty", "PreconditionError",

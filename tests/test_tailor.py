@@ -1,4 +1,4 @@
-"""Angle tailoring: residual conditions, Newton roots, contour tracing.
+"""Angle tailoring: residual conditions, closed-form roots, contour tracing.
 
 Root coordinates and leftover residuals were frozen from solver runs that
 were cross-checked against a numpy.linalg.eigh reconstruction of the same
@@ -9,17 +9,20 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinqec.codewords import expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import get_system, spin_operators
 from spinqec.tailor import (
+    DegenerateConditionsError,
     EmptyContourError,
+    StructuralZeroError,
     TailoringProblem,
     _chains,
     _edge_crossings,
+    closed_form_roots,
     field_sweep_tailoring,
     find_roots,
     newton_solve,
@@ -475,6 +478,145 @@ def test_condition_edges_take_three_evaluations(monkeypatch, sb):
         assert len(edges) == 3 and len(set(edges)) == 1
         (rows,), (rows_too,) = edges[0]
         assert rows == rows_too > 0
+
+
+_TARGETS = {"tailored-9/2": ("diag-IZ", "diag-IXIX"),
+            "distorted-7/2": ("diag-IZ", "offdiag-IXIX")}
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)))
+def test_closed_form_roots_match_newton_oracle(b, family):
+    # the seeded Newton iteration, the former runtime route, finds the same
+    # root set in the default box
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b)
+    names = _TARGETS[family]
+    got = closed_form_roots(problem, names)
+    want = [tuple(x) for x, _, _ in find_roots([problem.condition(n) for n in names])]
+    assert len(got) == len(want) >= 1
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    for root in got:
+        for name in names:
+            assert abs(problem.evaluate(name, *root)) < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)),
+       name=st.sampled_from(_CONDITIONS))
+def test_coefficients_reproduce_evaluate(b, family, name):
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b)
+    eps = np.linspace(-0.05, 0.05, 9)
+    t1, t2 = problem.theta0 + eps[:, None], problem.theta0 + eps[None, :]
+    if name.startswith("diag"):
+        (a1, b1), (a2, b2) = problem.coefficients(name)
+        want = (a1 + b1 * np.cos(2.0 * t1)) - (a2 + b2 * np.cos(2.0 * t2))
+    else:
+        p, q = problem.coefficients(name)
+        want = p * np.cos(t1) * np.sin(t2) + q * np.sin(t1) * np.cos(t2)
+    got = np.broadcast_to(problem.evaluate(name, eps[:, None], eps[None, :]), want.shape)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_roots_cover_every_branch_in_the_box(bi):
+    # with |eps| <= 2.5 each angle has three branches +-t + k pi of cos 2t in
+    # the box; the Newton oracle, seeded finely enough, finds all nine roots
+    problem = TailoringProblem("tailored-9/2", bi, 1.0)
+    names = _TARGETS["tailored-9/2"]
+    roots = closed_form_roots(problem, names, box=2.5)
+    assert roots[0] == closed_form_roots(problem, names)[0]
+    assert len(roots) == len(set(roots)) == 9
+    assert roots == sorted(roots, key=lambda r: np.hypot(*r))
+    want = [tuple(x) for x, _, _ in find_roots([problem.condition(n) for n in names],
+                                                box=2.5, seed_grid=201)]
+    np.testing.assert_allclose(roots, want, rtol=0.0, atol=1e-12)
+    sol = solve_full_tailoring_92(bi, 1.0, box=2.5)
+    assert sol.all_roots == tuple(roots) and (sol.eps1, sol.eps2) == roots[0]
+    assert sol.converged and sol.iterations == 0
+
+
+def test_degenerate_and_unsupported_pairs(bi):
+    problem = TailoringProblem("tailored-9/2", bi, 1.0)
+    # diag-IZIZ is diag-IXIX up to rounding: a 2 x 2 condition number near 1e16
+    with pytest.raises(DegenerateConditionsError):
+        closed_form_roots(problem, ("diag-IXIX", "diag-IZIZ"))
+    # the 9/2 cross conditions vanish identically
+    with pytest.raises(DegenerateConditionsError):
+        closed_form_roots(problem, ("diag-IZ", "offdiag-IXIX"))
+    for names in (("offdiag-IXIX", "diag-IZ"), ("offdiag-IXIX", "offdiag-IXIY"),
+                  ("diag-IZ", "diag-IXIX", "diag-IYIY")):
+        with pytest.raises(PreconditionError, match="no closed form"):
+            closed_form_roots(problem, names)
+    with pytest.raises(PreconditionError):
+        closed_form_roots(problem, ("diag-IZ", "diag-IXIX"), box=float("nan"))
+    # no branch inside a box that excludes the root
+    assert closed_form_roots(problem, ("diag-IZ", "diag-IXIX"), box=1e-4) == []
+    with pytest.raises(NumericalError, match="no tailoring root found"):
+        solve_full_tailoring_92(bi, 1.0, box=1e-4)
+
+
+def test_broken_structural_zero_is_named(sb):
+    problem = TailoringProblem("distorted-7/2", sb, 1.0)
+    for name in ("diag-IZ", "offdiag-IXIX"):
+        kind, m00, m11, m01 = problem._sandwiches(name)
+        problem._cache[name] = (kind, m00 + [[0.0, 1e-3], [0.0, 0.0]], m11,
+                                m01 + [[1e-3, 0.0], [0.0, 0.0]])
+        with pytest.raises(StructuralZeroError, match=name):
+            problem.coefficients(name)
+
+
+@pytest.mark.parametrize("b", [0.3, 1.0, 2.9])
+def test_problem_codeword_equals_make_codeword(sb, bi, b):
+    # the problem's own dressed vectors give make_codeword's words bit for bit
+    for system, family in ((sb, "distorted-7/2"), (bi, "tailored-9/2")):
+        problem = TailoringProblem(family, system, b)
+        for eps in ((0.0, 0.0), (-2.4e-3, 1.8e-3), (0.031, -0.047)):
+            got = problem.codeword(*eps)
+            want = make_codeword(family, system, b, *eps)
+            assert np.array_equal(got.zero_l, want.zero_l)
+            assert np.array_equal(got.one_l, want.one_l)
+            assert (got.family, got.basis, got.theta0, got.eps1, got.eps2) == \
+                (want.family, want.basis, want.theta0, want.eps1, want.eps2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)),
+       scanned=st.lists(st.sampled_from(_CONDITIONS), min_size=2, max_size=3,
+                        unique=True),
+       n=st.sampled_from([40, 400]))
+@example(b=1.0, family="distorted-7/2",
+         scanned=["diag-IZ", "offdiag-IXIX", "offdiag-IXIY"], n=400)
+def test_corner_scan_matches_grid_route(b, family, scanned, n):
+    # a plain callable has no edge_zeros, so every one is evaluated on the
+    # full grid; the conditions' corner values are the same numbers
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b)
+    funcs = [problem.condition(name) for name in scanned]
+    plain = [lambda x, y, fn=fn: fn(x, y) for fn in funcs]
+    assert scan_common_zero_cells(funcs, 0.05, n) == \
+        scan_common_zero_cells(plain, 0.05, n)
+
+
+def test_scan_evaluates_later_conditions_on_kept_corners(monkeypatch, sb):
+    calls = []
+    evaluate = TailoringProblem.evaluate
+    monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
+        calls.append((name, np.shape(e1), np.shape(e2))) or evaluate(self, name, e1, e2)))
+    problem = TailoringProblem("distorted-7/2", sb, 1.0)
+    names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")
+    cells = scan_common_zero_cells([problem.condition(n) for n in names], 0.05, 400)
+    assert len(cells) == 2
+    assert calls[0] == ("diag-IZ", (401, 1), (1, 401))
+    assert [name for name, *_ in calls] == list(names)
+    for _, (nodes,), (nodes_too,) in calls[1:]:
+        assert nodes == nodes_too < 0.02 * 401 * 401
+    # no cell left: the remaining conditions are not evaluated at all
+    calls.clear()
+    far = [problem.condition("diag-IZ"), lambda x, y: 1.0 + 0.0 * x,
+           problem.condition("offdiag-IXIX")]
+    assert scan_common_zero_cells(far, 0.05, 400) == []
+    assert [name for name, *_ in calls] == ["diag-IZ"]
 
 
 def test_full_tailoring_92_root_frozen(bi):
