@@ -32,8 +32,9 @@ former Newton route, remain as the tests' oracle for the closed form.
 """
 
 import re
+from collections import ChainMap
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -71,6 +72,10 @@ _OP_TOKEN = re.compile(r"I[XYZ]")
 class TailoringProblem:
     """Precomputed branch-basis sandwiches for fast condition evaluation.
 
+    Problems at one (family, system, field) share one labelled eigensolve,
+    their branch vectors and every sandwich any of them has built (a small
+    LRU cache, :func:`_field_setup`); the shared arrays are read-only.
+
     Parameters
     ----------
     family : str
@@ -85,7 +90,7 @@ class TailoringProblem:
             raise PreconditionError(
                 f"tailoring applies to the distorted/tailored families, not {family!r}"
             )
-        spin_i, theta0, sup0, sup1, sign1 = _TWO_LEVEL[family]
+        spin_i, self.theta0, _, _, self.sign1 = _TWO_LEVEL[family]
         if abs(system.i - spin_i) > 1e-9:
             raise PreconditionError(
                 f"{family} needs I={spin_i}, system has I={system.i}"
@@ -93,16 +98,11 @@ class TailoringProblem:
         self.family = family
         self.system = system
         self.b_field = float(b_field)
-        self.theta0 = theta0
-        self.sign1 = sign1
-        self._manifold = manifold_states(system, b_field, m_s=-0.5)
-        shape = (system.dim_e, system.dim_n, 2)  # nuclear operators act on axis 1
-        self._v0, self._v1 = (
-            np.column_stack([self._manifold[m].vector for m in sup]).reshape(shape)
-            for sup in (sup0, sup1))
-        ix, iy, iz = spin_operators(system.i)
-        self._nuclear = {"IX": ix, "IY": iy, "IZ": iz}
-        self._cache = {}
+        self._manifold, self._basis, self._nuclear, shared = _field_setup(
+            family, system, self.b_field)
+        self._v0, self._v1 = self._basis[..., :2], self._basis[..., 2:]
+        # new sandwiches go to the shared map; a key set here stays local
+        self._cache = ChainMap({}, shared)
 
     def _assemble(self, op_label):
         tokens = _OP_TOKEN.findall(op_label)
@@ -120,16 +120,16 @@ class TailoringProblem:
         raise PreconditionError(f"operator {op_label} has mixed-type entries")
 
     def _sandwiches(self, name):
-        if name in self._cache:
-            return self._cache[name]
-        kind, _, op_label = name.partition("-")
-        if kind not in ("diag", "offdiag"):
-            raise PreconditionError(f"unknown condition kind in {name!r}")
-        op, component = self._assemble(op_label)
-        v0, v1 = self._v0, self._v1
-        self._cache[name] = (kind, *(
-            getattr(np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket), component)
-            for bra, ket in ((v0, v0), (v1, v1), (v0, v1))))
+        if name not in self._cache:
+            kind, _, op_label = name.partition("-")
+            if kind not in ("diag", "offdiag"):
+                raise PreconditionError(f"unknown condition kind in {name!r}")
+            op, component = self._assemble(op_label)
+            # one contraction over the stacked basis; blocks of the 4 x 4 result
+            m = getattr(np.einsum("eia,ij,ejb->ab", self._basis.conj(), op, self._basis),
+                        component)
+            m.flags.writeable = False
+            self._cache.maps[-1][name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
         return self._cache[name]
 
     def evaluate(self, name, eps1, eps2):
@@ -205,6 +205,19 @@ class TailoringProblem:
         """The dressed code word at (eps1, eps2), as ``make_codeword`` builds it."""
         return dressed_word(self.family, self.system, self.b_field, self._manifold,
                             eps1, eps2)
+
+
+@lru_cache(maxsize=8)
+def _field_setup(family, system, b_field):
+    """The labelled m_S = -1/2 states, stacked branch basis (dim_e, dim_n, 4),
+    nuclear operators and sandwich dict of ``family`` at one field, read-only."""
+    _, _, sup0, sup1, _ = _TWO_LEVEL[family]
+    manifold = manifold_states(system, b_field, m_s=-0.5)
+    basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)])
+    nuclear = dict(zip(("IX", "IY", "IZ"), spin_operators(system.i)))
+    for array in (basis, *nuclear.values(), *(st.vector for st in manifold.values())):
+        array.flags.writeable = False
+    return manifold, basis.reshape(system.dim_e, system.dim_n, 4), nuclear, {}
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +389,11 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     :meth:`TailoringProblem.condition`, elementwise by construction) is called
     once on two 1-d arrays holding the unique corner nodes of the cells still
     kept, which gives the grid's values at those nodes.  The scan stops once
-    no cell is left.  Centres come in row-major (eps1, then eps2) order; n < 2
-    or a box that is not finite and positive raises :class:`PreconditionError`.
+    no cell is left.  Centres come in row-major (eps1, then eps2) order; an n
+    that is not an integer >= 2, or a box that is not finite and positive,
+    raises :class:`PreconditionError`.
     """
-    if not (n >= 2 and 0.0 < box < np.inf):
-        raise PreconditionError(f"need n >= 2 grid nodes and box > 0, got {n!r}, {box!r}")
+    _check_grid(n, 2, "grid nodes", box)
     xs = np.linspace(-box, box, n)
     centres = (xs[:-1] + xs[1:]) / 2.0
     rows = cols = None  # the kept cells' lower-left nodes, row-major
@@ -395,6 +408,13 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
         if not rows.size:
             break
     return [(centres[i], centres[j]) for i, j in zip(rows, cols)]
+
+
+def _check_grid(n, least, what, box):
+    """Refuse an ``n`` that is not an integer >= ``least``, or a bad ``box``."""
+    if not (isinstance(n, (int, np.integer)) and n >= least and 0.0 < box < np.inf):
+        raise PreconditionError(
+            f"need an integer n >= {least} {what} and box > 0, got {n!r}, {box!r}")
 
 
 def _grid_cells(fn, xs):
@@ -609,21 +629,18 @@ def _chains(segments):
             adjacency.setdefault(a, []).append((b, len(used)))
             adjacency.setdefault(b, []).append((a, len(used)))
             used.append(False)
-
-    def next_unused(key):
-        return next(((nb, edge) for nb, edge in adjacency[key] if not used[edge]),
-                    None)
-
-    def walk(start):
-        chain = [start]
-        while (step := next_unused(chain[-1])) is not None:
-            used[step[1]] = True
-            chain.append(step[0])
-        return chain
-
+    chains = []
     # open chains first, each walked from an end (odd degree), then closed loops
-    ends = [key for key in adjacency if len(adjacency[key]) % 2]
-    return [walk(key) for key in ends + list(adjacency) if next_unused(key) is not None]
+    for start in [key for key in adjacency if len(adjacency[key]) % 2] + list(adjacency):
+        chain = [start]
+        while edges := adjacency[chain[-1]]:
+            nb, edge = edges.pop(0)  # each node's next edge in order; used ones drop
+            if not used[edge]:
+                used[edge] = True
+                chain.append(nb)
+        if len(chain) > 1:
+            chains.append(chain)
+    return chains
 
 
 def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
@@ -708,8 +725,9 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
 def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=400):
     """Grid cells (centres) where every condition changes sign.
 
-    A uniform n x n cell scan (on n + 1 grid nodes, so n >= 1; see
-    :func:`seed_cells`); used to test whether several conditions can vanish
-    simultaneously inside the box.
+    A uniform n x n cell scan (on n + 1 grid nodes; see :func:`seed_cells`);
+    used to test whether several conditions can vanish simultaneously inside
+    the box.  An ``n`` that is not an integer >= 1 raises :class:`PreconditionError`.
     """
+    _check_grid(n, 1, "cells", box)
     return seed_cells(funcs, box, n + 1)

@@ -325,6 +325,10 @@ def test_preconditions_hold_under_python_O():
             "sample_records-p-nan": lambda: sample_records(nan, 3),
             "sample_records-n-2.7": lambda: sample_records(records, 2.7),
             "sample_records-n-neg": lambda: sample_records(records, -1),
+            "scan-n-2.5": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, 2.5),
+            "scan-n-400.0": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, 400.0),
+            "seed-n-2.5": lambda: seed_cells([lambda x, y: x], 0.05, 2.5),
+            "seed-n-0": lambda: seed_cells([lambda x, y: x], 0.05, 0),
         }
         for name, call in calls.items():
             try:
@@ -369,6 +373,10 @@ def test_preconditions_hold_under_python_O():
         "sample_records-p-nan", "PreconditionError",
         "sample_records-n-2.7", "PreconditionError",
         "sample_records-n-neg", "PreconditionError",
+        "scan-n-2.5", "PreconditionError",
+        "scan-n-400.0", "PreconditionError",
+        "seed-n-2.5", "PreconditionError",
+        "seed-n-0", "PreconditionError",
     ]
 
 

@@ -5,6 +5,7 @@ were cross-checked against a numpy.linalg.eigh reconstruction of the same
 dressed words.
 """
 
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from spinqec.codewords import expectation, make_codeword, offdiag_element
+import spinqec.spin
+from spinqec.codewords import _TWO_LEVEL, expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
-from spinqec.spin import get_system, spin_operators
+from spinqec.spin import get_system, manifold_states, spin_operators
 from spinqec.tailor import (
     DegenerateConditionsError,
     EmptyContourError,
@@ -22,6 +24,7 @@ from spinqec.tailor import (
     TailoringProblem,
     _chains,
     _edge_crossings,
+    _field_setup,
     closed_form_roots,
     field_sweep_tailoring,
     find_roots,
@@ -75,6 +78,66 @@ def _bisected(fn):
     traced.edge_zeros = lambda lo, hi: _bisect_edges(
         fn, lo, hi, np.broadcast_to(fn(lo[:, 0], lo[:, 1]), len(lo)))
     return traced
+
+
+def _chains_oracle(segments):
+    """The former chain walk, one generator scan per vertex, kept as the oracle."""
+    adjacency, pairs, used = {}, set(), []
+    for a, b in segments:
+        if (a, b) not in pairs and (b, a) not in pairs:
+            pairs.add((a, b))
+            adjacency.setdefault(a, []).append((b, len(used)))
+            adjacency.setdefault(b, []).append((a, len(used)))
+            used.append(False)
+
+    def next_unused(key):
+        return next(((nb, edge) for nb, edge in adjacency[key] if not used[edge]),
+                    None)
+
+    def walk(start):
+        chain = [start]
+        while (step := next_unused(chain[-1])) is not None:
+            used[step[1]] = True
+            chain.append(step[0])
+        return chain
+
+    ends = [key for key in adjacency if len(adjacency[key]) % 2]
+    return [walk(key) for key in ends + list(adjacency) if next_unused(key) is not None]
+
+
+@st.composite
+def _segment_lists(draw):
+    """Paths, loops and figure-eights on disjoint ids, plus random extra segments
+    on a few shared ids, shuffled, with repeated and reversed duplicates."""
+    segments, base = [], 100
+    for kind in draw(st.lists(st.sampled_from(["path", "loop", "eight"]), max_size=4)):
+        size = draw(st.integers(min_value={"path": 1, "loop": 3, "eight": 4}[kind],
+                                max_value=6))
+        ids = list(range(base, base + size + 1))
+        base += size + 1
+        if kind == "loop":
+            ids[-1] = ids[0]
+        elif kind == "eight":  # two loops through one degree-4 node
+            ids = [ids[0], *ids[1:3], ids[0], *ids[3:], ids[0]]
+        segments += list(zip(ids[:-1], ids[1:]))
+    pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda p: p[0] != p[1])
+    segments += draw(st.lists(pairs, max_size=12))
+    segments = draw(st.permutations(segments)) if segments else []
+    for seg in draw(st.lists(st.sampled_from(segments), max_size=4)) if segments else []:
+        at = draw(st.integers(0, len(segments)))
+        segments.insert(at, seg[::-1] if draw(st.booleans()) else seg)
+    return segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(segments=_segment_lists())
+@example(segments=[(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])  # degree-4 node
+@example(segments=[(0, 1), (1, 0), (1, 2), (2, 1), (5, 6), (6, 7), (7, 5)])
+@example(segments=[(0, 1), (1, 2), (1, 3), (1, 4)])  # odd ends meeting at degree 4
+@example(segments=[])
+def test_chains_match_generator_walk_oracle(segments):
+    # same chains, in the same order and direction
+    assert _chains(segments) == _chains_oracle(segments)
 
 
 def test_evaluate_is_vectorised(bi):
@@ -705,6 +768,87 @@ def test_field_sweep_residuals_match_fresh_problem(request, system, family, name
         for name in names:
             assert row[f"residual_{name}"] == problem.evaluate(
                 name, row["eps1_rad"], row["eps2_rad"])
+
+
+_OP_LABELS = ("IX", "IY", "IZ", "IXIX", "IXIY", "IYIY", "IZIZ", "IXIZ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)),
+       label=st.sampled_from(_OP_LABELS))
+def test_stacked_sandwiches_equal_three_einsums(b, family, label):
+    # one contraction over the stacked (dim_e, dim_n, 4) basis gives the same
+    # bits as the three 2-column sandwiches built from fresh branch vectors
+    system = get_system(_SYSTEM_OF[family])
+    _, _, sup0, sup1, _ = _TWO_LEVEL[family]
+    manifold = manifold_states(system, b, m_s=-0.5)
+    v0, v1 = (np.column_stack([manifold[m].vector for m in sup]).reshape(
+        system.dim_e, system.dim_n, 2) for sup in (sup0, sup1))
+    factors = dict(zip(("IX", "IY", "IZ"), spin_operators(system.i)))
+    op = reduce(np.matmul, (factors[label[k:k + 2]] for k in range(0, len(label), 2)))
+    part = "real" if np.max(np.abs(op.imag)) < 1e-12 * np.max(np.abs(op)) else "imag"
+    want = [getattr(np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket), part)
+            for bra, ket in ((v0, v0), (v1, v1), (v0, v1))]
+    problem = TailoringProblem(family, system, b)
+    for kind in ("diag", "offdiag"):
+        got = problem._sandwiches(f"{kind}-{label}")
+        assert got[0] == kind
+        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want))
+
+
+def test_problems_at_one_field_share_one_labelled_solve(monkeypatch, sb, bi):
+    calls = []
+    solve = spinqec.spin.hermitian_eigendecompose
+    monkeypatch.setattr(spinqec.spin, "hermitian_eigendecompose",
+                        lambda h: calls.append(h.shape) or solve(h))
+    _field_setup.cache_clear()
+    sol = solve_partial_tailoring_72(sb, 1.37)
+    first, second = (TailoringProblem("distorted-7/2", sb, 1.37) for _ in range(2))
+    assert len(calls) == 1
+    # the solver's sandwiches are the very arrays the later problems read
+    assert first._sandwiches("diag-IZ")[1] is second._sandwiches("diag-IZ")[1]
+    assert first.evaluate("offdiag-IXIX", sol.eps1, sol.eps2) == \
+        sol.residuals["offdiag-IXIX"]
+    # another field, another family and system, or an equal system under
+    # another name each make their own solve
+    TailoringProblem("distorted-7/2", sb, 1.38)
+    TailoringProblem("tailored-9/2", bi, 1.37)
+    TailoringProblem("distorted-7/2", replace(sb, name="si-sb-copy"), 1.37)
+    assert len(calls) == 4
+    for array in (first._v0, first._v1, first._sandwiches("diag-IZ")[1],
+                  first._sandwiches("offdiag-IXIX")[3], first._nuclear["IX"],
+                  first._manifold[1.5].vector):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_field_cache_is_bounded_and_rebuilds_equal(sb):
+    _field_setup.cache_clear()
+    xs = np.linspace(-0.05, 0.05, 41)
+    names = ("diag-IZ", "offdiag-IXIX", "diag-IXIX")
+    before = TailoringProblem("distorted-7/2", sb, 0.9)
+    grids = [before.evaluate(name, xs[:, None], xs[None, :]) for name in names]
+    maxsize = _field_setup.cache_info().maxsize
+    for b in np.linspace(1.0, 2.0, maxsize + 3):
+        TailoringProblem("distorted-7/2", sb, b)
+        assert _field_setup.cache_info().currsize <= maxsize
+    after = TailoringProblem("distorted-7/2", sb, 0.9)
+    assert after._v0 is not before._v0
+    for name, grid in zip(names, grids):
+        assert all(np.array_equal(m, n) for m, n in
+                   zip(after._sandwiches(name)[1:], before._sandwiches(name)[1:]))
+        assert np.array_equal(after.evaluate(name, xs[:, None], xs[None, :]), grid)
+
+
+def test_grid_counts_are_refused_with_the_callers_value():
+    for n in (0, -3, 2.5):
+        with pytest.raises(PreconditionError, match=f"got {n!r},"):
+            scan_common_zero_cells([lambda x, y: x], 0.05, n)
+    for n in (1, 2.5):
+        with pytest.raises(PreconditionError, match=f"got {n!r},"):
+            seed_cells([lambda x, y: x], 0.05, n)
+    assert len(scan_common_zero_cells([lambda x, y: x + 0.0 * y], 0.05, 1)) == 1
 
 
 def test_problem_preconditions(sb, bi):
