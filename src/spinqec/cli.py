@@ -22,9 +22,9 @@ from .cycle import build_detection_plan, case_weights, fidelity_threshold, \
     full_order, pulse_budget, run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
 from .spin import build_hamiltonian, get_system, load_system
-from .tailor import DEFAULT_BOX, TailoringProblem, default_family, \
-    field_sweep_tailoring, scan_common_zero_cells, tailoring_solver, \
-    trace_zero_contour
+from .tailor import DEFAULT_BOX, DEFAULT_SCAN_CELLS, DEFAULT_STEP, \
+    TailoringProblem, default_family, field_sweep_tailoring, \
+    scan_common_zero_cells, tailoring_solver, trace_zero_contour
 
 _ORDERS = {"full": full_order, "z-biased": z_biased_order}
 
@@ -205,11 +205,11 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
 @click.option("--family", default=None)
 @click.option("--b", "b_field", type=float, required=True)
 @click.option("--box", type=_POSITIVE, default=DEFAULT_BOX, show_default=True)
-@click.option("--step", type=_POSITIVE, default=0.0025, show_default=True,
+@click.option("--step", type=_POSITIVE, default=DEFAULT_STEP, show_default=True,
               help="Marching-squares cell size (radians).")
 @click.option("--what", type=click.Choice(["contours", "common-cells"]),
               default="contours", show_default=True)
-@click.option("--scan-points", type=_COUNT, default=400, show_default=True)
+@click.option("--scan-points", type=_COUNT, default=DEFAULT_SCAN_CELLS, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_mapped_errors
 def contour(system_key, family, b_field, box, step, what, scan_points, out):

@@ -22,7 +22,6 @@ the spin-7/2 and 9/2 families, over the dressed eigenstates of a coupled
 electron-nuclear system in the m_S = -1/2 manifold.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -278,15 +277,6 @@ class KLReport:
     offdiag: np.ndarray
     diagdiff: np.ndarray
     max_residual: float
-
-    def to_json(self, indent=None):
-        payload = {
-            "labels": list(self.labels),
-            "offdiag": self.offdiag.tolist(),
-            "diagdiff": self.diagdiff.tolist(),
-            "max_residual": self.max_residual,
-        }
-        return json.dumps(payload, indent=indent)
 
 
 def kl_residuals(codeword, errors):

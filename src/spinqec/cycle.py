@@ -186,6 +186,11 @@ class SyndromeRecord:
     logical_fidelity: object
 
 
+def _plan(order):
+    """The cached plan for ``order``, None meaning :func:`full_order`."""
+    return build_detection_plan(full_order() if order is None else tuple(order))
+
+
 def detection_records(reg, order=None, reference=None):
     """Exact outcome distribution of one full detection sweep.
 
@@ -198,7 +203,7 @@ def detection_records(reg, order=None, reference=None):
     untouched; probabilities sum to one, with an uncorrectable record for
     any weight outside the detectable span.
     """
-    plan = build_detection_plan(tuple(order) if order is not None else None)
+    plan = _plan(order)
     if abs(reg.norm() - 1.0) > 1e-8:
         raise PreconditionError("register state must be normalised")
     pairs = reg.amp.reshape(512, 2)
@@ -300,7 +305,7 @@ def pulse_budget(order=None):
     absorbed cases contribute nothing.  Encoding pulses are reported
     separately and are not part of ``total``.
     """
-    plan = build_detection_plan(tuple(order) if order is not None else None)
+    plan = _plan(order)
     per_case = {c.label: {"detect": c.detect_pulses, "recover": c.recover_pulses,
                           "absorbed": c.absorbed} for c in plan.cases}
     total = sum(c.detect_pulses + c.recover_pulses for c in plan.cases)

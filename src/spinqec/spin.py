@@ -296,8 +296,13 @@ def nuclear_transition_frequencies(system, b_z, manifold=-0.5):
     return np.diff(energies)
 
 
-def transition_gradients(system, b_z, manifold=-0.5, db=1e-4):
-    """dB-derivatives of the transition frequencies (central difference)."""
-    fp = nuclear_transition_frequencies(system, b_z + db, manifold)
-    fm = nuclear_transition_frequencies(system, b_z - db, manifold)
-    return (fp - fm) / (2.0 * db)
+def transition_gradients(system, b_z, manifold=-0.5):
+    """Exact dB_z-derivatives (MHz/T) of the transition frequencies.
+
+    Hellmann-Feynman from one labelled solve: dH/dB_z is diagonal in the
+    product basis, d_p = g_e m_S + g_n m_I, so a slope is sum_p |v_p|^2 d_p.
+    """
+    states = manifold_states(system, b_z, manifold)
+    d = np.add.outer(system.g_e * (np.arange(system.dim_e) - system.s),
+                     system.g_n * (np.arange(system.dim_n) - system.i)).ravel()
+    return np.diff([np.abs(states[mi].vector) ** 2 @ d for mi in sorted(states)])

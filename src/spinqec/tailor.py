@@ -44,6 +44,8 @@ from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
 DEFAULT_BOX = 0.05
+DEFAULT_STEP = 0.0025  # marching-squares cell size of trace_zero_contour
+DEFAULT_SCAN_CELLS = 400  # cells per side of scan_common_zero_cells
 FD_STEP = 1e-7
 STEP_TOL = 1e-13
 RESIDUAL_TOL = 1e-13
@@ -643,7 +645,7 @@ def _chains(segments):
     return chains
 
 
-def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
+def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
     """Trace the zero set of a condition inside the square |eps| <= box.
 
     Marching squares on a uniform grid over the crossed edges of
@@ -722,7 +724,7 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=0.0025):
     return [pts[chain] for chain in _chains(segments)]
 
 
-def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=400):
+def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=DEFAULT_SCAN_CELLS):
     """Grid cells (centres) where every condition changes sign.
 
     A uniform n x n cell scan (on n + 1 grid nodes; see :func:`seed_cells`);

@@ -156,6 +156,18 @@ def test_cold_plan_build_stays_small():
     assert peak < 10e6, f"cold plan build peaked at {peak / 1e6:.1f} MB"
 
 
+def test_default_order_shares_one_cached_plan():
+    # None, the full_order() tuple and the same order as a list are one cache
+    # entry, so a process builds the 28-case plan once
+    reg = QuditRegister(psi_encoded(0.6, 0.8))
+    build_detection_plan.cache_clear()
+    pulse_budget()
+    detection_records(reg)
+    pulse_budget(full_order())
+    detection_records(reg, list(full_order()))
+    assert build_detection_plan.cache_info().misses == 1
+
+
 def test_plan_order_preconditions():
     with pytest.raises(PreconditionError):
         build_detection_plan(("X@A", "I"))

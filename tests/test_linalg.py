@@ -283,6 +283,7 @@ def test_preconditions_hold_under_python_O():
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.spin import get_system, manifold_states, product_index
+        from spinqec.spin import transition_gradients
         from spinqec.tailor import find_roots, newton_solve, scan_common_zero_cells
         from spinqec.tailor import seed_cells, solve_partial_tailoring_72
         from spinqec.tailor import trace_zero_contour
@@ -329,6 +330,8 @@ def test_preconditions_hold_under_python_O():
             "scan-n-400.0": lambda: scan_common_zero_cells([lambda x, y: x], 0.05, 400.0),
             "seed-n-2.5": lambda: seed_cells([lambda x, y: x], 0.05, 2.5),
             "seed-n-0": lambda: seed_cells([lambda x, y: x], 0.05, 0),
+            "gradients-B0-sb": lambda: transition_gradients(get_system("si-sb"), 0.0),
+            "gradients-B0-bi": lambda: transition_gradients(get_system("si-bi"), 0.0),
         }
         for name, call in calls.items():
             try:
@@ -377,6 +380,8 @@ def test_preconditions_hold_under_python_O():
         "scan-n-400.0", "PreconditionError",
         "seed-n-2.5", "PreconditionError",
         "seed-n-0", "PreconditionError",
+        "gradients-B0-sb", "LabelingError",
+        "gradients-B0-bi", "LabelingError",
     ]
 
 

@@ -247,7 +247,7 @@ def test_gradient_spread_decreases_with_field(sb):
         2.0: 0.2774220229,
         5.0: 0.04424306098,
         10.0: 0.01104868716,
-        50.0: 4.429602996e-04,
+        50.0: 4.415671828e-04,
     }
     spreads = []
     for b, expect in frozen.items():
@@ -256,6 +256,76 @@ def test_gradient_spread_decreases_with_field(sb):
         assert np.isclose(spread, expect, rtol=1e-4)
         spreads.append(spread)
     assert all(s1 > s2 for s1, s2 in zip(spreads, spreads[1:]))
+
+
+def _breit_rabi(system, b):
+    """Axial S = 1/2 levels and slopes in closed form, keyed by (m_S, m_I).
+
+    Nuclear label m pairs |-1/2, m> with |+1/2, m - 1> in a 2 x 2 block; the
+    state labelled (-1/2, m) is the root on h11's side, the other (+1/2, m - 1).
+    m = -I and (+1/2, +I) are 1 x 1 blocks.  Returns {label: (energy, dE/dB)}.
+    """
+    g_e, g_n, a, i = system.g_e, system.g_n, system.a, system.i
+    levels = {(-0.5, -i): (-g_e * b / 2 - g_n * b * i + a * i / 2, -g_e / 2 - g_n * i),
+              (0.5, i): (g_e * b / 2 + g_n * b * i + a * i / 2, g_e / 2 + g_n * i)}
+    for m in -i + np.arange(1, system.dim_n):
+        h11 = -g_e * b / 2 + g_n * b * m - a * m / 2
+        h22 = g_e * b / 2 + g_n * b * (m - 1) + a * (m - 1) / 2
+        off = a / 2 * np.sqrt(i * (i + 1) - (m - 1) * m)
+        mean, half = (h11 + h22) / 2, (h11 - h22) / 2
+        dmean, dhalf = g_n * (2 * m - 1) / 2, (g_n - g_e) / 2
+        root = np.hypot(half, off)
+        side = np.sign(half)  # +1: h11 is the upper diagonal entry
+        slope = side * half * dhalf / root
+        levels[(-0.5, m)] = (mean + side * root, dmean + slope)
+        levels[(0.5, m - 1)] = (mean - side * root, dmean - slope)
+    return levels
+
+
+def _user_donor(tmp_path, i, g_n, a):
+    path = tmp_path / "donor.cfg"
+    path.write_text(f"name = user\nS = 1/2\nI = {i}\ng_e_MHz_per_T = 28020.0\n"
+                    f"g_n_MHz_per_T = {g_n}\nA_MHz = {a}\n")
+    return load_system(path)
+
+
+ORACLE_FIELDS = (0.2, 1.0, 5.0, 50.0)
+
+
+@pytest.fixture(params=["si-sb", "si-bi", "user-11/2", "user-23/2"])
+def donor(request, tmp_path):
+    if request.param == "user-11/2":
+        return _user_donor(tmp_path, "11/2", 5.0, 300.0)
+    if request.param == "user-23/2":
+        return _user_donor(tmp_path, "23/2", 3.0, 200.0)
+    return get_system(request.param)
+
+
+def test_gradients_match_breit_rabi(donor):
+    # exact slopes: the largest error measured is 1.1e-11 MHz/T
+    for b in ORACLE_FIELDS:
+        levels = _breit_rabi(donor, b)
+        slopes = [levels[(-0.5, -donor.i + k)][1] for k in range(donor.dim_n)]
+        np.testing.assert_allclose(transition_gradients(donor, b), np.diff(slopes),
+                                   rtol=0, atol=1e-9)
+        # the oracle's labels and energies are the package's own
+        states = manifold_states(donor, b)
+        np.testing.assert_allclose(
+            [states[mi].energy for mi in sorted(states)],
+            [levels[(-0.5, -donor.i + k)][0] for k in range(donor.dim_n)],
+            rtol=1e-12, atol=0)
+
+
+def test_tilted_field_spectrum_matches_breit_rabi(donor):
+    # S.I is isotropic, so H(B) = U H(|B| z) U^dagger: a tilted field has the
+    # axial Breit-Rabi spectrum of |B|, here through the dense Jacobi route
+    rng = np.random.default_rng(20261018)
+    for b in ORACLE_FIELDS:
+        axis = rng.normal(size=3)
+        field = b * axis / np.linalg.norm(axis)
+        expect = sorted(e for e, _ in _breit_rabi(donor, b).values())
+        got = hermitian_eigendecompose(build_hamiltonian(donor, field)).eigenvalues
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
 
 
 def test_presets_and_aliases():
