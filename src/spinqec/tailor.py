@@ -1,34 +1,23 @@
 """Branch-angle tailoring: residual conditions, contours, and root finding.
 
 A two-level code word family over the dressed m_S = -1/2 manifold has two
-free branch angles (eps1, eps2).  Residual conditions are named
-
-    "<kind>-<op>"    e.g.  "diag-IZ", "offdiag-IXIX", "offdiag-IXIY"
-
-where ``kind`` is
-
-* ``diag``    -- difference of word expectations, <0|op|0> - <1|op|1>
-* ``offdiag`` -- cross element <0|op|1>
-
-and ``op`` is a product of nuclear-spin factors (IX, IY, IZ, IXIX, IXIY, ...)
-acting on the nuclear axis of the electron-nuclear space.  Each condition
-evaluates to one real number: the real part when the assembled operator has
-real entries, the imaginary part when its entries are purely imaginary (for
-real dressed amplitudes the discarded component vanishes identically).
+free branch angles (eps1, eps2).  A condition "<kind>-<op>" (e.g. "diag-IZ")
+is <0|op|0> - <1|op|1> (``diag``) or <0|op|1> (``offdiag``) for a product
+``op`` of nuclear factors (IX, IY, IZ, ...), as one real number: the real part
+of a real-entried operator, the imaginary part of an imaginary one.
 
 In t = theta0 + eps a diag condition is (a1 + b1 cos 2t1) - (a2 + b2 cos 2t2)
 and an offdiag one p cos t1 sin t2 + q sin t1 cos t2
 (:meth:`TailoringProblem.coefficients`), so the solvers need no iteration:
 two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
 diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
-tan^2 t1 (:func:`closed_form_roots`).  Contours come from marching squares,
-with every vertex in closed form (:meth:`TailoringProblem.edge_zeros`).  The
-common-cell scan and the contour tracer call ``fn(xs[:, None], xs[None, :])``
-once on the grid axes, which ``fn`` must broadcast (a condition's trig then
-runs on the axes only), broadcast the result to (n, n) and read one edge mask,
-:func:`_edge_crossings`; the scan evaluates a further condition only at the
-corners of the cells still in play.  ``newton_solve`` and ``find_roots``, the
-former Newton route, remain as the tests' oracle for the closed form.
+tan^2 t1 (:func:`closed_form_roots`).  Contours are marching squares on
+crossed edges and vertices found per grid line in closed form, with no n x n
+grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan grids its
+first condition once on broadcast axes, reads one edge mask
+(:func:`_edge_crossings`) and evaluates a later one only at the corners of
+the cells still in play.  ``newton_solve`` and ``find_roots``, the former
+Newton route, remain as the tests' oracle.
 """
 
 import re
@@ -150,26 +139,72 @@ class TailoringProblem:
                  + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
         return float(z) if np.ndim(z) == 0 else z
 
-    def edge_zeros(self, name, lo, hi):
-        """The zero of condition ``name`` on each edge from lo[r] up to hi[r] (k x 2).
+    def line_zeros(self, name, xs):
+        """The grid edges that condition ``name`` crosses, on xs x xs (xs even, ascending).
 
-        Along an edge one angle moves; in t = theta0 + eps the condition is
-        alpha + a cos kt + b sin kt (k = 2 diag, 1 offdiag), and evaluations at
-        kt = 0, pi/2, pi give (alpha, a, b).  The vertex is the root atan2(b, a) +-
-        arccos(-alpha / hypot(a, b)) + 2 pi n nearest the midpoint, clipped into the edge.
+        Along a grid line f = alpha + a cos kt + b sin kt in the moving angle
+        t = theta0 + eps (k = 2 diag, 1 offdiag); two calls on broadcast axes at
+        kt = 0, pi/2, pi give (alpha, a, b) on all 2n lines, and so the roots
+        atan2(b, a) +- arccos(-alpha / hypot(a, b)) + 2 pi m.  Only the edges
+        beside each root's nearest node can change sign; their end values come
+        from the form, or from one elementwise call (the grid's own values) where
+        the form is within 1e-11 of max |alpha| + hypot(a, b) of zero.  An edge is
+        crossed on the split f < 0 against f >= 0 (a fold, two roots in one edge,
+        is not) at its zero end node, else at the root nearest its midpoint,
+        clipped into it.  Returns (edges, vertices, zero, negative): per crossed
+        edge its moving axis and lower node (i, j) (k x 3; axis 0 runs to
+        (i + 1, j), axis 1 to (i, j + 1)), vertex (k x 2), i n + j of a zero end
+        node or -1, and whether f < 0 at (i, j).  Raises :class:`NumericalError`
+        if |alpha| + hypot(a, b) < 1e-13 on over 90 % of the lines.
         """
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
-        moving = lo != hi
-        f0, f1, f2 = (self.evaluate(name, *np.where(moving, kt / k - self.theta0, lo).T)
-                      for kt in (0.0, np.pi / 2.0, np.pi))
+        n, tau = xs.size, 2.0 * np.pi
+        moving = (np.array([0.0, np.pi / 2.0, np.pi]) / k - self.theta0)[:, None]
+        # lines 0..n-1 run along eps1 at eps2 = xs[l], lines n..2n-1 along eps2
+        f0, f1, f2 = np.hstack((self.evaluate(name, moving, xs[None, :]),
+                                self.evaluate(name, xs[None, :], moving)))
         alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
-        half = np.arccos(np.clip(-alpha / np.maximum(np.hypot(a, b), 1e-300), -1.0, 1.0))
-        ends = lo[moving], hi[moving]
-        mid = k * (self.theta0 + (ends[0] + ends[1]) / 2.0)
+        radius = np.hypot(a, b)
+        size = np.abs(alpha) + radius  # bounds |f| along each line
+        if np.count_nonzero(size < 1e-13) > 0.9 * 2 * n:
+            raise NumericalError(
+                "condition vanishes identically over the box; no curve to trace")
+        half = np.arccos(np.clip(-alpha / np.maximum(radius, 1e-300), -1.0, 1.0))
         roots = np.arctan2(b, a) + np.multiply.outer((-1.0, 1.0), half)
-        roots += 2.0 * np.pi * np.round((mid - roots) / (2.0 * np.pi))
+        # each root's nearest node at every 2 pi shift, as a flat index into rows of
+        # n + 2 marks, where column e + 1 is edge e and roots past the box land in n
+        kx = k * (self.theta0 + xs)
+        spacing = (kx[-1] - kx[0]) / (n - 1)
+        turns = tau * np.arange(int(n * spacing / tau) + 1)[:, None, None]
+        near = np.minimum(((np.mod(roots - kx[0] + spacing / 2.0, tau) + turns) / spacing)
+                          .astype(int), n) + np.arange(0, 2 * n * (n + 2), n + 2)
+        marked = np.zeros((2 * n, n + 2), dtype=bool)
+        marked.ravel()[near] = marked.ravel()[near + 1] = True
+        line, lo = np.divmod(np.flatnonzero(marked[:, 1:n]), n - 1)
+        ends = lo + np.array([[0], [1]])
+        value = alpha[line] + a[line] * np.cos(kx)[ends] + b[line] * np.sin(kx)[ends]
+        unsure = np.abs(value) < 1e-11 * size.max()  # rounding is far below this
+        if unsure.any():
+            rows, node = np.broadcast_to(line, ends.shape)[unsure], ends[unsure]
+            value[unsure] = self.evaluate(name, xs[np.where(rows < n, node, rows - n)],
+                                          xs[np.where(rows < n, rows, node)])
+        neg = value < 0.0
+        crossed = np.flatnonzero(neg[0] != neg[1])
+        line, lo, value = line[crossed], lo[crossed], value[:, crossed]
+        ends = xs[lo], xs[lo + 1]
+        mid = k * (self.theta0 + (ends[0] + ends[1]) / 2.0)
+        roots = roots[:, line] + tau * np.rint((mid - roots[:, line]) / tau)
         kt = np.where(np.abs(roots[0] - mid) <= np.abs(roots[1] - mid), *roots)
-        return np.where(moving, np.clip(kt / k - self.theta0, *ends)[:, None], lo)
+        t = np.minimum(np.maximum(kt / k - self.theta0, ends[0]), ends[1])
+        # rows of lines along eps1 come first, as (i, j) = (lo, line); swap the rest
+        split, fixed = np.searchsorted(line, n), line % n
+        pts, edges = np.stack((t, xs[fixed])), np.stack((line >= n, lo, fixed))
+        pts[:, split:], edges[1:, split:] = pts[::-1, split:], edges[:0:-1, split:]
+        zero = np.full(len(line), -1)
+        for side, at in enumerate(value == 0.0 if not value.all() else ()):
+            node = edges[1:, at] + side * np.stack((line[at] < n, line[at] >= n))
+            zero[at], pts[:, at] = node[0] * n + node[1], xs[node]  # shared
+        return edges.T, pts.T, zero, neg[0, crossed]
 
     def coefficients(self, name):
         """The closed-form coefficients of condition ``name`` in t_k = theta0 + eps_k.
@@ -197,10 +232,10 @@ class TailoringProblem:
         return coeffs
 
     def condition(self, name):
-        """Condition ``name`` as a callable of (eps1, eps2) with an ``edge_zeros``."""
+        """Condition ``name`` as a callable of (eps1, eps2) with a ``line_zeros(xs)``."""
         self._sandwiches(name)  # validate eagerly
         fn = partial(self.evaluate, name)
-        fn.edge_zeros = partial(self.edge_zeros, name)
+        fn.line_zeros = partial(self.line_zeros, name)
         return fn
 
     def codeword(self, eps1, eps2):
@@ -344,20 +379,13 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
 
     fx = f_of(x)
     for iteration in range(1, max_iter + 1):
-        jac = np.empty((2, 2))
-        for col in range(2):
-            xp = x.copy()
-            xm = x.copy()
-            xp[col] += fd_step
-            xm[col] -= fd_step
-            jac[:, col] = (f_of(xp) - f_of(xm)) / (2.0 * fd_step)
+        jac = np.column_stack([(f_of(x + dx) - f_of(x - dx)) / (2.0 * fd_step)
+                               for dx in fd_step * np.eye(2)])
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         if abs(det) < 1e-300:
             return x, False, iteration, float(np.linalg.norm(fx))
-        step = np.array([
-            (jac[1, 1] * fx[0] - jac[0, 1] * fx[1]) / det,
-            (jac[0, 0] * fx[1] - jac[1, 0] * fx[0]) / det,
-        ])
+        step = np.array([jac[1, 1] * fx[0] - jac[0, 1] * fx[1],
+                         jac[0, 0] * fx[1] - jac[1, 0] * fx[0]]) / det
         x = x - step
         if np.max(np.abs(x)) > box:
             return x, False, iteration, float(np.linalg.norm(f_of(x)))
@@ -368,12 +396,10 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
 
 
 def _edge_crossings(g):
-    """Grid edges of ``g`` that the zero set crosses, as two boolean masks.
+    """The edges of grid ``g`` that the zero set crosses, as masks ``h`` and ``v``.
 
-    ``h[i, j]`` is the edge (i, j)-(i+1, j) and ``v[i, j]`` the edge
-    (i, j)-(i, j+1).  An edge is crossed when one endpoint is < 0 and the
-    other >= 0, the strict split of marching squares, so every grid cell
-    has 0, 2 or 4 crossed edges.
+    ``h[i, j]`` is the edge (i, j)-(i+1, j), ``v[i, j]`` the edge (i, j)-(i, j+1);
+    one is crossed when an end is < 0 and the other >= 0 (the strict split).
     """
     neg = g < 0.0
     return neg[:-1, :] != neg[1:, :], neg[:, :-1] != neg[:, 1:]
@@ -382,18 +408,16 @@ def _edge_crossings(g):
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell.
 
-    A cell qualifies for a condition when one of its four edges is crossed
-    (see :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its
-    corners hold a value <= 0 and a value >= 0.  The first ``fn``, and every
-    ``fn`` without ``edge_zeros``, is called once on the grid axes,
-    ``fn(xs[:, None], xs[None, :])``, which it must broadcast; its result is
-    broadcast to (n, n).  A later ``fn`` with ``edge_zeros`` (a
-    :meth:`TailoringProblem.condition`, elementwise by construction) is called
-    once on two 1-d arrays holding the unique corner nodes of the cells still
-    kept, which gives the grid's values at those nodes.  The scan stops once
-    no cell is left.  Centres come in row-major (eps1, then eps2) order; an n
-    that is not an integer >= 2, or a box that is not finite and positive,
-    raises :class:`PreconditionError`.
+    A cell qualifies for a condition when one of its edges is crossed (see
+    :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its corners
+    hold a value <= 0 and a value >= 0.  The first ``fn``, and any without
+    ``line_zeros``, is called once on the grid axes, ``fn(xs[:, None], xs[None,
+    :])``, which it must broadcast (the result is broadcast to (n, n)).  A
+    later :meth:`TailoringProblem.condition` (marked by ``line_zeros``) is
+    elementwise and is called once on the unique corner nodes of the cells
+    still kept; the scan stops once none is left.  Centres come in row-major
+    order; an n that is not an integer >= 2, or a box that is not finite and
+    positive, raises :class:`PreconditionError`.
     """
     _check_grid(n, 2, "grid nodes", box)
     xs = np.linspace(-box, box, n)
@@ -404,7 +428,7 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
             # flat indices: a 2-d np.nonzero of a 400 x 400 mask is ten times slower
             rows, cols = np.divmod(np.flatnonzero(_grid_cells(fn, xs)), n - 1)
         else:
-            keep = (_corner_cells(fn, xs, rows, cols) if hasattr(fn, "edge_zeros")
+            keep = (_corner_cells(fn, xs, rows, cols) if hasattr(fn, "line_zeros")
                     else _grid_cells(fn, xs)[rows, cols])
             rows, cols = rows[keep], cols[keep]
         if not rows.size:
@@ -648,77 +672,53 @@ def _chains(segments):
 def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
     """Trace the zero set of a condition inside the square |eps| <= box.
 
-    Marching squares on a uniform grid over the crossed edges of
-    :func:`_edge_crossings`, whose strict split (f < 0 against f >= 0) gives
-    every cell 0, 2 or 4 crossed edges.  Cells with two give one segment,
-    saddle cells with four give two.  A crossed edge with an endpoint exactly
-    at 0 has that node as its vertex, shared by every segment that reaches
-    the node; all other vertices come from one ``fn.edge_zeros(lo, hi)`` call
-    on those edges' (k, 2) ends (closed form for a :meth:`TailoringProblem.condition`).
-    The grid is one call on its axes, ``fn(xs[:, None], xs[None, :])``, which
-    ``fn`` must broadcast; its result is broadcast to (n, n).  Returns a list
-    of ordered polylines (arrays of shape (k, 2)), one per connected chain.
+    Marching squares on a uniform grid (cell size about ``step``) over the
+    crossed edges, vertices and signs of one ``fn.line_zeros(xs)`` call, which
+    a :meth:`TailoringProblem.condition` finds per grid line in closed form.
+    The strict split f < 0 against f >= 0 gives every cell 0, 2 or 4 crossed
+    edges: two are joined first to last in the order bottom, right, top, left,
+    and a saddle cell's four are paired by the sign of ``fn`` at its centre.
+    A vertex at an exactly-zero node is shared by every segment reaching it.
+    The segments, in row-major cell order, join into chains by :func:`_chains`;
+    returns one ordered polyline (array of shape (k, 2)) per chain.
 
-    Raises
-    ------
-    PreconditionError
-        If ``box`` or ``step`` is not finite and positive, or ``fn`` lacks ``edge_zeros``.
-    EmptyContourError
-        If no grid edge changes sign.
-    NumericalError
-        If the condition vanishes on essentially the whole box (its "contour"
-        is two-dimensional, not a curve).
+    Raises :class:`PreconditionError` if ``box`` or ``step`` is not finite and
+    positive or ``fn`` lacks ``line_zeros``, :class:`EmptyContourError` if no
+    grid edge changes sign, and :class:`NumericalError` if the condition
+    vanishes on essentially the whole box (its "contour" is not a curve).
     """
     if not (0.0 < box < np.inf and 0.0 < step < np.inf):
         raise PreconditionError(f"need box > 0 and step > 0, got {box!r}, {step!r}")
-    if not hasattr(fn, "edge_zeros"):
-        raise PreconditionError("fn has no edge_zeros; trace TailoringProblem.condition")
+    if not hasattr(fn, "line_zeros"):
+        raise PreconditionError("fn has no line_zeros; trace TailoringProblem.condition")
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
     xs = np.linspace(-box, box, n)
-    g = np.broadcast_to(np.asarray(fn(xs[:, None], xs[None, :]), dtype=float), (n, n))
-    if np.mean(np.abs(g) < 1e-13) > 0.9:
-        raise NumericalError(
-            "condition vanishes identically over the box; no curve to trace"
-        )
-
-    h, v = _edge_crossings(g)
-    # one row per crossed edge: its lower node and the node one step up
-    lo = np.concatenate((np.argwhere(h), np.argwhere(v)))
-    hi = lo + np.repeat([[1, 0], [0, 1]], (h.sum(), v.sum()), axis=0)
-    f_lo, f_hi = g[tuple(lo.T)], g[tuple(hi.T)]
-    node = np.where((f_lo == 0.0)[:, None], lo, hi)
-    at_node = (f_lo == 0.0) | (f_hi == 0.0)
-    pts = xs[node]
-    pts[~at_node] = fn.edge_zeros(xs[lo[~at_node]], xs[hi[~at_node]])
-    # a vertex is its edge's row, or the first row of its exactly-zero node
-    uid = np.where(at_node, node[:, 0] * n + node[:, 1], n * n + np.arange(len(lo)))
-    _, first, inverse = np.unique(uid, return_index=True, return_inverse=True)
-    vert_h, vert_v = np.full(h.shape, -1), np.full(v.shape, -1)
-    vert_h[h], vert_v[v] = np.split(first[inverse], [np.count_nonzero(h)])
-    # per cell, its edges' vertices in the order bottom, right, top, left
-    cells = np.stack((vert_h[:, :-1], vert_v[1:, :], vert_h[:, 1:], vert_v[:-1, :]),
-                     axis=-1).reshape(-1, 4)
-    crossed = cells >= 0
-    count = crossed.sum(axis=1)
-    # a cell with two crossed edges joins them, first to last in the edge order
-    two = np.flatnonzero(count == 2)
-    seg_cell = [two]
-    seg_ends = [np.stack((cells[two, np.argmax(crossed[two], axis=1)],
-                          cells[two, 3 - np.argmax(crossed[two, ::-1], axis=1)]), axis=1)]
-    for cell in np.flatnonzero(count == 4).tolist():
-        i, j = divmod(cell, n - 1)
-        bottom, right, top, left = cells[cell].tolist()
+    edges, pts, zero, neg = fn.line_zeros(xs)
+    vertex = np.arange(len(edges))
+    if (zero >= 0).any():  # edges ending at one zero node share its first edge's vertex
+        _, first, inverse = np.unique(np.where(zero >= 0, zero, -1 - vertex),
+                                      return_index=True, return_inverse=True)
+        vertex = first[inverse]
+    # key 4 cell + side: an axis-0 edge is the bottom (0) of cell (i, j) and the top (2)
+    # of (i, j - 1), an axis-1 edge the left (3) of (i, j) and the right (1) of (i - 1, j)
+    axis, i, j = edges.T
+    key = (i * (n - 1) + j) * 4 + 3 * axis
+    key, fixed = np.concatenate((key, key - 2 - 4 * (n - 1) * axis)), np.where(axis, i, j)
+    # the first cell of an edge on the last line, and the second on the first, are off grid
+    inside = np.flatnonzero(np.concatenate((fixed < n - 1, fixed > 0)))
+    order = inside[np.argsort(key[inside])]
+    cell, edge = key[order] // 4, order % len(edges)
+    # the strict split gives every cell 2 or 4 crossed edges, so sorted rows pair up
+    if len(cell) % 2 or (cell[::2] != cell[1::2]).any():
+        raise NumericalError("crossed edges do not pair up within grid cells")
+    segments = vertex[edge].reshape(-1, 2)
+    for s in np.flatnonzero(cell[2::2] == cell[:-2:2]).tolist():
+        i, j = divmod(int(cell[2 * s]), n - 1)
+        # saddle: pair so the curve separates signs; the bottom edge's lower node is (i, j)
         centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
-        # saddle cell: pair the crossings so the curve separates signs
-        if (centre < 0.0) == (g[i, j] < 0.0):
-            pairs = ((bottom, right), (top, left))
-        else:
-            pairs = ((bottom, left), (right, top))
-        seg_cell.append([cell, cell])
-        seg_ends.append(pairs)
-    order = np.argsort(np.concatenate(seg_cell), kind="stable")
-    ends = np.concatenate(seg_ends)[order]
-    segments = [tuple(pair) for pair in ends[ends[:, 0] != ends[:, 1]].tolist()]
+        if (centre < 0.0) != neg[edge[2 * s]]:  # (bottom, left), (right, top)
+            segments[s:s + 2] = segments[s:s + 2].ravel()[[0, 3, 1, 2]].reshape(2, 2)
+    segments = segments[segments[:, 0] != segments[:, 1]].tolist()  # not at one zero node
     if not segments:
         raise EmptyContourError("no zero crossing inside the box")
     return [pts[chain] for chain in _chains(segments)]

@@ -70,14 +70,119 @@ def _bisect_edges(fn, lo, hi, f_lo):
     raise NumericalError("edge bisection failed to reach |f| < 1e-10")
 
 
+def _grid_line_zeros(fn, xs, vertices_of):
+    """A ``line_zeros`` from the dense grid on broadcast axes and ``_edge_crossings``.
+
+    ``vertices_of(lo, hi, f_lo)`` places the vertices of the crossed edges
+    without an exactly-zero end; an edge with one gets that node as its vertex.
+    """
+    n = xs.size
+    g = np.broadcast_to(np.asarray(fn(xs[:, None], xs[None, :]), dtype=float), (n, n))
+    if np.mean(np.abs(g) < 1e-13) > 0.9:
+        raise NumericalError(
+            "condition vanishes identically over the box; no curve to trace")
+    h, v = _edge_crossings(g)
+    lo = np.concatenate((np.argwhere(h), np.argwhere(v)))
+    axis = np.repeat([0, 1], (h.sum(), v.sum()))
+    hi = lo + np.column_stack((1 - axis, axis))
+    f_lo, f_hi = g[tuple(lo.T)], g[tuple(hi.T)]
+    node = np.where((f_lo == 0.0)[:, None], lo, hi)
+    at_node = (f_lo == 0.0) | (f_hi == 0.0)
+    pts = xs[node]
+    pts[~at_node] = vertices_of(xs[lo[~at_node]], xs[hi[~at_node]], f_lo[~at_node])
+    zero = np.where(at_node, node[:, 0] * n + node[:, 1], -1)
+    return np.column_stack((axis, lo)), pts, zero, f_lo < 0.0
+
+
 def _bisected(fn):
-    """``fn`` with an ``edge_zeros`` that bisects, so the tracer takes any function."""
+    """``fn`` with a ``line_zeros`` that grids and bisects, so any function traces."""
     def traced(x, y):
         return fn(x, y)
 
-    traced.edge_zeros = lambda lo, hi: _bisect_edges(
-        fn, lo, hi, np.broadcast_to(fn(lo[:, 0], lo[:, 1]), len(lo)))
+    traced.line_zeros = lambda xs: _grid_line_zeros(
+        fn, xs, lambda lo, hi, f_lo: _bisect_edges(fn, lo, hi, f_lo))
     return traced
+
+
+def _edge_zeros(problem, name, lo, hi):
+    """The zero of condition ``name`` on each edge from lo[r] up to hi[r] (k x 2).
+
+    The former per-edge closed form, kept for the dense oracle.  Along an edge
+    one angle moves; in t = theta0 + eps the condition is alpha + a cos kt +
+    b sin kt (k = 2 diag, 1 offdiag), and evaluations at kt = 0, pi/2, pi give
+    (alpha, a, b).  The vertex is the root atan2(b, a) +- arccos(-alpha /
+    hypot(a, b)) + 2 pi n nearest the midpoint, clipped into the edge.
+    """
+    k = 2.0 if problem._sandwiches(name)[0] == "diag" else 1.0
+    moving = lo != hi
+    f0, f1, f2 = (problem.evaluate(name, *np.where(moving, kt / k - problem.theta0, lo).T)
+                  for kt in (0.0, np.pi / 2.0, np.pi))
+    alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
+    half = np.arccos(np.clip(-alpha / np.maximum(np.hypot(a, b), 1e-300), -1.0, 1.0))
+    ends = lo[moving], hi[moving]
+    mid = k * (problem.theta0 + (ends[0] + ends[1]) / 2.0)
+    roots = np.arctan2(b, a) + np.multiply.outer((-1.0, 1.0), half)
+    roots += 2.0 * np.pi * np.round((mid - roots) / (2.0 * np.pi))
+    kt = np.where(np.abs(roots[0] - mid) <= np.abs(roots[1] - mid), *roots)
+    return np.where(moving, np.clip(kt / k - problem.theta0, *ends)[:, None], lo)
+
+
+def _dense_trace(fn, box, step, edge_zeros):
+    """The former tracer, kept as the oracle for the line route.
+
+    One grid call on the axes, the crossed edges of ``_edge_crossings``, a
+    vertex per edge from ``edge_zeros(lo, hi)`` (or its exactly-zero node,
+    shared by de-duplication), a (cells, 4) stack of each cell's edges in the
+    order bottom, right, top, left, and ``_chains``.
+    """
+    n = max(3, int(np.ceil(2.0 * box / step)) + 1)
+    xs = np.linspace(-box, box, n)
+    g = np.broadcast_to(np.asarray(fn(xs[:, None], xs[None, :]), dtype=float), (n, n))
+    if np.mean(np.abs(g) < 1e-13) > 0.9:
+        raise NumericalError(
+            "condition vanishes identically over the box; no curve to trace")
+    h, v = _edge_crossings(g)
+    lo = np.concatenate((np.argwhere(h), np.argwhere(v)))
+    hi = lo + np.repeat([[1, 0], [0, 1]], (h.sum(), v.sum()), axis=0)
+    f_lo, f_hi = g[tuple(lo.T)], g[tuple(hi.T)]
+    node = np.where((f_lo == 0.0)[:, None], lo, hi)
+    at_node = (f_lo == 0.0) | (f_hi == 0.0)
+    pts = xs[node]
+    pts[~at_node] = edge_zeros(xs[lo[~at_node]], xs[hi[~at_node]])
+    uid = np.where(at_node, node[:, 0] * n + node[:, 1], n * n + np.arange(len(lo)))
+    _, first, inverse = np.unique(uid, return_index=True, return_inverse=True)
+    vert_h, vert_v = np.full(h.shape, -1), np.full(v.shape, -1)
+    vert_h[h], vert_v[v] = np.split(first[inverse], [np.count_nonzero(h)])
+    cells = np.stack((vert_h[:, :-1], vert_v[1:, :], vert_h[:, 1:], vert_v[:-1, :]),
+                     axis=-1).reshape(-1, 4)
+    crossed = cells >= 0
+    count = crossed.sum(axis=1)
+    two = np.flatnonzero(count == 2)
+    seg_cell = [two]
+    seg_ends = [np.stack((cells[two, np.argmax(crossed[two], axis=1)],
+                          cells[two, 3 - np.argmax(crossed[two, ::-1], axis=1)]), axis=1)]
+    for cell in np.flatnonzero(count == 4).tolist():
+        i, j = divmod(cell, n - 1)
+        bottom, right, top, left = cells[cell].tolist()
+        centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
+        if (centre < 0.0) == (g[i, j] < 0.0):
+            pairs = ((bottom, right), (top, left))
+        else:
+            pairs = ((bottom, left), (right, top))
+        seg_cell.append([cell, cell])
+        seg_ends.append(pairs)
+    order = np.argsort(np.concatenate(seg_cell), kind="stable")
+    ends = np.concatenate(seg_ends)[order]
+    segments = [tuple(pair) for pair in ends[ends[:, 0] != ends[:, 1]].tolist()]
+    if not segments:
+        raise EmptyContourError("no zero crossing inside the box")
+    return [pts[chain] for chain in _chains(segments)]
+
+
+def _oracle_trace(problem, name, box, step):
+    """The dense oracle on condition ``name``, its vertices from ``_edge_zeros``."""
+    return _dense_trace(problem.condition(name), box, step,
+                        lambda lo, hi: _edge_zeros(problem, name, lo, hi))
 
 
 def _chains_oracle(segments):
@@ -525,22 +630,71 @@ def test_closed_form_vertices_match_bisection_oracle(b, family, name, box_step):
         assert np.max(np.abs(fn(poly[:, 0], poly[:, 1]))) <= 1e-13
 
 
-def test_condition_edges_take_three_evaluations(monkeypatch, sb):
-    # one grid call on the axes, then three calls over every off-node crossed
-    # edge at once; scalar calls are the saddle-cell centres
+@settings(max_examples=60, deadline=None)
+@given(b=st.floats(min_value=0.2, max_value=5.0),
+       family=st.sampled_from(sorted(_SYSTEM_OF)),
+       name=st.sampled_from(_CONDITIONS),
+       box_step=st.sampled_from([(0.05, 0.0025), (5e-4, 1e-4), (1.0, 0.05)]))
+# on the 1.0 / 0.05 grid a line through the diag-IXIX fold has both roots in one edge
+@example(b=0.2, family="distorted-7/2", name="diag-IXIX", box_step=(1.0, 0.05))
+@example(b=1.0, family="tailored-9/2", name="offdiag-IXIX", box_step=(0.05, 0.0025))
+def test_line_zeros_trace_matches_dense_oracle(b, family, name, box_step):
+    # the crossed edges follow the grid's own sign split, and each vertex is
+    # the per-edge closed form on the same inputs, so the chains agree bit for bit
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b)
+    try:
+        want = _oracle_trace(problem, name, *box_step)
+    except NumericalError as exc:  # empty, or identically zero (9/2 offdiag)
+        with pytest.raises(NumericalError) as info:
+            trace_zero_contour(problem.condition(name), *box_step)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+        return
+    got = trace_zero_contour(problem.condition(name), *box_step)
+    assert len(got) == len(want)
+    for poly, ref in zip(got, want):
+        assert np.array_equal(poly, ref)
+
+
+@pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
+@pytest.mark.parametrize("box_step", [(0.05, 0.0025), (5e-4, 1e-4), (1.0, 0.05)])
+def test_zero_nodes_trace_as_the_dense_oracle(family, box_step):
+    # equal m00 and m11 blocks without cross terms give f = g(eps1) - g(eps2),
+    # exactly 0 at every diagonal node, so the contour runs through nodes whose
+    # closed-form values are rounding noise; they are settled by evaluation
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), 1.0)
+    kind, m00, _, m01 = problem._sandwiches("diag-IZ")
+    block = np.diag(np.diag(m00))
+    problem._cache["diag-IZ"] = (kind, block, block, m01)
+    n = max(3, int(np.ceil(2.0 * box_step[0] / box_step[1])) + 1)
+    xs = np.linspace(-box_step[0], box_step[0], n)
+    assert not np.any(problem.evaluate("diag-IZ", xs, xs))
+    want = _oracle_trace(problem, "diag-IZ", *box_step)
+    got = trace_zero_contour(problem.condition("diag-IZ"), *box_step)
+    assert len(got) == len(want) >= 1
+    for poly, ref in zip(got, want):
+        assert np.array_equal(poly, ref)
+    vertices = np.vstack(got)
+    assert np.count_nonzero(vertices[:, 0] == vertices[:, 1]) >= n  # every diagonal node
+
+
+def test_condition_lines_take_two_broadcast_evaluations(monkeypatch, sb):
+    # two 3 x n calls on broadcast axes give every grid line's coefficients:
+    # no n x n grid, and no more calls as the crossed edges multiply; scalar
+    # calls are the saddle-cell centres
     calls = []
     evaluate = TailoringProblem.evaluate
     monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
         calls.append((np.shape(e1), np.shape(e2))) or evaluate(self, name, e1, e2)))
     problem = TailoringProblem("distorted-7/2", sb, 1.0)
     for name in ("diag-IZ", "offdiag-IXIX"):
-        calls.clear()
-        trace_zero_contour(problem.condition(name), 0.05, 0.0025)
-        edges = [call for call in calls[1:] if call != ((), ())]
-        assert calls[0] == ((41, 1), (1, 41))
-        assert len(edges) == 3 and len(set(edges)) == 1
-        (rows,), (rows_too,) = edges[0]
-        assert rows == rows_too > 0
+        vertices = []
+        for step, n in ((0.0025, 41), (0.0005, 201)):
+            calls.clear()
+            vertices.append(sum(map(len, trace_zero_contour(problem.condition(name),
+                                                            0.05, step))))
+            assert [call for call in calls if call != ((), ())] == \
+                [((3, 1), (1, n)), ((1, n), (3, 1))]
+        assert vertices[1] > 4 * vertices[0]
 
 
 _TARGETS = {"tailored-9/2": ("diag-IZ", "diag-IXIX"),
