@@ -140,7 +140,7 @@ class TailoringProblem:
         return float(z) if np.ndim(z) == 0 else z
 
     def line_zeros(self, name, xs):
-        """The grid edges that condition ``name`` crosses, on xs x xs (xs even, ascending).
+        """The grid edges that ``name`` crosses on xs x xs (xs ascending, evenly spaced).
 
         Along a grid line f = alpha + a cos kt + b sin kt in the moving angle
         t = theta0 + eps (k = 2 diag, 1 offdiag); two calls on broadcast axes at
@@ -148,19 +148,18 @@ class TailoringProblem:
         atan2(b, a) +- arccos(-alpha / hypot(a, b)) + 2 pi m.  Only the edges
         beside each root's nearest node can change sign; their end values come
         from the form, or from one elementwise call (the grid's own values) where
-        the form is within 1e-11 of max |alpha| + hypot(a, b) of zero.  An edge is
+        it is within 1e-11 of max |alpha| + hypot(a, b) of zero.  An edge is
         crossed on the split f < 0 against f >= 0 (a fold, two roots in one edge,
-        is not) at its zero end node, else at the root nearest its midpoint,
-        clipped into it.  Returns (edges, vertices, zero, negative): per crossed
-        edge its moving axis and lower node (i, j) (k x 3; axis 0 runs to
-        (i + 1, j), axis 1 to (i, j + 1)), vertex (k x 2), i n + j of a zero end
-        node or -1, and whether f < 0 at (i, j).  Raises :class:`NumericalError`
-        if |alpha| + hypot(a, b) < 1e-13 on over 90 % of the lines.
+        is not) at its zero end node, else the root nearest its midpoint clipped
+        into it.  Returns (edges, vertices, zero, negative), per crossed edge the
+        moving axis and lower node (i, j) (k x 3; axis 0 runs to (i + 1, j), axis
+        1 to (i, j + 1)), the vertex (k x 2), i n + j of a zero end node or -1,
+        and f(i, j) < 0.  A condition that vanishes on the box raises NumericalError.
         """
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
         n, tau = xs.size, 2.0 * np.pi
         moving = (np.array([0.0, np.pi / 2.0, np.pi]) / k - self.theta0)[:, None]
-        # lines 0..n-1 run along eps1 at eps2 = xs[l], lines n..2n-1 along eps2
+        # rows l < n run along eps1 at eps2 = xs[l], the rest along eps2
         f0, f1, f2 = np.hstack((self.evaluate(name, moving, xs[None, :]),
                                 self.evaluate(name, xs[None, :], moving)))
         alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
@@ -193,12 +192,13 @@ class TailoringProblem:
         line, lo, value = line[crossed], lo[crossed], value[:, crossed]
         ends = xs[lo], xs[lo + 1]
         mid = k * (self.theta0 + (ends[0] + ends[1]) / 2.0)
-        roots = roots[:, line] + tau * np.rint((mid - roots[:, line]) / tau)
+        roots = roots[:, line]
+        roots = roots + tau * np.rint((mid - roots) / tau)
         kt = np.where(np.abs(roots[0] - mid) <= np.abs(roots[1] - mid), *roots)
         t = np.minimum(np.maximum(kt / k - self.theta0, ends[0]), ends[1])
         # rows of lines along eps1 come first, as (i, j) = (lo, line); swap the rest
         split, fixed = np.searchsorted(line, n), line % n
-        pts, edges = np.stack((t, xs[fixed])), np.stack((line >= n, lo, fixed))
+        pts, edges = np.array([t, xs[fixed]]), np.array([line >= n, lo, fixed])
         pts[:, split:], edges[1:, split:] = pts[::-1, split:], edges[:0:-1, split:]
         zero = np.full(len(line), -1)
         for side, at in enumerate(value == 0.0 if not value.all() else ()):
