@@ -203,7 +203,7 @@ class TailoringProblem:
         zero = np.full(len(line), -1)
         for side, at in enumerate(value == 0.0 if not value.all() else ()):
             node = edges[1:, at] + side * np.stack((line[at] < n, line[at] >= n))
-            zero[at], pts[:, at] = node[0] * n + node[1], xs[node]  # shared
+            zero[at], pts[:, at] = node[0] * n + node[1], xs[node]  # the zero end
         return edges.T, pts.T, zero, neg[0, crossed]
 
     def coefficients(self, name):
