@@ -72,7 +72,7 @@ def mismatch(want, got):
         return f"{len(got_lines)} lines, want {len(want_lines)}"
     for row, (w, g) in enumerate(zip(want_lines, got_lines), start=1):
         w_nums, g_nums = _NUMBER.findall(w), _NUMBER.findall(g)
-        same = (_NUMBER.split(w) == _NUMBER.split(g) and len(w_nums) == len(g_nums)
+        same = (_NUMBER.split(w) == _NUMBER.split(g)
                 and all(math.isclose(float(a), float(b), rel_tol=RTOL, abs_tol=ATOL)
                         if _is_float(a) and _is_float(b) else a == b
                         for a, b in zip(w_nums, g_nums)))
