@@ -17,8 +17,8 @@ from .blocks import Block, SynthesisError, detection_block, enc_block, \
 from .codewords import CodeWord, ErrorSet, KLReport, kl_residuals, \
     lift_to_electron_nuclear, make_codeword, standard_error_sets
 from .cycle import DetectionPlan, SyndromeRecord, build_detection_plan, \
-    detection_cycle, detection_records, fidelity_threshold, full_order, \
-    pulse_budget, run_detection, z_biased_order
+    detection_records, fidelity_threshold, full_order, pulse_budget, \
+    run_detection, z_biased_order
 from .linalg import EigenDecomposition, NumericalError, PreconditionError, \
     hermitian_eigendecompose, kron
 from .register import AnnihilationError, Gate, QuditRegister, apply_error, \
@@ -49,7 +49,7 @@ __all__ = [
     "SpinSystem", "SyndromeRecord", "SynthesisError", "TailoringProblem",
     "TailoringSolution", "apply_error", "apply_gate", "apply_gates",
     "backend_name", "build_detection_plan", "build_hamiltonian",
-    "detection_block", "detection_cycle", "detection_records",
+    "detection_block", "detection_records",
     "dressed_eigenstates", "enc_block", "encode_register", "entangle_block",
     "fidelity_threshold", "field_sweep_tailoring", "full_order",
     "gates_matrix", "get_system", "hermitian_eigendecompose",

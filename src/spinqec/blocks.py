@@ -41,8 +41,8 @@ import numpy as np
 
 from .codewords import THREEQ_ONE, THREEQ_ZERO, make_codeword
 from .linalg import NumericalError, PreconditionError
-from .register import QuditRegister, ancilla_excitation, apply_gates, flat_index, \
-    inverted_gates, pi_pulse, rotation
+from .register import ANCILLA_AXIS, QuditRegister, ancilla_excitation, apply_gates, \
+    flat_index, init_register, inverted_gates, pi_pulse, rotation
 
 AMP_CUT = 1e-12
 
@@ -68,12 +68,12 @@ class Block:
 
     @property
     def pulse_count(self):
-        return sum(g.pulse_count for g in self.gates)
+        return len(self.gates)
 
     def angle_cosines(self):
-        """|cos theta| of every plain rotation pulse, sorted."""
+        """|cos theta| of every pulse off the ancilla, sorted."""
         return tuple(sorted(abs(float(np.cos(g.theta)))
-                            for g in self.gates if g.kind == "rotation"))
+                            for g in self.gates if g.axis != ANCILLA_AXIS))
 
 
 def validate_block(block, targets, tol=1e-10):
@@ -121,14 +121,6 @@ def strip_global_phase(vec, tol=1e-9):
     if np.max(np.abs(v.real)) < tol * scale:
         return v.imag.copy(), 1.0j
     raise SynthesisError("branch vector is neither real nor purely imaginary")
-
-
-def psi_initial(alpha, beta):
-    """Unencoded register state: qubit on A-levels {0, 1}."""
-    out = np.zeros(1024, dtype=np.complex128)
-    out[flat_index(0, 0, 0)] = alpha
-    out[flat_index(1, 0, 0)] = beta
-    return out
 
 
 def psi_spread(alpha, beta):
@@ -265,7 +257,7 @@ def enc_block():
         rotation("A", 0, 6, -np.pi / 2.0),
     )
     targets = tuple(
-        (psi_initial(a, b), psi_spread(a, b)) for a, b in ((1, 0), (0, 1))
+        (init_register(a, b).amp, psi_spread(a, b)) for a, b in ((1, 0), (0, 1))
     )
     return validate_block(Block("ENC", gates), targets)
 
@@ -288,8 +280,8 @@ def entangle_block():
 
 
 def encode_register(alpha, beta):
-    """Fresh register carrying the fully encoded qubit (via the pulse path)."""
-    reg = QuditRegister(psi_initial(alpha, beta))
+    """Fresh register carrying the encoded, normalised qubit (pulse path)."""
+    reg = init_register(alpha, beta)
     apply_gates(reg, enc_block().gates)
     apply_gates(reg, entangle_block().gates)
     return reg
@@ -316,7 +308,8 @@ def detection_block(name, p0, p1):
 
     ``p0``/``p1`` are 512-dim A/B/C vectors (the Gram-Schmidt error words of
     this case).  The sequence folds p0 and p1 onto opposite ends of qudit A,
-    then excites the ancilla conditioned on the two product-state targets.
+    then raises the ancilla with one pi pulse conditioned on each of the two
+    product-state targets.
     For the no-error case ("I"), folding starts with the exact inverse of
     the entangling stage so that the code words themselves are unwound.
     """
@@ -335,7 +328,7 @@ def detection_block(name, p0, p1):
     if dest1 != 7 - dest0:
         raise SynthesisError(f"case {name!r}: branches collapse to the same end")
     excite = ancilla_excitation(((dest0, 0, 0), (dest1, 0, 0)))
-    gates = (*pre, *dis0, *dec0, *dis1, *dec1, excite)
+    gates = (*pre, *dis0, *dec0, *dis1, *dec1, *excite)
     targets = [(embed_qudit_state(p), ph * (np.arange(1024) == flat_index(d, 0, 0, 1)))
                for p, ph, d in ((p0, ph0, dest0), (p1, ph1, dest1))]
     meta = {"dest0": dest0, "dest1": dest1, "phase": ph0}
@@ -343,7 +336,7 @@ def detection_block(name, p0, p1):
 
 
 def recovery_gates(block):
-    """Exact inverse of a detection block minus its ancilla excitation."""
-    if block.gates[-1].kind != "ancilla-excitation":
+    """Exact inverse of a detection block minus its trailing ancilla pulses."""
+    if block.gates[-1].axis != ANCILLA_AXIS:
         raise PreconditionError(f"block {block.name!r} ends without an ancilla excitation")
-    return tuple(inverted_gates(block.gates[:-1]))
+    return tuple(inverted_gates(g for g in block.gates if g.axis != ANCILLA_AXIS))

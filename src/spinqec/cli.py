@@ -287,7 +287,7 @@ def qec(alpha, beta, error, mode, trajectories, seed, out):
     err = _parse_error(error)
     order = "full" if mode == "exact-branch" else mode
     case_order = _ORDERS[order]()
-    records, weight = run_detection(a, b, err, case_order, "exact-branch")
+    records, weight = run_detection(a, b, err, case_order)
     lines = []
     for r in records:
         lines.append(json.dumps({

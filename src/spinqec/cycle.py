@@ -150,7 +150,7 @@ def build_detection_plan(order=None):
         if abs(np.vdot(p0, p1)) >= 1e-10:
             raise NumericalError(f"case {label}: branch words not orthogonal")
         block = detection_block(label, p0, p1)
-        recover = sum(g.pulse_count for g in recovery_gates(block))
+        recover = len(recovery_gates(block))
         cases.append(PlanCase(label, idx, block, block.pulse_count, recover))
         basis0.append(p0)
         basis1.append(p1)
@@ -234,22 +234,6 @@ def detection_records(reg, order=None, reference=None):
     return tuple(records)
 
 
-def detection_cycle(reg, order=None, mode="exact-branch", rng=None,
-                    reference=None):
-    """Run one detection sweep.
-
-    mode "exact-branch" returns every possible :class:`SyndromeRecord`
-    (probability-weighted); mode "sampled" draws a single record from that
-    exact distribution.
-    """
-    records = detection_records(reg, order, reference)
-    if mode == "exact-branch":
-        return records
-    if mode != "sampled":
-        raise PreconditionError(f"unknown mode {mode!r}")
-    return sample_records(records, 1, rng)[0]
-
-
 def sample_records(records, n_samples, rng=None):
     """Draw trajectory outcomes from an exact record distribution by the
     inverse-CDF steps of ``Generator.choice(p=...)``: the same draws."""
@@ -276,21 +260,20 @@ def case_weights(records):
     return out
 
 
-def run_detection(alpha, beta, error=None, order=None, mode="exact-branch",
-                  rng=None):
+def run_detection(alpha, beta, error=None, order=None):
     """Encode a qubit, optionally inject one error, and run a sweep.
 
     ``error`` is None or a (label, qudit) pair such as ("XX", "B").
-    Returns (records-or-record, error_weight); the weight is the squared
-    norm of the raw error word (None when no error was injected).
+    Returns (records, error_weight): the exact :func:`detection_records`
+    and the squared norm of the raw error word (None when no error was
+    injected).  :func:`sample_records` draws trajectories from the records.
     """
     reg = QuditRegister(psi_encoded(alpha, beta))
     weight = None
     if error is not None:
         label, qudit = error
         reg, weight = apply_error(reg, label, qudit)
-    out = detection_cycle(reg, order, mode, rng, reference=(alpha, beta))
-    return out, weight
+    return detection_records(reg, order, reference=(alpha, beta)), weight
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,12 @@ The register amplitude array has shape (8, 8, 8, 2) -- qudits A, B, C and
 the ancilla -- flattened C-order to 1024 complex amplitudes.  Qudit levels
 are indexed 0..7 with level = m + 7/2 (level 0 is the bottom state).
 
-Gates are individual pulses:
-
-* ``rotation``: a real Givens rotation by angle theta between two levels of
-  one factor, [[cos, -sin], [sin, cos]] acting on (level_p, level_q), and
-  optionally conditioned on control levels of other factors.  A "pi pulse"
-  (full population transfer) is theta = pi/2: |p> -> |q> with amplitude +1,
-  |q> -> -|p>.  Cost: one pulse.
-* ``ancilla-excitation``: a pi pulse on the ancilla conditioned on a list of
-  (A, B, C) product states.  Cost: one pulse per control state.
+Every gate is one pulse: a real Givens rotation by angle theta between two
+levels of one factor, [[cos, -sin], [sin, cos]] acting on (level_p,
+level_q), optionally conditioned on control levels of other factors.  A "pi
+pulse" (full population transfer) is theta = pi/2: |p> -> |q> with
+amplitude +1, |q> -> -|p>.  An ancilla excitation is one ancilla pi pulse
+per (A, B, C) control state.
 
 Gate application mutates the register in place and returns it; trajectories
 own their register exclusively.
@@ -57,7 +54,7 @@ class QuditRegister:
         return self.amp.reshape(DIMS)
 
     def amplitude(self, la, lb, lc, anc=0):
-        return self.amp[((la * 8 + lb) * 8 + lc) * 2 + anc]
+        return self.amp[flat_index(la, lb, lc, anc)]
 
 
 def flat_index(la, lb, lc, anc=0):
@@ -91,20 +88,16 @@ def _axis_of(qudit):
 
 @dataclass(frozen=True)
 class Gate:
-    """One pulse (see module docstring for the two kinds)."""
+    """One (controlled) two-level rotation pulse; see the module docstring."""
 
-    kind: str  # "rotation" | "ancilla-excitation"
-    axis: int = 0
-    levels: tuple = (0, 1)
-    theta: float = 0.0
+    axis: int
+    levels: tuple
+    theta: float
     controls: tuple = ()  # ((axis, level), ...)
-    control_states: tuple = ()  # for excitation: ((la, lb, lc), ...)
 
-    @property
-    def pulse_count(self):
-        if self.kind == "ancilla-excitation":
-            return len(self.control_states)
-        return 1
+    #: every gate is one pulse; kept because pulse counters that sum it over
+    #: gate sequences (perfbench's tracer, on every applied sequence) read it
+    pulse_count = 1
 
 
 def rotation(qudit, level_p, level_q, theta, controls=()):
@@ -120,7 +113,7 @@ def rotation(qudit, level_p, level_q, theta, controls=()):
             raise PreconditionError("control axis coincides with the rotated axis")
         if not 0 <= clev < DIMS[cax]:
             raise PreconditionError(f"control level {clev} out of range on {cax}")
-    return Gate("rotation", axis, (lp, lq), float(theta), ctrl)
+    return Gate(axis, (lp, lq), float(theta), ctrl)
 
 
 def pi_pulse(qudit, level_p, level_q, controls=()):
@@ -129,25 +122,17 @@ def pi_pulse(qudit, level_p, level_q, controls=()):
 
 
 def ancilla_excitation(control_states):
-    """Pi pulse on the ancilla for each listed (A, B, C) product state."""
-    states = tuple((int(a), int(b), int(c)) for a, b, c in control_states)
-    return Gate("ancilla-excitation", control_states=states)
+    """One ancilla pi pulse per listed (A, B, C) product state."""
+    return tuple(pi_pulse(ANCILLA_AXIS, 0, 1, ((0, a), (1, b), (2, c)))
+                 for a, b, c in control_states)
 
 
 def apply_gate(reg, gate):
     """Apply one gate in place; returns the register for chaining."""
-    if gate.kind == "rotation":
-        c = float(np.cos(gate.theta))
-        s = float(np.sin(gate.theta))
-        _apply_two_level(reg.amp, gate.axis, gate.levels[0], gate.levels[1],
-                         c, s, gate.controls)
-        return reg
-    if gate.kind == "ancilla-excitation":
-        for la, lb, lc in gate.control_states:
-            _apply_two_level(reg.amp, ANCILLA_AXIS, 0, 1, 0.0, 1.0,
-                             ((0, la), (1, lb), (2, lc)))
-        return reg
-    raise PreconditionError(f"unknown gate kind {gate.kind!r}")
+    _apply_two_level(reg.amp, gate.axis, gate.levels[0], gate.levels[1],
+                     float(np.cos(gate.theta)), float(np.sin(gate.theta)),
+                     gate.controls)
+    return reg
 
 
 def apply_gates(reg, gates):
@@ -157,16 +142,9 @@ def apply_gates(reg, gates):
 
 
 def inverted_gates(gates):
-    """Exact inverse pulse sequence (reversed order, rotations negated)."""
-    out = []
-    for g in reversed(list(gates)):
-        if g.kind == "rotation":
-            out.append(Gate("rotation", g.axis, g.levels, -g.theta, g.controls))
-        else:
-            for la, lb, lc in reversed(g.control_states):
-                out.append(Gate("rotation", ANCILLA_AXIS, (0, 1), -np.pi / 2.0,
-                                ((0, la), (1, lb), (2, lc))))
-    return out
+    """Exact inverse pulse sequence (reversed order, angles negated)."""
+    return [Gate(g.axis, g.levels, -g.theta, g.controls)
+            for g in reversed(list(gates))]
 
 
 def gates_matrix(gates):
@@ -180,29 +158,21 @@ def gates_matrix(gates):
     strides = (128, 16, 2, 1)
     mat = np.eye(TOTAL_DIM, dtype=np.complex128)
     for gate in gates:
-        if gate.kind == "rotation":
-            steps = [(gate.theta, gate.axis, gate.levels, gate.controls)]
-        elif gate.kind == "ancilla-excitation":
-            steps = [(np.pi / 2.0, ANCILLA_AXIS, (0, 1),
-                      ((0, la), (1, lb), (2, lc)))
-                     for la, lb, lc in gate.control_states]
-        else:
-            raise PreconditionError(f"unknown gate kind {gate.kind!r}")
-        for theta, axis, (lp, lq), controls in steps:
-            c = np.cos(theta)
-            s = np.sin(theta)
-            stride = strides[axis]
-            shift = (lq - lp) * stride
-            for ip in range(TOTAL_DIM):
-                if ip // stride % DIMS[axis] != lp:
-                    continue
-                if any(ip // strides[cax] % DIMS[cax] != clev
-                       for cax, clev in controls):
-                    continue
-                iq = ip + shift
-                row_p = mat[ip, :].copy()
-                mat[ip, :] = c * row_p - s * mat[iq, :]
-                mat[iq, :] = s * row_p + c * mat[iq, :]
+        c = np.cos(gate.theta)
+        s = np.sin(gate.theta)
+        stride = strides[gate.axis]
+        lp, lq = gate.levels
+        shift = (lq - lp) * stride
+        for ip in range(TOTAL_DIM):
+            if ip // stride % DIMS[gate.axis] != lp:
+                continue
+            if any(ip // strides[cax] % DIMS[cax] != clev
+                   for cax, clev in gate.controls):
+                continue
+            iq = ip + shift
+            row_p = mat[ip, :].copy()
+            mat[ip, :] = c * row_p - s * mat[iq, :]
+            mat[iq, :] = s * row_p + c * mat[iq, :]
     return mat
 
 

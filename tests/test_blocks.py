@@ -6,6 +6,8 @@ lists); the tests compare the synthesised sequences against those numbers
 and against the dense matrix route.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from spinqec.blocks import (
     encode_register,
     entangle_block,
     psi_encoded,
-    psi_initial,
     psi_spread,
     recovery_gates,
     strip_global_phase,
@@ -28,13 +29,15 @@ from spinqec.blocks import (
     zigzag_merge,
 )
 from spinqec.codewords import make_codeword, standard_error_sets
-from spinqec.cycle import build_detection_plan
+from spinqec.cycle import build_detection_plan, full_order, z_biased_order
 from spinqec.linalg import PreconditionError
 from spinqec.register import (
+    ANCILLA_AXIS,
     QuditRegister,
     apply_gates,
     flat_index,
     gates_matrix,
+    init_register,
 )
 
 # |cos theta| multisets of the plain-rotation pulses, sorted ascending.
@@ -46,6 +49,14 @@ DEC_XA_COSINES = (np.sqrt(7.0 / 48.0), np.sqrt(12.0 / 41.0),
 DEC_XXA_COSINES = (np.sqrt(1.0 / 106.0), np.sqrt(15.0 / 121.0),
                    np.sqrt(35.0 / 156.0))
 
+# detection pulses per emitted block and order (the two ancilla pulses
+# included), frozen from the verified synthesis
+EMITTED_PULSES = {
+    "full": (16, 26, 26, 16, 24, 24, 20, 20, 32, 32, 20, 26, 26, 20, 20, 24,
+             24, 18, 18, 20, 20),
+    "z-biased": (16, 16, 16, 26, 26, 24, 24, 20, 20),
+}
+
 
 def qubit_grid():
     return ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.8, -0.6j))
@@ -56,7 +67,7 @@ def test_enc_block_maps_and_angles():
     assert blk.pulse_count == 6
     np.testing.assert_allclose(blk.angle_cosines(), ENC_COSINES, atol=1e-12)
     for a, b in qubit_grid():
-        reg = QuditRegister(psi_initial(a, b))
+        reg = init_register(a, b)
         apply_gates(reg, blk.gates)
         assert np.max(np.abs(reg.amp - psi_spread(a, b))) < 1e-12
 
@@ -107,6 +118,21 @@ def test_unencode_inverts_entangle_exactly():
     mat_pre = gates_matrix(pre)
     mat_ent = gates_matrix(entangle_block().gates)
     assert np.max(np.abs(mat_pre - mat_ent.conj().T)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["full", "z-biased"])
+def test_only_the_last_two_pulses_act_on_the_ancilla(name):
+    # recovery_gates inverts everything off the ancilla: the block's
+    # excitation must be its two trailing pulses and nothing else
+    order = full_order() if name == "full" else z_biased_order()
+    emitted = build_detection_plan(order).emitted
+    assert tuple(c.block.pulse_count for c in emitted) == EMITTED_PULSES[name]
+    for case in emitted:
+        gates = case.block.gates
+        on_ancilla = [k for k, g in enumerate(gates) if g.axis == ANCILLA_AXIS]
+        assert on_ancilla == [len(gates) - 2, len(gates) - 1], case.label
+        assert case.detect_pulses == len(gates)
+        assert len(recovery_gates(case.block)) == case.recover_pulses == len(gates) - 2
 
 
 def test_all_emitted_blocks_are_unitary():
@@ -251,18 +277,19 @@ def test_validate_block_rejects_tampered_angle():
     blk = enc_block()
     bad = list(blk.gates)
     g = bad[1]
-    bad[1] = type(g)(g.kind, g.axis, g.levels, g.theta + 1e-3, g.controls)
-    targets = [(psi_initial(a, b), psi_spread(a, b)) for a, b in ((1, 0), (0, 1))]
+    bad[1] = dataclasses.replace(g, theta=g.theta + 1e-3)
+    targets = [(init_register(a, b).amp, psi_spread(a, b)) for a, b in ((1, 0), (0, 1))]
     assert validate_block(Block("ENC", blk.gates), targets).name == "ENC"
     with pytest.raises(SynthesisError):
         validate_block(Block("ENC-tampered", tuple(bad)), targets)
 
 
-def test_recovery_gates_invert_detection():
+@pytest.mark.parametrize("label", ["X@A", "I"])  # "I" opens with the entangle inverse
+def test_recovery_gates_invert_detection(label):
     plan = build_detection_plan()
-    case = plan.case("X@A")
+    case = plan.case(label)
     rec = recovery_gates(case.block)
-    mat_fwd = gates_matrix(case.block.gates[:-1])
+    mat_fwd = gates_matrix(case.block.gates[:-2])
     mat_rec = gates_matrix(rec)
     assert np.max(np.abs(mat_rec - mat_fwd.conj().T)) < 1e-10
     with pytest.raises(PreconditionError):

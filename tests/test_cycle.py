@@ -21,7 +21,6 @@ from spinqec.cycle import (
     SyndromeRecord,
     build_detection_plan,
     case_weights,
-    detection_cycle,
     detection_records,
     fidelity_threshold,
     full_order,
@@ -287,14 +286,12 @@ def test_sampling_draws_what_generator_choice_draws(weights, n, seed):
     assert all(g is records[i] for g, i in zip(got, idx))
 
 
-def test_detection_cycle_modes(rng):
+def test_exact_records_and_sampled_draw(rng):
     reg = QuditRegister(psi_encoded(1.0, 0.0))
-    records = detection_cycle(reg, mode="exact-branch")
+    records = detection_records(reg)
     assert isinstance(records, tuple) and len(records) == 1
-    single = detection_cycle(reg, mode="sampled", rng=rng)
-    assert single.detected_case == "I"
-    with pytest.raises(PreconditionError):
-        detection_cycle(reg, mode="monte-carlo")
+    (single,) = sample_records(records, 1, rng)
+    assert single is records[0] and single.detected_case == "I"
     with pytest.raises(PreconditionError):
         detection_records(QuditRegister(np.ones(1024)))  # not normalised
 

@@ -40,7 +40,7 @@ def random_gates(rng, n):
         kind = rng.integers(0, 4)
         if kind == 3:
             states = [tuple(rng.integers(0, 8, size=3)) for _ in range(2)]
-            gates.append(ancilla_excitation(states))
+            gates.extend(ancilla_excitation(states))
             continue
         qudit = axes[rng.integers(0, 3)]
         lp, lq = rng.choice(8, size=2, replace=False)
@@ -134,13 +134,13 @@ def test_gate_preconditions():
 
 
 def test_ancilla_excitation_and_pulse_count():
-    gate = ancilla_excitation(((0, 0, 0), (7, 0, 0)))
-    assert gate.pulse_count == 2
+    gates = ancilla_excitation(((0, 0, 0), (7, 0, 0)))
+    assert sum(g.pulse_count for g in gates) == 2
     assert rotation("A", 0, 1, 0.2).pulse_count == 1
     reg = QuditRegister()
     reg.amp[flat_index(0, 0, 0, 0)] = 0.6
     reg.amp[flat_index(7, 0, 0, 0)] = -0.8
-    apply_gate(reg, gate)
+    apply_gates(reg, gates)
     assert abs(reg.amplitude(0, 0, 0, 1) - 0.6) < 1e-14
     assert abs(reg.amplitude(7, 0, 0, 1) + 0.8) < 1e-14
     assert abs(reg.amplitude(0, 0, 0, 0)) < 1e-15
