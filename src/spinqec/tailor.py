@@ -13,11 +13,14 @@ two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
 diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
 tan^2 t1 (:func:`closed_form_roots`).  Contours are marching squares on
 crossed edges and vertices found per grid line in closed form, with no n x n
-grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan grids its
-first condition once on broadcast axes, reads one edge mask
-(:func:`_edge_crossings`) and evaluates a later one only at the corners of
-the cells still in play.  ``newton_solve`` and ``find_roots``, the former
-Newton route, remain as the tests' oracle.
+grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan needs no
+grid for a diag condition: on the grid it is g(eps1) - h(eps2), so a cell
+holds a zero exactly when its g and h ranges overlap, two outer comparisons
+of 2n line terms (:meth:`TailoringProblem.cells`).  An offdiag condition is
+gridded once on broadcast axes and read through one edge mask
+(:func:`_edge_crossings`) when first, and evaluated only at the corners of
+the cells still in play when later.  ``newton_solve`` and ``find_roots``,
+the former Newton route, remain as the tests' oracle.
 """
 
 import re
@@ -127,17 +130,49 @@ class TailoringProblem:
         """Evaluate one condition, in real arithmetic, on broadcastable eps1/eps2."""
         kind, m00, m11, m01 = self._sandwiches(name)
         e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-        c1, s1 = np.cos(self.theta0 + e1), np.sin(self.theta0 + e1)
-        c2, s2 = self.sign1 * np.cos(self.theta0 + e2), np.sin(self.theta0 + e2)
         if kind == "diag":
-            z = (c1 * c1 * m00[0, 0] + c1 * s1 * (m00[0, 1] + m00[1, 0])
-                 + s1 * s1 * m00[1, 1])
-            z = z - (c2 * c2 * m11[0, 0] + c2 * s2 * (m11[0, 1] + m11[1, 0])
-                     + s2 * s2 * m11[1, 1])
+            g, h = self._diag_terms(m00, m11, e1, e2)
+            z = g - h
         else:
+            c1, s1, c2, s2 = self._trig(e1, e2)
             z = (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
                  + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
         return float(z) if np.ndim(z) == 0 else z
+
+    def _trig(self, e1, e2):
+        """cos and sin of t1 = theta0 + e1 and of t2 = theta0 + e2, cos t2 signed."""
+        return (np.cos(self.theta0 + e1), np.sin(self.theta0 + e1),
+                self.sign1 * np.cos(self.theta0 + e2), np.sin(self.theta0 + e2))
+
+    def _diag_terms(self, m00, m11, e1, e2):
+        """A diag condition's line terms (g(e1), h(e2)); the condition is g - h."""
+        c1, s1, c2, s2 = self._trig(e1, e2)
+        return (c1 * c1 * m00[0, 0] + c1 * s1 * (m00[0, 1] + m00[1, 0])
+                + s1 * s1 * m00[1, 1],
+                c2 * c2 * m11[0, 0] + c2 * s2 * (m11[0, 1] + m11[1, 0])
+                + s2 * s2 * m11[1, 1])
+
+    def cells(self, name, xs, rows=None, cols=None):
+        """Which cells of xs x xs qualify for ``name`` (see :func:`seed_cells`).
+
+        Returns the (n - 1, n - 1) mask of every cell, or, given the lower nodes
+        (rows, cols) of some cells, the mask of those.  On the grid a diag
+        condition is g(xs[i]) - h(xs[j]), and the IEEE difference of two finite
+        numbers is < 0 exactly when g < h and 0 exactly when g == h; so a cell's
+        corners hold a value <= 0 and one >= 0 exactly when its g and h ranges
+        overlap, min g <= max h and max g >= min h, read from the 2n line terms.
+        An offdiag condition is evaluated on the grid, or on the cells' corners.
+        """
+        kind, m00, m11, _ = self._sandwiches(name)
+        if kind != "diag":
+            fn = partial(self.evaluate, name)
+            return _grid_cells(fn, xs) if rows is None else _corner_cells(fn, xs, rows, cols)
+        g, h = self._diag_terms(m00, m11, xs, xs)
+        g_lo, g_hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
+        h_lo, h_hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
+        if rows is None:
+            return np.less_equal.outer(g_lo, h_hi) & np.greater_equal.outer(g_hi, h_lo)
+        return (g_lo[rows] <= h_hi[cols]) & (g_hi[rows] >= h_lo[cols])
 
     def line_zeros(self, name, xs):
         """The grid edges that ``name`` crosses on xs x xs (xs ascending, evenly spaced).
@@ -232,10 +267,12 @@ class TailoringProblem:
         return coeffs
 
     def condition(self, name):
-        """Condition ``name`` as a callable of (eps1, eps2) with a ``line_zeros(xs)``."""
+        """Condition ``name`` as a callable of (eps1, eps2) with ``line_zeros(xs)``
+        and ``cells(xs, rows=None, cols=None)``."""
         self._sandwiches(name)  # validate eagerly
         fn = partial(self.evaluate, name)
         fn.line_zeros = partial(self.line_zeros, name)
+        fn.cells = partial(self.cells, name)
         return fn
 
     def codeword(self, eps1, eps2):
@@ -410,29 +447,33 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
 
     A cell qualifies for a condition when one of its edges is crossed (see
     :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its corners
-    hold a value <= 0 and a value >= 0.  The first ``fn``, and any without
-    ``line_zeros``, is called once on the grid axes, ``fn(xs[:, None], xs[None,
-    :])``, which it must broadcast (the result is broadcast to (n, n)).  A
-    later :meth:`TailoringProblem.condition` (marked by ``line_zeros``) is
-    elementwise and is called once on the unique corner nodes of the cells
-    still kept; the scan stops once none is left.  Centres come in row-major
-    order; an n that is not an integer >= 2, or a box that is not finite and
-    positive, raises :class:`PreconditionError`.
+    hold a value <= 0 and a value >= 0.  A :meth:`TailoringProblem.condition`
+    (marked by ``cells``) gives the mask itself: a diag one from its 2n line
+    terms with no grid, an offdiag one from one call on the grid axes when
+    first and one elementwise call on the unique corner nodes of the cells
+    still kept when later.  Any other ``fn`` is called once on the grid axes,
+    ``fn(xs[:, None], xs[None, :])``, which it must broadcast (the result is
+    broadcast to (n, n)).  The scan stops once no cell is left.  Centres come
+    in row-major order; no condition, an n that is not an integer >= 2, or a
+    box that is not finite and positive, raises :class:`PreconditionError`.
     """
     _check_grid(n, 2, "grid nodes", box)
     xs = np.linspace(-box, box, n)
     centres = (xs[:-1] + xs[1:]) / 2.0
     rows = cols = None  # the kept cells' lower-left nodes, row-major
     for fn in funcs:
+        marked = hasattr(fn, "cells")
         if rows is None:
             # flat indices: a 2-d np.nonzero of a 400 x 400 mask is ten times slower
-            rows, cols = np.divmod(np.flatnonzero(_grid_cells(fn, xs)), n - 1)
+            mask = fn.cells(xs) if marked else _grid_cells(fn, xs)
+            rows, cols = np.divmod(np.flatnonzero(mask), n - 1)
         else:
-            keep = (_corner_cells(fn, xs, rows, cols) if hasattr(fn, "line_zeros")
-                    else _grid_cells(fn, xs)[rows, cols])
+            keep = fn.cells(xs, rows, cols) if marked else _grid_cells(fn, xs)[rows, cols]
             rows, cols = rows[keep], cols[keep]
         if not rows.size:
             break
+    if rows is None:
+        raise PreconditionError("need at least one condition to scan")
     return [(centres[i], centres[j]) for i, j in zip(rows, cols)]
 
 

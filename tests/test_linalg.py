@@ -332,6 +332,8 @@ def test_preconditions_hold_under_python_O():
             "seed-n-0": lambda: seed_cells([lambda x, y: x], 0.05, 0),
             "gradients-B0-sb": lambda: transition_gradients(get_system("si-sb"), 0.0),
             "gradients-B0-bi": lambda: transition_gradients(get_system("si-bi"), 0.0),
+            "scan-empty": lambda: scan_common_zero_cells([]),
+            "seed-empty": lambda: seed_cells([]),
         }
         for name, call in calls.items():
             try:
@@ -382,6 +384,8 @@ def test_preconditions_hold_under_python_O():
         "seed-n-0", "PreconditionError",
         "gradients-B0-sb", "LabelingError",
         "gradients-B0-bi", "LabelingError",
+        "scan-empty", "PreconditionError",
+        "seed-empty", "PreconditionError",
     ]
 
 

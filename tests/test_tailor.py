@@ -805,9 +805,11 @@ def test_problem_codeword_equals_make_codeword(sb, bi, b):
        n=st.sampled_from([40, 400]))
 @example(b=1.0, family="distorted-7/2",
          scanned=["diag-IZ", "offdiag-IXIX", "offdiag-IXIY"], n=400)
+@example(b=1.0, family="tailored-9/2", scanned=["diag-IZ", "diag-IXIX"], n=400)
+@example(b=1.0, family="distorted-7/2", scanned=["diag-IZ", "offdiag-IXIX"], n=400)
 def test_corner_scan_matches_grid_route(b, family, scanned, n):
-    # a plain callable has no edge_zeros, so every one is evaluated on the
-    # full grid; the conditions' corner values are the same numbers
+    # a plain callable has no cells, so every one is evaluated on the full
+    # grid; the conditions' line terms and corner values are the same numbers
     problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), b)
     funcs = [problem.condition(name) for name in scanned]
     plain = [lambda x, y, fn=fn: fn(x, y) for fn in funcs]
@@ -824,16 +826,47 @@ def test_scan_evaluates_later_conditions_on_kept_corners(monkeypatch, sb):
     names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")
     cells = scan_common_zero_cells([problem.condition(n) for n in names], 0.05, 400)
     assert len(cells) == 2
-    assert calls[0] == ("diag-IZ", (401, 1), (1, 401))
-    assert [name for name, *_ in calls] == list(names)
-    for _, (nodes,), (nodes_too,) in calls[1:]:
+    # the diag first condition's mask comes from its line terms, with no
+    # evaluate call; each offdiag one is evaluated once, on kept corners only
+    assert [name for name, *_ in calls] == list(names[1:])
+    for _, (nodes,), (nodes_too,) in calls:
         assert nodes == nodes_too < 0.02 * 401 * 401
     # no cell left: the remaining conditions are not evaluated at all
     calls.clear()
     far = [problem.condition("diag-IZ"), lambda x, y: 1.0 + 0.0 * x,
            problem.condition("offdiag-IXIX")]
     assert scan_common_zero_cells(far, 0.05, 400) == []
-    assert [name for name, *_ in calls] == ["diag-IZ"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
+@pytest.mark.parametrize("n", [40, 400])
+def test_diag_cells_at_exact_zero_nodes(family, n):
+    # equal m00 and m11 blocks without cross terms make f exactly 0 at every
+    # diagonal node, so many cells qualify only through a zero corner: the
+    # line-term comparisons must keep them, as the corner test on the grid does
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), 1.0)
+    kind, m00, _, m01 = problem._sandwiches("diag-IZ")
+    block = np.diag(np.diag(m00))
+    problem._cache["diag-IZ"] = (kind, block, block, m01)
+    xs = np.linspace(-0.05, 0.05, n + 1)
+    grid = problem.evaluate("diag-IZ", xs[:, None], xs[None, :])
+    assert not np.any(np.diag(grid))
+    corners = np.stack((grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]))
+    want = (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
+    strict = (corners < 0.0).any(axis=0) & (corners > 0.0).any(axis=0)
+    assert np.count_nonzero(want & ~strict) >= n - 1  # kept by a zero corner alone
+    assert np.array_equal(problem.cells("diag-IZ", xs), want)
+    # the lower nodes of every kept cell and of every 7th cell
+    rows, cols = np.divmod(np.union1d(np.flatnonzero(want), np.arange(0, n * n, 7)), n)
+    assert np.array_equal(problem.cells("diag-IZ", xs, rows, cols), want[rows, cols])
+    # the scan, with the diag condition first and later, equals the grid route
+    for names in (("diag-IZ", "diag-IXIX"), ("offdiag-IXIX", "diag-IZ"),
+                  ("diag-IXIX", "diag-IZ")):
+        funcs = [problem.condition(name) for name in names]
+        plain = [lambda x, y, fn=fn: fn(x, y) for fn in funcs]
+        assert scan_common_zero_cells(funcs, 0.05, n) == \
+            scan_common_zero_cells(plain, 0.05, n)
 
 
 def test_full_tailoring_92_root_frozen(bi):
