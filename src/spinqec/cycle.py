@@ -102,14 +102,18 @@ class DetectionPlan:
         raise PreconditionError(f"no case {label!r} in this plan")
 
 
-@lru_cache(maxsize=8)
 def build_detection_plan(order=None):
-    """Synthesise (and cache) the detection blocks for a case order.
+    """The cached plan for ``order``, any label sequence; None is :func:`full_order`."""
+    return _build_plan(full_order() if order is None else tuple(order))
+
+
+@lru_cache(maxsize=8)
+def _build_plan(order):
+    """Synthesise the detection blocks for a tuple of case labels.
 
     Error words contract each case's 8 x 8 operator with one qudit axis of
     the code words, never a dense 512 x 512 operator.
     """
-    order = tuple(order) if order is not None else full_order()
     if not order or order[0] != "I":
         raise PreconditionError("a detection order must start with case 'I'")
     if len(set(order)) != len(order):
@@ -162,6 +166,10 @@ def build_detection_plan(order=None):
     return DetectionPlan(order, tuple(cases), projector, phases)
 
 
+build_detection_plan.cache_info = _build_plan.cache_info
+build_detection_plan.cache_clear = _build_plan.cache_clear
+
+
 # ---------------------------------------------------------------------------
 # running a plan
 # ---------------------------------------------------------------------------
@@ -186,11 +194,6 @@ class SyndromeRecord:
     logical_fidelity: object
 
 
-def _plan(order):
-    """The cached plan for ``order``, None meaning :func:`full_order`."""
-    return build_detection_plan(full_order() if order is None else tuple(order))
-
-
 def detection_records(reg, order=None, reference=None):
     """Exact outcome distribution of one full detection sweep.
 
@@ -203,11 +206,11 @@ def detection_records(reg, order=None, reference=None):
     untouched; probabilities sum to one, with an uncorrectable record for
     any weight outside the detectable span.
     """
-    plan = _plan(order)
-    if abs(reg.norm() - 1.0) > 1e-8:
+    plan = build_detection_plan(order)
+    if not abs(reg.norm() - 1.0) <= 1e-8:  # NaN fails too
         raise PreconditionError("register state must be normalised")
     pairs = reg.amp.reshape(512, 2)
-    if np.max(np.abs(pairs[:, 1])) > 1e-10:
+    if not np.max(np.abs(pairs[:, 1])) <= 1e-10:
         raise PreconditionError("a sweep needs the ancilla empty")
     data = pairs[:, 0]
     c = plan.projector @ data
@@ -288,7 +291,7 @@ def pulse_budget(order=None):
     absorbed cases contribute nothing.  Encoding pulses are reported
     separately and are not part of ``total``.
     """
-    plan = _plan(order)
+    plan = build_detection_plan(order)
     per_case = {c.label: {"detect": c.detect_pulses, "recover": c.recover_pulses,
                           "absorbed": c.absorbed} for c in plan.cases}
     total = sum(c.detect_pulses + c.recover_pulses for c in plan.cases)

@@ -67,7 +67,7 @@ def init_register(alpha, beta):
     B, C, and the ancilla start in their bottom states.  The qubit must be
     normalised within 1e-10.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise PreconditionError("qubit amplitudes must satisfy |a|^2 + |b|^2 = 1")
     reg = QuditRegister()
     reg.amp[flat_index(0, 0, 0, 0)] = alpha

@@ -13,14 +13,14 @@ two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
 diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
 tan^2 t1 (:func:`closed_form_roots`).  Contours are marching squares on
 crossed edges and vertices found per grid line in closed form, with no n x n
-grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan needs no
-grid for a diag condition: on the grid it is g(eps1) - h(eps2), so a cell
-holds a zero exactly when its g and h ranges overlap, two outer comparisons
-of 2n line terms (:meth:`TailoringProblem.cells`).  An offdiag condition is
-gridded once on broadcast axes and read through one edge mask
-(:func:`_edge_crossings`) when first, and evaluated only at the corners of
-the cells still in play when later.  ``newton_solve`` and ``find_roots``,
-the former Newton route, remain as the tests' oracle.
+grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
+cell when one of its corners is <= 0 and one is >= 0 (:func:`_qualifies`).
+A diag condition needs no grid for it: on the grid it is g(eps1) - h(eps2),
+so the rule reads as an overlap of the cell's g and h ranges, two outer
+comparisons of 2n line terms (:meth:`TailoringProblem.cells`).  An offdiag
+condition is gridded once on broadcast axes when first, and evaluated only
+at the corners of the cells still in play when later.  ``newton_solve`` and
+``find_roots``, the former Newton route, remain as the tests' oracle.
 """
 
 import re
@@ -153,15 +153,16 @@ class TailoringProblem:
                 + s2 * s2 * m11[1, 1])
 
     def cells(self, name, xs, rows=None, cols=None):
-        """Which cells of xs x xs qualify for ``name`` (see :func:`seed_cells`).
+        """Which cells of xs x xs qualify for ``name`` (see :func:`_qualifies`).
 
         Returns the (n - 1, n - 1) mask of every cell, or, given the lower nodes
         (rows, cols) of some cells, the mask of those.  On the grid a diag
         condition is g(xs[i]) - h(xs[j]), and the IEEE difference of two finite
-        numbers is < 0 exactly when g < h and 0 exactly when g == h; so a cell's
-        corners hold a value <= 0 and one >= 0 exactly when its g and h ranges
-        overlap, min g <= max h and max g >= min h, read from the 2n line terms.
-        An offdiag condition is evaluated on the grid, or on the cells' corners.
+        numbers is < 0 exactly when g < h and 0 exactly when g == h; so the
+        rule, a corner <= 0 and one >= 0, is the same predicate in separable
+        form: min g <= max h and max g >= min h over the cell, read from the 2n
+        line terms.  An offdiag condition is evaluated on the grid, or on the
+        cells' corners, and the rule applied to those values.
         """
         kind, m00, m11, _ = self._sandwiches(name)
         if kind != "diag":
@@ -432,28 +433,18 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
     return x, False, max_iter, float(np.linalg.norm(fx))
 
 
-def _edge_crossings(g):
-    """The edges of grid ``g`` that the zero set crosses, as masks ``h`` and ``v``.
-
-    ``h[i, j]`` is the edge (i, j)-(i+1, j), ``v[i, j]`` the edge (i, j)-(i, j+1);
-    one is crossed when an end is < 0 and the other >= 0 (the strict split).
-    """
-    neg = g < 0.0
-    return neg[:-1, :] != neg[1:, :], neg[:, :-1] != neg[:, 1:]
-
-
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell.
 
-    A cell qualifies for a condition when one of its edges is crossed (see
-    :func:`_edge_crossings`) or a corner is exactly 0, i.e. when its corners
-    hold a value <= 0 and a value >= 0.  A :meth:`TailoringProblem.condition`
-    (marked by ``cells``) gives the mask itself: a diag one from its 2n line
-    terms with no grid, an offdiag one from one call on the grid axes when
-    first and one elementwise call on the unique corner nodes of the cells
-    still kept when later.  Any other ``fn`` is called once on the grid axes,
-    ``fn(xs[:, None], xs[None, :])``, which it must broadcast (the result is
-    broadcast to (n, n)).  The scan stops once no cell is left.  Centres come
+    A cell qualifies for a condition when one of its corners holds a value
+    <= 0 and one a value >= 0 (:func:`_qualifies`).  A
+    :meth:`TailoringProblem.condition` (marked by ``cells``) gives the mask
+    itself: a diag one from its 2n line terms with no grid, an offdiag one from
+    one call on the grid axes when first and one elementwise call on the four
+    corners of each cell still kept when later.  Any other ``fn`` is called
+    once on the grid axes, ``fn(xs[:, None], xs[None, :])``, which it must
+    broadcast (the result is broadcast to (n, n)).  The scan stops once no
+    cell is left.  Centres come
     in row-major order; no condition, an n that is not an integer >= 2, or a
     box that is not finite and positive, raises :class:`PreconditionError`.
     """
@@ -484,28 +475,28 @@ def _check_grid(n, least, what, box):
             f"need an integer n >= {least} {what} and box > 0, got {n!r}, {box!r}")
 
 
+def _qualifies(values, any4):
+    """The scan's rule: a corner is <= 0 and one is >= 0 (``any4``: node to cell mask)."""
+    return any4(values <= 0.0) & any4(values >= 0.0)
+
+
+def _any_corner(mask):
+    """Per cell of an (n, n) node mask, whether any of its four corners is set."""
+    mask = mask[:-1] | mask[1:]
+    return mask[:, :-1] | mask[:, 1:]
+
+
 def _grid_cells(fn, xs):
     """The (n - 1, n - 1) mask of the cells that qualify for ``fn`` on xs x xs."""
     n = xs.size
-    g = np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n))
-    h, v = _edge_crossings(g)
-    zero = g == 0.0
-    return (h[:, :-1] | v[1:, :] | h[:, 1:] | v[:-1, :]
-            | zero[:-1, :-1] | zero[1:, :-1] | zero[1:, 1:] | zero[:-1, 1:])
+    return _qualifies(np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n)), _any_corner)
 
 
 def _corner_cells(fn, xs, rows, cols):
-    """Which of the cells (rows, cols) qualify for ``fn``, from one call on their corners.
-
-    An edge of a cell is crossed when its corners' signs (< 0 or not) differ,
-    so some edge is crossed unless all four agree.
-    """
-    n = xs.size
-    nodes = (rows + [[0], [1], [1], [0]]) * n + cols + [[0], [0], [1], [1]]
-    unique, inverse = np.unique(nodes, return_inverse=True)
-    corners = np.asarray(fn(xs[unique // n], xs[unique % n]))[inverse].reshape(nodes.shape)
-    neg = corners < 0.0
-    return (neg.any(axis=0) & ~neg.all(axis=0)) | (corners == 0.0).any(axis=0)
+    """Which of the cells (rows, cols) qualify for ``fn``, from one call on their corners."""
+    e1, e2 = xs[rows + [[0], [1], [1], [0]]], xs[cols + [[0], [0], [1], [1]]]
+    corners = np.asarray(fn(e1.ravel(), e2.ravel())).reshape(e1.shape)
+    return _qualifies(corners, partial(np.any, axis=0))
 
 
 def find_roots(funcs, box=DEFAULT_BOX, seed_grid=41):

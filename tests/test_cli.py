@@ -213,6 +213,8 @@ def test_exit_code_2_cases(runner):
     assert runner.invoke(cli, ["qec", "--error", "XXB"]).exit_code == 2
     assert runner.invoke(cli, ["qec", "--alpha", "0", "--beta", "0"]).exit_code == 2
     assert runner.invoke(cli, ["qec", "--alpha", "zz"]).exit_code == 2
+    assert runner.invoke(cli, ["qec", "--alpha", "nan"]).exit_code == 2
+    assert runner.invoke(cli, ["qec", "--alpha", "inf"]).exit_code == 2
     assert runner.invoke(cli, ["budget", "--error-budget", "1.5"]).exit_code == 2
     assert runner.invoke(cli, ["levels", "--bpoints", "0"]).exit_code == 2
 

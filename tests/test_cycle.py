@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from spinqec.blocks import psi_encoded, recovery_gates
 from spinqec.cycle import (
     SyndromeRecord,
+    _build_plan,
     build_detection_plan,
     case_weights,
     detection_records,
@@ -147,7 +148,7 @@ def test_cold_plan_build_stays_small():
     # 512 x 512 operators (117 MB)
     tracemalloc.start()
     try:
-        plan = build_detection_plan.__wrapped__(full_order())
+        plan = _build_plan.__wrapped__(full_order())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -157,13 +158,16 @@ def test_cold_plan_build_stays_small():
 
 def test_default_order_shares_one_cached_plan():
     # None, the full_order() tuple and the same order as a list are one cache
-    # entry, so a process builds the 28-case plan once
+    # entry, so a process builds the 28-case plan once, whichever entry point
+    # asks first
     reg = QuditRegister(psi_encoded(0.6, 0.8))
     build_detection_plan.cache_clear()
+    build_detection_plan()
     pulse_budget()
     detection_records(reg)
     pulse_budget(full_order())
     detection_records(reg, list(full_order()))
+    build_detection_plan(list(full_order()))
     assert build_detection_plan.cache_info().misses == 1
 
 

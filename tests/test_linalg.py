@@ -282,6 +282,7 @@ def test_preconditions_hold_under_python_O():
         from spinqec.codewords import CodeWord
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
+        from spinqec.register import init_register
         from spinqec.spin import get_system, manifold_states, product_index
         from spinqec.spin import transition_gradients
         from spinqec.tailor import find_roots, newton_solve, scan_common_zero_cells
@@ -334,6 +335,8 @@ def test_preconditions_hold_under_python_O():
             "gradients-B0-bi": lambda: transition_gradients(get_system("si-bi"), 0.0),
             "scan-empty": lambda: scan_common_zero_cells([]),
             "seed-empty": lambda: seed_cells([]),
+            "run_detection-nan": lambda: run_detection(float("nan"), 0.8),
+            "init_register-nan": lambda: init_register(float("nan"), 0.8),
         }
         for name, call in calls.items():
             try:
@@ -386,6 +389,8 @@ def test_preconditions_hold_under_python_O():
         "gradients-B0-bi", "LabelingError",
         "scan-empty", "PreconditionError",
         "seed-empty", "PreconditionError",
+        "run_detection-nan", "PreconditionError",
+        "init_register-nan", "PreconditionError",
     ]
 
 

@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spinqec.spin
+import spinqec.tailor
 from spinqec.codewords import _TWO_LEVEL, expectation, make_codeword, offdiag_element
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import get_system, manifold_states, spin_operators
@@ -23,7 +24,6 @@ from spinqec.tailor import (
     StructuralZeroError,
     TailoringProblem,
     _chains,
-    _edge_crossings,
     _field_setup,
     closed_form_roots,
     field_sweep_tailoring,
@@ -68,6 +68,16 @@ def _bisect_edges(fn, lo, hi, f_lo):
         same = (neg_lo == (f_mid < 0.0))[:, None]
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     raise NumericalError("edge bisection failed to reach |f| < 1e-10")
+
+
+def _edge_crossings(g):
+    """The edges of grid ``g`` that the zero set crosses, as masks ``h`` and ``v``.
+
+    ``h[i, j]`` is the edge (i, j)-(i+1, j), ``v[i, j]`` the edge (i, j)-(i, j+1);
+    one is crossed when an end is < 0 and the other >= 0 (the strict split).
+    """
+    neg = g < 0.0
+    return neg[:-1, :] != neg[1:, :], neg[:, :-1] != neg[:, 1:]
 
 
 def _grid_line_zeros(fn, xs, vertices_of):
@@ -367,6 +377,14 @@ def test_seed_cells_matches_per_cell_corner_test(grids):
                 expected.append(((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0))
     funcs = [lambda e1, e2, g=g: g for g in grids]
     assert seed_cells(funcs, box=0.05, n=n) == expected
+    # the kept-corner route, given the lower nodes of every cell and an
+    # elementwise lookup of one grid, keeps the cells of the same test
+    rows, cols = np.divmod(np.arange((n - 1) ** 2), n - 1)
+    for g in grids:
+        want = [min(c) <= 0.0 <= max(c)
+                for c in (g[i:i + 2, j:j + 2].ravel() for i, j in zip(rows, cols))]
+        lookup = lambda e1, e2, g=g: g[np.searchsorted(xs, e1), np.searchsorted(xs, e2)]
+        assert spinqec.tailor._corner_cells(lookup, xs, rows, cols).tolist() == want
 
 
 @pytest.mark.parametrize("fn, closed", [
