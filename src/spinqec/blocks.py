@@ -45,6 +45,8 @@ from .register import ANCILLA_AXIS, QuditRegister, ancilla_excitation, apply_gat
     flat_index, init_register, inverted_gates, pi_pulse, rotation
 
 AMP_CUT = 1e-12
+FIDELITY_TOL = 1e-10  # a validated block's target fidelity exceeds 1 - FIDELITY_TOL
+PHASE_TOL = 1e-9  # strip_global_phase drops a part below this of max |entry|
 
 #: encode-stage branch profiles on qudit A: level -> amplitude
 BRANCH0_PROFILE = dict(THREEQ_ZERO)
@@ -76,7 +78,7 @@ class Block:
                             for g in self.gates if g.axis != ANCILLA_AXIS))
 
 
-def validate_block(block, targets, tol=1e-10):
+def validate_block(block, targets):
     """Check each (input, output) 1024-vector pair in ``targets``; raise on a miss."""
     for vin, vout in targets:
         reg = QuditRegister(np.array(vin, dtype=np.complex128))
@@ -84,9 +86,9 @@ def validate_block(block, targets, tol=1e-10):
         nin = np.linalg.norm(vin)
         nout = np.linalg.norm(vout)
         fid = abs(np.vdot(vout, reg.amp)) ** 2 / (nin * nout) ** 2
-        if not fid > 1.0 - tol:
+        if not fid > 1.0 - FIDELITY_TOL:
             raise SynthesisError(
-                f"block {block.name!r}: target fidelity {fid:.12f} <= 1 - {tol:g}"
+                f"block {block.name!r}: target fidelity {fid:.12f} <= 1 - {FIDELITY_TOL:g}"
             )
         if np.linalg.norm(reg.amp - vout) > 1e-8:
             raise SynthesisError(f"block {block.name!r}: output phase drifted")
@@ -105,7 +107,7 @@ def embed_qudit_state(vec512):
     return out
 
 
-def strip_global_phase(vec, tol=1e-9):
+def strip_global_phase(vec):
     """Split ``vec`` into (real array, unit phase) with vec = phase * real.
 
     Every error word in play is either real or purely imaginary (real code
@@ -116,9 +118,9 @@ def strip_global_phase(vec, tol=1e-9):
     scale = float(np.max(np.abs(v)))
     if not scale > 0.0:
         raise PreconditionError("cannot phase-strip a zero vector")
-    if np.max(np.abs(v.imag)) < tol * scale:
+    if np.max(np.abs(v.imag)) < PHASE_TOL * scale:
         return v.real.copy(), 1.0 + 0.0j
-    if np.max(np.abs(v.real)) < tol * scale:
+    if np.max(np.abs(v.real)) < PHASE_TOL * scale:
         return v.imag.copy(), 1.0j
     raise SynthesisError("branch vector is neither real nor purely imaginary")
 

@@ -27,6 +27,8 @@ import numpy as np
 #: sweep cap for the Jacobi iteration; quadratic convergence makes ~10
 #: sweeps plenty for dim <= 64, the cap flags genuinely pathological input
 MAX_JACOBI_SWEEPS = 30
+#: Hermiticity tolerance of the eigensolver's input, relative to max |entry|
+HERMITIAN_TOL = 1e-10
 
 PHASE_CONVENTION = "largest-component-real-positive"
 
@@ -68,7 +70,7 @@ def as_matrix(m):
     return a
 
 
-def is_hermitian(m, tol=1e-10):
+def is_hermitian(m, tol=HERMITIAN_TOL):
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
@@ -194,15 +196,13 @@ def _jacobi(w, tol, max_sweeps):
                 _rotate(w, p, q)
 
 
-def hermitian_eigendecompose(h, herm_tol=1e-10):
+def hermitian_eigendecompose(h):
     """Diagonalise a Hermitian matrix with the in-package Jacobi iteration.
 
     Parameters
     ----------
     h : array_like, (n, n)
-        Hermitian within ``herm_tol`` (relative to max |entry|).
-    herm_tol : float
-        Symmetry tolerance for the precondition check.
+        Hermitian within :data:`HERMITIAN_TOL` (relative to max |entry|).
 
     Returns
     -------
@@ -219,7 +219,7 @@ def hermitian_eigendecompose(h, herm_tol=1e-10):
     if not (a.size and np.isfinite(a).all()):
         raise PreconditionError("matrix has non-finite (NaN or inf) entries"
                                 if a.size else "matrix is empty (0 x 0)")
-    if not is_hermitian(a, herm_tol):
+    if not is_hermitian(a):
         raise PreconditionError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
     work = np.vstack([a, np.eye(n, dtype=np.complex128)])

@@ -24,13 +24,16 @@ import numpy as np
 
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, kron
 
+#: least overlap gap that makes a dressed-state label unambiguous
+LABEL_GAP_TOL = 1e-6
+
 
 class LabelingError(NumericalError):
     """Dressed-state labelling was ambiguous (near-degenerate overlaps)."""
 
 
 def _check_spin(j, what):
-    twoj = round(2 * j)
+    twoj = round(2 * j) if np.isfinite(j) else -1
     if abs(2 * j - twoj) > 1e-12 or twoj < 0:
         raise PreconditionError(f"{what} must be a non-negative half-integer, got {j}")
     return twoj / 2.0
@@ -99,7 +102,6 @@ def get_system(key):
 
 
 def _parse_halfint(text):
-    text = text.strip()
     if "/" in text:
         return float(Fraction(text))
     return float(text)
@@ -136,7 +138,7 @@ def load_system(path):
             g_n=float(fields["g_n_MHz_per_T"]),
             a=float(fields["A_MHz"]),
         )
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise PreconditionError(f"{path}: {exc}") from exc
 
 
@@ -202,7 +204,7 @@ def product_index(system, m_s, m_i):
     return ks * system.dim_n + ki
 
 
-def dressed_eigenstates(system, b_field, gap_tol=1e-6):
+def dressed_eigenstates(system, b_field):
     """All eigenstates of ``system`` at ``b_field``, labelled and sorted.
 
     Returns
@@ -213,21 +215,21 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
     Raises
     ------
     LabelingError
-        If the greedy overlap labelling is ambiguous within ``gap_tol``: a
-        state's two largest product weights, or two states competing for one
-        label, differ by less than ``gap_tol``.
+        If the greedy overlap labelling is ambiguous within
+        :data:`LABEL_GAP_TOL`: a state's two largest product weights, or two
+        states competing for one label, differ by less than it.
     """
     h = build_hamiltonian(system, b_field)
     dec = hermitian_eigendecompose(h)
     dim = system.dim
     weights = np.abs(dec.eigenvectors) ** 2  # [product index, state]
     top = np.sort(weights, axis=0)
-    tied = top[-1] - top[-2] < gap_tol
+    tied = top[-1] - top[-2] < LABEL_GAP_TOL
     if tied.any():
         k = int(np.argmax(tied))
         raise LabelingError(
             f"state {k} has two product labels with overlap gap "
-            f"{top[-1, k] - top[-2, k]:.2e} < {gap_tol:g}"
+            f"{top[-1, k] - top[-2, k]:.2e} < {LABEL_GAP_TOL:g}"
         )
     # entry k*dim + p pairs state k with product p; a stable sort on -weight
     # visits them by descending overlap, ties in index order
@@ -240,10 +242,10 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
         if k in label_of_state:
             continue
         if p in taken_weight:
-            if taken_weight[p] - w < gap_tol:
+            if taken_weight[p] - w < LABEL_GAP_TOL:
                 raise LabelingError(
                     f"states compete for product label {p} with overlap gap "
-                    f"{taken_weight[p] - w:.2e} < {gap_tol:g}"
+                    f"{taken_weight[p] - w:.2e} < {LABEL_GAP_TOL:g}"
                 )
             continue
         label_of_state[k] = p
@@ -254,7 +256,7 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
         raise NumericalError(
             f"labelling is not a bijection: {len(label_of_state)} of {dim} states labelled"
         )
-    states = []
+    states = []  # in the eigensolver's ascending energy order
     for k in range(dim):
         p = label_of_state[k]
         ks, ki = divmod(p, system.dim_n)
@@ -267,7 +269,6 @@ def dressed_eigenstates(system, b_field, gap_tol=1e-6):
                 weight=float(weights[p, k]),
             )
         )
-    states.sort(key=lambda st: st.energy)
     return states
 
 

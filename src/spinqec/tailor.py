@@ -1,10 +1,11 @@
 """Branch-angle tailoring: residual conditions, contours, and root finding.
 
 A two-level code word family over the dressed m_S = -1/2 manifold has two
-free branch angles (eps1, eps2).  A condition "<kind>-<op>" (e.g. "diag-IZ")
-is <0|op|0> - <1|op|1> (``diag``) or <0|op|1> (``offdiag``) for a product
-``op`` of nuclear factors (IX, IY, IZ, ...), as one real number: the real part
-of a real-entried operator, the imaginary part of an imaginary one.
+free branch angles (eps1, eps2).  A condition is one of the six names of
+:data:`CONDITIONS`, "<kind>-<op>" (e.g. "diag-IZ"): <0|op|0> - <1|op|1>
+(``diag``) or <0|op|1> (``offdiag``) for a product ``op`` of nuclear factors,
+as one real number: the real part of a real-entried operator, the imaginary
+part of an imaginary one.  The six sandwiches are built once per field.
 
 In t = theta0 + eps a diag condition is (a1 + b1 cos 2t1) - (a2 + b2 cos 2t2)
 and an offdiag one p cos t1 sin t2 + q sin t1 cos t2
@@ -23,10 +24,9 @@ at the corners of the cells still in play when later.  ``newton_solve`` and
 ``find_roots``, the former Newton route, remain as the tests' oracle.
 """
 
-import re
-from collections import ChainMap
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,14 +60,22 @@ class StructuralZeroError(NumericalError):
     """A coefficient the closed form takes to be zero is not zero."""
 
 
-_OP_TOKEN = re.compile(r"I[XYZ]")
+#: The first-order conditions: name -> (kind, nuclear factors, part kept).
+CONDITIONS = MappingProxyType({
+    "diag-IZ": ("diag", ("IZ",), "real"),
+    "diag-IXIX": ("diag", ("IX", "IX"), "real"),
+    "diag-IYIY": ("diag", ("IY", "IY"), "real"),
+    "diag-IZIZ": ("diag", ("IZ", "IZ"), "real"),
+    "offdiag-IXIX": ("offdiag", ("IX", "IX"), "real"),
+    "offdiag-IXIY": ("offdiag", ("IX", "IY"), "imag"),
+})
 
 
 class TailoringProblem:
     """Precomputed branch-basis sandwiches for fast condition evaluation.
 
-    Problems at one (family, system, field) share one labelled eigensolve,
-    their branch vectors and every sandwich any of them has built (a small
+    Problems at one (family, system, field) share one labelled eigensolve and
+    the six sandwiches of :data:`CONDITIONS`, built once per field (a small
     LRU cache, :func:`_field_setup`); the shared arrays are read-only.
 
     Parameters
@@ -92,39 +100,14 @@ class TailoringProblem:
         self.family = family
         self.system = system
         self.b_field = float(b_field)
-        self._manifold, self._basis, self._nuclear, shared = _field_setup(
-            family, system, self.b_field)
-        self._v0, self._v1 = self._basis[..., :2], self._basis[..., 2:]
-        # new sandwiches go to the shared map; a key set here stays local
-        self._cache = ChainMap({}, shared)
-
-    def _assemble(self, op_label):
-        tokens = _OP_TOKEN.findall(op_label)
-        if not tokens or "".join(tokens) != op_label:
-            raise PreconditionError(f"cannot parse operator label {op_label!r}")
-        op = self._nuclear[tokens[0]]
-        for tok in tokens[1:]:
-            op = op @ self._nuclear[tok]
-        scale = np.max(np.abs(op))
-        if np.max(np.abs(op.imag)) < 1e-12 * scale:
-            return op, "real"
-        if np.max(np.abs(op.real)) < 1e-12 * scale:
-            return op, "imag"
-        # not reachable for IX/IY/IZ products of <= 2
-        raise PreconditionError(f"operator {op_label} has mixed-type entries")
+        self._manifold, _, self._blocks = _field_setup(family, system, self.b_field)
 
     def _sandwiches(self, name):
-        if name not in self._cache:
-            kind, _, op_label = name.partition("-")
-            if kind not in ("diag", "offdiag"):
-                raise PreconditionError(f"unknown condition kind in {name!r}")
-            op, component = self._assemble(op_label)
-            # one contraction over the stacked basis; blocks of the 4 x 4 result
-            m = getattr(np.einsum("eia,ij,ejb->ab", self._basis.conj(), op, self._basis),
-                        component)
-            m.flags.writeable = False
-            self._cache.maps[-1][name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
-        return self._cache[name]
+        """(kind, m00, m11, m01) of condition ``name``, from the field's shared map."""
+        if name not in CONDITIONS:
+            raise PreconditionError(
+                f"unknown condition {name!r}; the conditions are {', '.join(CONDITIONS)}")
+        return self._blocks[name]
 
     def evaluate(self, name, eps1, eps2):
         """Evaluate one condition, in real arithmetic, on broadcastable eps1/eps2."""
@@ -284,15 +267,24 @@ class TailoringProblem:
 
 @lru_cache(maxsize=8)
 def _field_setup(family, system, b_field):
-    """The labelled m_S = -1/2 states, stacked branch basis (dim_e, dim_n, 4),
-    nuclear operators and sandwich dict of ``family`` at one field, read-only."""
+    """The labelled m_S = -1/2 states, stacked branch basis (dim_e, dim_n, 4) and
+    map of each condition name to its (kind, m00, m11, m01) of ``family`` at one
+    field, all read-only."""
     _, _, sup0, sup1, _ = _TWO_LEVEL[family]
     manifold = manifold_states(system, b_field, m_s=-0.5)
-    basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)])
+    basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)]).reshape(
+        system.dim_e, system.dim_n, 4)
     nuclear = dict(zip(("IX", "IY", "IZ"), spin_operators(system.i)))
-    for array in (basis, *nuclear.values(), *(st.vector for st in manifold.values())):
+    blocks = {}
+    for name, (kind, factors, part) in CONDITIONS.items():
+        op = reduce(np.matmul, (nuclear[f] for f in factors))
+        # one contraction over the stacked basis; blocks of the 4 x 4 result
+        m = getattr(np.einsum("eia,ij,ejb->ab", basis.conj(), op, basis), part)
+        m.flags.writeable = False
+        blocks[name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
+    for array in (basis, *(st.vector for st in manifold.values())):
         array.flags.writeable = False
-    return manifold, basis.reshape(system.dim_e, system.dim_n, 4), nuclear, {}
+    return manifold, basis, MappingProxyType(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +436,9 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     corners of each cell still kept when later.  Any other ``fn`` is called
     once on the grid axes, ``fn(xs[:, None], xs[None, :])``, which it must
     broadcast (the result is broadcast to (n, n)).  The scan stops once no
-    cell is left.  Centres come
-    in row-major order; no condition, an n that is not an integer >= 2, or a
-    box that is not finite and positive, raises :class:`PreconditionError`.
+    cell is left.  Centres come in row-major order; a NaN value it reads raises
+    :class:`NumericalError`, and no condition, an n that is not an integer >= 2,
+    or a box that is not finite and positive, :class:`PreconditionError`.
     """
     _check_grid(n, 2, "grid nodes", box)
     xs = np.linspace(-box, box, n)
@@ -476,7 +468,11 @@ def _check_grid(n, least, what, box):
 
 
 def _qualifies(values, any4):
-    """The scan's rule: a corner is <= 0 and one is >= 0 (``any4``: node to cell mask)."""
+    """The scan's rule: a corner is <= 0 and one is >= 0 (``any4``: node to cell mask).
+
+    A NaN value, which is neither, raises :class:`NumericalError`."""
+    if np.isnan(values).any():
+        raise NumericalError("a scanned condition is NaN on the grid")
     return any4(values <= 0.0) & any4(values >= 0.0)
 
 

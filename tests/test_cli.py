@@ -208,8 +208,12 @@ def test_budget_json(runner):
                       4.7893151508104914e-05, rtol=1e-10)
 
 
-def test_exit_code_2_cases(runner):
+def test_exit_code_2_cases(runner, tmp_path):
     assert runner.invoke(cli, ["levels", "--system", "nosuch"]).exit_code == 2
+    infinite = tmp_path / "infinite.cfg"
+    infinite.write_text("name = x\nS = 1/2\nI = inf\ng_e_MHz_per_T = 1\n"
+                        "g_n_MHz_per_T = 1\nA_MHz = 1\n")
+    assert runner.invoke(cli, ["levels", "--system", str(infinite)]).exit_code == 2
     assert runner.invoke(cli, ["qec", "--error", "XXB"]).exit_code == 2
     assert runner.invoke(cli, ["qec", "--alpha", "0", "--beta", "0"]).exit_code == 2
     assert runner.invoke(cli, ["qec", "--alpha", "zz"]).exit_code == 2

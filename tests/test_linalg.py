@@ -271,9 +271,13 @@ def test_kernel_route_metadata():
     assert spinqec.HAVE_NUMBA is False
 
 
-def test_preconditions_hold_under_python_O():
+def test_preconditions_hold_under_python_O(tmp_path):
     # ``python -O`` strips asserts; each of these calls must still refuse
+    infinite = tmp_path / "infinite.cfg"
+    infinite.write_text("name = x\nS = 1/2\nI = inf\ng_e_MHz_per_T = 1\n"
+                        "g_n_MHz_per_T = 1\nA_MHz = 1\n")
     script = textwrap.dedent("""
+        import sys
         from dataclasses import replace
 
         import numpy as np
@@ -283,7 +287,7 @@ def test_preconditions_hold_under_python_O():
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.register import init_register
-        from spinqec.spin import get_system, manifold_states, product_index
+        from spinqec.spin import get_system, load_system, manifold_states, product_index
         from spinqec.spin import transition_gradients
         from spinqec.tailor import find_roots, newton_solve, scan_common_zero_cells
         from spinqec.tailor import seed_cells, solve_partial_tailoring_72
@@ -337,6 +341,9 @@ def test_preconditions_hold_under_python_O():
             "seed-empty": lambda: seed_cells([]),
             "run_detection-nan": lambda: run_detection(float("nan"), 0.8),
             "init_register-nan": lambda: init_register(float("nan"), 0.8),
+            "scan-nan": lambda: scan_common_zero_cells(
+                [lambda x, y: np.where(x > 0.0, np.nan, -1.0 + 0.0 * y)], 0.05, 10),
+            "load_system-inf": lambda: load_system(sys.argv[1]),
         }
         for name, call in calls.items():
             try:
@@ -348,8 +355,8 @@ def test_preconditions_hold_under_python_O():
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinqec.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-O", "-c", script, str(infinite)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "product_index", "PreconditionError",
@@ -391,6 +398,8 @@ def test_preconditions_hold_under_python_O():
         "seed-empty", "PreconditionError",
         "run_detection-nan", "PreconditionError",
         "init_register-nan", "PreconditionError",
+        "scan-nan", "NumericalError",
+        "load_system-inf", "PreconditionError",
     ]
 
 

@@ -367,3 +367,18 @@ def test_load_system_errors(tmp_path):
     )
     with pytest.raises(PreconditionError):
         load_system(path)
+
+
+@pytest.mark.parametrize("spin", ["inf", "-inf", "nan", "1e400", "7/0", "0/0"])
+def test_load_system_refuses_non_finite_spins(tmp_path, spin):
+    # an overflowing round() or a zero denominator is a bad input, not a crash
+    path = tmp_path / "bad.cfg"
+    for key in ("S", "I"):
+        values = {"S": "1/2", "I": "7/2", key: spin}
+        path.write_text(f"name = x\nS = {values['S']}\nI = {values['I']}\n"
+                        "g_e_MHz_per_T = 1\ng_n_MHz_per_T = 1\nA_MHz = 1\n")
+        with pytest.raises(PreconditionError):
+            load_system(path)
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(PreconditionError, match="half-integer"):
+            SpinSystem("x", 0.5, value, 1.0, 1.0, 1.0)

@@ -19,6 +19,7 @@ from spinqec.codewords import _TWO_LEVEL, expectation, make_codeword, offdiag_el
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import get_system, manifold_states, spin_operators
 from spinqec.tailor import (
+    CONDITIONS,
     DegenerateConditionsError,
     EmptyContourError,
     StructuralZeroError,
@@ -352,6 +353,16 @@ def test_scan_common_zero_cells():
     assert none == []
 
 
+def test_scan_refuses_nan_values():
+    # a NaN node is neither <= 0 nor >= 0, so it would drop its cells silently
+    nan_right = lambda x, y: np.where(x > 0.0, np.nan, -1.0 + 0.0 * y)  # noqa: E731
+    with pytest.raises(NumericalError, match="NaN"):
+        scan_common_zero_cells([nan_right], 0.05, 10)
+    # later, on the corners of the cells the first condition keeps
+    with pytest.raises(NumericalError, match="NaN"):
+        scan_common_zero_cells([lambda x, y: x + 0 * y, nan_right], 0.05, 10)
+
+
 @st.composite
 def _integer_grids(draw):
     side = draw(st.integers(min_value=2, max_value=12))
@@ -533,7 +544,8 @@ def _complex_meshgrid_route(problem, name, xs):
     factors = dict(zip(("IX", "IY", "IZ"), spin_operators(problem.system.i)))
     op = reduce(np.matmul, (factors[op_label[k:k + 2]] for k in range(0, len(op_label), 2)))
     real = np.max(np.abs(op.imag)) < 1e-12 * np.max(np.abs(op))
-    v0, v1 = problem._v0, problem._v1
+    basis = _field_setup(problem.family, problem.system, problem.b_field)[1]
+    v0, v1 = basis[..., :2], basis[..., 2:]
     m00, m11, m01 = (np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket)
                      for bra, ket in ((v0, v0), (v1, v1), (v0, v1)))
     e1, e2 = np.meshgrid(xs, xs, indexing="ij")
@@ -673,16 +685,28 @@ def test_line_zeros_trace_matches_dense_oracle(b, family, name, box_step):
         assert np.array_equal(poly, ref)
 
 
+def _patch_sandwiches(monkeypatch, problem, name, edit):
+    """Give ``problem`` (only) the blocks ``edit(kind, m00, m11, m01)`` for ``name``."""
+    sandwiches = problem._sandwiches
+    patched = edit(*sandwiches(name))
+    monkeypatch.setattr(problem, "_sandwiches",
+                        lambda key: patched if key == name else sandwiches(key))
+
+
+def _equal_diag_blocks(kind, m00, m11, m01):
+    """m00's diagonal as both diag blocks: f is exactly 0 where eps1 == eps2."""
+    block = np.diag(np.diag(m00))
+    return kind, block, block, m01
+
+
 @pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
 @pytest.mark.parametrize("box_step", [(0.05, 0.0025), (5e-4, 1e-4), (1.0, 0.05)])
-def test_zero_nodes_trace_as_the_dense_oracle(family, box_step):
+def test_zero_nodes_trace_as_the_dense_oracle(monkeypatch, family, box_step):
     # equal m00 and m11 blocks without cross terms give f = g(eps1) - g(eps2),
     # exactly 0 at every diagonal node, so the contour runs through nodes whose
     # closed-form values are rounding noise; they are settled by evaluation
     problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), 1.0)
-    kind, m00, _, m01 = problem._sandwiches("diag-IZ")
-    block = np.diag(np.diag(m00))
-    problem._cache["diag-IZ"] = (kind, block, block, m01)
+    _patch_sandwiches(monkeypatch, problem, "diag-IZ", _equal_diag_blocks)
     n = max(3, int(np.ceil(2.0 * box_step[0] / box_step[1])) + 1)
     xs = np.linspace(-box_step[0], box_step[0], n)
     assert not np.any(problem.evaluate("diag-IZ", xs, xs))
@@ -791,12 +815,11 @@ def test_degenerate_and_unsupported_pairs(bi):
         solve_full_tailoring_92(bi, 1.0, box=1e-4)
 
 
-def test_broken_structural_zero_is_named(sb):
+def test_broken_structural_zero_is_named(monkeypatch, sb):
     problem = TailoringProblem("distorted-7/2", sb, 1.0)
     for name in ("diag-IZ", "offdiag-IXIX"):
-        kind, m00, m11, m01 = problem._sandwiches(name)
-        problem._cache[name] = (kind, m00 + [[0.0, 1e-3], [0.0, 0.0]], m11,
-                                m01 + [[1e-3, 0.0], [0.0, 0.0]])
+        _patch_sandwiches(monkeypatch, problem, name, lambda kind, m00, m11, m01: (
+            kind, m00 + [[0.0, 1e-3], [0.0, 0.0]], m11, m01 + [[1e-3, 0.0], [0.0, 0.0]]))
         with pytest.raises(StructuralZeroError, match=name):
             problem.coefficients(name)
 
@@ -859,14 +882,12 @@ def test_scan_evaluates_later_conditions_on_kept_corners(monkeypatch, sb):
 
 @pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
 @pytest.mark.parametrize("n", [40, 400])
-def test_diag_cells_at_exact_zero_nodes(family, n):
+def test_diag_cells_at_exact_zero_nodes(monkeypatch, family, n):
     # equal m00 and m11 blocks without cross terms make f exactly 0 at every
     # diagonal node, so many cells qualify only through a zero corner: the
     # line-term comparisons must keep them, as the corner test on the grid does
     problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), 1.0)
-    kind, m00, _, m01 = problem._sandwiches("diag-IZ")
-    block = np.diag(np.diag(m00))
-    problem._cache["diag-IZ"] = (kind, block, block, m01)
+    _patch_sandwiches(monkeypatch, problem, "diag-IZ", _equal_diag_blocks)
     xs = np.linspace(-0.05, 0.05, n + 1)
     grid = problem.evaluate("diag-IZ", xs[:, None], xs[None, :])
     assert not np.any(np.diag(grid))
@@ -975,14 +996,11 @@ def test_field_sweep_residuals_match_fresh_problem(request, system, family, name
                 name, row["eps1_rad"], row["eps2_rad"])
 
 
-_OP_LABELS = ("IX", "IY", "IZ", "IXIX", "IXIY", "IYIY", "IZIZ", "IXIZ")
-
-
 @settings(max_examples=40, deadline=None)
 @given(b=st.floats(min_value=0.2, max_value=5.0),
        family=st.sampled_from(sorted(_SYSTEM_OF)),
-       label=st.sampled_from(_OP_LABELS))
-def test_stacked_sandwiches_equal_three_einsums(b, family, label):
+       name=st.sampled_from(_CONDITIONS))
+def test_stacked_sandwiches_equal_three_einsums(b, family, name):
     # one contraction over the stacked (dim_e, dim_n, 4) basis gives the same
     # bits as the three 2-column sandwiches built from fresh branch vectors
     system = get_system(_SYSTEM_OF[family])
@@ -990,16 +1008,35 @@ def test_stacked_sandwiches_equal_three_einsums(b, family, label):
     manifold = manifold_states(system, b, m_s=-0.5)
     v0, v1 = (np.column_stack([manifold[m].vector for m in sup]).reshape(
         system.dim_e, system.dim_n, 2) for sup in (sup0, sup1))
+    kind, _, label = name.partition("-")
     factors = dict(zip(("IX", "IY", "IZ"), spin_operators(system.i)))
     op = reduce(np.matmul, (factors[label[k:k + 2]] for k in range(0, len(label), 2)))
     part = "real" if np.max(np.abs(op.imag)) < 1e-12 * np.max(np.abs(op)) else "imag"
     want = [getattr(np.einsum("eia,ij,ejb->ab", bra.conj(), op, ket), part)
             for bra, ket in ((v0, v0), (v1, v1), (v0, v1))]
-    problem = TailoringProblem(family, system, b)
-    for kind in ("diag", "offdiag"):
-        got = problem._sandwiches(f"{kind}-{label}")
-        assert got[0] == kind
-        assert all(np.array_equal(g, w) for g, w in zip(got[1:], want))
+    got = TailoringProblem(family, system, b)._sandwiches(name)
+    assert got[0] == kind
+    assert all(np.array_equal(g, w) for g, w in zip(got[1:], want))
+
+
+def test_conditions_are_the_six_table_names(sb):
+    assert tuple(CONDITIONS) == _CONDITIONS
+    problem = TailoringProblem("distorted-7/2", sb, 1.0)
+    # names the former operator-label grammar accepted, and malformed ones
+    for name in ("diag-IX", "offdiag-IXIZ", "diag-bogus", "IZ", "diag-"):
+        with pytest.raises(PreconditionError, match="the conditions are diag-IZ"):
+            problem.evaluate(name, 0.0, 0.0)
+        with pytest.raises(PreconditionError):
+            problem.condition(name)
+
+
+def test_shared_sandwich_map_refuses_assignment(sb):
+    _, _, blocks = _field_setup("distorted-7/2", sb, 1.0)
+    assert set(blocks) == set(CONDITIONS)
+    with pytest.raises(TypeError):
+        blocks["diag-IZ"] = blocks["diag-IXIX"]
+    with pytest.raises(TypeError):
+        CONDITIONS["diag-IX"] = ("diag", ("IX",), "real")
 
 
 def test_problems_at_one_field_share_one_labelled_solve(monkeypatch, sb, bi):
@@ -1021,8 +1058,8 @@ def test_problems_at_one_field_share_one_labelled_solve(monkeypatch, sb, bi):
     TailoringProblem("tailored-9/2", bi, 1.37)
     TailoringProblem("distorted-7/2", replace(sb, name="si-sb-copy"), 1.37)
     assert len(calls) == 4
-    for array in (first._v0, first._v1, first._sandwiches("diag-IZ")[1],
-                  first._sandwiches("offdiag-IXIX")[3], first._nuclear["IX"],
+    for array in (_field_setup("distorted-7/2", sb, 1.37)[1],
+                  first._sandwiches("diag-IZ")[1], first._sandwiches("offdiag-IXIX")[3],
                   first._manifold[1.5].vector):
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
@@ -1039,7 +1076,7 @@ def test_field_cache_is_bounded_and_rebuilds_equal(sb):
         TailoringProblem("distorted-7/2", sb, b)
         assert _field_setup.cache_info().currsize <= maxsize
     after = TailoringProblem("distorted-7/2", sb, 0.9)
-    assert after._v0 is not before._v0
+    assert after._sandwiches("diag-IZ")[1] is not before._sandwiches("diag-IZ")[1]
     for name, grid in zip(names, grids):
         assert all(np.array_equal(m, n) for m, n in
                    zip(after._sandwiches(name)[1:], before._sandwiches(name)[1:]))
