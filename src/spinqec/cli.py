@@ -16,7 +16,7 @@ import sys
 import click
 import numpy as np
 
-from .codewords import _TWO_LEVEL, expectation, kl_residuals, \
+from .codewords import branch_amplitudes, expectation, kl_residuals, \
     lift_to_electron_nuclear, make_codeword, standard_error_sets
 from .cycle import build_detection_plan, case_weights, fidelity_threshold, \
     full_order, pulse_budget, run_detection, sample_records, z_biased_order
@@ -24,7 +24,7 @@ from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
 from .spin import build_hamiltonian, get_system, load_system
 from .tailor import DEFAULT_BOX, DEFAULT_SCAN_CELLS, DEFAULT_STEP, \
     TailoringProblem, default_family, field_sweep_tailoring, \
-    scan_common_zero_cells, tailoring_solver, trace_zero_contour
+    scan_common_zero_cells, solve_tailoring, trace_zero_contour
 
 _ORDERS = {"full": full_order, "z-biased": z_biased_order}
 
@@ -167,20 +167,15 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
     system = _resolve_system(system_key)
     if family is None:
         family = default_family(system.i)
-    solver = tailoring_solver(family)
     if b_field is not None:
-        sol = solver(system, b_field, box)
-        theta0 = _TWO_LEVEL[family][1]
-        t1 = theta0 + sol.eps1
-        t2 = theta0 + sol.eps2
+        sol = solve_tailoring(family, system, b_field, box)
         payload = {
             "system": sol.system_name,
             "family": sol.family,
             "b_tesla": sol.b_field,
             "eps1_rad": sol.eps1,
             "eps2_rad": sol.eps2,
-            "amplitudes": [float(np.cos(t1)), float(np.sin(t1)),
-                           float(np.cos(t2)), float(np.sin(t2))],
+            "amplitudes": [float(a) for a in branch_amplitudes(family, sol.eps1, sol.eps2)],
             "iterations": sol.iterations,
             "converged": sol.converged,
             "targets": list(sol.targets),

@@ -89,12 +89,24 @@ def _levels_to_vector(dim_n, pairs, index_of):
     return v
 
 
-def _two_level_pairs(theta0, support0, support1, sign1, eps1, eps2):
-    t1 = theta0 + eps1
-    t2 = theta0 + eps2
-    pairs0 = ((support0[0], np.cos(t1)), (support0[1], np.sin(t1)))
-    pairs1 = ((support1[0], sign1 * np.cos(t2)), (support1[1], np.sin(t2)))
-    return pairs0, pairs1
+def branch_amplitudes(family, eps1, eps2):
+    """A two-level family's word coefficients (cos t1, sin t1, sign cos t2, sin t2).
+
+    t_k = theta0 + eps_k; the first two weigh support0 in |0_L>, the last two
+    support1 in |1_L>, with the sign of the stretched |1_L> term.  eps1 and
+    eps2 broadcast.
+    """
+    _, theta0, _, _, sign1 = _TWO_LEVEL[family]
+    t1, t2 = theta0 + eps1, theta0 + eps2
+    return np.cos(t1), np.sin(t1), sign1 * np.cos(t2), np.sin(t2)
+
+
+def check_nuclear_spin(family, system):
+    """Refuse a ``system`` whose nuclear spin is not the two-level ``family``'s."""
+    spin_i = _TWO_LEVEL[family][0]
+    if abs(system.i - spin_i) > 1e-9:
+        raise PreconditionError(
+            f"{family} needs a nuclear spin {spin_i}, system has I={system.i}")
 
 
 def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
@@ -137,38 +149,35 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
             one[lvl * 64 + lvl * 8 + lvl] = amp
         return CodeWord(family, "ideal", zero, one)
 
-    spin_i, theta0, sup0, sup1, sign1 = _TWO_LEVEL[family]
+    spin_i, theta0, sup0, sup1, _ = _TWO_LEVEL[family]
     if system is None and b_field is None:
-        pairs0, pairs1 = _two_level_pairs(theta0, sup0, sup1, sign1, eps1, eps2)
+        c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
         dim = round(2 * spin_i) + 1
         idx = lambda m: round(m + spin_i)  # noqa: E731
-        zero = _levels_to_vector(dim, pairs0, idx)
-        one = _levels_to_vector(dim, pairs1, idx)
+        zero = _levels_to_vector(dim, zip(sup0, (c1, s1)), idx)
+        one = _levels_to_vector(dim, zip(sup1, (c2, s2)), idx)
         return CodeWord(family, "ideal", zero, one, theta0, eps1, eps2)
 
     if system is None or b_field is None:
         raise PreconditionError("dressed words need both system and b_field")
-    if abs(system.i - spin_i) > 1e-9:
-        raise PreconditionError(
-            f"{family} needs a nuclear spin {spin_i}, system has I={system.i}"
-        )
-    return dressed_word(family, system, b_field,
-                        manifold_states(system, b_field, m_s=-0.5), eps1, eps2)
+    check_nuclear_spin(family, system)
+    return dressed_word(family, system, b_field, manifold_states(system, b_field),
+                        eps1, eps2)
 
 
 def dressed_word(family, system, b_field, manifold, eps1, eps2):
     """A two-level family's words from its dressed m_S = -1/2 states.
 
-    ``manifold`` is ``manifold_states(system, b_field, m_s=-0.5)``, passed in
-    so that a caller holding it skips the labelled eigensolve.
+    ``manifold`` is ``manifold_states(system, b_field)``, passed in so that a
+    caller holding it skips the labelled eigensolve.
     """
-    _, theta0, sup0, sup1, sign1 = _TWO_LEVEL[family]
-    pairs0, pairs1 = _two_level_pairs(theta0, sup0, sup1, sign1, eps1, eps2)
+    _, theta0, sup0, sup1, _ = _TWO_LEVEL[family]
+    c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
     zero = np.zeros(system.dim, dtype=np.complex128)
     one = np.zeros(system.dim, dtype=np.complex128)
-    for m, amp in pairs0:
+    for m, amp in zip(sup0, (c1, s1)):
         zero += amp * manifold[m].vector
-    for m, amp in pairs1:
+    for m, amp in zip(sup1, (c2, s2)):
         one += amp * manifold[m].vector
     basis = f"dressed({system.name}, B={float(b_field):g} T)"
     return CodeWord(family, basis, zero, one, theta0, eps1, eps2)
@@ -304,8 +313,3 @@ def expectation(codeword, op):
     """(<0_L|op|0_L>, <1_L|op|1_L>) for a single operator."""
     return (complex(np.vdot(codeword.zero_l, op @ codeword.zero_l)),
             complex(np.vdot(codeword.one_l, op @ codeword.one_l)))
-
-
-def offdiag_element(codeword, op):
-    """<0_L| op |1_L> for a single operator."""
-    return complex(np.vdot(codeword.zero_l, op @ codeword.one_l))

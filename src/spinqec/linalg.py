@@ -70,26 +70,21 @@ def as_matrix(m):
     return a
 
 
-def is_hermitian(m, tol=HERMITIAN_TOL):
+def is_hermitian(m):
+    """Whether ``m`` is square and Hermitian within :data:`HERMITIAN_TOL` of max |entry|."""
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     if not a.size:
         raise PreconditionError("matrix is empty (0 x 0)")
     scale = max(1.0, float(np.max(np.abs(a))))
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol * scale)
-
-
-def fix_phase(vec):
-    """Rotate a vector's global phase so its largest |component| is real > 0.
-
-    Returns the rotated copy.  Zero vectors are returned unchanged.
-    """
-    return _fix_column_phases(np.asarray(vec, dtype=np.complex128)[:, None])[:, 0]
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * scale)
 
 
 def _fix_column_phases(m):
-    """:func:`fix_phase` of every column of ``m`` at once (a copy).
+    """Rotate each column's global phase so its largest |entry| is real > 0 (a copy).
+
+    Zero columns are returned unchanged.
 
     Real products, because numpy's complex multiply fuses multiply-adds in
     some inner loops only, so its last bit would depend on the array's shape.

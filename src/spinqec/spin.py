@@ -27,6 +27,9 @@ from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose,
 #: least overlap gap that makes a dressed-state label unambiguous
 LABEL_GAP_TOL = 1e-6
 
+#: electron projection m_S of the manifold that holds the code words
+MANIFOLD_M_S = -0.5
+
 
 class LabelingError(NumericalError):
     """Dressed-state labelling was ambiguous (near-degenerate overlaps)."""
@@ -193,17 +196,6 @@ class DressedState:
     weight: float  # squared overlap with the labelling product state
 
 
-def product_index(system, m_s, m_i):
-    """Full-space index of the product state |m_s> (x) |m_i>."""
-    ks = round(m_s + system.s)
-    ki = round(m_i + system.i)
-    if not (0 <= ks < system.dim_e and 0 <= ki < system.dim_n):
-        raise PreconditionError(
-            f"no product state m_S={m_s}, m_I={m_i} for S={system.s}, I={system.i}"
-        )
-    return ks * system.dim_n + ki
-
-
 def dressed_eigenstates(system, b_field):
     """All eigenstates of ``system`` at ``b_field``, labelled and sorted.
 
@@ -272,38 +264,38 @@ def dressed_eigenstates(system, b_field):
     return states
 
 
-def manifold_states(system, b_field, m_s=-0.5):
-    """Dressed states of one electron manifold, keyed by nuclear label m_i."""
+def manifold_states(system, b_field):
+    """Dressed states of the m_S = :data:`MANIFOLD_M_S` manifold, keyed by m_i."""
     out = {}
     for st in dressed_eigenstates(system, b_field):
-        if abs(st.m_s - m_s) < 1e-9:
+        if abs(st.m_s - MANIFOLD_M_S) < 1e-9:
             out[st.m_i] = st
     if len(out) != system.dim_n:
         raise PreconditionError(
-            f"manifold m_S={m_s} is incomplete: {len(out)} of {system.dim_n} states"
+            f"manifold m_S={MANIFOLD_M_S} is incomplete: {len(out)} of {system.dim_n} states"
         )
     return out
 
 
-def nuclear_transition_frequencies(system, b_z, manifold=-0.5):
-    """Adjacent nuclear transition frequencies f_k within one manifold.
+def nuclear_transition_frequencies(system, b_z):
+    """Adjacent nuclear transition frequencies f_k within the code manifold.
 
-    f_k = E(manifold, m_i = -I + k + 1) - E(manifold, m_i = -I + k),
+    f_k = E(m_i = -I + k + 1) - E(m_i = -I + k) at m_S = :data:`MANIFOLD_M_S`,
     k = 0 .. 2I-1, in MHz.
     """
-    states = manifold_states(system, b_z, manifold)
+    states = manifold_states(system, b_z)
     mis = sorted(states)
     energies = np.array([states[mi].energy for mi in mis])
     return np.diff(energies)
 
 
-def transition_gradients(system, b_z, manifold=-0.5):
+def transition_gradients(system, b_z):
     """Exact dB_z-derivatives (MHz/T) of the transition frequencies.
 
     Hellmann-Feynman from one labelled solve: dH/dB_z is diagonal in the
     product basis, d_p = g_e m_S + g_n m_I, so a slope is sum_p |v_p|^2 d_p.
     """
-    states = manifold_states(system, b_z, manifold)
+    states = manifold_states(system, b_z)
     d = np.add.outer(system.g_e * (np.arange(system.dim_e) - system.s),
                      system.g_n * (np.arange(system.dim_n) - system.i)).ravel()
     return np.diff([np.abs(states[mi].vector) ** 2 @ d for mi in sorted(states)])

@@ -30,14 +30,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .codewords import _TWO_LEVEL, dressed_word, kl_residuals, \
-    lift_to_electron_nuclear, standard_error_sets
+from .codewords import _TWO_LEVEL, branch_amplitudes, check_nuclear_spin, dressed_word, \
+    kl_residuals, lift_to_electron_nuclear, standard_error_sets
 from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
 DEFAULT_BOX = 0.05
 DEFAULT_STEP = 0.0025  # marching-squares cell size of trace_zero_contour
 DEFAULT_SCAN_CELLS = 400  # cells per side of scan_common_zero_cells
+MAX_GRID_NODES = 1001  # nodes per side of a contour or scan grid
+MAX_BRANCHES = 100  # branches eps = t + k pi - theta0 a box may span, 2 box / pi
 FD_STEP = 1e-7
 STEP_TOL = 1e-13
 RESIDUAL_TOL = 1e-13
@@ -70,6 +72,13 @@ CONDITIONS = MappingProxyType({
     "offdiag-IXIY": ("offdiag", ("IX", "IY"), "imag"),
 })
 
+#: The tailored families: family -> (target conditions, leftovers, KL-verified).
+TAILORING = MappingProxyType({
+    "tailored-9/2": (("diag-IZ", "diag-IXIX"),
+                     ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"), True),
+    "distorted-7/2": (("diag-IZ", "offdiag-IXIX"), ("offdiag-IXIY", "diag-IXIX"), False),
+})
+
 
 class TailoringProblem:
     """Precomputed branch-basis sandwiches for fast condition evaluation.
@@ -81,22 +90,18 @@ class TailoringProblem:
     Parameters
     ----------
     family : str
-        ``distorted-7/2`` or ``tailored-9/2``.
+        A family of :data:`TAILORING`.
     system : SpinSystem
     b_field : float
         Static field in tesla.
     """
 
     def __init__(self, family, system, b_field):
-        if family not in ("distorted-7/2", "tailored-9/2"):
+        if family not in TAILORING:
             raise PreconditionError(
-                f"tailoring applies to the distorted/tailored families, not {family!r}"
-            )
-        spin_i, self.theta0, _, _, self.sign1 = _TWO_LEVEL[family]
-        if abs(system.i - spin_i) > 1e-9:
-            raise PreconditionError(
-                f"{family} needs I={spin_i}, system has I={system.i}"
-            )
+                f"tailoring applies to the families {', '.join(TAILORING)}, not {family!r}")
+        check_nuclear_spin(family, system)
+        _, self.theta0, _, _, self.sign1 = _TWO_LEVEL[family]
         self.family = family
         self.system = system
         self.b_field = float(b_field)
@@ -117,19 +122,14 @@ class TailoringProblem:
             g, h = self._diag_terms(m00, m11, e1, e2)
             z = g - h
         else:
-            c1, s1, c2, s2 = self._trig(e1, e2)
+            c1, s1, c2, s2 = branch_amplitudes(self.family, e1, e2)
             z = (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
                  + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
         return float(z) if np.ndim(z) == 0 else z
 
-    def _trig(self, e1, e2):
-        """cos and sin of t1 = theta0 + e1 and of t2 = theta0 + e2, cos t2 signed."""
-        return (np.cos(self.theta0 + e1), np.sin(self.theta0 + e1),
-                self.sign1 * np.cos(self.theta0 + e2), np.sin(self.theta0 + e2))
-
     def _diag_terms(self, m00, m11, e1, e2):
         """A diag condition's line terms (g(e1), h(e2)); the condition is g - h."""
-        c1, s1, c2, s2 = self._trig(e1, e2)
+        c1, s1, c2, s2 = branch_amplitudes(self.family, e1, e2)
         return (c1 * c1 * m00[0, 0] + c1 * s1 * (m00[0, 1] + m00[1, 0])
                 + s1 * s1 * m00[1, 1],
                 c2 * c2 * m11[0, 0] + c2 * s2 * (m11[0, 1] + m11[1, 0])
@@ -271,7 +271,7 @@ def _field_setup(family, system, b_field):
     map of each condition name to its (kind, m00, m11, m01) of ``family`` at one
     field, all read-only."""
     _, _, sup0, sup1, _ = _TWO_LEVEL[family]
-    manifold = manifold_states(system, b_field, m_s=-0.5)
+    manifold = manifold_states(system, b_field)
     basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)]).reshape(
         system.dim_e, system.dim_n, 4)
     nuclear = dict(zip(("IX", "IY", "IZ"), spin_operators(system.i)))
@@ -363,8 +363,9 @@ def closed_form_roots(problem, names, box=DEFAULT_BOX):
     Raises
     ------
     PreconditionError
-        If ``box`` is not finite and positive, or ``names`` is not two diag
-        conditions or a diag then an offdiag one.
+        If ``box`` is not positive or spans more than :data:`MAX_BRANCHES`
+        branches, or ``names`` is not two diag conditions or a diag then an
+        offdiag one.
     DegenerateConditionsError
         If two diag conditions are near-dependent (the sine between the rows
         of their 2 x 2 system is below 1e-12), or the offdiag condition
@@ -372,8 +373,7 @@ def closed_form_roots(problem, names, box=DEFAULT_BOX):
     StructuralZeroError
         See :meth:`TailoringProblem.coefficients`.
     """
-    if not 0.0 < box < np.inf:
-        raise PreconditionError(f"need box > 0, got {box!r}")
+    _check_box(box)
     kinds = [problem._sandwiches(name)[0] for name in names]
     if kinds == ["diag", "diag"]:
         roots = _diag_pair_roots(problem, names, box)
@@ -437,10 +437,11 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     once on the grid axes, ``fn(xs[:, None], xs[None, :])``, which it must
     broadcast (the result is broadcast to (n, n)).  The scan stops once no
     cell is left.  Centres come in row-major order; a NaN value it reads raises
-    :class:`NumericalError`, and no condition, an n that is not an integer >= 2,
-    or a box that is not finite and positive, :class:`PreconditionError`.
+    :class:`NumericalError`, and no condition, an n that is not an integer in
+    [2, :data:`MAX_GRID_NODES`], or a box refused by :func:`_check_box`,
+    :class:`PreconditionError`.
     """
-    _check_grid(n, 2, "grid nodes", box)
+    _check_grid(n, 2, MAX_GRID_NODES, "grid nodes", box)
     xs = np.linspace(-box, box, n)
     centres = (xs[:-1] + xs[1:]) / 2.0
     rows = cols = None  # the kept cells' lower-left nodes, row-major
@@ -460,11 +461,20 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     return [(centres[i], centres[j]) for i, j in zip(rows, cols)]
 
 
-def _check_grid(n, least, what, box):
-    """Refuse an ``n`` that is not an integer >= ``least``, or a bad ``box``."""
-    if not (isinstance(n, (int, np.integer)) and n >= least and 0.0 < box < np.inf):
+def _check_grid(n, least, most, what, box):
+    """Refuse an ``n`` that is not an integer in [least, most], or a bad ``box``."""
+    _check_box(box)
+    if not (isinstance(n, (int, np.integer)) and least <= n <= most):
         raise PreconditionError(
-            f"need an integer n >= {least} {what} and box > 0, got {n!r}, {box!r}")
+            f"need an integer {least} <= n <= {most} {what}, got {n!r}, box {box!r}")
+
+
+def _check_box(box):
+    """Refuse a box that is not positive or spans more than MAX_BRANCHES branches."""
+    if not 0.0 < 2.0 * box / np.pi <= MAX_BRANCHES:
+        raise PreconditionError(
+            f"need box > 0 spanning at most {MAX_BRANCHES} branches (2 box / pi), "
+            f"got {box!r}")
 
 
 def _qualifies(values, any4):
@@ -534,7 +544,19 @@ class TailoringSolution:
     all_roots: tuple = field(default_factory=tuple)  # every root in the box, nearest first
 
 
-def _solve(problem, target_names, leftover_names, box, verify_kl):
+def solve_tailoring(family, system, b_field, box=DEFAULT_BOX):
+    """Close ``family``'s target conditions of :data:`TAILORING` at one field.
+
+    The root is the one of :func:`closed_form_roots` nearest the origin; the
+    residuals are the targets' and then the leftovers' values there.  A
+    KL-verified family's root is checked by an independent first-order
+    Knill-Laflamme evaluation (max residual < 1e-10, else
+    :class:`VerificationError`); otherwise ``kl_max`` is nan.  A family
+    outside :data:`TAILORING` raises :class:`PreconditionError`, and no root
+    in the box :class:`NumericalError`.
+    """
+    problem = TailoringProblem(family, system, b_field)
+    target_names, leftover_names, verify_kl = TAILORING[family]
     roots = closed_form_roots(problem, target_names, box)
     if not roots:
         raise NumericalError(
@@ -565,7 +587,7 @@ def _solve(problem, target_names, leftover_names, box, verify_kl):
         eps2=float(x[1]),
         converged=True,
         iterations=0,
-        targets=tuple(target_names),
+        targets=target_names,
         residuals=residuals,
         kl_max=kl_max,
         all_roots=tuple(roots),
@@ -581,11 +603,7 @@ def solve_full_tailoring_92(system, b_field, box=DEFAULT_BOX):
     verified here through an independent Knill-Laflamme evaluation
     (max residual < 1e-10, else :class:`VerificationError`).
     """
-    problem = TailoringProblem("tailored-9/2", system, b_field)
-    return _solve(problem,
-                  ("diag-IZ", "diag-IXIX"),
-                  ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"),
-                  box, verify_kl=True)
+    return solve_tailoring("tailored-9/2", system, b_field, box)
 
 
 def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX):
@@ -596,17 +614,7 @@ def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX):
     to offdiag-IXIX by the ladder structure of the supports, so zero at the
     root) and ``diag-IXIX`` (genuinely non-zero).
     """
-    problem = TailoringProblem("distorted-7/2", system, b_field)
-    return _solve(problem,
-                  ("diag-IZ", "offdiag-IXIX"),
-                  ("offdiag-IXIY", "diag-IXIX"),
-                  box, verify_kl=False)
-
-
-_SOLVERS = {
-    "tailored-9/2": solve_full_tailoring_92,
-    "distorted-7/2": solve_partial_tailoring_72,
-}
+    return solve_tailoring("distorted-7/2", system, b_field, box)
 
 
 def default_family(spin_i, distorted=True):
@@ -623,13 +631,6 @@ def default_family(spin_i, distorted=True):
     raise PreconditionError(f"no default code family for I={spin_i}; pass a family")
 
 
-def tailoring_solver(family):
-    """The root solver for ``distorted-7/2`` or ``tailored-9/2``."""
-    if family not in _SOLVERS:
-        raise PreconditionError(f"no tailoring solver for family {family!r}")
-    return _SOLVERS[family]
-
-
 def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
                           freeze_at=None, box=DEFAULT_BOX):
     """Tailoring solutions across a field range.
@@ -643,18 +644,19 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
     """
     if family is None:
         family = default_family(system.i)
-    solver = tailoring_solver(family)
+    if family not in TAILORING:
+        raise PreconditionError(f"no tailoring solver for family {family!r}")
     if mode not in ("re-solve", "frozen"):
         raise PreconditionError(f"unknown sweep mode {mode!r}")
     frozen = None
     if mode == "frozen":
         if freeze_at is None:
             raise PreconditionError("frozen mode needs freeze_at (tesla)")
-        frozen = solver(system, freeze_at, box)
+        frozen = solve_tailoring(family, system, freeze_at, box)
     rows = []
     for b in b_values:
         if frozen is None:
-            sol = solver(system, b, box)
+            sol = solve_tailoring(family, system, b, box)
             residuals = sol.residuals
         else:
             sol = frozen
@@ -710,13 +712,17 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
     The segments, in row-major cell order, join into chains by :func:`_chains`;
     returns one ordered polyline (array of shape (k, 2)) per chain.
 
-    Raises :class:`PreconditionError` if ``box`` or ``step`` is not finite and
-    positive or ``fn`` lacks ``line_zeros``, :class:`EmptyContourError` if no
-    grid edge changes sign, and :class:`NumericalError` if the condition
-    vanishes on essentially the whole box (its "contour" is not a curve).
+    Raises :class:`PreconditionError` if ``box`` is not positive or spans more
+    than :data:`MAX_BRANCHES` branches, ``step`` is not positive or gives more
+    than :data:`MAX_GRID_NODES` nodes, or ``fn`` lacks ``line_zeros``,
+    :class:`EmptyContourError` if no grid edge changes sign, and
+    :class:`NumericalError` if the condition vanishes on essentially the whole
+    box (its "contour" is not a curve).
     """
-    if not (0.0 < box < np.inf and 0.0 < step < np.inf):
-        raise PreconditionError(f"need box > 0 and step > 0, got {box!r}, {step!r}")
+    _check_box(box)
+    if not (0.0 < step < np.inf and 2.0 * box / step <= MAX_GRID_NODES - 1):
+        raise PreconditionError(f"need step > 0 giving at most {MAX_GRID_NODES} grid "
+                                f"nodes, got {step!r} for box {box!r}")
     if not hasattr(fn, "line_zeros"):
         raise PreconditionError("fn has no line_zeros; trace TailoringProblem.condition")
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
@@ -757,7 +763,8 @@ def scan_common_zero_cells(funcs, box=DEFAULT_BOX, n=DEFAULT_SCAN_CELLS):
 
     A uniform n x n cell scan (on n + 1 grid nodes; see :func:`seed_cells`);
     used to test whether several conditions can vanish simultaneously inside
-    the box.  An ``n`` that is not an integer >= 1 raises :class:`PreconditionError`.
+    the box.  An ``n`` that is not an integer in [1, :data:`MAX_GRID_NODES` - 1]
+    raises :class:`PreconditionError`.
     """
-    _check_grid(n, 1, "cells", box)
+    _check_grid(n, 1, MAX_GRID_NODES - 1, "cells", box)
     return seed_cells(funcs, box, n + 1)

@@ -76,6 +76,19 @@ def test_tailor_single_field_json(runner):
         assert abs(payload["residuals"][name]) < 1e-12
 
 
+def test_tailor_amplitudes_are_the_signed_word_coefficients(runner):
+    # the 7/2 word puts -cos t2 on |+7/2>: amplitudes carry that sign
+    res = runner.invoke(cli, ["tailor", "--system", "si-sb", "--b", "1"])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(res.output)
+    word = make_codeword(payload["family"], eps1=payload["eps1_rad"],
+                         eps2=payload["eps2_rad"])
+    # support0 (-7/2, +3/2) of |0_L>, then support1 (+7/2, -3/2) of |1_L>
+    want = [word.zero_l[0].real, word.zero_l[5].real, word.one_l[7].real, word.one_l[2].real]
+    assert payload["amplitudes"] == want
+    assert payload["amplitudes"][2] < 0.0
+
+
 def test_tailor_sweep_csv(runner):
     res = runner.invoke(cli, ["tailor", "--system", "si-sb", "--bstart", "0.5",
                               "--bstop", "2", "--bpoints", "3"])
@@ -221,6 +234,15 @@ def test_exit_code_2_cases(runner, tmp_path):
     assert runner.invoke(cli, ["qec", "--alpha", "inf"]).exit_code == 2
     assert runner.invoke(cli, ["budget", "--error-budget", "1.5"]).exit_code == 2
     assert runner.invoke(cli, ["levels", "--bpoints", "0"]).exit_code == 2
+    # grids and branch counts too large to allocate are refused before any is built
+    for argv in (["contour", "--system", "si-sb", "--b", "1", "--box", "1e300"],
+                 ["contour", "--system", "si-sb", "--b", "1", "--step", "1e-300"],
+                 ["tailor", "--b", "1", "--box", "1e300"],
+                 ["contour", "--b", "1", "--what", "common-cells",
+                  "--scan-points", str(10**15)]):
+        res = runner.invoke(cli, argv)
+        assert res.exit_code == 2, res.output
+        assert "precondition error:" in res.output
 
 
 def test_out_flag_writes_file(runner, tmp_path):

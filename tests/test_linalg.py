@@ -27,13 +27,17 @@ from spinqec.linalg import (
     _fix_column_phases,
     _round_robin,
     as_matrix,
-    fix_phase,
     hermitian_eigendecompose,
     is_hermitian,
     kron,
     kron_all,
 )
 from spinqec.spin import build_hamiltonian, get_system
+
+
+def _fix_phase(v):
+    """The eigenvector phase convention applied to one vector, as a single column."""
+    return _fix_column_phases(v[:, None])[:, 0]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 20, 33, 64])
@@ -145,13 +149,13 @@ def test_is_hermitian_cases(rng):
 
 def test_fix_phase(rng):
     v = rng.normal(size=7) + 1j * rng.normal(size=7)
-    out = fix_phase(v)
+    out = _fix_phase(v)
     pivot = out[int(np.argmax(np.abs(out)))]
     assert abs(pivot.imag) < 1e-14 and pivot.real > 0
     assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-12
-    np.testing.assert_allclose(fix_phase(out), out, atol=1e-14)
+    np.testing.assert_allclose(_fix_phase(out), out, atol=1e-14)
     zero = np.zeros(3, dtype=complex)
-    np.testing.assert_array_equal(fix_phase(zero), zero)
+    np.testing.assert_array_equal(_fix_phase(zero), zero)
 
 
 def test_kron_matches_numpy(rng):
@@ -213,7 +217,7 @@ def test_column_phases_match_fix_phase(rows, cols, zero_cols, seed):
             m[:, k] = -0.0  # signed zeros must come back untouched too
     out = _fix_column_phases(m)
     for k in range(cols):
-        assert out[:, k].tobytes() == fix_phase(m[:, k]).tobytes()
+        assert out[:, k].tobytes() == _fix_phase(m[:, k]).tobytes()
 
 
 def _solver_input(kind, dim, seed):
@@ -287,10 +291,11 @@ def test_preconditions_hold_under_python_O(tmp_path):
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.register import init_register
-        from spinqec.spin import get_system, load_system, manifold_states, product_index
+        from spinqec.spin import SpinSystem, get_system, load_system, manifold_states
         from spinqec.spin import transition_gradients
-        from spinqec.tailor import find_roots, newton_solve, scan_common_zero_cells
-        from spinqec.tailor import seed_cells, solve_partial_tailoring_72
+        from spinqec.tailor import TailoringProblem, find_roots, newton_solve
+        from spinqec.tailor import scan_common_zero_cells, seed_cells
+        from spinqec.tailor import solve_partial_tailoring_72, solve_tailoring
         from spinqec.tailor import trace_zero_contour
 
         records, _ = run_detection(0.6, 0.8, error=("XX", "A"))
@@ -298,8 +303,9 @@ def test_preconditions_hold_under_python_O(tmp_path):
         negative = (replace(records[0], probability=1.5),
                     replace(records[0], probability=-0.5))
         nan = (replace(records[0], probability=float("nan")),)
+        diag_iz = TailoringProblem("distorted-7/2", get_system("si-sb"), 1.0).condition(
+            "diag-IZ")
         calls = {
-            "product_index": lambda: product_index(get_system("si-sb"), 0.5, 9.5),
             "sample_records": lambda: sample_records(records[:1], 3),
             "newton_solve-1": lambda: newton_solve([lambda x, y: x], (0.0, 0.0)),
             "newton_solve-3": lambda: newton_solve([lambda x, y: x] * 3, (0.0, 0.0)),
@@ -318,7 +324,8 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "solver-box-neg": lambda: solve_partial_tailoring_72(get_system("si-sb"),
                                                                  1.0, box=-3.0),
             "kron_all": lambda: kron_all([]),
-            "manifold_states": lambda: manifold_states(get_system("si-sb"), 1.0, 0.3),
+            "manifold_states": lambda: manifold_states(SpinSystem("x", 0.0, 3.5, 1.0,
+                                                                  1.0, 1.0), 1.0),
             "collapse_gates-empty": lambda: collapse_gates({}),
             "collapse_gates-norm": lambda: collapse_gates({(0, 0, 0): 0.5}),
             "collapse_gates-parity": lambda: collapse_gates({(0, 0, 0): 0.6,
@@ -344,6 +351,12 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "scan-nan": lambda: scan_common_zero_cells(
                 [lambda x, y: np.where(x > 0.0, np.nan, -1.0 + 0.0 * y)], 0.05, 10),
             "load_system-inf": lambda: load_system(sys.argv[1]),
+            "trace-box-1e300": lambda: trace_zero_contour(diag_iz, 1e300),
+            "trace-step-1e-300": lambda: trace_zero_contour(diag_iz, 0.05, 1e-300),
+            "solve-box-1e300": lambda: solve_tailoring("tailored-9/2", get_system("si-bi"),
+                                                       1.0, 1e300),
+            "scan-n-1e15": lambda: scan_common_zero_cells([diag_iz], 0.05, 10**15),
+            "solve-ideal": lambda: solve_tailoring("ideal-7/2", get_system("si-sb"), 1.0),
         }
         for name, call in calls.items():
             try:
@@ -359,7 +372,6 @@ def test_preconditions_hold_under_python_O(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "product_index", "PreconditionError",
         "sample_records", "PreconditionError",
         "newton_solve-1", "PreconditionError",
         "newton_solve-3", "PreconditionError",
@@ -400,6 +412,11 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "init_register-nan", "PreconditionError",
         "scan-nan", "NumericalError",
         "load_system-inf", "PreconditionError",
+        "trace-box-1e300", "PreconditionError",
+        "trace-step-1e-300", "PreconditionError",
+        "solve-box-1e300", "PreconditionError",
+        "scan-n-1e15", "PreconditionError",
+        "solve-ideal", "PreconditionError",
     ]
 
 

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import spinqec.spin
 import spinqec.tailor
-from spinqec.codewords import _TWO_LEVEL, expectation, make_codeword, offdiag_element
+from spinqec.codewords import _TWO_LEVEL, branch_amplitudes, expectation, make_codeword
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import get_system, manifold_states, spin_operators
 from spinqec.tailor import (
     CONDITIONS,
+    TAILORING,
     DegenerateConditionsError,
     EmptyContourError,
     StructuralZeroError,
@@ -34,6 +35,7 @@ from spinqec.tailor import (
     seed_cells,
     solve_full_tailoring_92,
     solve_partial_tailoring_72,
+    solve_tailoring,
     trace_zero_contour,
 )
 
@@ -284,7 +286,7 @@ def test_conditions_match_direct_expectations(sb, bi):
                 problem.evaluate("diag-IZ", *eps), (e0 - e1).real, atol=1e-12
             )
             got = problem.evaluate("offdiag-IXIX", *eps)
-            ref = offdiag_element(cw, ixix)
+            ref = np.vdot(cw.zero_l, ixix @ cw.one_l)
             assert np.isclose(abs(got), abs(ref), atol=1e-12)
 
 
@@ -957,6 +959,75 @@ def test_offdiag_identity_on_grid(sb):
     np.testing.assert_allclose(np.abs(xx), np.abs(xy), atol=1e-12)
 
 
+@pytest.mark.parametrize("family, at0, at1", [
+    ("distorted-7/2", (0, 5), (7, 2)),  # m = -7/2, +3/2 and +7/2, -3/2
+    ("tailored-9/2", (0, 6), (9, 3)),  # m = -9/2, +3/2 and +9/2, -3/2
+])
+def test_branch_amplitudes_are_the_word_entries(family, at0, at1):
+    for eps1, eps2 in ((0.0, 0.0), (0.004, -0.003), (-0.05, 0.05), (1e-9, -2.5e-6)):
+        word = make_codeword(family, eps1=eps1, eps2=eps2)
+        want = (*word.zero_l[list(at0)].real, *word.one_l[list(at1)].real)
+        got = branch_amplitudes(family, eps1, eps2)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    # one convention: the stretched |1_L> term is signed for 7/2 only
+    assert (branch_amplitudes(family, 0.0, 0.0)[2] < 0.0) == (family == "distorted-7/2")
+    eps = np.linspace(-0.05, 0.05, 5)
+    grid = branch_amplitudes(family, eps[:, None], eps[None, :3])
+    assert [a.shape for a in grid] == [(5, 1), (5, 1), (1, 3), (1, 3)]
+    grid = np.broadcast_arrays(*grid)
+    for i, j in ((0, 0), (4, 2), (2, 1)):
+        np.testing.assert_allclose([a[i, j] for a in grid],
+                                   branch_amplitudes(family, eps[i], eps[j]), rtol=1e-15)
+
+
+def test_solve_tailoring_reads_the_family_table(sb, bi):
+    assert dict(TAILORING) == {
+        "tailored-9/2": (("diag-IZ", "diag-IXIX"),
+                         ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"), True),
+        "distorted-7/2": (("diag-IZ", "offdiag-IXIX"), ("offdiag-IXIY", "diag-IXIX"), False),
+    }
+    with pytest.raises(TypeError):
+        TAILORING["ideal-7/2"] = TAILORING["distorted-7/2"]
+    for family, system, named in (("tailored-9/2", bi, solve_full_tailoring_92),
+                                  ("distorted-7/2", sb, solve_partial_tailoring_72)):
+        targets, leftovers, verified = TAILORING[family]
+        sol = solve_tailoring(family, system, 1.37)
+        assert sol.targets == targets
+        assert tuple(sol.residuals) == targets + leftovers
+        assert np.isnan(sol.kl_max) != verified
+        ref = named(system, 1.37)
+        assert (sol.eps1, sol.eps2, sol.all_roots, sol.residuals) == \
+            (ref.eps1, ref.eps2, ref.all_roots, ref.residuals)
+    for family in ("ideal-7/2", "ideal-9/2", "spin-23/2", "bogus"):
+        with pytest.raises(PreconditionError, match="tailoring applies to the families"):
+            solve_tailoring(family, sb, 1.0)
+
+
+def test_spin_mismatch_is_one_refusal(sb, bi):
+    message = r"distorted-7/2 needs a nuclear spin 3\.5, system has I=4\.5"
+    with pytest.raises(PreconditionError, match=message):
+        make_codeword("distorted-7/2", bi, 1.0)
+    with pytest.raises(PreconditionError, match=message):
+        TailoringProblem("distorted-7/2", bi, 1.0)
+    with pytest.raises(PreconditionError, match=message):
+        solve_tailoring("distorted-7/2", bi, 1.0)
+
+
+def test_oversized_grids_and_boxes_are_refused(sb):
+    # each is refused before its grid or branch list is allocated
+    fn = TailoringProblem("distorted-7/2", sb, 1.0).condition("diag-IZ")
+    for box, step in ((1e300, 0.0025), (0.05, 1e-300), (1e300, 1e299), (1e308, 1e-308)):
+        with pytest.raises(PreconditionError):
+            trace_zero_contour(fn, box, step)
+    for n in (10**15, 2**62):
+        with pytest.raises(PreconditionError, match="cells"):
+            scan_common_zero_cells([fn], 0.05, n)
+        with pytest.raises(PreconditionError, match="grid nodes"):
+            seed_cells([fn], 0.05, n)
+    with pytest.raises(PreconditionError, match="branches"):
+        solve_partial_tailoring_72(sb, 1.0, box=1e300)
+
+
 def test_field_sweep_modes(sb):
     rows = field_sweep_tailoring(sb, (0.5, 1.0), mode="re-solve")
     assert [r["b_tesla"] for r in rows] == [0.5, 1.0]
@@ -972,6 +1043,8 @@ def test_field_sweep_modes(sb):
         field_sweep_tailoring(sb, (1.0,), mode="frozen")
     with pytest.raises(PreconditionError):
         field_sweep_tailoring(sb, (1.0,), mode="bogus")
+    with pytest.raises(PreconditionError):
+        field_sweep_tailoring(sb, (), family="ideal-7/2")  # refused with no field to solve
 
 
 @pytest.mark.parametrize("system, family, names", [
@@ -1005,7 +1078,7 @@ def test_stacked_sandwiches_equal_three_einsums(b, family, name):
     # bits as the three 2-column sandwiches built from fresh branch vectors
     system = get_system(_SYSTEM_OF[family])
     _, _, sup0, sup1, _ = _TWO_LEVEL[family]
-    manifold = manifold_states(system, b, m_s=-0.5)
+    manifold = manifold_states(system, b)
     v0, v1 = (np.column_stack([manifold[m].vector for m in sup]).reshape(
         system.dim_e, system.dim_n, 2) for sup in (sup0, sup1))
     kind, _, label = name.partition("-")
