@@ -48,10 +48,6 @@ AMP_CUT = 1e-12
 FIDELITY_TOL = 1e-10  # a validated block's target fidelity exceeds 1 - FIDELITY_TOL
 PHASE_TOL = 1e-9  # strip_global_phase drops a part below this of max |entry|
 
-#: encode-stage branch profiles on qudit A: level -> amplitude
-BRANCH0_PROFILE = dict(THREEQ_ZERO)
-BRANCH1_PROFILE = dict(THREEQ_ONE)
-
 #: A-levels whose (m, 0, 0) populations the entangling stage copies to B and C
 ENTANGLE_LEVELS = (1, 2, 5, 6, 7)
 
@@ -126,11 +122,11 @@ def strip_global_phase(vec):
 
 
 def psi_spread(alpha, beta):
-    """After the encode stage: branch profiles on A, B/C still at level 0."""
+    """After the encode stage: the word profiles on A, B/C still at level 0."""
     out = np.zeros(1024, dtype=np.complex128)
-    for lvl, amp in BRANCH0_PROFILE.items():
+    for lvl, amp in THREEQ_ZERO:
         out[flat_index(lvl, 0, 0)] = alpha * amp
-    for lvl, amp in BRANCH1_PROFILE.items():
+    for lvl, amp in THREEQ_ONE:
         out[flat_index(lvl, 0, 0)] = beta * amp
     return out
 

@@ -16,20 +16,25 @@ import sys
 import click
 import numpy as np
 
-from .codewords import branch_amplitudes, expectation, kl_residuals, \
+from . import tailor as tailoring
+from .codewords import branch_amplitudes, default_family, expectation, kl_residuals, \
     lift_to_electron_nuclear, make_codeword, standard_error_sets
 from .cycle import build_detection_plan, case_weights, fidelity_threshold, \
     full_order, pulse_budget, run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
 from .spin import build_hamiltonian, get_system, load_system
 from .tailor import DEFAULT_BOX, DEFAULT_SCAN_CELLS, DEFAULT_STEP, \
-    TailoringProblem, default_family, field_sweep_tailoring, \
-    scan_common_zero_cells, solve_tailoring, trace_zero_contour
+    TailoringProblem, field_sweep_tailoring, scan_common_zero_cells, solve_tailoring, \
+    trace_zero_contour
 
 _ORDERS = {"full": full_order, "z-biased": z_biased_order}
 
-#: option types for counts and for lengths in radians (box, grid step)
+MAX_FIELD_POINTS = 10_000  # --bpoints of levels, klsweep and tailor
+MAX_TRAJECTORIES = 1_000_000  # --trajectories of qec
+
+#: option types for counts, field-point counts and lengths in radians (box, grid step)
 _COUNT = click.IntRange(min=1)
+_FIELD_POINTS = click.IntRange(min=1, max=MAX_FIELD_POINTS)
 _POSITIVE = click.FloatRange(min=0.0, min_open=True)
 
 
@@ -71,8 +76,8 @@ def _mapped_errors(fn):
 
 
 def _field_axis(bstart, bstop, bpoints):
-    if bpoints < 1 or bstop < bstart:
-        raise PreconditionError("need bpoints >= 1 and bstop >= bstart")
+    if bstop < bstart:
+        raise PreconditionError("need bstop >= bstart")
     return np.linspace(bstart, bstop, bpoints)
 
 
@@ -90,7 +95,7 @@ def cli():
               help="Preset (si-sb, si-bi), full preset name, or a file path.")
 @click.option("--bstart", type=float, default=0.0, show_default=True)
 @click.option("--bstop", type=float, default=0.5, show_default=True)
-@click.option("--bpoints", type=int, default=101, show_default=True)
+@click.option("--bpoints", type=_FIELD_POINTS, default=101, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write to this file instead of stdout.")
 @_mapped_errors
@@ -114,7 +119,7 @@ def levels(system_key, bstart, bstop, bpoints, out):
 @click.option("--eps2", type=float, default=0.0, show_default=True)
 @click.option("--bstart", type=float, default=0.5, show_default=True)
 @click.option("--bstop", type=float, default=5.0, show_default=True)
-@click.option("--bpoints", type=int, default=10, show_default=True)
+@click.option("--bpoints", type=_FIELD_POINTS, default=10, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_mapped_errors
 def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
@@ -152,7 +157,7 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
               help="Single field point (JSON output).")
 @click.option("--bstart", type=float, default=None)
 @click.option("--bstop", type=float, default=None)
-@click.option("--bpoints", type=int, default=9)
+@click.option("--bpoints", type=_FIELD_POINTS, default=9)
 @click.option("--sweep-mode", type=click.Choice(["re-solve", "frozen"]),
               default="re-solve", show_default=True)
 @click.option("--freeze-at", type=float, default=None,
@@ -216,11 +221,8 @@ def contour(system_key, family, b_field, box, step, what, scan_points, out):
     system = _resolve_system(system_key)
     if family is None:
         family = default_family(system.i)
-    if family == "distorted-7/2":
-        names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")
-    else:
-        names = ("diag-IZ", "diag-IXIX")
-    problem = TailoringProblem(family, system, b_field)
+    problem = TailoringProblem(family, system, b_field)  # refuses an untailored family
+    names = tailoring.TAILORING[family][3]
     funcs = [problem.condition(n) for n in names]
     if what == "common-cells":
         cells = scan_common_zero_cells(funcs, box, scan_points)
@@ -266,7 +268,8 @@ def _parse_amp(text):
               default="exact-branch", show_default=True,
               help="exact-branch lists every branch exactly; full / z-biased "
                    "sample trajectories against that detection order.")
-@click.option("--trajectories", type=_COUNT, default=1000, show_default=True,
+@click.option("--trajectories", type=click.IntRange(min=1, max=MAX_TRAJECTORIES),
+              default=1000, show_default=True,
               help="Number of sampled runs (full / z-biased modes only).")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)

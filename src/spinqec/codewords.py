@@ -1,25 +1,16 @@
 """Code-word families on large spins and Knill-Laflamme residual checks.
 
-Families
---------
-``ideal-7/2`` / ``distorted-7/2``
-    Two-level code on a spin 7/2: mixing angle theta0 = arccos(sqrt(3/10)),
-    branch supports {-7/2, +3/2} and {+7/2, -3/2} (stretched term of the
-    second word carries a minus sign).  The distorted variant offsets the
-    two branch angles by independent corrections (eps1, eps2).
-``ideal-9/2`` / ``tailored-9/2``
-    Same construction on spin 9/2 with theta0 = pi/3, supports
-    {-9/2, +3/2} / {+9/2, -3/2}, no minus sign.
-``spin-23/2``
-    Three-component words on a single spin 23/2 correcting the full
-    first-order electron-bath error set.
-``three-qudit``
-    Repetition-style words across three spin-7/2 qudits,
-    |m>_ABC = |m>|m>|m>.
-
-Each family can be realised over the ideal basis (bare |m> states) or, for
-the spin-7/2 and 9/2 families, over the dressed eigenstates of a coupled
-electron-nuclear system in the m_S = -1/2 manifold.
+Every family is declared once.  :data:`SPIN_ROWS` has one row per two-level
+nuclear spin: mixing angle theta0, branch supports, the sign of the stretched
+|1_L> term, and its ideal and branch-angle families; the latter offsets the two
+branch angles by independent corrections (eps1, eps2).  Spin 7/2 has
+``ideal-7/2`` / ``distorted-7/2`` (theta0 = arccos(sqrt(3/10)), signed), spin
+9/2 ``ideal-9/2`` / ``tailored-9/2`` (theta0 = pi/3).  These words live on the
+ideal basis (bare |m> states) or on the dressed m_S = -1/2 eigenstates of a
+coupled electron-nuclear system.  ``spin-23/2`` (three-component words on one
+spin 23/2 correcting the full first-order electron-bath error set) and
+``three-qudit`` (|m>_ABC = |m>|m>|m> across three spin-7/2 qudits) exist on the
+ideal basis only, as rows of one (dim, entries) table.
 """
 
 from dataclasses import dataclass
@@ -34,13 +25,15 @@ from .spin import manifold_states, spin_operators
 THETA0_72 = float(np.arccos(np.sqrt(3.0 / 10.0)))
 THETA0_92 = float(np.arccos(0.5))
 
-#: spin-23/2 word amplitudes: (level m, amplitude) per branch
-SPIN232_ZERO = ((-11.5, np.sqrt(125.0 / 1482.0)),
-                (-2.5, np.sqrt(874.0 / 1482.0)),
-                (7.5, np.sqrt(483.0 / 1482.0)))
-SPIN232_ONE = ((11.5, -np.sqrt(125.0 / 1482.0)),
-               (2.5, np.sqrt(874.0 / 1482.0)),
-               (-7.5, np.sqrt(483.0 / 1482.0)))
+#: One row per two-level nuclear spin: (nuclear spin, theta0, support0, support1,
+#: sign of the stretched |1_L> term, ideal family, branch-angle family)
+SPIN_ROWS = (
+    (3.5, THETA0_72, (-3.5, 1.5), (3.5, -1.5), -1.0, "ideal-7/2", "distorted-7/2"),
+    (4.5, THETA0_92, (-4.5, 1.5), (4.5, -1.5), +1.0, "ideal-9/2", "tailored-9/2"),
+)
+
+#: two-level family -> (nuclear spin, theta0, support0, support1, sign), per spin row
+_TWO_LEVEL = {family: row[:5] for row in SPIN_ROWS for family in row[5:]}
 
 #: three-qudit word amplitudes: (level index 0..7, amplitude) per branch
 THREEQ_ZERO = ((0, np.sqrt(2.0 / 16.0)),
@@ -50,16 +43,20 @@ THREEQ_ONE = ((7, np.sqrt(2.0 / 16.0)),
               (5, np.sqrt(7.0 / 16.0)),
               (1, -np.sqrt(7.0 / 16.0)))
 
-FAMILIES = ("ideal-7/2", "distorted-7/2", "ideal-9/2", "tailored-9/2",
-            "spin-23/2", "three-qudit")
-
-_TWO_LEVEL = {
-    # family: (nuclear spin, theta0, support0, support1, sign of stretched |1>)
-    "ideal-7/2": (3.5, THETA0_72, (-3.5, 1.5), (3.5, -1.5), -1.0),
-    "distorted-7/2": (3.5, THETA0_72, (-3.5, 1.5), (3.5, -1.5), -1.0),
-    "ideal-9/2": (4.5, THETA0_92, (-4.5, 1.5), (4.5, -1.5), +1.0),
-    "tailored-9/2": (4.5, THETA0_92, (-4.5, 1.5), (4.5, -1.5), +1.0),
+#: The families whose words exist on the ideal basis only: family -> (dim,
+#: |0_L> entries, |1_L> entries), an entry being (basis index, amplitude).
+_IDEAL_ONLY = {
+    # |0_L> on m = -23/2, -5/2, +15/2 and |1_L> on m = +23/2, +5/2, -15/2
+    "spin-23/2": (24, ((0, np.sqrt(125.0 / 1482.0)), (9, np.sqrt(874.0 / 1482.0)),
+                       (19, np.sqrt(483.0 / 1482.0))),
+                  ((23, -np.sqrt(125.0 / 1482.0)), (14, np.sqrt(874.0 / 1482.0)),
+                   (4, np.sqrt(483.0 / 1482.0)))),
+    # |m>_A |m>_B |m>_C sits at index 64 m + 8 m + m
+    "three-qudit": (512, *(tuple((73 * lvl, amp) for lvl, amp in word)
+                           for word in (THREEQ_ZERO, THREEQ_ONE))),
 }
+
+FAMILIES = (*_TWO_LEVEL, *_IDEAL_ONLY)
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,10 @@ class CodeWord:
             raise PreconditionError("code words are not orthonormal")
 
 
-def _levels_to_vector(dim_n, pairs, index_of):
-    v = np.zeros(dim_n, dtype=np.complex128)
-    for m, amp in pairs:
-        v[index_of(m)] = amp
+def _vector(dim, entries):
+    v = np.zeros(dim, dtype=np.complex128)
+    for index, amp in entries:
+        v[index] = amp
     return v
 
 
@@ -101,12 +98,40 @@ def branch_amplitudes(family, eps1, eps2):
     return np.cos(t1), np.sin(t1), sign1 * np.cos(t2), np.sin(t2)
 
 
+def spin_families(spin_i):
+    """The (ideal, branch-angle) families of nuclear spin ``spin_i``; () if it has none."""
+    return next((row[5:] for row in SPIN_ROWS if abs(spin_i - row[0]) < 1e-9), ())
+
+
+def default_family(spin_i, distorted=True):
+    """The code family for nuclear spin ``spin_i`` when none is named.
+
+    ``distorted`` picks the branch-angle family (``distorted-7/2`` /
+    ``tailored-9/2``) over the ideal one.  A spin without a row of
+    :data:`SPIN_ROWS` raises :class:`PreconditionError`.
+    """
+    families = spin_families(spin_i)
+    if not families:
+        raise PreconditionError(f"no default code family for I={spin_i}; pass a family")
+    return families[1] if distorted else families[0]
+
+
 def check_nuclear_spin(family, system):
     """Refuse a ``system`` whose nuclear spin is not the two-level ``family``'s."""
-    spin_i = _TWO_LEVEL[family][0]
-    if abs(system.i - spin_i) > 1e-9:
-        raise PreconditionError(
-            f"{family} needs a nuclear spin {spin_i}, system has I={system.i}")
+    if family not in spin_families(system.i):
+        raise PreconditionError(f"{family} needs a nuclear spin {_TWO_LEVEL[family][0]}, "
+                                f"system has I={system.i}")
+
+
+def _ideal_entries(family, eps1, eps2):
+    """(dim, |0_L> entries, |1_L> entries) of ``family``'s words on the ideal basis."""
+    if family in _IDEAL_ONLY:
+        return _IDEAL_ONLY[family]
+    spin_i, _, sup0, sup1, _ = _TWO_LEVEL[family]
+    c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
+    index = lambda m: round(m + spin_i)  # noqa: E731
+    return (round(2 * spin_i) + 1, zip(map(index, sup0), (c1, s1)),
+            zip(map(index, sup1), (c2, s2)))
 
 
 def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
@@ -121,43 +146,20 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
         dressed m_S = -1/2 eigenstates of that system at that field and live
         on the full electron-nuclear space.  Otherwise the ideal |m> basis.
     eps1, eps2 : float
-        Branch-angle corrections; only meaningful for ``distorted-7/2`` and
-        ``tailored-9/2`` (the ideal families pin them to zero).
+        Branch-angle corrections; only meaningful for the branch-angle families
+        of :data:`SPIN_ROWS` (their ideal families refuse them).
     """
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if family in ("ideal-7/2", "ideal-9/2") and (eps1 != 0.0 or eps2 != 0.0):
+    if family in (row[5] for row in SPIN_ROWS) and (eps1 != 0.0 or eps2 != 0.0):
         raise PreconditionError(f"{family} does not take angle corrections")
 
-    if family == "spin-23/2":
-        if system is not None:
-            raise PreconditionError("spin-23/2 words exist on the ideal basis only")
-        dim = 24
-        idx = lambda m: round(m + 11.5)  # noqa: E731
-        zero = _levels_to_vector(dim, SPIN232_ZERO, idx)
-        one = _levels_to_vector(dim, SPIN232_ONE, idx)
-        return CodeWord(family, "ideal", zero, one)
-
-    if family == "three-qudit":
-        if system is not None:
-            raise PreconditionError("three-qudit words exist on the ideal basis only")
-        zero = np.zeros(512, dtype=np.complex128)
-        one = np.zeros(512, dtype=np.complex128)
-        for lvl, amp in THREEQ_ZERO:
-            zero[lvl * 64 + lvl * 8 + lvl] = amp
-        for lvl, amp in THREEQ_ONE:
-            one[lvl * 64 + lvl * 8 + lvl] = amp
-        return CodeWord(family, "ideal", zero, one)
-
-    spin_i, theta0, sup0, sup1, _ = _TWO_LEVEL[family]
-    if system is None and b_field is None:
-        c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
-        dim = round(2 * spin_i) + 1
-        idx = lambda m: round(m + spin_i)  # noqa: E731
-        zero = _levels_to_vector(dim, zip(sup0, (c1, s1)), idx)
-        one = _levels_to_vector(dim, zip(sup1, (c2, s2)), idx)
-        return CodeWord(family, "ideal", zero, one, theta0, eps1, eps2)
-
+    if system is None and (b_field is None or family in _IDEAL_ONLY):
+        dim, word0, word1 = _ideal_entries(family, eps1, eps2)
+        angles = (_TWO_LEVEL[family][1], eps1, eps2) if family in _TWO_LEVEL else ()
+        return CodeWord(family, "ideal", _vector(dim, word0), _vector(dim, word1), *angles)
+    if family in _IDEAL_ONLY:
+        raise PreconditionError(f"{family} words exist on the ideal basis only")
     if system is None or b_field is None:
         raise PreconditionError("dressed words need both system and b_field")
     check_nuclear_spin(family, system)

@@ -30,8 +30,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .codewords import _TWO_LEVEL, branch_amplitudes, check_nuclear_spin, dressed_word, \
-    kl_residuals, lift_to_electron_nuclear, standard_error_sets
+from .codewords import _TWO_LEVEL, branch_amplitudes, check_nuclear_spin, default_family, \
+    dressed_word, kl_residuals, lift_to_electron_nuclear, standard_error_sets
 from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
@@ -72,11 +72,14 @@ CONDITIONS = MappingProxyType({
     "offdiag-IXIY": ("offdiag", ("IX", "IY"), "imag"),
 })
 
-#: The tailored families: family -> (target conditions, leftovers, KL-verified).
+#: The tailored families: family -> (target conditions, leftovers, KL-verified,
+#: the conditions ``spinqec contour`` draws and scans).
 TAILORING = MappingProxyType({
     "tailored-9/2": (("diag-IZ", "diag-IXIX"),
-                     ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"), True),
-    "distorted-7/2": (("diag-IZ", "offdiag-IXIX"), ("offdiag-IXIY", "diag-IXIX"), False),
+                     ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"), True,
+                     ("diag-IZ", "diag-IXIX")),
+    "distorted-7/2": (("diag-IZ", "offdiag-IXIX"), ("offdiag-IXIY", "diag-IXIX"), False,
+                      ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")),
 })
 
 
@@ -173,8 +176,11 @@ class TailoringProblem:
         into it.  Returns (edges, vertices, zero, negative), per crossed edge the
         moving axis and lower node (i, j) (k x 3; axis 0 runs to (i + 1, j), axis
         1 to (i, j + 1)), the vertex (k x 2), i n + j of a zero end node or -1,
-        and f(i, j) < 0.  A condition that vanishes on the box raises NumericalError.
+        and f(i, j) < 0.  A condition that vanishes on the box raises NumericalError;
+        xs that :func:`_check_grid` refuses as a grid (its box half the span of xs)
+        raises PreconditionError before anything is built.
         """
+        _check_grid(xs.size, 2, MAX_GRID_NODES, "grid nodes", float(xs[-1] - xs[0]) / 2.0)
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
         n, tau = xs.size, 2.0 * np.pi
         moving = (np.array([0.0, np.pi / 2.0, np.pi]) / k - self.theta0)[:, None]
@@ -556,7 +562,7 @@ def solve_tailoring(family, system, b_field, box=DEFAULT_BOX):
     in the box :class:`NumericalError`.
     """
     problem = TailoringProblem(family, system, b_field)
-    target_names, leftover_names, verify_kl = TAILORING[family]
+    target_names, leftover_names, verify_kl, _ = TAILORING[family]
     roots = closed_form_roots(problem, target_names, box)
     if not roots:
         raise NumericalError(
@@ -615,20 +621,6 @@ def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX):
     root) and ``diag-IXIX`` (genuinely non-zero).
     """
     return solve_tailoring("distorted-7/2", system, b_field, box)
-
-
-def default_family(spin_i, distorted=True):
-    """The code family for nuclear spin ``spin_i`` when none is named.
-
-    ``distorted`` picks the branch-angle family (``distorted-7/2`` /
-    ``tailored-9/2``) over the ideal one.  Only I = 7/2 and 9/2 have a
-    family; any other spin raises :class:`PreconditionError`.
-    """
-    if abs(spin_i - 3.5) < 1e-9:
-        return "distorted-7/2" if distorted else "ideal-7/2"
-    if abs(spin_i - 4.5) < 1e-9:
-        return "tailored-9/2" if distorted else "ideal-9/2"
-    raise PreconditionError(f"no default code family for I={spin_i}; pass a family")
 
 
 def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",

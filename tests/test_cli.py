@@ -1,11 +1,13 @@
 """End-to-end CLI checks (click runner, no subprocesses)."""
 
 import json
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from spinqec import tailor
 from spinqec.cli import cli
 from spinqec.codewords import kl_residuals, lift_to_electron_nuclear, \
     make_codeword, standard_error_sets
@@ -145,6 +147,23 @@ def test_contour_common_cells(runner):
     assert min(dists) < 2 * (2 * 0.0005 / 100)
 
 
+def test_contour_draws_the_conditions_of_the_family_table(runner, monkeypatch):
+    table = dict(tailor.TAILORING)
+    table["distorted-7/2"] = table["distorted-7/2"][:3] + (("offdiag-IXIX", "diag-IZ"),)
+    monkeypatch.setattr(tailor, "TAILORING", MappingProxyType(table))
+    argv = ["contour", "--system", "si-sb", "--b", "1", "--box", "0.0005"]
+    res = runner.invoke(cli, argv + ["--step", "0.0001"])
+    assert res.exit_code == 0, res.output
+    _, rows = _rows(res.output)
+    assert list(dict.fromkeys(r[0] for r in rows)) == ["offdiag-IXIX", "diag-IZ"]
+    res = runner.invoke(cli, argv + ["--what", "common-cells", "--scan-points", "100"])
+    assert res.exit_code == 0, res.output
+    problem = tailor.TailoringProblem("distorted-7/2", get_system("si-sb"), 1.0)
+    cells = tailor.scan_common_zero_cells(
+        [problem.condition(n) for n in ("offdiag-IXIX", "diag-IZ")], 0.0005, 100)
+    assert _rows(res.output)[1] == [["%.12g" % x, "%.12g" % y] for x, y in cells]
+
+
 def test_qec_exact_branch(runner):
     res = runner.invoke(cli, ["qec", "--error", "XX@A"])
     assert res.exit_code == 0, res.output
@@ -239,10 +258,20 @@ def test_exit_code_2_cases(runner, tmp_path):
                  ["contour", "--system", "si-sb", "--b", "1", "--step", "1e-300"],
                  ["tailor", "--b", "1", "--box", "1e300"],
                  ["contour", "--b", "1", "--what", "common-cells",
-                  "--scan-points", str(10**15)]):
+                  "--scan-points", str(10**15)],
+                 ["contour", "--system", "si-sb", "--b", "1", "--family", "ideal-7/2"]):
         res = runner.invoke(cli, argv)
         assert res.exit_code == 2, res.output
         assert "precondition error:" in res.output
+    # field-point and trajectory counts are bounded before any array is made
+    for argv in (["levels", "--bpoints", str(10**18)],
+                 ["levels", "--bpoints", str(10**30)],
+                 ["klsweep", "--bpoints", str(10**18)],
+                 ["tailor", "--bstart", "1", "--bstop", "2", "--bpoints", str(10**18)],
+                 ["qec", "--mode", "full", "--trajectories", str(10**18)]):
+        res = runner.invoke(cli, argv)
+        assert res.exit_code == 2, res.output
+        assert "is not in the range" in res.output
 
 
 def test_out_flag_writes_file(runner, tmp_path):

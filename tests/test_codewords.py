@@ -11,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinqec.codewords import (
+    _TWO_LEVEL,
     FAMILIES,
+    SPIN_ROWS,
     THETA0_72,
     THETA0_92,
     CodeWord,
+    default_family,
     embed_on_qudit,
     expectation,
     kl_residuals,
@@ -23,7 +26,7 @@ from spinqec.codewords import (
     standard_error_sets,
 )
 from spinqec.linalg import PreconditionError
-from spinqec.spin import spin_operators
+from spinqec.spin import get_system, spin_operators
 
 
 def test_theta0_values():
@@ -263,7 +266,27 @@ def test_distorted_words_properties(eps1, eps2):
 
 
 def test_families_registry():
-    assert set(FAMILIES) == {
+    # the order is part of the unknown-family message
+    assert FAMILIES == (
         "ideal-7/2", "distorted-7/2", "ideal-9/2", "tailored-9/2",
         "spin-23/2", "three-qudit",
-    }
+    )
+
+
+@pytest.mark.parametrize("row", SPIN_ROWS, ids=lambda row: row[6])
+def test_spin_rows_give_defaults_angles_and_spin_checks(row):
+    spin_i, theta0, _, _, _, ideal, branch = row
+    assert _TWO_LEVEL[ideal] == _TWO_LEVEL[branch] == row[:5]
+    assert default_family(spin_i) == default_family(spin_i + 1e-12) == branch
+    assert default_family(spin_i, distorted=False) == ideal
+    with pytest.raises(PreconditionError, match=f"{ideal} does not take angle corrections"):
+        make_codeword(ideal, eps2=1e-3)
+    word = make_codeword(branch, eps1=1e-3, eps2=-2e-3)
+    assert (word.theta0, word.eps1, word.eps2) == (theta0, 1e-3, -2e-3)
+    assert word.zero_l.shape == (round(2 * spin_i) + 1,)
+    other = {3.5: "si-bi", 4.5: "si-sb"}[spin_i]
+    for family in (ideal, branch):
+        with pytest.raises(PreconditionError, match=f"{family} needs a nuclear spin {spin_i}"):
+            make_codeword(family, get_system(other), 1.0)
+    with pytest.raises(PreconditionError, match="no default code family for I=5.5"):
+        default_family(5.5)

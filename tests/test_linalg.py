@@ -357,6 +357,8 @@ def test_preconditions_hold_under_python_O(tmp_path):
                                                        1.0, 1e300),
             "scan-n-1e15": lambda: scan_common_zero_cells([diag_iz], 0.05, 10**15),
             "solve-ideal": lambda: solve_tailoring("ideal-7/2", get_system("si-sb"), 1.0),
+            "line_zeros-1e300": lambda: diag_iz.line_zeros(np.linspace(-1e300, 1e300, 11)),
+            "line_zeros-nodes": lambda: diag_iz.line_zeros(np.linspace(-0.05, 0.05, 2000)),
         }
         for name, call in calls.items():
             try:
@@ -417,6 +419,8 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "solve-box-1e300", "PreconditionError",
         "scan-n-1e15", "PreconditionError",
         "solve-ideal", "PreconditionError",
+        "line_zeros-1e300", "PreconditionError",
+        "line_zeros-nodes", "PreconditionError",
     ]
 
 

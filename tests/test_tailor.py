@@ -983,14 +983,16 @@ def test_branch_amplitudes_are_the_word_entries(family, at0, at1):
 def test_solve_tailoring_reads_the_family_table(sb, bi):
     assert dict(TAILORING) == {
         "tailored-9/2": (("diag-IZ", "diag-IXIX"),
-                         ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"), True),
-        "distorted-7/2": (("diag-IZ", "offdiag-IXIX"), ("offdiag-IXIY", "diag-IXIX"), False),
+                         ("diag-IYIY", "diag-IZIZ", "offdiag-IXIX", "offdiag-IXIY"), True,
+                         ("diag-IZ", "diag-IXIX")),
+        "distorted-7/2": (("diag-IZ", "offdiag-IXIX"), ("offdiag-IXIY", "diag-IXIX"), False,
+                          ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")),
     }
     with pytest.raises(TypeError):
         TAILORING["ideal-7/2"] = TAILORING["distorted-7/2"]
     for family, system, named in (("tailored-9/2", bi, solve_full_tailoring_92),
                                   ("distorted-7/2", sb, solve_partial_tailoring_72)):
-        targets, leftovers, verified = TAILORING[family]
+        targets, leftovers, verified, _ = TAILORING[family]
         sol = solve_tailoring(family, system, 1.37)
         assert sol.targets == targets
         assert tuple(sol.residuals) == targets + leftovers
