@@ -144,22 +144,25 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
     system, b_field : SpinSystem, float, optional
         If both given (two-level families only), the words are built from the
         dressed m_S = -1/2 eigenstates of that system at that field and live
-        on the full electron-nuclear space.  Otherwise the ideal |m> basis.
+        on the full electron-nuclear space.  With neither, the ideal |m> basis.
     eps1, eps2 : float
-        Branch-angle corrections; only meaningful for the branch-angle families
-        of :data:`SPIN_ROWS` (their ideal families refuse them).
+        Branch-angle corrections; only the branch-angle families of
+        :data:`SPIN_ROWS` take them.
+
+    Angle corrections for any other family, and a system or a field for an
+    ideal-basis-only family, raise :class:`PreconditionError`.
     """
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}; choose from {FAMILIES}")
-    if family in (row[5] for row in SPIN_ROWS) and (eps1 != 0.0 or eps2 != 0.0):
+    if family not in (row[6] for row in SPIN_ROWS) and (eps1 != 0.0 or eps2 != 0.0):
         raise PreconditionError(f"{family} does not take angle corrections")
+    if family in _IDEAL_ONLY and (system is not None or b_field is not None):
+        raise PreconditionError(f"{family} words exist on the ideal basis only")
 
-    if system is None and (b_field is None or family in _IDEAL_ONLY):
+    if system is None and b_field is None:
         dim, word0, word1 = _ideal_entries(family, eps1, eps2)
         angles = (_TWO_LEVEL[family][1], eps1, eps2) if family in _TWO_LEVEL else ()
         return CodeWord(family, "ideal", _vector(dim, word0), _vector(dim, word1), *angles)
-    if family in _IDEAL_ONLY:
-        raise PreconditionError(f"{family} words exist on the ideal basis only")
     if system is None or b_field is None:
         raise PreconditionError("dressed words need both system and b_field")
     check_nuclear_spin(family, system)

@@ -217,6 +217,10 @@ def hermitian_eigendecompose(h):
     if not is_hermitian(a):
         raise PreconditionError("matrix is not Hermitian within tolerance")
     n = a.shape[0]
+    # an exact power of two brings max |entry| into [1/2, 1), so the norm below
+    # neither overflows nor underflows; the rotations do not depend on it
+    shift = int(np.frexp(np.max(np.abs(a)))[1])
+    a = np.ldexp(a.view(np.float64), -shift).view(np.complex128)
     work = np.vstack([a, np.eye(n, dtype=np.complex128)])
     scale = np.sqrt(np.sum(np.abs(a) ** 2))
     tol = 1e-14 * max(scale, 1e-300)
@@ -227,9 +231,9 @@ def hermitian_eigendecompose(h):
         )
     vals = work[:n].diagonal().real
     order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(eigenvalues=vals[order],
+    return EigenDecomposition(eigenvalues=np.ldexp(vals[order], shift),
                               eigenvectors=_fix_column_phases(work[n:, order]),
-                              sweeps=sweeps, off_norm=off)
+                              sweeps=sweeps, off_norm=np.ldexp(off, shift))
 
 
 def kron(a, b):

@@ -15,17 +15,15 @@ diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
 tan^2 t1 (:func:`closed_form_roots`).  Contours are marching squares on
 crossed edges and vertices found per grid line in closed form, with no n x n
 grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
-cell when one of its corners is <= 0 and one is >= 0 (:func:`_qualifies`).
-A diag condition needs no grid for it: on the grid it is g(eps1) - h(eps2),
-so the rule reads as an overlap of the cell's g and h ranges, two outer
-comparisons of 2n line terms (:meth:`TailoringProblem.cells`).  An offdiag
-condition is gridded once on broadcast axes when first, and evaluated only
-at the corners of the cells still in play when later.  ``newton_solve`` and
-``find_roots``, the former Newton route, remain as the tests' oracle.
+cell when one of its corners is <= 0 and one is >= 0 (:func:`_qualifies`),
+with no grid for a diag condition (:meth:`TailoringProblem.cells`).
+``newton_solve`` and ``find_roots``, the former Newton route, remain as the
+tests' oracle.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
+from operator import sub
 from types import MappingProxyType
 
 import numpy as np
@@ -84,19 +82,12 @@ TAILORING = MappingProxyType({
 
 
 class TailoringProblem:
-    """Precomputed branch-basis sandwiches for fast condition evaluation.
+    """Precomputed branch-basis sandwiches of a :data:`TAILORING` family, a
+    SpinSystem and a field in tesla, for fast condition evaluation.
 
     Problems at one (family, system, field) share one labelled eigensolve and
     the six sandwiches of :data:`CONDITIONS`, built once per field (a small
     LRU cache, :func:`_field_setup`); the shared arrays are read-only.
-
-    Parameters
-    ----------
-    family : str
-        A family of :data:`TAILORING`.
-    system : SpinSystem
-    b_field : float
-        Static field in tesla.
     """
 
     def __init__(self, family, system, b_field):
@@ -121,13 +112,8 @@ class TailoringProblem:
         """Evaluate one condition, in real arithmetic, on broadcastable eps1/eps2."""
         kind, m00, m11, m01 = self._sandwiches(name)
         e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-        if kind == "diag":
-            g, h = self._diag_terms(m00, m11, e1, e2)
-            z = g - h
-        else:
-            c1, s1, c2, s2 = branch_amplitudes(self.family, e1, e2)
-            z = (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
-                 + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
+        z = (sub(*self._diag_terms(m00, m11, e1, e2)) if kind == "diag"
+             else _offdiag_value(m01, *branch_amplitudes(self.family, e1, e2)))
         return float(z) if np.ndim(z) == 0 else z
 
     def _diag_terms(self, m00, m11, e1, e2):
@@ -139,27 +125,34 @@ class TailoringProblem:
                 + s2 * s2 * m11[1, 1])
 
     def cells(self, name, xs, rows=None, cols=None):
-        """Which cells of xs x xs qualify for ``name`` (see :func:`_qualifies`).
+        """The lower nodes (rows, cols), row-major, of the cells of xs x xs (or of
+        the given cells) that qualify for ``name`` (see :func:`_qualifies`).
 
-        Returns the (n - 1, n - 1) mask of every cell, or, given the lower nodes
-        (rows, cols) of some cells, the mask of those.  On the grid a diag
-        condition is g(xs[i]) - h(xs[j]), and the IEEE difference of two finite
-        numbers is < 0 exactly when g < h and 0 exactly when g == h; so the
-        rule, a corner <= 0 and one >= 0, is the same predicate in separable
-        form: min g <= max h and max g >= min h over the cell, read from the 2n
-        line terms.  An offdiag condition is evaluated on the grid, or on the
-        cells' corners, and the rule applied to those values.
+        On the grid a diag condition is g(xs[i]) - h(xs[j]), and the IEEE
+        difference of two finite numbers is < 0 exactly when g < h and 0 exactly
+        when g == h; so the rule is the same predicate in separable form: min g
+        <= max h and max g >= min h over the cell, read from the 2n line terms
+        (:func:`_range_cells`), which must be finite (else NumericalError).  An
+        offdiag condition is evaluated on the grid axes, or, from its amplitudes
+        on the axis nodes, on the given cells' corners.
         """
-        kind, m00, m11, _ = self._sandwiches(name)
-        if kind != "diag":
-            fn = partial(self.evaluate, name)
-            return _grid_cells(fn, xs) if rows is None else _corner_cells(fn, xs, rows, cols)
-        g, h = self._diag_terms(m00, m11, xs, xs)
-        g_lo, g_hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
-        h_lo, h_hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
-        if rows is None:
-            return np.less_equal.outer(g_lo, h_hi) & np.greater_equal.outer(g_hi, h_lo)
-        return (g_lo[rows] <= h_hi[cols]) & (g_hi[rows] >= h_lo[cols])
+        kind, m00, m11, m01 = self._sandwiches(name)
+        if kind == "diag":
+            g, h = self._diag_terms(m00, m11, xs, xs)
+            if not (np.isfinite(g).all() and np.isfinite(h).all()):
+                raise NumericalError(f"{name} is NaN or infinite on the scan grid")
+            g_lo, g_hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
+            if rows is None:
+                return _range_cells(g_lo, g_hi, h)
+            h_lo, h_hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
+            keep = (g_lo[rows] <= h_hi[cols]) & (g_hi[rows] >= h_lo[cols])
+        elif rows is None:
+            return _grid_cells(partial(self.evaluate, name), xs)
+        else:
+            c1, s1, c2, s2 = branch_amplitudes(self.family, xs, xs)
+            keep = _corner_cells(lambda i, j: _offdiag_value(
+                m01, c1[i], s1[i], c2[j], s2[j]), rows, cols)
+        return rows[keep], cols[keep]
 
     def line_zeros(self, name, xs):
         """The grid edges that ``name`` crosses on xs x xs (xs ascending, evenly spaced).
@@ -176,9 +169,9 @@ class TailoringProblem:
         into it.  Returns (edges, vertices, zero, negative), per crossed edge the
         moving axis and lower node (i, j) (k x 3; axis 0 runs to (i + 1, j), axis
         1 to (i, j + 1)), the vertex (k x 2), i n + j of a zero end node or -1,
-        and f(i, j) < 0.  A condition that vanishes on the box raises NumericalError;
-        xs that :func:`_check_grid` refuses as a grid (its box half the span of xs)
-        raises PreconditionError before anything is built.
+        and f(i, j) < 0.  A condition that vanishes on the box, or is NaN or
+        infinite on a line, raises NumericalError; xs that :func:`_check_grid`
+        refuses (its box half the span of xs) raise PreconditionError first.
         """
         _check_grid(xs.size, 2, MAX_GRID_NODES, "grid nodes", float(xs[-1] - xs[0]) / 2.0)
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
@@ -190,6 +183,8 @@ class TailoringProblem:
         alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
         radius = np.hypot(a, b)
         size = np.abs(alpha) + radius  # bounds |f| along each line
+        if not np.isfinite(size).all():
+            raise NumericalError(f"{name} is NaN or infinite on a grid line")
         if np.count_nonzero(size < 1e-13) > 0.9 * 2 * n:
             raise NumericalError(
                 "condition vanishes identically over the box; no curve to trace")
@@ -364,20 +359,13 @@ def closed_form_roots(problem, names, box=DEFAULT_BOX):
     """Every common root of the two conditions ``names`` with |eps1|, |eps2| <= box.
 
     Sorted by distance from the origin (nearest first); an empty list when
-    the solution's cosines leave [-1, 1] or no branch lies in the box.
-
-    Raises
-    ------
-    PreconditionError
-        If ``box`` is not positive or spans more than :data:`MAX_BRANCHES`
-        branches, or ``names`` is not two diag conditions or a diag then an
-        offdiag one.
-    DegenerateConditionsError
-        If two diag conditions are near-dependent (the sine between the rows
-        of their 2 x 2 system is below 1e-12), or the offdiag condition
-        vanishes or factorises (one of p, q below 1e-12 of the other).
-    StructuralZeroError
-        See :meth:`TailoringProblem.coefficients`.
+    the solution's cosines leave [-1, 1] or no branch lies in the box.  A box
+    :func:`_check_box` refuses, or ``names`` not two diag conditions or a diag
+    then an offdiag one, raise :class:`PreconditionError`; near-dependent diag
+    conditions (the sine between their 2 x 2 rows below 1e-12), or an offdiag
+    one that vanishes or factorises (p or q below 1e-12 of the other),
+    :class:`DegenerateConditionsError`; see :meth:`TailoringProblem.coefficients`
+    for :class:`StructuralZeroError`.
     """
     _check_box(box)
     kinds = [problem._sandwiches(name)[0] for name in names]
@@ -406,8 +394,7 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
     """
     if len(funcs) != 2:
         raise PreconditionError(
-            f"newton_solve is specialised to two conditions, got {len(funcs)}"
-        )
+            f"newton_solve is specialised to two conditions, got {len(funcs)}")
     x = np.array(x0, dtype=float)
 
     def f_of(x_):
@@ -434,17 +421,14 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     """Cell centres where every condition changes sign across the cell.
 
-    A cell qualifies for a condition when one of its corners holds a value
-    <= 0 and one a value >= 0 (:func:`_qualifies`).  A
-    :meth:`TailoringProblem.condition` (marked by ``cells``) gives the mask
-    itself: a diag one from its 2n line terms with no grid, an offdiag one from
-    one call on the grid axes when first and one elementwise call on the four
-    corners of each cell still kept when later.  Any other ``fn`` is called
-    once on the grid axes, ``fn(xs[:, None], xs[None, :])``, which it must
-    broadcast (the result is broadcast to (n, n)).  The scan stops once no
-    cell is left.  Centres come in row-major order; a NaN value it reads raises
+    A cell qualifies for a condition when one of its corners is <= 0 and one
+    >= 0 (:func:`_qualifies`).  A :meth:`TailoringProblem.condition` lists its
+    cells itself, with no grid for a diag one (see its ``cells``); any other
+    ``fn`` is called once on the grid axes, ``fn(xs[:, None], xs[None, :])``,
+    broadcast to (n, n).  The scan stops once no cell is left.  Centres come in
+    row-major order; a NaN value or diag line term raises
     :class:`NumericalError`, and no condition, an n that is not an integer in
-    [2, :data:`MAX_GRID_NODES`], or a box refused by :func:`_check_box`,
+    [2, :data:`MAX_GRID_NODES`], or a box :func:`_check_box` refuses,
     :class:`PreconditionError`.
     """
     _check_grid(n, 2, MAX_GRID_NODES, "grid nodes", box)
@@ -452,14 +436,8 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     centres = (xs[:-1] + xs[1:]) / 2.0
     rows = cols = None  # the kept cells' lower-left nodes, row-major
     for fn in funcs:
-        marked = hasattr(fn, "cells")
-        if rows is None:
-            # flat indices: a 2-d np.nonzero of a 400 x 400 mask is ten times slower
-            mask = fn.cells(xs) if marked else _grid_cells(fn, xs)
-            rows, cols = np.divmod(np.flatnonzero(mask), n - 1)
-        else:
-            keep = fn.cells(xs, rows, cols) if marked else _grid_cells(fn, xs)[rows, cols]
-            rows, cols = rows[keep], cols[keep]
+        cells = fn.cells if hasattr(fn, "cells") else partial(_grid_cells, fn)
+        rows, cols = cells(xs, rows, cols)
         if not rows.size:
             break
     if rows is None:
@@ -478,15 +456,13 @@ def _check_grid(n, least, most, what, box):
 def _check_box(box):
     """Refuse a box that is not positive or spans more than MAX_BRANCHES branches."""
     if not 0.0 < 2.0 * box / np.pi <= MAX_BRANCHES:
-        raise PreconditionError(
-            f"need box > 0 spanning at most {MAX_BRANCHES} branches (2 box / pi), "
-            f"got {box!r}")
+        raise PreconditionError(f"need box > 0 spanning at most {MAX_BRANCHES} branches "
+                                f"(2 box / pi), got {box!r}")
 
 
 def _qualifies(values, any4):
-    """The scan's rule: a corner is <= 0 and one is >= 0 (``any4``: node to cell mask).
-
-    A NaN value, which is neither, raises :class:`NumericalError`."""
+    """The scan's rule: a corner is <= 0 and one is >= 0 (``any4``: node to cell
+    mask).  A NaN value, which is neither, raises :class:`NumericalError`."""
     if np.isnan(values).any():
         raise NumericalError("a scanned condition is NaN on the grid")
     return any4(values <= 0.0) & any4(values >= 0.0)
@@ -498,17 +474,49 @@ def _any_corner(mask):
     return mask[:, :-1] | mask[:, 1:]
 
 
-def _grid_cells(fn, xs):
-    """The (n - 1, n - 1) mask of the cells that qualify for ``fn`` on xs x xs."""
+def _grid_cells(fn, xs, rows=None, cols=None):
+    """As :meth:`TailoringProblem.cells`, from one call of ``fn`` on the grid axes."""
     n = xs.size
-    return _qualifies(np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n)), _any_corner)
+    mask = _qualifies(np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n)), _any_corner)
+    if rows is None:  # flat indices: a 2-d nonzero of a 400 x 400 mask is ten times slower
+        return np.divmod(np.flatnonzero(mask), n - 1)
+    keep = mask[rows, cols]
+    return rows[keep], cols[keep]
 
 
-def _corner_cells(fn, xs, rows, cols):
-    """Which of the cells (rows, cols) qualify for ``fn``, from one call on their corners."""
-    e1, e2 = xs[rows + [[0], [1], [1], [0]]], xs[cols + [[0], [0], [1], [1]]]
-    corners = np.asarray(fn(e1.ravel(), e2.ravel())).reshape(e1.shape)
-    return _qualifies(corners, partial(np.any, axis=0))
+def _corner_cells(fn, rows, cols):
+    """Which cells (rows, cols) qualify for ``fn`` of their corners' nodes (i, j)."""
+    return _qualifies(fn(rows + [[0], [1], [1], [0]], cols + [[0], [0], [1], [1]]),
+                      partial(np.any, axis=0))
+
+
+def _offdiag_value(m01, c1, s1, c2, s2):
+    """An offdiag condition's value from the word amplitudes (:func:`branch_amplitudes`)."""
+    return (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
+            + s1 * c2 * m01[1, 0] + s1 * s2 * m01[1, 1])
+
+
+def _range_cells(g_lo, g_hi, h):
+    """Row-major lower nodes (rows, cols) of the cells with g_lo[i] <= max(h[j], h[j + 1])
+    and g_hi[i] >= min(h[j], h[j + 1]).  On each maximal monotone run of h (a flat
+    step joins either direction) a row's columns form one range, which two
+    searchsorted calls find for all rows; a falling run is the rising run of -h
+    with the bounds (-g_hi, -g_lo)."""
+    step = np.sign(np.diff(h))
+    turn = np.flatnonzero(step)  # the cells that are not flat
+    starts = turn[1:][step[turn[1:]] != step[turn[:-1]]].tolist()
+    # a run rises or falls as its first non-flat cell; an all-flat h is one rising run
+    ups = step[[turn[0] if turn.size else 0, *starts]] >= 0.0
+    bounds, lo, hi = [0, *starts, h.size - 1], [], []
+    for c0, c1, up in zip(bounds, bounds[1:], ups):
+        low, high, v = (g_lo, g_hi, h) if up else (-g_hi, -g_lo, -h)
+        lo.append(c0 + np.searchsorted(v[c0 + 1:c1 + 1], low, side="left"))
+        hi.append(c0 + np.searchsorted(v[c0:c1], high, side="right"))
+    # one range per (row, run), row-major, so each row's columns ascend
+    lo, hi = np.ravel(lo, order="F"), np.ravel(hi, order="F")
+    count = np.maximum(hi - lo, 0)
+    rows = np.repeat(np.arange(lo.size) // ups.size, count)
+    return rows, np.arange(rows.size) + np.repeat(lo - (np.cumsum(count) - count), count)
 
 
 def find_roots(funcs, box=DEFAULT_BOX, seed_grid=41):
@@ -565,49 +573,33 @@ def solve_tailoring(family, system, b_field, box=DEFAULT_BOX):
     target_names, leftover_names, verify_kl, _ = TAILORING[family]
     roots = closed_form_roots(problem, target_names, box)
     if not roots:
-        raise NumericalError(
-            f"no tailoring root found for {problem.family} on "
-            f"{problem.system.name} at B={problem.b_field:g} T"
-        )
+        raise NumericalError(f"no tailoring root found for {problem.family} on "
+                             f"{problem.system.name} at B={problem.b_field:g} T")
     x = roots[0]
     residuals = {name: problem.evaluate(name, x[0], x[1])
                  for name in (*target_names, *leftover_names)}
     kl_max = float("nan")
     if verify_kl:
         word = problem.codeword(x[0], x[1])
-        errs = lift_to_electron_nuclear(
-            standard_error_sets("firstorder-B", problem.system.i), problem.system
-        )
-        report = kl_residuals(word, errs)
-        kl_max = report.max_residual
+        errs = standard_error_sets("firstorder-B", problem.system.i)
+        errs = lift_to_electron_nuclear(errs, problem.system)
+        kl_max = kl_residuals(word, errs).max_residual
         if kl_max > 1e-10:
-            raise VerificationError(
-                f"root ({x[0]:.3e}, {x[1]:.3e}) fails first-order KL "
-                f"verification: max residual {kl_max:.3e}"
-            )
+            raise VerificationError(f"root ({x[0]:.3e}, {x[1]:.3e}) fails first-order KL "
+                                    f"verification: max residual {kl_max:.3e}")
     return TailoringSolution(
-        family=problem.family,
-        system_name=problem.system.name,
-        b_field=problem.b_field,
-        eps1=float(x[0]),
-        eps2=float(x[1]),
-        converged=True,
-        iterations=0,
-        targets=target_names,
-        residuals=residuals,
-        kl_max=kl_max,
-        all_roots=tuple(roots),
-    )
+        family=problem.family, system_name=problem.system.name, b_field=problem.b_field,
+        eps1=float(x[0]), eps2=float(x[1]), converged=True, iterations=0,
+        targets=target_names, residuals=residuals, kl_max=kl_max, all_roots=tuple(roots))
 
 
 def solve_full_tailoring_92(system, b_field, box=DEFAULT_BOX):
     """Zero both independent diagonal conditions of the spin-9/2 family.
 
-    Branch supports of the 9/2 words differ by |dm| >= 3, so every
-    first-order cross (offdiag) condition vanishes identically; closing
-    ``diag-IZ`` and ``diag-IXIX`` closes the whole first-order set, which is
-    verified here through an independent Knill-Laflamme evaluation
-    (max residual < 1e-10, else :class:`VerificationError`).
+    Branch supports of the 9/2 words differ by |dm| >= 3, so every offdiag
+    condition vanishes identically, and closing ``diag-IZ`` and ``diag-IXIX``
+    closes the whole first-order set (Knill-Laflamme verified, else
+    :class:`VerificationError`).
     """
     return solve_tailoring("tailored-9/2", system, b_field, box)
 
@@ -615,10 +607,9 @@ def solve_full_tailoring_92(system, b_field, box=DEFAULT_BOX):
 def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX):
     """Zero ``diag-IZ`` and ``offdiag-IXIX`` for the spin-7/2 family.
 
-    Two angles cannot close the full first-order set here; the solution
-    reports the remaining conditions as leftovers: ``offdiag-IXIY`` (locked
-    to offdiag-IXIX by the ladder structure of the supports, so zero at the
-    root) and ``diag-IXIX`` (genuinely non-zero).
+    Two angles cannot close the full first-order set here; the leftovers are
+    ``offdiag-IXIY`` (locked to offdiag-IXIX by the ladder structure of the
+    supports, so zero at the root) and ``diag-IXIX`` (genuinely non-zero).
     """
     return solve_tailoring("distorted-7/2", system, b_field, box)
 
@@ -655,11 +646,9 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
             problem = TailoringProblem(family, system, b)
             residuals = {name: problem.evaluate(name, sol.eps1, sol.eps2)
                          for name in sol.residuals}
-        row = {"b_tesla": float(b), "eps1_rad": sol.eps1, "eps2_rad": sol.eps2}
-        for name, value in residuals.items():
-            row[f"residual_{name}"] = value
-        row["converged"] = sol.converged
-        rows.append(row)
+        rows.append({"b_tesla": float(b), "eps1_rad": sol.eps1, "eps2_rad": sol.eps2,
+                     **{f"residual_{name}": value for name, value in residuals.items()},
+                     "converged": sol.converged})
     return rows
 
 
@@ -668,24 +657,36 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
 # ---------------------------------------------------------------------------
 
 def _chains(segments):
-    """Join segments (pairs of vertex ids) into ordered chains of vertex ids."""
-    adjacency, pairs, used = {}, set(), []
-    for a, b in segments:
-        # a row of zero nodes that f <= 0 only touches gets each segment twice
-        if (a, b) not in pairs and (b, a) not in pairs:
-            pairs.add((a, b))
-            adjacency.setdefault(a, []).append((b, len(used)))
-            adjacency.setdefault(b, []).append((a, len(used)))
-            used.append(False)
-    chains = []
-    # open chains first, each walked from an end (odd degree), then closed loops
-    for start in [key for key in adjacency if len(adjacency[key]) % 2] + list(adjacency):
-        chain = [start]
-        while edges := adjacency[chain[-1]]:
-            nb, edge = edges.pop(0)  # each node's next edge in order; used ones drop
-            if not used[edge]:
-                used[edge] = True
-                chain.append(nb)
+    """Join segments, a (k, 2) array of non-negative vertex ids, into ordered chains.
+
+    A segment repeated either way counts once, at its first occurrence (a row of
+    zero nodes that f <= 0 only touches gives each segment twice).  A stable
+    sort of the ends lists each vertex's incidences in segment order (CSR rows);
+    a walk leaves each vertex by its first unused segment and ends at one with
+    none.  Walks start at odd-degree vertices, then at every vertex, each in
+    order of first appearance.
+    """
+    seg = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    low, high = np.sort(seg, axis=1).T
+    _, first = np.unique(low * (high.max(initial=0) + 1) + high, return_index=True)
+    ends = seg[np.sort(first)].ravel()  # segment s joins ends[2 s] and ends[2 s + 1]
+    degree = np.bincount(ends)
+    stop = np.cumsum(degree)
+    cursor, stop, degree = (stop - degree).tolist(), stop.tolist(), degree.tolist()
+    ends, at, chains = ends.tolist(), np.argsort(ends, kind="stable").tolist(), []
+    order, used, left = list(dict.fromkeys(ends)), [False] * len(first), len(first)
+    for v in [u for u in order if degree[u] % 2] + order:
+        if not left:
+            break
+        chain = [v]
+        while cursor[v] < stop[v]:  # at[cursor[v]]: v's next incidence, 2 s + side
+            end = at[cursor[v]]
+            cursor[v] += 1
+            if not used[end >> 1]:
+                used[end >> 1] = True
+                left -= 1
+                v = ends[end ^ 1]
+                chain.append(v)
         if len(chain) > 1:
             chains.append(chain)
     return chains
@@ -704,12 +705,11 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
     The segments, in row-major cell order, join into chains by :func:`_chains`;
     returns one ordered polyline (array of shape (k, 2)) per chain.
 
-    Raises :class:`PreconditionError` if ``box`` is not positive or spans more
-    than :data:`MAX_BRANCHES` branches, ``step`` is not positive or gives more
-    than :data:`MAX_GRID_NODES` nodes, or ``fn`` lacks ``line_zeros``,
-    :class:`EmptyContourError` if no grid edge changes sign, and
-    :class:`NumericalError` if the condition vanishes on essentially the whole
-    box (its "contour" is not a curve).
+    Raises :class:`PreconditionError` if :func:`_check_box` refuses ``box``,
+    ``step`` is not positive or gives more than :data:`MAX_GRID_NODES` nodes, or
+    ``fn`` lacks ``line_zeros``, :class:`EmptyContourError` if no grid edge
+    changes sign, and :class:`NumericalError` if the condition is NaN or
+    infinite on a grid line, or vanishes on nearly the whole box (no curve to trace).
     """
     _check_box(box)
     if not (0.0 < step < np.inf and 2.0 * box / step <= MAX_GRID_NODES - 1):
@@ -744,8 +744,8 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
         centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
         if (centre < 0.0) != neg[edge[2 * s]]:  # (bottom, left), (right, top)
             segments[s:s + 2] = segments[s:s + 2].ravel()[[0, 3, 1, 2]].reshape(2, 2)
-    segments = segments[segments[:, 0] != segments[:, 1]].tolist()  # not at one zero node
-    if not segments:
+    segments = segments[segments[:, 0] != segments[:, 1]]  # not at one zero node
+    if not segments.size:
         raise EmptyContourError("no zero crossing inside the box")
     return [pts[chain] for chain in _chains(segments)]
 

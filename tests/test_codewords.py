@@ -228,6 +228,14 @@ def test_make_codeword_preconditions(sb, bi):
         make_codeword("ideal-7/2", eps1=0.01)
     with pytest.raises(PreconditionError):
         make_codeword("spin-23/2", sb, 1.0)
+    # the ideal-basis-only families take no angle corrections and no field
+    for family in ("spin-23/2", "three-qudit"):
+        with pytest.raises(PreconditionError, match=f"{family} does not take angle"):
+            make_codeword(family, eps1=0.1, b_field=2.0)
+        with pytest.raises(PreconditionError, match=f"{family} does not take angle"):
+            make_codeword(family, eps2=-1e-3)
+        with pytest.raises(PreconditionError, match=f"{family} words exist on the ideal"):
+            make_codeword(family, b_field=2.0)
     with pytest.raises(PreconditionError):
         make_codeword("distorted-7/2", sb)  # b_field missing
     with pytest.raises(PreconditionError):

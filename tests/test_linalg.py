@@ -287,7 +287,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         import numpy as np
         from spinqec.blocks import collapse_gates, enc_block, recovery_gates
         from spinqec.blocks import strip_global_phase
-        from spinqec.codewords import CodeWord
+        from spinqec.codewords import CodeWord, make_codeword
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import kron_all
         from spinqec.register import init_register
@@ -305,6 +305,10 @@ def test_preconditions_hold_under_python_O(tmp_path):
         nan = (replace(records[0], probability=float("nan")),)
         diag_iz = TailoringProblem("distorted-7/2", get_system("si-sb"), 1.0).condition(
             "diag-IZ")
+        nan_problem = TailoringProblem("distorted-7/2", get_system("si-sb"), 1.0)
+        kind, _, m11, m01 = nan_problem._sandwiches("diag-IZ")
+        nan_problem._sandwiches = lambda name: (kind, np.full((2, 2), np.nan), m11, m01)
+        nan_iz = nan_problem.condition("diag-IZ")
         calls = {
             "sample_records": lambda: sample_records(records[:1], 3),
             "newton_solve-1": lambda: newton_solve([lambda x, y: x], (0.0, 0.0)),
@@ -359,6 +363,10 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "solve-ideal": lambda: solve_tailoring("ideal-7/2", get_system("si-sb"), 1.0),
             "line_zeros-1e300": lambda: diag_iz.line_zeros(np.linspace(-1e300, 1e300, 11)),
             "line_zeros-nodes": lambda: diag_iz.line_zeros(np.linspace(-0.05, 0.05, 2000)),
+            "scan-diag-nan": lambda: scan_common_zero_cells([nan_iz], 0.05, 400),
+            "trace-nan": lambda: trace_zero_contour(nan_iz),
+            "make_codeword-eps": lambda: make_codeword("spin-23/2", eps1=0.1),
+            "make_codeword-field": lambda: make_codeword("three-qudit", b_field=2.0),
         }
         for name, call in calls.items():
             try:
@@ -421,6 +429,10 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "solve-ideal", "PreconditionError",
         "line_zeros-1e300", "PreconditionError",
         "line_zeros-nodes", "PreconditionError",
+        "scan-diag-nan", "NumericalError",
+        "trace-nan", "NumericalError",
+        "make_codeword-eps", "PreconditionError",
+        "make_codeword-field", "PreconditionError",
     ]
 
 
@@ -535,3 +547,42 @@ def test_empty_and_non_finite_input_refused_under_python_O():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["PreconditionError"] * 3
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e200, 1e-200])
+def test_extreme_scales_keep_relative_accuracy(rng, scale):
+    # the Frobenius norm of these overflows or underflows; without the
+    # power-of-two prescale the solver returned the matrix undiagonalised
+    h = random_hermitian(rng, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = hermitian_eigendecompose(h * scale)
+    ref = np.linalg.eigvalsh(h * scale)
+    assert dec.sweeps > 0
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert dec.off_norm <= 1e-14 * np.linalg.norm(h) * scale
+    v = dec.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(6))) < 1e-13
+    assert np.max(np.abs((v * (dec.eigenvalues / scale)) @ v.conj().T - h)) < 1e-12
+
+
+def test_tilted_hamiltonian_at_extreme_field():
+    system = get_system("si-bi")
+    h = build_hamiltonian(system, 1e160 * np.array([0.3, 0.4, np.sqrt(0.75)]))
+    ref = np.linalg.eigvalsh(h)
+    dec = hermitian_eigendecompose(h)
+    assert np.max(np.abs(dec.eigenvalues - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("power", [-700, -5, 5, 500])
+def test_power_of_two_scaling_is_exact(rng, power):
+    # the prescale is exact, so a power-of-two multiple of the input gives the
+    # same rotations: identical eigenvectors and exactly scaled eigenvalues
+    h = random_hermitian(rng, 8)
+    dec = hermitian_eigendecompose(h)
+    scaled = np.empty_like(h)
+    scaled.real, scaled.imag = np.ldexp(h.real, power), np.ldexp(h.imag, power)
+    got = hermitian_eigendecompose(scaled)
+    assert np.array_equal(got.eigenvectors, dec.eigenvectors)
+    assert np.array_equal(got.eigenvalues, np.ldexp(dec.eigenvalues, power))
+    assert (got.sweeps, got.off_norm) == (dec.sweeps, np.ldexp(dec.off_norm, power))

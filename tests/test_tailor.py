@@ -5,6 +5,7 @@ were cross-checked against a numpy.linalg.eigh reconstruction of the same
 dressed words.
 """
 
+import warnings
 from dataclasses import replace
 from functools import reduce
 
@@ -396,8 +397,8 @@ def test_seed_cells_matches_per_cell_corner_test(grids):
     for g in grids:
         want = [min(c) <= 0.0 <= max(c)
                 for c in (g[i:i + 2, j:j + 2].ravel() for i, j in zip(rows, cols))]
-        lookup = lambda e1, e2, g=g: g[np.searchsorted(xs, e1), np.searchsorted(xs, e2)]
-        assert spinqec.tailor._corner_cells(lookup, xs, rows, cols).tolist() == want
+        lookup = lambda i, j, g=g: g[i, j]
+        assert spinqec.tailor._corner_cells(lookup, rows, cols).tolist() == want
 
 
 @pytest.mark.parametrize("fn, closed", [
@@ -470,7 +471,7 @@ def _scalar_trace(fn, box, step):
         segments += [(crossed[a], crossed[b]) for a, b in pairs]
     if not segments:
         raise EmptyContourError("no zero crossing inside the box")
-    return [np.array([verts[key] for key in chain]) for chain in _chains(segments)]
+    return [np.array([verts[key] for key in chain]) for chain in _chains_oracle(segments)]
 
 
 _coord = st.floats(min_value=-0.04, max_value=0.04)
@@ -861,19 +862,26 @@ def test_corner_scan_matches_grid_route(b, family, scanned, n):
 
 
 def test_scan_evaluates_later_conditions_on_kept_corners(monkeypatch, sb):
-    calls = []
+    calls, amplitudes = [], []
     evaluate = TailoringProblem.evaluate
     monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
-        calls.append((name, np.shape(e1), np.shape(e2))) or evaluate(self, name, e1, e2)))
+        calls.append(name) or evaluate(self, name, e1, e2)))
+    offdiag, branch = spinqec.tailor._offdiag_value, spinqec.tailor.branch_amplitudes
+    monkeypatch.setattr(spinqec.tailor, "_offdiag_value", lambda m01, c1, *rest: (
+        calls.append(np.shape(c1)) or offdiag(m01, c1, *rest)))
+    monkeypatch.setattr(spinqec.tailor, "branch_amplitudes", lambda family, e1, e2: (
+        amplitudes.append((np.shape(e1), np.shape(e2))) or branch(family, e1, e2)))
     problem = TailoringProblem("distorted-7/2", sb, 1.0)
     names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")
     cells = scan_common_zero_cells([problem.condition(n) for n in names], 0.05, 400)
     assert len(cells) == 2
-    # the diag first condition's mask comes from its line terms, with no
-    # evaluate call; each offdiag one is evaluated once, on kept corners only
-    assert [name for name, *_ in calls] == list(names[1:])
-    for _, (nodes,), (nodes_too,) in calls:
-        assert nodes == nodes_too < 0.02 * 401 * 401
+    # no evaluate call: the diag first condition's cells come from its line
+    # terms, and each offdiag one is computed once, on kept corners only, from
+    # amplitudes on the 401 axis nodes
+    assert amplitudes == [((401,), (401,))] * 3
+    assert len(calls) == 2
+    for corners, kept in calls:
+        assert corners == 4 and 4 * kept < 0.02 * 401 * 401
     # no cell left: the remaining conditions are not evaluated at all
     calls.clear()
     far = [problem.condition("diag-IZ"), lambda x, y: 1.0 + 0.0 * x,
@@ -897,10 +905,13 @@ def test_diag_cells_at_exact_zero_nodes(monkeypatch, family, n):
     want = (corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0)
     strict = (corners < 0.0).any(axis=0) & (corners > 0.0).any(axis=0)
     assert np.count_nonzero(want & ~strict) >= n - 1  # kept by a zero corner alone
-    assert np.array_equal(problem.cells("diag-IZ", xs), want)
+    for got, nodes in zip(problem.cells("diag-IZ", xs), np.divmod(np.flatnonzero(want), n)):
+        assert np.array_equal(got, nodes)
     # the lower nodes of every kept cell and of every 7th cell
     rows, cols = np.divmod(np.union1d(np.flatnonzero(want), np.arange(0, n * n, 7)), n)
-    assert np.array_equal(problem.cells("diag-IZ", xs, rows, cols), want[rows, cols])
+    keep = want[rows, cols]
+    for got, nodes in zip(problem.cells("diag-IZ", xs, rows, cols), (rows[keep], cols[keep])):
+        assert np.array_equal(got, nodes)
     # the scan, with the diag condition first and later, equals the grid route
     for names in (("diag-IZ", "diag-IXIX"), ("offdiag-IXIX", "diag-IZ"),
                   ("diag-IXIX", "diag-IZ")):
@@ -908,6 +919,105 @@ def test_diag_cells_at_exact_zero_nodes(monkeypatch, family, n):
         plain = [lambda x, y, fn=fn: fn(x, y) for fn in funcs]
         assert scan_common_zero_cells(funcs, 0.05, n) == \
             scan_common_zero_cells(plain, 0.05, n)
+
+
+def _outer_cells(g, h):
+    """The former diag route, kept as the oracle: the row-major lower nodes of the
+    cells kept by two outer comparisons of the line terms' per-cell min/max."""
+    g_lo, g_hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
+    h_lo, h_hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
+    mask = np.less_equal.outer(g_lo, h_hi) & np.greater_equal.outer(g_hi, h_lo)
+    return np.divmod(np.flatnonzero(mask), h.size - 1)
+
+
+@st.composite
+def _line_term(draw, alpha):
+    """(alpha, r, peak, cross) of a diag line term alpha + r cos 2(t - theta0 - peak):
+    rising over |eps| <= 0.05 for peak 0.3, falling for -0.3, with an interior
+    extremum for |peak| < 0.04, flat but for rounding for r = 0, or exactly 0."""
+    shape = draw(st.sampled_from(["rising", "falling", "extremum", "flat", "zero"]))
+    if shape == "zero":
+        return 0.0, 0.0, 0.0, 0.0
+    r = 0.0 if shape == "flat" else draw(st.floats(min_value=1e-3, max_value=1.0))
+    peak = {"rising": 0.3, "falling": -0.3}.get(shape) or draw(
+        st.floats(min_value=-0.04, max_value=0.04))
+    return draw(alpha), r, peak, draw(st.floats(min_value=0.0, max_value=1.0))
+
+
+def _diag_block(alpha, r, peak, cross, theta0, sign):
+    """The 2 x 2 block of that line term for words with ``sign`` on cos t, its
+    cross term split cross : 1 - cross over m[0, 1] and m[1, 0]."""
+    phi = 2.0 * (theta0 + peak)
+    off = 2.0 * sign * r * np.sin(phi)
+    return np.array([[alpha + r * np.cos(phi), cross * off],
+                     [(1.0 - cross) * off, alpha - r * np.cos(phi)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(sorted(_SYSTEM_OF)), data=st.data(),
+       n=st.sampled_from([1, 2, 7, 40, 400]), box=st.sampled_from([0.05, 5e-4, 1.0]),
+       same=st.booleans())
+def test_range_cells_match_outer_comparison_oracle(family, data, n, box, same):
+    # random diag sandwiches whose h is rising, falling, has an interior
+    # extremum, is flat but for rounding, or is 0; with the same line term for
+    # g and h, f is exactly 0 at every diagonal node
+    problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), 1.0)
+    g_term = data.draw(_line_term(st.floats(min_value=-1.0, max_value=1.0)))
+    # h near g, so that many cells qualify
+    h_term = g_term if same else data.draw(_line_term(
+        st.floats(min_value=-0.05, max_value=0.05).map(lambda d: g_term[0] + d)))
+    m00 = _diag_block(*g_term, problem.theta0, 1.0)
+    m11 = _diag_block(*h_term, problem.theta0, problem.sign1)
+    xs = np.linspace(-box, box, n + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        _patch_sandwiches(mp, problem, "diag-IZ", lambda *_: ("diag", m00, m11, None))
+        if same:
+            assert not np.any(problem.evaluate("diag-IZ", xs, xs))
+        got = problem.cells("diag-IZ", xs)
+    want = _outer_cells(*problem._diag_terms(m00, m11, xs, xs))
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+
+
+_LINE_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=st.lists(_LINE_VALUES, min_size=2, max_size=30),
+       h=st.lists(_LINE_VALUES, min_size=2, max_size=30))
+@example(g=[0.0, 0.0], h=[0.0, 0.0])
+@example(g=[1.0, -1.0, 1.0], h=[-0.0, 0.0, -0.0, 1.0, 1.0, -1.0])
+def test_range_cells_on_many_runs_and_ties(g, h):
+    # small integer line terms: many monotone runs, flat steps, signed zeros
+    g, h = np.array(g), np.array(h)
+    g_lo, g_hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
+    got = spinqec.tailor._range_cells(g_lo, g_hi, h)
+    assert all(np.array_equal(a, b) for a, b in zip(got, _outer_cells(g, h)))
+
+
+def _nan_blocks(kind, m00, m11, m01):
+    """The blocks with one NaN entry in each."""
+    def poisoned(m):
+        m = np.array(m)
+        m[0, 0] = np.nan
+        return m
+    return kind, poisoned(m00), poisoned(m11), poisoned(m01)
+
+
+@pytest.mark.parametrize("name", ["diag-IZ", "offdiag-IXIX"])
+def test_nan_sandwich_is_refused_by_scan_and_contour(monkeypatch, sb, name):
+    # the diag range route would read NaN line terms as no qualifying cell, and
+    # the contour's nearest-node cast of NaN roots raised a bare IndexError
+    problem = TailoringProblem("distorted-7/2", sb, 1.0)
+    other = problem.condition("diag-IXIX")
+    _patch_sandwiches(monkeypatch, problem, name, _nan_blocks)
+    fn = problem.condition(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for funcs in ([fn], [other, fn], [lambda x, y: fn(x, y)]):
+            with pytest.raises(NumericalError, match="NaN"):
+                scan_common_zero_cells(funcs, 0.05, 400)
+        with pytest.raises(NumericalError, match="NaN or infinite on a grid line"):
+            trace_zero_contour(fn)
 
 
 def test_full_tailoring_92_root_frozen(bi):
