@@ -1,7 +1,8 @@
-"""Golden CLI transcripts: the README commands' stdout, stored in tests/golden/.
+"""Golden CLI transcripts and pulse listings, stored in tests/golden/.
 
-Each case runs one command in-process and compares its stdout with the
-stored file line by line.  Everything is compared exactly (headers, keys,
+Each CLI case runs one command in-process and compares its stdout with the
+stored file line by line; ``blocks.txt`` lists every synthesised pulse (ENC,
+ENTANGLE and each emitted detection block of both orders) the same way.  Everything is compared exactly (headers, keys,
 labels, case lists, row order, integer counts) except numbers written with
 a decimal point or an exponent, which must agree to rtol 1e-12 plus an atol
 of 1e-13 for values at rounding level, so last-bit differences of another
@@ -21,7 +22,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from spinqec.blocks import enc_block, entangle_block
 from spinqec.cli import cli
+from spinqec.cycle import build_detection_plan, full_order, z_biased_order
 
 GOLDEN = Path(__file__).with_name("golden")
 RTOL, ATOL = 1e-12, 1e-13
@@ -61,6 +64,33 @@ def run(argv):
     return result.output
 
 
+def _gate_line(gate):
+    ctrl = " ".join(f"{axis}={level}" for axis, level in gate.controls) or "-"
+    return f"  {gate.axis} {gate.levels[0]} {gate.levels[1]} [{ctrl}] {gate.theta!r}"
+
+
+def blocks_listing():
+    """Every synthesised pulse as text: axis, levels, [controls] and theta.
+
+    Each detection block's header carries its plan index, collapse ends,
+    target phase (real, imaginary) and detect/recover pulse counts.
+    """
+    lines = []
+    for block in (enc_block(), entangle_block()):
+        lines.append(f"block {block.name} {block.pulse_count}")
+        lines += [_gate_line(g) for g in block.gates]
+    for name, order in (("full", full_order()), ("z-biased", z_biased_order())):
+        plan = build_detection_plan(order)
+        lines.append(f"order {name} absorbed {' '.join(plan.absorbed_labels)}")
+        for case in plan.emitted:
+            meta, phase = case.block.meta, complex(case.block.meta["phase"])
+            lines.append(f"case {case.label} {case.index} dest {meta['dest0']} "
+                         f"{meta['dest1']} phase {phase.real:g} {phase.imag:g} "
+                         f"pulses {case.detect_pulses} {case.recover_pulses}")
+            lines += [_gate_line(g) for g in case.block.gates]
+    return "\n".join(lines) + "\n"
+
+
 def _is_float(token):
     return any(c in token for c in ".eE")
 
@@ -87,6 +117,11 @@ def test_cli_stdout_matches_golden(name):
     assert mismatch(want, run(CASES[name])) is None
 
 
+def test_synthesised_pulses_match_golden():
+    want = (GOLDEN / "blocks.txt").read_text()
+    assert mismatch(want, blocks_listing()) is None
+
+
 def test_comparison_is_exact_but_for_non_integer_numbers():
     line = "# diag-IZ,3,2.5e-05,-0.125,7\n"
     assert mismatch(line, line.replace("2.5e-05", "2.50000000000001e-05")) is None
@@ -97,9 +132,11 @@ def test_comparison_is_exact_but_for_non_integer_numbers():
 
 if __name__ == "__main__":
     write = "--write" in sys.argv[1:]
-    for name, argv in sorted(CASES.items()):
+    producers = {name: (lambda argv=argv: run(argv)) for name, argv in CASES.items()}
+    producers["blocks"] = blocks_listing
+    for name, produce in sorted(producers.items()):
         path = GOLDEN / f"{name}.txt"
-        out = run(argv)
+        out = produce()
         why = mismatch(path.read_text(), out) if path.exists() else "no file"
         if why is None:
             continue
