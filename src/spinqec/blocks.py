@@ -8,18 +8,17 @@ target in norm, else :class:`SynthesisError`).
 Synthesis strategy
 ------------------
 All detection sequences reduce a real branch vector to a single product
-state |dest>_A |0>_B |0>_C by a three-phase collapse:
+state |dest>_A |0>_B |0>_C.  One clearing step, applied to qudit C and then
+to qudit B, groups the amplitudes by the levels of the other two qudits and
+folds each group's occupied levels of the cleared qudit into level 0 with
+Givens rotations controlled on the group's levels.  Qudit A is then
+collapsed without controls: a zigzag chain folds the remaining single-qudit
+superposition into ``dest``.
 
-1. clear qudit C -- per (A-level, B-level) group, merge every occupied
-   C-level down to level 0 with controlled Givens rotations;
-2. clear qudit B -- per A-level, merge the occupied B-levels into level 0;
-3. collapse qudit A -- a zigzag chain of Givens rotations that folds the
-   remaining single-qudit superposition into ``dest``.
-
-Phases 1 and 2 pin every pulse to one A-level of their own branch.  An
-error on a single qudit never changes the A-level parity split between the
-two logical branches, so one branch's pulses can never fire on the other
-branch or on its collapsed residue.
+Every clearing pulse is pinned to one A-level of its own branch.  An error
+on a single qudit never changes the A-level parity split between the two
+logical branches, so one branch's pulses can never fire on the other branch
+or on its collapsed residue.
 
 The zigzag orders the occupied levels by distance from ``dest`` (farthest
 first), first empties the second-farthest level into the farthest, then
@@ -77,8 +76,7 @@ class Block:
 def validate_block(block, targets):
     """Check each (input, output) 1024-vector pair in ``targets``; raise on a miss."""
     for vin, vout in targets:
-        reg = QuditRegister(np.array(vin, dtype=np.complex128))
-        apply_gates(reg, block.gates)
+        reg = apply_gates(QuditRegister(np.array(vin, dtype=np.complex128)), block.gates)
         nin = np.linalg.norm(vin)
         nout = np.linalg.norm(vout)
         fid = abs(np.vdot(vout, reg.amp)) ** 2 / (nin * nout) ** 2
@@ -124,10 +122,9 @@ def strip_global_phase(vec):
 def psi_spread(alpha, beta):
     """After the encode stage: the word profiles on A, B/C still at level 0."""
     out = np.zeros(1024, dtype=np.complex128)
-    for lvl, amp in THREEQ_ZERO:
-        out[flat_index(lvl, 0, 0)] = alpha * amp
-    for lvl, amp in THREEQ_ONE:
-        out[flat_index(lvl, 0, 0)] = beta * amp
+    for profile, coeff in ((THREEQ_ZERO, alpha), (THREEQ_ONE, beta)):
+        for lvl, amp in profile:
+            out[flat_index(lvl, 0, 0)] = coeff * amp
     return out
 
 
@@ -176,8 +173,35 @@ def zigzag_merge(axis, amps, dest, controls=()):
     return gates, cur[dest]
 
 
+def _clear_qudit(state, axis):
+    """Clear qudit ``axis`` of ``state`` in place; returns the pulses.
+
+    The amplitudes are grouped by the levels of the other two qudits; the
+    groups are visited in descending order of those levels, read last qudit
+    first, and each one's occupied levels of qudit ``axis`` are zigzag-merged
+    into level 0 under controls on the group's levels.
+    """
+    others = tuple(k for k in range(3) if k != axis)
+    groups = {}
+    for key, amp in state.items():
+        groups.setdefault(tuple(key[k] for k in others), {})[key[axis]] = amp
+    gates = []
+    for levels in sorted(groups, key=lambda lv: lv[::-1], reverse=True):
+        sub = groups[levels]
+        if set(sub) == {0}:
+            continue
+        g, amp = zigzag_merge(axis, sub, 0, controls=tuple(zip(others, levels)))
+        gates += g
+        for lvl in sub:
+            del state[levels[:axis] + (lvl,) + levels[axis:]]
+        state[levels[:axis] + (0,) + levels[axis:]] = amp
+    if any(k[axis] != 0 for k in state):
+        raise SynthesisError(f"clearing left qudit {'ABC'[axis]} occupied")
+    return gates
+
+
 def collapse_gates(entries):
-    """Synthesise the three-phase collapse of one real branch vector.
+    """Synthesise the collapse of one real branch vector.
 
     Parameters
     ----------
@@ -191,37 +215,8 @@ def collapse_gates(entries):
     state = {k: float(v) for k, v in entries.items() if abs(v) > AMP_CUT}
     if not state:
         raise PreconditionError("collapse_gates got an empty branch")
-    disent = []
+    disent = _clear_qudit(state, 2) + _clear_qudit(state, 1)
 
-    # phase 1: clear qudit C (every pulse carries an A-level control: the two
-    # branches never share an A-level parity, so neither branch's pulses can
-    # fire on the other branch or on its collapsed residue)
-    for m in sorted({k[1] for k in state}, reverse=True):
-        for la in sorted({k[0] for k in state if k[1] == m}, reverse=True):
-            sub = {k[2]: a for k, a in state.items()
-                   if k[0] == la and k[1] == m}
-            if set(sub) == {0}:
-                continue
-            g, amp = zigzag_merge("C", sub, 0, controls=(("A", la), ("B", m)))
-            disent += g
-            for c in sub:
-                state.pop((la, m, c), None)
-            state[(la, m, 0)] = amp
-
-    # phase 2: clear qudit B
-    if any(k[2] != 0 for k in state):
-        raise SynthesisError("phase 1 left qudit C occupied")
-    for la in sorted({k[0] for k in state}, reverse=True):
-        sub = {k[1]: a for k, a in state.items() if k[0] == la}
-        if set(sub) == {0}:
-            continue
-        g, amp = zigzag_merge("B", sub, 0, controls=(("A", la), ("C", 0)))
-        disent += g
-        for b in sub:
-            state.pop((la, b, 0), None)
-        state[(la, 0, 0)] = amp
-
-    # phase 3: collapse qudit A
     a_amps = {k[0]: a for k, a in state.items()}
     parities = {l % 2 for l in a_amps}
     if len(parities) != 1:
@@ -311,24 +306,22 @@ def detection_block(name, p0, p1):
     For the no-error case ("I"), folding starts with the exact inverse of
     the entangling stage so that the code words themselves are unwound.
     """
-    r0, ph0 = strip_global_phase(p0)
-    r1, ph1 = strip_global_phase(p1)
+    pre = tuple(inverted_gates(entangle_block().gates)) if name == "I" else ()
+    folds, ends = [], []  # ends: (phase, dest) per branch
+    for p in (p0, p1):
+        real, ph = strip_global_phase(p)
+        work = apply_gates(QuditRegister(embed_qudit_state(real)), pre)
+        dis, dec, dest = collapse_gates(_register_entries(work))
+        folds += dis + dec
+        ends.append((ph, dest))
+    (ph0, dest0), (ph1, dest1) = ends
     if abs(ph0 - ph1) > 1e-9:
         raise SynthesisError(f"case {name!r}: branch phases disagree")
-    pre = tuple(inverted_gates(entangle_block().gates)) if name == "I" else ()
-    work0 = QuditRegister(embed_qudit_state(r0))
-    work1 = QuditRegister(embed_qudit_state(r1))
-    if pre:
-        apply_gates(work0, pre)
-        apply_gates(work1, pre)
-    dis0, dec0, dest0 = collapse_gates(_register_entries(work0))
-    dis1, dec1, dest1 = collapse_gates(_register_entries(work1))
     if dest1 != 7 - dest0:
         raise SynthesisError(f"case {name!r}: branches collapse to the same end")
-    excite = ancilla_excitation(((dest0, 0, 0), (dest1, 0, 0)))
-    gates = (*pre, *dis0, *dec0, *dis1, *dec1, *excite)
+    gates = (*pre, *folds, *ancilla_excitation(((dest0, 0, 0), (dest1, 0, 0))))
     targets = [(embed_qudit_state(p), ph * (np.arange(1024) == flat_index(d, 0, 0, 1)))
-               for p, ph, d in ((p0, ph0, dest0), (p1, ph1, dest1))]
+               for p, (ph, d) in zip((p0, p1), ends)]
     meta = {"dest0": dest0, "dest1": dest1, "phase": ph0}
     return validate_block(Block(name, gates, meta), targets)
 

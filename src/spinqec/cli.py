@@ -279,7 +279,9 @@ def qec(alpha, beta, error, mode, trajectories, seed, out):
     a = _parse_amp(alpha)
     b = _parse_amp(beta)
     nrm = np.hypot(abs(a), abs(b))
-    if nrm < 1e-12:
+    if not np.isfinite(nrm):
+        raise PreconditionError(f"the norm of alpha {alpha!r} and beta {beta!r} is not finite")
+    if nrm == 0.0:
         raise PreconditionError("alpha and beta cannot both vanish")
     a, b = a / nrm, b / nrm
     err = _parse_error(error)

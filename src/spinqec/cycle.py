@@ -40,22 +40,19 @@ DEFAULT_ERROR_BUDGET = 0.017
 _Z_BIASED = ("Z", "ZZ", "ZX", "YZ")
 
 
+def _case_order(*op_lists):
+    """"I", then each op list's errors on qudits A, B and C in turn."""
+    return ("I",) + tuple(f"{op}@{q}" for ops in op_lists for q in "ABC" for op in ops)
+
+
 def full_order():
     """All 28 cases: "I", linear errors per qudit, then quadratics per qudit."""
-    order = ["I"]
-    for q in "ABC":
-        order += [f"{op}@{q}" for op in _LINEAR]
-    for q in "ABC":
-        order += [f"{op}@{q}" for op in _QUADRATIC]
-    return tuple(order)
+    return _case_order(_LINEAR, _QUADRATIC)
 
 
 def z_biased_order():
     """13 cases: "I" plus the z-involving errors per qudit."""
-    order = ["I"]
-    for q in "ABC":
-        order += [f"{op}@{q}" for op in _Z_BIASED]
-    return tuple(order)
+    return _case_order(_Z_BIASED)
 
 
 @dataclass(frozen=True)
@@ -123,42 +120,40 @@ def _build_plan(order):
         raise PreconditionError(f"unknown case labels {unknown}")
 
     word = make_codeword("three-qudit")
-    basis0 = []  # orthonormal branch-0 detection words emitted so far
-    basis1 = []
+    words = (word.zero_l, word.one_l)
+    bases = ([], [])  # orthonormal detection words emitted so far, per branch
     cases = []
     for idx, label in enumerate(order):
         if label == "I":
-            v0, v1 = word.zero_l, word.one_l
+            vs = list(words)
         else:
             name, qudit = label.split("@")
-            op = single_qudit_error(name)
-            axis = QUDIT_NAMES[qudit]
-            v0 = apply_on_axis(op, word.zero_l.reshape(8, 8, 8), axis).ravel()
-            v1 = apply_on_axis(op, word.one_l.reshape(8, 8, 8), axis).ravel()
-        raw = max(float(np.linalg.norm(v0)), 1.0)
+            op, axis = single_qudit_error(name), QUDIT_NAMES[qudit]
+            vs = [apply_on_axis(op, w.reshape(8, 8, 8), axis).ravel() for w in words]
+        raw = max(float(np.linalg.norm(vs[0])), 1.0)
         # the two branches live in disjoint parity sectors, so cross-branch
         # projections vanish identically
-        if any(abs(np.vdot(q, v0)) >= 1e-9 * raw for q in basis1) or \
-                any(abs(np.vdot(q, v1)) >= 1e-9 * raw for q in basis0):
+        if any(abs(np.vdot(q, v)) >= 1e-9 * raw
+               for v, other in zip(vs, bases[::-1]) for q in other):
             raise NumericalError(f"case {label}: branches overlap")
-        for q0, q1 in zip(basis0, basis1):
-            v0 = v0 - q0 * np.vdot(q0, v0)
-            v1 = v1 - q1 * np.vdot(q1, v1)
-        n0, n1 = float(np.linalg.norm(v0)), float(np.linalg.norm(v1))
+        for k, basis in enumerate(bases):
+            for q in basis:
+                vs[k] = vs[k] - q * np.vdot(q, vs[k])
+        n0, n1 = (float(np.linalg.norm(v)) for v in vs)
         if n0 < GS_CUTOFF and n1 < GS_CUTOFF:
             cases.append(PlanCase(label, idx))
             continue
         if abs(n0 - n1) > 1e-9 * max(n0, n1):  # also one branch absorbed alone
             raise NumericalError(f"case {label}: branch norms split ({n0} vs {n1})")
-        p0, p1 = v0 / n0, v1 / n1
-        if abs(np.vdot(p0, p1)) >= 1e-10:
+        pair = (vs[0] / n0, vs[1] / n1)
+        if abs(np.vdot(*pair)) >= 1e-10:
             raise NumericalError(f"case {label}: branch words not orthogonal")
-        block = detection_block(label, p0, p1)
+        block = detection_block(label, *pair)
         recover = len(recovery_gates(block))
         cases.append(PlanCase(label, idx, block, block.pulse_count, recover))
-        basis0.append(p0)
-        basis1.append(p1)
-    projector = np.array(basis0 + basis1)
+        for basis, p in zip(bases, pair):
+            basis.append(p)
+    projector = np.array(bases[0] + bases[1])
     np.conjugate(projector, out=projector)
     phases = np.array([c.block.meta["phase"] for c in cases if not c.absorbed])
     projector.setflags(write=False)

@@ -77,7 +77,7 @@ def is_hermitian(m):
         return False
     if not a.size:
         raise PreconditionError("matrix is empty (0 x 0)")
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = float(np.max(np.abs(a)))  # no floor: a tiny matrix is judged at its own scale
     return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * scale)
 
 

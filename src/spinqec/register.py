@@ -128,10 +128,19 @@ def ancilla_excitation(control_states):
 
 
 def apply_gate(reg, gate):
-    """Apply one gate in place; returns the register for chaining."""
-    _apply_two_level(reg.amp, gate.axis, gate.levels[0], gate.levels[1],
-                     float(np.cos(gate.theta)), float(np.sin(gate.theta)),
-                     gate.controls)
+    """Apply one gate in place where its controls hold; returns the register."""
+    idx_p = [slice(None)] * len(DIMS)
+    for cax, clev in gate.controls:
+        idx_p[cax] = clev
+    idx_q = list(idx_p)
+    idx_p[gate.axis], idx_q[gate.axis] = gate.levels
+    tp, tq = tuple(idx_p), tuple(idx_q)
+    c, s = float(np.cos(gate.theta)), float(np.sin(gate.theta))
+    view = reg.view()
+    ap = np.array(view[tp], copy=True)
+    aq = view[tq]
+    view[tp] = c * ap - s * aq
+    view[tq] = s * ap + c * aq
     return reg
 
 
@@ -151,7 +160,7 @@ def gates_matrix(gates):
     """Dense 1024 x 1024 unitary of a pulse sequence (verification route).
 
     Rebuilt from plain index arithmetic, sharing no code with the fast
-    application kernels, so tests can cross-check the two routes and
+    application kernel, so tests can cross-check the two routes and
     certify unitarity of synthesised blocks.  Cost is O(dim^2) per pulse;
     use for certification, not simulation.
     """
@@ -174,28 +183,6 @@ def gates_matrix(gates):
             mat[ip, :] = c * row_p - s * mat[iq, :]
             mat[iq, :] = s * row_p + c * mat[iq, :]
     return mat
-
-
-def _apply_two_level(amp, axis, lp, lq, c, s, controls):
-    """Rotate levels (lp, lq) of tensor factor ``axis`` by [[c,-s],[s,c]].
-
-    ``amp`` is the flat amplitude array; the rotation acts only where every
-    ``(axis, level)`` pair in ``controls`` holds.
-    """
-    view = amp.reshape(DIMS)
-    idx_p = [slice(None)] * len(DIMS)
-    idx_q = [slice(None)] * len(DIMS)
-    idx_p[axis] = lp
-    idx_q[axis] = lq
-    for cax, clev in controls:
-        idx_p[cax] = clev
-        idx_q[cax] = clev
-    tp = tuple(idx_p)
-    tq = tuple(idx_q)
-    ap = np.array(view[tp], copy=True)
-    aq = view[tq]
-    view[tp] = c * ap - s * aq
-    view[tq] = s * ap + c * aq
 
 
 # ---------------------------------------------------------------------------

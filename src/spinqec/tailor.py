@@ -171,7 +171,8 @@ class TailoringProblem:
         1 to (i, j + 1)), the vertex (k x 2), i n + j of a zero end node or -1,
         and f(i, j) < 0.  A condition that vanishes on the box, or is NaN or
         infinite on a line, raises NumericalError; xs that :func:`_check_grid`
-        refuses (its box half the span of xs) raise PreconditionError first.
+        refuses (its box half the span of xs), or whose nodes theta0 + xs do not
+        all differ in floating point, raise PreconditionError first.
         """
         _check_grid(xs.size, 2, MAX_GRID_NODES, "grid nodes", float(xs[-1] - xs[0]) / 2.0)
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
@@ -193,6 +194,8 @@ class TailoringProblem:
         # each root's nearest node at every 2 pi shift, as a flat index into rows of
         # n + 2 marks, where column e + 1 is edge e and roots past the box land in n
         kx = k * (self.theta0 + xs)
+        if not (np.diff(kx) > 0.0).all():
+            raise PreconditionError(f"nodes theta0 + eps coincide for |eps| <= {xs[-1]:g}")
         spacing = (kx[-1] - kx[0]) / (n - 1)
         turns = tau * np.arange(int(n * spacing / tau) + 1)[:, None, None]
         near = np.minimum(((np.mod(roots - kx[0] + spacing / 2.0, tau) + turns) / spacing)

@@ -221,6 +221,14 @@ def test_qec_normalises_amplitudes(runner):
     assert np.isclose(abs(complex(*rec["recovered"][0])), 0.6, atol=1e-9)
 
 
+def test_qec_accepts_a_tiny_qubit(runner):
+    # only a zero or non-finite norm is refused; a tiny qubit normalises exactly
+    tiny = runner.invoke(cli, ["qec", "--alpha", "1e-13", "--beta", "0"])
+    unit = runner.invoke(cli, ["qec", "--alpha", "1", "--beta", "0"])
+    assert tiny.exit_code == 0, tiny.output
+    assert tiny.output == unit.output
+
+
 def test_budget_json(runner):
     res = runner.invoke(cli, ["budget"])
     assert res.exit_code == 0, res.output
@@ -361,3 +369,43 @@ def test_out_of_range_options_are_usage_errors(runner, argv):
     res = runner.invoke(cli, argv)
     assert res.exit_code == 2, res.output
     assert "is not in the range" in res.output
+
+
+#: every float option of the README commands, each on a small base command
+#: (two field points, the README contour box); count options are not probed
+_HOSTILE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
+_FLOAT_OPTIONS = [
+    (["levels", "--bpoints", "2"], "--bstart"),
+    (["levels", "--bpoints", "2"], "--bstop"),
+    (["klsweep", "--bpoints", "2"], "--eps1"),
+    (["klsweep", "--bpoints", "2"], "--eps2"),
+    (["klsweep", "--bpoints", "2"], "--bstart"),
+    (["klsweep", "--bpoints", "2"], "--bstop"),
+    (["tailor", "--b", "1"], "--b"),
+    (["tailor", "--b", "1"], "--box"),
+    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
+      "--sweep-mode", "frozen", "--freeze-at", "1"], "--bstart"),
+    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
+      "--sweep-mode", "frozen", "--freeze-at", "1"], "--bstop"),
+    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
+      "--sweep-mode", "frozen", "--freeze-at", "1"], "--freeze-at"),
+    (["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"], "--b"),
+    (["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"],
+     "--box"),
+    (["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"],
+     "--step"),
+    (["qec", "--error", "XX@A"], "--alpha"),
+    (["qec", "--error", "XX@A"], "--beta"),
+    (["budget"], "--error-budget"),
+]
+
+
+@pytest.mark.parametrize("base, option", _FLOAT_OPTIONS,
+                         ids=[f"{b[0]}{o}" for b, o in _FLOAT_OPTIONS])
+def test_hostile_float_options_exit_cleanly(runner, base, option):
+    for value in _HOSTILE_VALUES:
+        res = runner.invoke(cli, base + [option, value])
+        where = f"{option} {value}: {res.output!r}"
+        assert res.exit_code in (0, 2, 3), where
+        assert res.exception is None or isinstance(res.exception, SystemExit), where
+        assert "Traceback" not in res.output, where

@@ -147,6 +147,18 @@ def test_is_hermitian_cases(rng):
         is_hermitian(np.zeros((0, 0)))
 
 
+def test_small_non_hermitian_matrix_is_refused():
+    # the tolerance is relative to max |entry| with no unit floor, so a tiny
+    # non-symmetric matrix is not mistaken for a Hermitian one
+    m = 1e-12 * np.random.default_rng(1).normal(size=(4, 4))
+    assert np.max(np.abs(np.linalg.eigvals(m).imag)) > 1e-13  # a complex pair
+    assert not is_hermitian(m)
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        hermitian_eigendecompose(m)
+    assert is_hermitian(np.zeros((3, 3)))
+    assert is_hermitian(m + m.T)
+
+
 def test_fix_phase(rng):
     v = rng.normal(size=7) + 1j * rng.normal(size=7)
     out = _fix_phase(v)
@@ -289,7 +301,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         from spinqec.blocks import strip_global_phase
         from spinqec.codewords import CodeWord, make_codeword
         from spinqec.cycle import run_detection, sample_records
-        from spinqec.linalg import kron_all
+        from spinqec.linalg import hermitian_eigendecompose, kron_all
         from spinqec.register import init_register
         from spinqec.spin import SpinSystem, get_system, load_system, manifold_states
         from spinqec.spin import transition_gradients
@@ -357,6 +369,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "load_system-inf": lambda: load_system(sys.argv[1]),
             "trace-box-1e300": lambda: trace_zero_contour(diag_iz, 1e300),
             "trace-step-1e-300": lambda: trace_zero_contour(diag_iz, 0.05, 1e-300),
+            "trace-box-1e-300": lambda: trace_zero_contour(diag_iz, 1e-300, 1e-4),
             "solve-box-1e300": lambda: solve_tailoring("tailored-9/2", get_system("si-bi"),
                                                        1.0, 1e300),
             "scan-n-1e15": lambda: scan_common_zero_cells([diag_iz], 0.05, 10**15),
@@ -367,6 +380,8 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "trace-nan": lambda: trace_zero_contour(nan_iz),
             "make_codeword-eps": lambda: make_codeword("spin-23/2", eps1=0.1),
             "make_codeword-field": lambda: make_codeword("three-qudit", b_field=2.0),
+            "eigendecompose-tiny": lambda: hermitian_eigendecompose(
+                1e-12 * np.random.default_rng(1).normal(size=(4, 4))),
         }
         for name, call in calls.items():
             try:
@@ -424,6 +439,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "load_system-inf", "PreconditionError",
         "trace-box-1e300", "PreconditionError",
         "trace-step-1e-300", "PreconditionError",
+        "trace-box-1e-300", "PreconditionError",
         "solve-box-1e300", "PreconditionError",
         "scan-n-1e15", "PreconditionError",
         "solve-ideal", "PreconditionError",
@@ -433,6 +449,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "trace-nan", "NumericalError",
         "make_codeword-eps", "PreconditionError",
         "make_codeword-field", "PreconditionError",
+        "eigendecompose-tiny", "PreconditionError",
     ]
 
 

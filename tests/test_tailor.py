@@ -1140,6 +1140,17 @@ def test_oversized_grids_and_boxes_are_refused(sb):
         solve_partial_tailoring_72(sb, 1.0, box=1e300)
 
 
+@pytest.mark.parametrize("box", [1e-300, 1e-20, 1e-17])
+def test_unresolved_contour_grid_is_refused(sb, box):
+    # theta0 + eps rounds every node of so small a box to one angle; the
+    # closed form would divide by a zero node spacing
+    fn = TailoringProblem("distorted-7/2", sb, 1.0).condition("offdiag-IXIX")
+    with pytest.raises(PreconditionError, match="coincide"):
+        trace_zero_contour(fn, box, 1e-4)
+    with pytest.raises(PreconditionError, match="coincide"):
+        fn.line_zeros(np.linspace(-box, box, 3))
+
+
 def test_field_sweep_modes(sb):
     rows = field_sweep_tailoring(sb, (0.5, 1.0), mode="re-solve")
     assert [r["b_tesla"] for r in rows] == [0.5, 1.0]
