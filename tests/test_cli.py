@@ -374,30 +374,17 @@ def test_out_of_range_options_are_usage_errors(runner, argv):
 #: every float option of the README commands, each on a small base command
 #: (two field points, the README contour box); count options are not probed
 _HOSTILE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "1e-300")
-_FLOAT_OPTIONS = [
-    (["levels", "--bpoints", "2"], "--bstart"),
-    (["levels", "--bpoints", "2"], "--bstop"),
-    (["klsweep", "--bpoints", "2"], "--eps1"),
-    (["klsweep", "--bpoints", "2"], "--eps2"),
-    (["klsweep", "--bpoints", "2"], "--bstart"),
-    (["klsweep", "--bpoints", "2"], "--bstop"),
-    (["tailor", "--b", "1"], "--b"),
-    (["tailor", "--b", "1"], "--box"),
-    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
-      "--sweep-mode", "frozen", "--freeze-at", "1"], "--bstart"),
-    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
-      "--sweep-mode", "frozen", "--freeze-at", "1"], "--bstop"),
-    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
-      "--sweep-mode", "frozen", "--freeze-at", "1"], "--freeze-at"),
-    (["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"], "--b"),
-    (["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"],
-     "--box"),
-    (["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"],
-     "--step"),
-    (["qec", "--error", "XX@A"], "--alpha"),
-    (["qec", "--error", "XX@A"], "--beta"),
-    (["budget"], "--error-budget"),
-]
+_README_BOX = ["--box", "5e-4", "--step", "1e-4"]
+_FLOAT_OPTIONS = [(base, option) for base, options in (
+    (["levels", "--bpoints", "2"], ("--bstart", "--bstop")),
+    (["klsweep", "--bpoints", "2"], ("--eps1", "--eps2", "--bstart", "--bstop")),
+    (["tailor", "--b", "1"], ("--b", "--box")),
+    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2", "--sweep-mode",
+      "frozen", "--freeze-at", "1"], ("--bstart", "--bstop", "--freeze-at")),
+    (["contour", "--system", "si-sb", "--b", "1", *_README_BOX], ("--b", "--box", "--step")),
+    (["qec", "--error", "XX@A"], ("--alpha", "--beta")),
+    (["budget"], ("--error-budget",)),
+) for option in options]
 
 
 @pytest.mark.parametrize("base, option", _FLOAT_OPTIONS,

@@ -2,11 +2,12 @@
 
 Each CLI case runs one command in-process and compares its stdout with the
 stored file line by line; ``blocks.txt`` lists every synthesised pulse (ENC,
-ENTANGLE and each emitted detection block of both orders) the same way.  Everything is compared exactly (headers, keys,
-labels, case lists, row order, integer counts) except numbers written with
-a decimal point or an exponent, which must agree to rtol 1e-12 plus an atol
-of 1e-13 for values at rounding level, so last-bit differences of another
-BLAS or libm do not trip the test.
+ENTANGLE and each emitted detection block of both orders) and is compared
+the same way.  Everything is compared exactly (headers, keys, labels, pulse
+axes, levels and controls, case lists, row order, integer counts) except
+numbers written with a decimal point or an exponent, which must agree to
+rtol 1e-12 plus an atol of 1e-13 for values at rounding level, so last-bit
+differences of another BLAS or libm do not trip the test.
 
 A change that moves output on purpose regenerates the files::
 
