@@ -53,6 +53,8 @@ CASES = {
                      "--mode", "z-biased", "--trajectories", "2000", "--seed", "7"],
     "budget-full": ["budget", "--mode", "full"],
     "budget-z-biased": ["budget", "--mode", "z-biased", "--error-budget", "0.02"],
+    **{f"help-{command}": [command, "--help"]
+       for command in ("levels", "klsweep", "tailor", "contour", "qec", "budget")},
 }
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
