@@ -1,17 +1,19 @@
 """Command-line interface.
 
-``spinqec --help`` lists the commands; each one writes CSV (single ``#``
-header line, comma-separated columns) or JSON to stdout or ``--out``.
+``spinqec --help`` lists the commands.  Each command body returns its text,
+CSV (single ``#`` header line, comma-separated columns) or JSON; one frame,
+:func:`_command`, registers it, adds the ``--out`` option, writes the text
+to stdout or ``--out`` and maps errors to exit codes.
 
 Exit codes: 0 on success, 2 for precondition/usage problems, 3 when a
 numerical routine fails (no eigensolver convergence, no tailoring root,
 state annihilated, ...).
 """
 
-import functools
 import json
 import os
 import sys
+from collections import Counter
 
 import click
 import numpy as np
@@ -19,8 +21,8 @@ import numpy as np
 from . import tailor as tailoring
 from .codewords import branch_amplitudes, default_family, expectation, kl_residuals, \
     lift_to_electron_nuclear, make_codeword, standard_error_sets
-from .cycle import build_detection_plan, case_weights, fidelity_threshold, \
-    full_order, pulse_budget, run_detection, sample_records, z_biased_order
+from .cycle import case_weights, fidelity_threshold, full_order, pulse_budget, \
+    run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
 from .spin import build_hamiltonian, get_system, load_system
 from .tailor import DEFAULT_BOX, DEFAULT_SCAN_CELLS, DEFAULT_STEP, \
@@ -45,34 +47,12 @@ def _resolve_system(key):
     return get_system(key)
 
 
-def _emit(text, out):
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
 def _csv(header, rows):
     lines = ["# " + ",".join(header)]
     for row in rows:
         lines.append(",".join("%.12g" % v if isinstance(v, float) else str(v)
                               for v in row))
     return "\n".join(lines) + "\n"
-
-
-def _mapped_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except PreconditionError as exc:
-            click.echo(f"precondition error: {exc}", err=True)
-            raise SystemExit(2)
-        except NumericalError as exc:
-            click.echo(f"numerical error: {exc}", err=True)
-            raise SystemExit(3)
-    return wrapper
 
 
 def _field_axis(bstart, bstop, bpoints):
@@ -86,32 +66,51 @@ def cli():
     """Spin-qudit code tools: spectra, code tailoring, detection cycles."""
 
 
-# ---------------------------------------------------------------------------
-# spectra
-# ---------------------------------------------------------------------------
+def _command(body):
+    """Register ``body``, which returns the command's text, as a command of :func:`cli`.
 
-@cli.command()
+    ``--out`` follows ``body``'s options (``__click_params__`` lists them last
+    first).  The text goes to stdout or ``--out``; a :class:`PreconditionError`
+    exits 2 and a :class:`NumericalError` 3, each with a one-line message.
+    """
+    @cli.command(body.__name__, help=body.__doc__, params=body.__click_params__[::-1])
+    @click.option("--out", type=click.Path(dir_okay=False),
+                  help="Write to this file instead of stdout.")
+    def run(out, **options):
+        try:
+            text = body(**options)
+            if out is None:
+                click.echo(text, nl=False)
+            else:
+                with open(out, "w") as fh:
+                    fh.write(text)
+        except PreconditionError as exc:
+            click.echo(f"precondition error: {exc}", err=True)
+            raise SystemExit(2)
+        except NumericalError as exc:
+            click.echo(f"numerical error: {exc}", err=True)
+            raise SystemExit(3)
+    return run
+
+
+@_command
 @click.option("--system", "system_key", default="si-sb", show_default=True,
               help="Preset (si-sb, si-bi), full preset name, or a file path.")
 @click.option("--bstart", type=float, default=0.0, show_default=True)
 @click.option("--bstop", type=float, default=0.5, show_default=True)
 @click.option("--bpoints", type=_FIELD_POINTS, default=101, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write to this file instead of stdout.")
-@_mapped_errors
-def levels(system_key, bstart, bstop, bpoints, out):
+def levels(system_key, bstart, bstop, bpoints):
     """Energy levels (MHz) across a static-field range (CSV)."""
     system = _resolve_system(system_key)
-    fields = _field_axis(bstart, bstop, bpoints)
     header = ["b_tesla"] + [f"energy_{k:02d}_mhz" for k in range(system.dim)]
     rows = []
-    for b in fields:
+    for b in _field_axis(bstart, bstop, bpoints):
         dec = hermitian_eigendecompose(build_hamiltonian(system, b))
         rows.append([float(b)] + [float(e) for e in dec.eigenvalues])
-    _emit(_csv(header, rows), out)
+    return _csv(header, rows)
 
 
-@cli.command()
+@_command
 @click.option("--system", "system_key", default="si-sb", show_default=True)
 @click.option("--family", default=None,
               help="Code family (defaults to the ideal family matching I).")
@@ -120,9 +119,7 @@ def levels(system_key, bstart, bstop, bpoints, out):
 @click.option("--bstart", type=float, default=0.5, show_default=True)
 @click.option("--bstop", type=float, default=5.0, show_default=True)
 @click.option("--bpoints", type=_FIELD_POINTS, default=10, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_mapped_errors
-def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
+def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints):
     """First-order Knill-Laflamme residuals across a field range (CSV).
 
     Builds the dressed code words at each field and evaluates the
@@ -143,14 +140,10 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
         rows.append([float(b), report.max_residual,
                      float(report.offdiag.max()), float(report.diagdiff.max()),
                      float((iz0 - iz1).real)])
-    _emit(_csv(header, rows), out)
+    return _csv(header, rows)
 
 
-# ---------------------------------------------------------------------------
-# tailoring
-# ---------------------------------------------------------------------------
-
-@cli.command()
+@_command
 @click.option("--system", "system_key", default="si-bi", show_default=True)
 @click.option("--family", default=None)
 @click.option("--b", "b_field", type=float, default=None,
@@ -164,10 +157,8 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints, out):
               help="Field (T) whose angles a frozen sweep re-uses.")
 @click.option("--box", type=_POSITIVE, default=DEFAULT_BOX, show_default=True,
               help="Half-width of the (eps1, eps2) search box in radians.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_mapped_errors
 def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
-           freeze_at, box, out):
+           freeze_at, box):
     """Solve the branch-angle conditions (single field: JSON; sweep: CSV)."""
     system = _resolve_system(system_key)
     if family is None:
@@ -188,8 +179,7 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
             "kl_max": None if np.isnan(sol.kl_max) else sol.kl_max,
             "all_roots": [list(r) for r in sol.all_roots],
         }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-        return
+        return json.dumps(payload, indent=2) + "\n"
     if bstart is None or bstop is None:
         raise PreconditionError("pass --b for one field or --bstart/--bstop")
     rows = field_sweep_tailoring(system, _field_axis(bstart, bstop, bpoints),
@@ -197,10 +187,10 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
     header = list(rows[0].keys())
     table = [[row[k] if not isinstance(row[k], bool) else int(row[k])
               for k in header] for row in rows]
-    _emit(_csv(header, table), out)
+    return _csv(header, table)
 
 
-@cli.command()
+@_command
 @click.option("--system", "system_key", default="si-sb", show_default=True)
 @click.option("--family", default=None)
 @click.option("--b", "b_field", type=float, required=True)
@@ -210,9 +200,7 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
 @click.option("--what", type=click.Choice(["contours", "common-cells"]),
               default="contours", show_default=True)
 @click.option("--scan-points", type=_COUNT, default=DEFAULT_SCAN_CELLS, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_mapped_errors
-def contour(system_key, family, b_field, box, step, what, scan_points, out):
+def contour(system_key, family, b_field, box, step, what, scan_points):
     """Zero contours of the tailoring conditions in the angle plane (CSV).
 
     "contours" traces each condition's zero set; "common-cells" lists grid
@@ -227,19 +215,14 @@ def contour(system_key, family, b_field, box, step, what, scan_points, out):
     if what == "common-cells":
         cells = scan_common_zero_cells(funcs, box, scan_points)
         rows = [[float(x), float(y)] for x, y in cells]
-        _emit(_csv(["eps1_rad", "eps2_rad"], rows), out)
-        return
+        return _csv(["eps1_rad", "eps2_rad"], rows)
     rows = []
     for name, fn in zip(names, funcs):
         for seg_id, seg in enumerate(trace_zero_contour(fn, box, step)):
             for x, y in seg:
                 rows.append([name, seg_id, float(x), float(y)])
-    _emit(_csv(["condition", "segment", "eps1_rad", "eps2_rad"], rows), out)
+    return _csv(["condition", "segment", "eps1_rad", "eps2_rad"], rows)
 
-
-# ---------------------------------------------------------------------------
-# detection cycles
-# ---------------------------------------------------------------------------
 
 def _parse_error(text):
     if text is None or text.lower() == "none":
@@ -258,7 +241,7 @@ def _parse_amp(text):
         raise PreconditionError(f"cannot parse amplitude {text!r}") from None
 
 
-@cli.command()
+@_command
 @click.option("--alpha", default="0.6", show_default=True,
               help="Logical amplitude of |0> (python complex syntax).")
 @click.option("--beta", default="0.8", show_default=True)
@@ -272,9 +255,7 @@ def _parse_amp(text):
               default=1000, show_default=True,
               help="Number of sampled runs (full / z-biased modes only).")
 @click.option("--seed", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_mapped_errors
-def qec(alpha, beta, error, mode, trajectories, seed, out):
+def qec(alpha, beta, error, mode, trajectories, seed):
     """Encode a qubit, inject an error, run a detection sweep (JSON lines)."""
     a = _parse_amp(alpha)
     b = _parse_amp(beta)
@@ -288,17 +269,15 @@ def qec(alpha, beta, error, mode, trajectories, seed, out):
     order = "full" if mode == "exact-branch" else mode
     case_order = _ORDERS[order]()
     records, weight = run_detection(a, b, err, case_order)
-    lines = []
-    for r in records:
-        lines.append(json.dumps({
-            "type": "record",
-            "case": r.detected_case,
-            "probability": r.probability,
-            "fidelity": r.logical_fidelity,
-            "outcomes": list(r.ancilla_outcomes),
-            "recovered": None if r.recovered_amplitudes is None else
-                [[z.real, z.imag] for z in r.recovered_amplitudes],
-        }))
+    lines = [json.dumps({
+        "type": "record",
+        "case": r.detected_case,
+        "probability": r.probability,
+        "fidelity": r.logical_fidelity,
+        "outcomes": list(r.ancilla_outcomes),
+        "recovered": None if r.recovered_amplitudes is None else
+            [[z.real, z.imag] for z in r.recovered_amplitudes],
+    }) for r in records]
     summary = {
         "type": "summary",
         "mode": mode,
@@ -312,47 +291,39 @@ def qec(alpha, beta, error, mode, trajectories, seed, out):
     }
     if mode != "exact-branch":
         draws = sample_records(records, trajectories, seed)
-        counts = {}
-        fid_sum = 0.0
-        for r in draws:
-            key = r.detected_case if r.detected_case is not None else "none"
-            counts[key] = counts.get(key, 0) + 1
-            fid_sum += r.logical_fidelity if r.logical_fidelity is not None else 0.0
+        counts = Counter("none" if r.detected_case is None else r.detected_case
+                         for r in draws)
+        fid_sum = sum(r.logical_fidelity for r in draws if r.logical_fidelity is not None)
         lines = [json.dumps({"type": "sample", "case": k, "count": n,
                              "fraction": n / trajectories})
                  for k, n in sorted(counts.items())]
         summary["trajectories"] = trajectories
         summary["seed"] = seed
         summary["sampled_mean_fidelity"] = fid_sum / trajectories
-        summary["exact_weights"] = {k: v for k, v in
-                                    sorted(case_weights(records).items())}
+        summary["exact_weights"] = dict(sorted(case_weights(records).items()))
     lines.append(json.dumps(summary))
-    _emit("\n".join(lines) + "\n", out)
+    return "\n".join(lines) + "\n"
 
 
-@cli.command()
+@_command
 @click.option("--mode", type=click.Choice(sorted(_ORDERS)), default="full",
               show_default=True)
 @click.option("--error-budget", type=float, default=None,
               help="First-order error weight for the break-even model.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_mapped_errors
-def budget(mode, error_budget, out):
+def budget(mode, error_budget):
     """Pulse counts per detection case plus the break-even pulse infidelity."""
-    case_order = _ORDERS[mode]()
-    info = pulse_budget(case_order)
-    plan = build_detection_plan(case_order)
+    info = pulse_budget(_ORDERS[mode]())
     kwargs = {} if error_budget is None else {"error_budget": error_budget}
     payload = {
         "mode": mode,
         "total_pulses": info["total"],
         "encode_pulses": info["encode"],
-        "emitted_cases": len(plan.emitted),
-        "absorbed_cases": list(plan.absorbed_labels),
+        "emitted_cases": sum(not c["absorbed"] for c in info["cases"].values()),
+        "absorbed_cases": [l for l, c in info["cases"].items() if c["absorbed"]],
         "cases": info["cases"],
         "fidelity_threshold": fidelity_threshold(info["total"], **kwargs),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    return json.dumps(payload, indent=2) + "\n"
 
 
 main = cli
