@@ -23,7 +23,8 @@ from .codewords import branch_amplitudes, default_family, expectation, kl_residu
     lift_to_electron_nuclear, make_codeword, standard_error_sets
 from .cycle import case_weights, fidelity_threshold, full_order, pulse_budget, \
     run_detection, sample_records, z_biased_order
-from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose
+from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, \
+    require_finite
 from .spin import build_hamiltonian, get_system, load_system
 from .tailor import DEFAULT_BOX, DEFAULT_SCAN_CELLS, DEFAULT_STEP, \
     TailoringProblem, field_sweep_tailoring, scan_common_zero_cells, solve_tailoring, \
@@ -56,6 +57,7 @@ def _csv(header, rows):
 
 
 def _field_axis(bstart, bstop, bpoints):
+    require_finite(bstart=bstart, bstop=bstop)
     if bstop < bstart:
         raise PreconditionError("need bstop >= bstart")
     return np.linspace(bstart, bstop, bpoints)
@@ -71,7 +73,8 @@ def _command(body):
 
     ``--out`` follows ``body``'s options (``__click_params__`` lists them last
     first).  The text goes to stdout or ``--out``; a :class:`PreconditionError`
-    exits 2 and a :class:`NumericalError` 3, each with a one-line message.
+    or an ``--out`` that cannot be written exits 2 and a :class:`NumericalError`
+    3, each with a one-line message.
     """
     @cli.command(body.__name__, help=body.__doc__, params=body.__click_params__[::-1])
     @click.option("--out", type=click.Path(dir_okay=False),
@@ -81,9 +84,12 @@ def _command(body):
             text = body(**options)
             if out is None:
                 click.echo(text, nl=False)
-            else:
+                return
+            try:
                 with open(out, "w") as fh:
                     fh.write(text)
+            except OSError as exc:
+                raise PreconditionError(f"cannot write --out: {exc}") from None
         except PreconditionError as exc:
             click.echo(f"precondition error: {exc}", err=True)
             raise SystemExit(2)

@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import PreconditionError, kron, kron_all
+from .linalg import PreconditionError, kron, kron_all, require_finite
 from .spin import manifold_states, spin_operators
 
 THETA0_72 = float(np.arccos(np.sqrt(3.0 / 10.0)))
@@ -149,11 +149,13 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
         Branch-angle corrections; only the branch-angle families of
         :data:`SPIN_ROWS` take them.
 
-    Angle corrections for any other family, and a system or a field for an
-    ideal-basis-only family, raise :class:`PreconditionError`.
+    Angle corrections for any other family, a NaN or infinite angle, and a
+    system or a field for an ideal-basis-only family, raise
+    :class:`PreconditionError`.
     """
     if family not in FAMILIES:
         raise PreconditionError(f"unknown family {family!r}; choose from {FAMILIES}")
+    require_finite(eps1=eps1, eps2=eps2)
     if family not in (row[6] for row in SPIN_ROWS) and (eps1 != 0.0 or eps2 != 0.0):
         raise PreconditionError(f"{family} does not take angle corrections")
     if family in _IDEAL_ONLY and (system is not None or b_field is not None):
@@ -227,10 +229,10 @@ def _single_spin_table(j):
     return MappingProxyType(ops)
 
 
-def embed_on_qudit(op, qudit, n_qudits=3):
-    """Dense embedding of ``op`` on one qudit of a chain (a test reference)."""
+def embed_on_qudit(op, qudit):
+    """Dense embedding of ``op`` on one qudit of three (a test reference)."""
     eye = np.eye(op.shape[0], dtype=np.complex128)
-    return kron_all(op if k == qudit else eye for k in range(n_qudits))
+    return kron_all(op if k == qudit else eye for k in range(3))
 
 
 def standard_error_sets(kind, j=None):

@@ -41,6 +41,13 @@ class NumericalError(RuntimeError):
     """An iteration failed to converge or a result failed verification."""
 
 
+def require_finite(**values):
+    """Refuse, by its name, the first of ``values`` (numbers or arrays) that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise PreconditionError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Result of :func:`hermitian_eigendecompose`.

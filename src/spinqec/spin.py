@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, kron
+from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, kron, \
+    require_finite
 
 #: least overlap gap that makes a dressed-state label unambiguous
 LABEL_GAP_TOL = 1e-6
@@ -167,9 +168,11 @@ def spin_operators(j):
 def build_hamiltonian(system, b_field):
     """Hamiltonian matrix (MHz) for ``system`` in field ``b_field``.
 
-    ``b_field`` may be a scalar (interpreted as B_z) or a 3-vector in tesla.
+    ``b_field`` may be a scalar (interpreted as B_z) or a 3-vector in tesla;
+    a NaN or infinite component raises :class:`PreconditionError`.
     """
     b = np.atleast_1d(np.asarray(b_field, dtype=float))
+    require_finite(b_field=b_field)
     if b.size == 1:
         b = np.array([0.0, 0.0, float(b[0])])
     if b.shape != (3,):

@@ -385,15 +385,14 @@ def closed_form_roots(problem, names, box=DEFAULT_BOX):
 # Newton iteration: the tests' oracle for the closed form
 # ---------------------------------------------------------------------------
 
-def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
-                 max_iter=MAX_NEWTON_ITER):
-    """Two-dimensional Newton with central-difference Jacobian.
+def newton_solve(funcs, x0, box=DEFAULT_BOX):
+    """Two-dimensional Newton with central-difference Jacobian (step :data:`FD_STEP`).
 
     The former runtime route, kept as the test oracle for
     :func:`closed_form_roots`; no solver calls it.  Returns (x, converged,
     iterations, residual_norm).  Convergence: step norm < 1e-13 or residual
-    norm < 1e-13.  Leaving the box |eps| <= box or a singular Jacobian
-    counts as failure.
+    norm < 1e-13 within :data:`MAX_NEWTON_ITER` iterations.  Leaving the box
+    |eps| <= box or a singular Jacobian counts as failure.
     """
     if len(funcs) != 2:
         raise PreconditionError(
@@ -404,9 +403,9 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
         return np.array([fn(x_[0], x_[1]) for fn in funcs])
 
     fx = f_of(x)
-    for iteration in range(1, max_iter + 1):
-        jac = np.column_stack([(f_of(x + dx) - f_of(x - dx)) / (2.0 * fd_step)
-                               for dx in fd_step * np.eye(2)])
+    for iteration in range(1, MAX_NEWTON_ITER + 1):
+        jac = np.column_stack([(f_of(x + dx) - f_of(x - dx)) / (2.0 * FD_STEP)
+                               for dx in FD_STEP * np.eye(2)])
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
         if abs(det) < 1e-300:
             return x, False, iteration, float(np.linalg.norm(fx))
@@ -418,7 +417,7 @@ def newton_solve(funcs, x0, box=DEFAULT_BOX, fd_step=FD_STEP,
         fx = f_of(x)
         if np.linalg.norm(step) < STEP_TOL or np.linalg.norm(fx) < RESIDUAL_TOL:
             return x, True, iteration, float(np.linalg.norm(fx))
-    return x, False, max_iter, float(np.linalg.norm(fx))
+    return x, False, MAX_NEWTON_ITER, float(np.linalg.norm(fx))
 
 
 def seed_cells(funcs, box=DEFAULT_BOX, n=41):

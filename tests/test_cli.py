@@ -1,6 +1,7 @@
 """End-to-end CLI checks (click runner, no subprocesses)."""
 
 import json
+import warnings
 from types import MappingProxyType
 
 import numpy as np
@@ -282,14 +283,63 @@ def test_exit_code_2_cases(runner, tmp_path):
         assert "is not in the range" in res.output
 
 
-def test_out_flag_writes_file(runner, tmp_path):
-    target = tmp_path / "levels.csv"
-    res = runner.invoke(cli, ["levels", "--bpoints", "2", "--out", str(target)])
+#: one README command per subcommand
+_README_COMMANDS = {
+    "levels": ["levels", "--system", "si-sb", "--bstop", "0.3", "--bpoints", "61"],
+    "klsweep": ["klsweep", "--system", "si-sb", "--bstart", "0.5", "--bstop", "5"],
+    "tailor": ["tailor", "--b", "1"],
+    "contour": ["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4", "--step", "1e-4"],
+    "qec": ["qec", "--error", "XX@A"],
+    "budget": ["budget", "--mode", "z-biased"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_README_COMMANDS))
+def test_out_flag_writes_file(runner, tmp_path, command):
+    argv = _README_COMMANDS[command]
+    plain = runner.invoke(cli, argv)
+    assert plain.exit_code == 0, plain.output
+    target = tmp_path / f"{command}.out"
+    res = runner.invoke(cli, argv + ["--out", str(target)])
     assert res.exit_code == 0, res.output
     assert res.output == ""
-    text = target.read_text()
-    assert text.startswith("# b_tesla")
-    assert len(text.strip().splitlines()) == 3
+    assert target.read_text() == plain.output
+
+
+def test_unwritable_out_is_a_precondition_error(runner, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x.csv"
+    res = runner.invoke(cli, ["levels", "--bpoints", "2", "--out", str(target)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.startswith("precondition error: cannot write --out: ")
+    assert str(target) in res.stderr
+    assert not target.exists()
+
+
+#: runs with a NaN or infinite number, and the name the refusal gives it
+_NON_FINITE = [
+    (["klsweep", "--bpoints", "2", "--eps1", "nan"], "eps1"),
+    (["klsweep", "--bpoints", "2", "--eps2", "inf"], "eps2"),
+    (["levels", "--bpoints", "2", "--bstart", "nan"], "bstart"),
+    (["levels", "--bpoints", "2", "--bstop", "inf"], "bstop"),
+    (["tailor", "--b", "nan"], "b_field"),
+    (["tailor", "--b", "-inf"], "b_field"),
+    (["tailor", "--system", "si-sb", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
+      "--sweep-mode", "frozen", "--freeze-at", "nan"], "b_field"),
+    (["contour", "--system", "si-sb", "--b", "nan"], "b_field"),
+]
+
+
+@pytest.mark.parametrize("argv, name", _NON_FINITE,
+                         ids=[f"{a[0]}{a[-2]}-{a[-1]}" for a, _ in _NON_FINITE])
+def test_non_finite_numbers_are_refused_by_name(runner, argv, name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(cli, argv)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"precondition error: {name} must be finite, got ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_system_file_path(runner, tmp_path):

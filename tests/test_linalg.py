@@ -303,7 +303,8 @@ def test_preconditions_hold_under_python_O(tmp_path):
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import hermitian_eigendecompose, kron_all
         from spinqec.register import init_register
-        from spinqec.spin import SpinSystem, get_system, load_system, manifold_states
+        from spinqec.spin import SpinSystem, build_hamiltonian, get_system, load_system
+        from spinqec.spin import manifold_states
         from spinqec.spin import transition_gradients
         from spinqec.tailor import TailoringProblem, find_roots, newton_solve
         from spinqec.tailor import scan_common_zero_cells, seed_cells
@@ -380,6 +381,9 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "trace-nan": lambda: trace_zero_contour(nan_iz),
             "make_codeword-eps": lambda: make_codeword("spin-23/2", eps1=0.1),
             "make_codeword-field": lambda: make_codeword("three-qudit", b_field=2.0),
+            "make_codeword-nan": lambda: make_codeword("distorted-7/2", eps1=float("nan")),
+            "build_hamiltonian-inf": lambda: build_hamiltonian(get_system("si-sb"),
+                                                               float("inf")),
             "eigendecompose-tiny": lambda: hermitian_eigendecompose(
                 1e-12 * np.random.default_rng(1).normal(size=(4, 4))),
         }
@@ -449,6 +453,8 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "trace-nan", "NumericalError",
         "make_codeword-eps", "PreconditionError",
         "make_codeword-field", "PreconditionError",
+        "make_codeword-nan", "PreconditionError",
+        "build_hamiltonian-inf", "PreconditionError",
         "eigendecompose-tiny", "PreconditionError",
     ]
 
