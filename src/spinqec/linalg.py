@@ -7,7 +7,11 @@ dominant pairs (each holds the largest off-diagonal |a| of both its rows, after
 Becka, Oksa & Vajtersic, Parallel Comput. 28, 243 (2002)), then, unless that
 round left the matrix diagonal, runs the round-robin rounds of Brent & Luk
 (SIAM J. Sci. Stat. Comput. 6, 69 (1985)).  A round's rotations act on
-disjoint pairs and are applied as one update.
+disjoint pairs and are applied as one update: its columns are gathered as one
+block, both halves are updated and the block is scattered back, then likewise
+for its rows.  A rotation removes exactly |a_pq|^2 from the squared
+off-diagonal norm in exact arithmetic, so a running ledger of that norm tells
+when to measure it: the last sweep stops at the round where it converges.
 
 Conventions
 -----------
@@ -57,7 +61,8 @@ class EigenDecomposition:
     eigenvalues : (n,) float64, ascending
     eigenvectors : (n, n) complex128, column k pairs with eigenvalue k
     sweeps, off_norm : int, float
-        Jacobi sweeps used; final Frobenius norm of the strict upper triangle.
+        Jacobi sweeps begun (the last one may stop partway, at the round that
+        converged); final Frobenius norm of the strict upper triangle.
     phase_convention : str
         Documents how the per-column gauge was fixed.
     """
@@ -108,9 +113,21 @@ def _fix_column_phases(m):
     return out
 
 
+def _round(p, q, n):
+    """A round's disjoint pairs p < q of an ``n``-column matrix, read-only, as
+    ``(p, q, pq, off, diag)``: ``pq`` is ``p`` then ``q``, and ``off`` (the
+    (p, q) then the (q, p) entries) and ``diag`` (the (pq, pq) entries) are
+    flat indices into the C-contiguous stack that :func:`_rotate` updates."""
+    pq = np.concatenate([p, q])
+    out = (p, q, pq, np.concatenate([p * n + q, q * n + p]), pq * (n + 1))
+    for index in out:
+        index.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=32)
 def _round_robin(n):
-    """Round-robin schedule of ``n`` indices: per round, read-only ``(p, q)``.
+    """Round-robin schedule of ``n`` indices: one :func:`_round` per round.
 
     Circle method over m = n indices, or m = n + 1 for odd n: index m - 1
     stays put while the others rotate, so the m - 1 rounds each pair every
@@ -123,8 +140,7 @@ def _round_robin(n):
     for r in range(m - 1):
         pairs = np.array([(r, m - 1), *zip((r - k) % (m - 1), (r + k) % (m - 1))])
         p, q = np.sort(pairs[pairs.max(axis=1) < n], axis=1).T.copy()
-        p.flags.writeable = q.flags.writeable = False
-        rounds.append((p, q))
+        rounds.append(_round(p, q, n))
     return tuple(rounds)
 
 
@@ -139,40 +155,57 @@ def _dominant_pairs(a):
     return p, best[p]
 
 
-def _rotate(w, p, q):
-    """One Jacobi round on the disjoint pairs (p, q) of ``w`` (see :func:`_jacobi`)."""
-    a = w[:w.shape[1]]
-    apq = a[p, q]
+def _off_norm(a):
+    """Frobenius norm of the strict upper triangle of ``a``."""
+    return np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
+
+
+def _rotate(w, p, q, pq, off, diag):
+    """One Jacobi round on the pairs of a :func:`_round` (see :func:`_jacobi`).
+
+    Returns the round's sum of |a_pq|^2 over the pairs it rotated.
+    """
+    flat = w.reshape(-1)
+    k = len(p)
+    apq = flat[off[:k]]
     absapq = np.abs(apq)
-    live = absapq >= 1e-300
-    if not live.any():
-        return
-    if not live.all():
-        p, q, apq, absapq = p[live], q[live], apq[live], absapq[live]
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * absapq)
+    if absapq.min(initial=np.inf) < 1e-300:
+        live = absapq >= 1e-300
+        if not live.any():
+            return 0.0
+        p, q, pq, off, diag = _round(p[live], q[live], w.shape[1])
+        k, apq, absapq = len(p), apq[live], absapq[live]
+    d = flat[diag].real
+    tau = (d[k:] - d[:k]) / (2.0 * absapq)
     t = np.where(tau < 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
     c = 1.0 / np.sqrt(1.0 + t * t)
     su = t * c * (apq / absapq)
     suc = np.conj(su)
-    col_p, col_q = w[:, p], w[:, q]
-    w[:, p] = c * col_p - suc * col_q
-    w[:, q] = su * col_p + c * col_q
+    block = w[:, pq]
+    x, y = block[:, :k], block[:, k:]
+    out = np.empty_like(block)
+    np.subtract(c * x, suc * y, out=out[:, :k])
+    np.add(su * x, c * y, out=out[:, k:])
+    w[:, pq] = out
     c, su, suc = c[:, None], su[:, None], suc[:, None]
-    row_p, row_q = a[p], a[q]
-    a[p] = c * row_p - su * row_q
-    a[q] = suc * row_p + c * row_q
-    a[p, q] = a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
+    block = w[pq]
+    x, y = block[:k], block[k:]
+    out = np.empty_like(block)
+    np.subtract(c * x, su * y, out=out[:k])
+    np.add(suc * x, c * y, out=out[k:])
+    w[pq] = out
+    flat[off] = 0.0
+    flat[diag] = flat[diag].real
+    return np.dot(absapq, absapq)
 
 
 def _jacobi(w, tol, max_sweeps):
     """Jacobi sweeps on a complex Hermitian matrix, in place.
 
-    ``w`` stacks the matrix ``a = w[:n]`` over ``v = w[n:]``; ``a`` is
-    diagonalised while the unitary is accumulated in ``v``.  Returns
-    ``(sweeps, off)``: the sweeps used (``-1`` if the norm ``off`` of the
-    strict upper triangle, tested before each sweep, stayed above ``tol``).
+    ``w`` (C-contiguous) stacks the matrix ``a = w[:n]`` over ``v = w[n:]``;
+    ``a`` is diagonalised while the unitary is accumulated in ``v``.  Returns
+    ``(sweeps, off)``: the sweeps begun (``-1`` if the norm ``off`` of the
+    strict upper triangle was still above ``tol`` after ``max_sweeps``).
 
     The elementary step annihilates ``a[p, q]`` (p < q) with the unitary that
     acts on the (p, q) plane as ``[[c, s*u], [-s*conj(u), c]]`` where
@@ -181,21 +214,38 @@ def _jacobi(w, tol, max_sweeps):
     (``t > 0`` at ``tau == 0``; ``hypot`` keeps a huge ``tau`` finite); pairs
     with ``|a[p,q]| < 1e-300`` are skipped.  A sweep opens with a round over
     :func:`_dominant_pairs`, which alone diagonalises a matrix whose live pairs
-    are disjoint, then runs the rounds of :func:`_round_robin` unless the
-    opening round left no live pair.  A round's pairs are disjoint, so its
-    rotations commute and read no entry another one writes: the round is one
-    update of columns p, q of ``w`` and rows p, q of ``a`` (:func:`_rotate`).
+    are disjoint, then runs the rounds of :func:`_round_robin` unless ``off``,
+    measured after the opening round, is within ``tol``.  A round's pairs are
+    disjoint, so its rotations commute and read no entry another one writes:
+    :func:`_rotate` gathers columns p, q of ``w`` as one block, updates both
+    halves and scatters them back, then does the same for rows p, q of ``a``.
+
+    Each rotation lowers ``off**2`` by exactly ``|a[p,q]|**2`` in exact
+    arithmetic, so a ledger tracks ``off**2`` from the rounds' sums.  When it
+    reads ``off <= tol`` the norm is measured: if the measurement agrees the
+    sweep stops at that round, and otherwise the ledger restarts from it.  The
+    norm is also measured after every full sweep; a returned ``off`` is always
+    a measurement.
     """
     n = w.shape[1]
     a = w[:n]
+    off = _off_norm(a)
     for sweep in range(max_sweeps + 1):
-        off = np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
         if off <= tol or sweep == max_sweeps:
             return (sweep if off <= tol else -1), off
-        _rotate(w, *_dominant_pairs(a))
-        if (np.abs(np.triu(a, 1)) >= 1e-300).any():
-            for p, q in _round_robin(n):
-                _rotate(w, p, q)
+        _rotate(w, *_round(*_dominant_pairs(a), n))
+        off = _off_norm(a)
+        if off <= tol:
+            return sweep + 1, off
+        ledger = off * off
+        for rnd in _round_robin(n):
+            ledger -= _rotate(w, *rnd)
+            if ledger <= tol * tol:
+                off = _off_norm(a)
+                if off <= tol:
+                    return sweep + 1, off
+                ledger = off * off
+        off = _off_norm(a)
 
 
 def hermitian_eigendecompose(h):

@@ -43,9 +43,6 @@ class QuditRegister:
         amp = np.ascontiguousarray(amp, dtype=np.complex128).reshape(TOTAL_DIM)
         self.amp = amp
 
-    def copy(self):
-        return QuditRegister(self.amp.copy())
-
     def norm(self):
         return float(np.linalg.norm(self.amp))
 

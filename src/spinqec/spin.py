@@ -116,19 +116,29 @@ def load_system(path):
 
     Expected keys: ``name``, ``S``, ``I``, ``g_e_MHz_per_T``,
     ``g_n_MHz_per_T``, ``A_MHz``.  Lines starting with ``#`` are comments.
+    A path that cannot be read as UTF-8 text (a directory, an unreadable or a
+    binary file) is a :class:`PreconditionError` naming it.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise PreconditionError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     fields = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise PreconditionError(
-                    f"{path}:{lineno}: expected 'key = value', got {line!r}"
-                )
-            key, _, val = line.partition("=")
-            fields[key.strip()] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PreconditionError(
+                f"{path}:{lineno}: expected 'key = value', got {line!r}"
+            )
+        key, _, val = line.partition("=")
+        fields[key.strip()] = val.strip()
     required = {"name", "S", "I", "g_e_MHz_per_T", "g_n_MHz_per_T", "A_MHz"}
     missing = required - fields.keys()
     if missing:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from spinqec import tailor
+from spinqec import spin, tailor
 from spinqec.cli import cli
 from spinqec.codewords import kl_residuals, lift_to_electron_nuclear, \
     make_codeword, standard_error_sets
@@ -315,6 +315,34 @@ def test_unwritable_out_is_a_precondition_error(runner, tmp_path):
     assert res.stderr.startswith("precondition error: cannot write --out: ")
     assert str(target) in res.stderr
     assert not target.exists()
+
+
+#: --system paths that exist but cannot be read as text, and the refusal's reason
+_UNREADABLE_SYSTEMS = {"directory": "cannot read: Is a directory",
+                       "unreadable": "cannot read: Permission denied",
+                       "not-utf8": "not UTF-8 text"}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE_SYSTEMS))
+def test_unreadable_system_file_is_a_precondition_error(runner, tmp_path, monkeypatch, kind):
+    path = tmp_path / "system.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "unreadable":
+        # permission bits do not stop a superuser, so the refusal is simulated
+        path.write_text("name = x\n")
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(spin, "open", denied, raising=False)
+    else:
+        path.write_bytes(b"name = caf\xe9\nS = 1/2\n")
+    res = runner.invoke(cli, ["levels", "--system", str(path), "--bpoints", "2"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"precondition error: {path}: {_UNREADABLE_SYSTEMS[kind]}")
 
 
 #: runs with a NaN or infinite number, and the name the refusal gives it

@@ -25,6 +25,8 @@ from spinqec.linalg import (
     PreconditionError,
     _dominant_pairs,
     _fix_column_phases,
+    _rotate,
+    _round,
     _round_robin,
     as_matrix,
     hermitian_eigendecompose,
@@ -38,6 +40,39 @@ from spinqec.spin import build_hamiltonian, get_system
 def _fix_phase(v):
     """The eigenvector phase convention applied to one vector, as a single column."""
     return _fix_column_phases(v[:, None])[:, 0]
+
+
+def _rotate_oracle(w, p, q):
+    """One Jacobi round as two gathers and two scatters per side, with the dead
+    pairs filtered out first: the bit-level oracle for :func:`linalg._rotate`."""
+    a = w[:w.shape[1]]
+    apq = a[p, q]
+    absapq = np.abs(apq)
+    live = absapq >= 1e-300
+    if not live.any():
+        return
+    if not live.all():
+        p, q, apq, absapq = p[live], q[live], apq[live], absapq[live]
+    tau = (a[q, q].real - a[p, p].real) / (2.0 * absapq)
+    t = np.where(tau < 0.0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    su = t * c * (apq / absapq)
+    suc = np.conj(su)
+    col_p, col_q = w[:, p], w[:, q]
+    w[:, p] = c * col_p - suc * col_q
+    w[:, q] = su * col_p + c * col_q
+    c, su, suc = c[:, None], su[:, None], suc[:, None]
+    row_p, row_q = a[p], a[q]
+    a[p] = c * row_p - su * row_q
+    a[q] = suc * row_p + c * row_q
+    a[p, q] = a[q, p] = 0.0
+    a[p, p] = a[p, p].real
+    a[q, q] = a[q, q].real
+
+
+def _off_norm_of(a):
+    """Frobenius norm of the strict upper triangle, recomputed from scratch."""
+    return np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 16, 20, 33, 64])
@@ -205,12 +240,16 @@ def test_round_robin_schedule(n):
     rounds = _round_robin(n)
     assert len(rounds) == n - 1 + n % 2
     met = []
-    for p, q in rounds:
-        assert not p.flags.writeable and not q.flags.writeable
+    for p, q, pq, off, diag in rounds:
+        assert not any(index.flags.writeable for index in (p, q, pq, off, diag))
         assert np.all(p < q)
+        # the flat indices address (p, q), (q, p) and the diagonal of an n-column stack
+        assert pq.tolist() == p.tolist() + q.tolist()
+        assert off.tolist() == [np.ravel_multi_index(ij, (n, n))
+                                for ij in [*zip(p, q), *zip(q, p)]]
+        assert diag.tolist() == [np.ravel_multi_index((i, i), (n, n)) for i in pq]
         # a round touches each index once; for odd n one index sits out
-        touched = np.concatenate([p, q])
-        assert len(set(touched.tolist())) == len(touched) == n - n % 2
+        assert len(set(pq.tolist())) == len(pq) == n - n % 2
         met += zip(p.tolist(), q.tolist())
     assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
     assert _round_robin(n) is rounds
@@ -609,3 +648,110 @@ def test_power_of_two_scaling_is_exact(rng, power):
     assert np.array_equal(got.eigenvectors, dec.eigenvectors)
     assert np.array_equal(got.eigenvalues, np.ldexp(dec.eigenvalues, power))
     assert (got.sweeps, got.off_norm) == (dec.sweeps, np.ldexp(dec.off_norm, power))
+
+
+@settings(max_examples=80, deadline=None)
+@example(dim=1, which=0, dead=0.0, seed=0)
+@example(dim=7, which=-1, dead=0.0, seed=1)
+@example(dim=7, which=-1, dead=0.5, seed=2)
+@example(dim=12, which=3, dead=0.5, seed=3)
+@example(dim=9, which=2, dead=1.0, seed=4)
+@given(dim=st.integers(min_value=1, max_value=40),
+       which=st.integers(min_value=-1, max_value=40),
+       dead=st.sampled_from([0.0, 0.3, 1.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_round_is_bit_identical_to_the_oracle(dim, which, dead, seed):
+    # which = -1 is the dominant-pair round, otherwise a round-robin round;
+    # a share ``dead`` of the round's pairs get |a_pq| < 1e-300
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, dim)
+    if which < 0:
+        rnd = _round(*_dominant_pairs(a), dim)
+    else:
+        rounds = _round_robin(dim)
+        rnd = rounds[which % len(rounds)]
+    p, q = rnd[:2]
+    kill = rng.random(len(p)) < dead
+    tiny = rng.choice([0.0, -0.0, 1e-310, 3e-301j], size=int(kill.sum()))
+    a[p[kill], q[kill]], a[q[kill], p[kill]] = tiny, np.conj(tiny)
+    w = np.vstack([a, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))])
+    want, got = w.copy(), w.copy()
+    _rotate_oracle(want, p, q)
+    removed = _rotate(got, *rnd)
+    assert got.tobytes() == want.tobytes()
+    mags = np.abs(a[p, q])
+    live = mags[mags >= 1e-300]
+    np.testing.assert_allclose(removed, np.sum(live ** 2), rtol=1e-14, atol=0.0)
+
+
+def _exits_of_jacobi(mp):
+    """Patch ``linalg._jacobi`` to record each exit as (matrix, tol, sweeps, off)."""
+    exits = []
+    real = linalg._jacobi
+
+    def spy(w, tol, max_sweeps):
+        sweeps, off = real(w, tol, max_sweeps)
+        exits.append((w[:w.shape[1]].copy(), tol, sweeps, off))
+        return sweeps, off
+
+    mp.setattr(linalg, "_jacobi", spy)
+    return exits
+
+
+@settings(max_examples=40, deadline=None)
+@example(kind="dense", dim=48, scale=1.0, seed=0)
+@example(kind="blocks", dim=20, scale=1e8, seed=1)
+@given(kind=st.sampled_from(["dense", "blocks", "repeated"]),
+       dim=st.integers(min_value=1, max_value=48),
+       scale=st.sampled_from([1.0, 1e-8, 1e8]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_exit_reports_the_measured_off_norm(kind, dim, scale, seed):
+    # the ledger only decides when to measure: the returned norm is always a
+    # measurement of the matrix the solve leaves behind
+    h = scale * _solver_input(kind, dim, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        exits = _exits_of_jacobi(mp)
+        dec = hermitian_eigendecompose(h)
+    (a, tol, sweeps, off), = exits
+    assert off == _off_norm_of(a) <= tol
+    assert dec.sweeps == sweeps
+    assert dec.off_norm <= 1e-14 * max(np.linalg.norm(h), 1e-300)
+
+
+@pytest.mark.parametrize("factor", [1e3, np.inf, 0.0],
+                         ids=["over-reports", "reads-nothing-left", "removes-nothing"])
+@pytest.mark.parametrize("dim", [5, 16, 33])
+def test_a_wrong_ledger_never_returns_an_unconverged_result(rng, monkeypatch, factor, dim):
+    # a ledger that over-reports the removed mass asks for a measurement too
+    # early, and one that removes nothing waits for the end of each sweep:
+    # either way the solve stops only on a measured off <= tol
+    h = random_hermitian(rng, dim)
+    honest = hermitian_eigendecompose(h)
+    real = linalg._rotate
+    monkeypatch.setattr(linalg, "_rotate", lambda *args: factor * real(*args))
+    exits = _exits_of_jacobi(monkeypatch)
+    dec = hermitian_eigendecompose(h)
+    (a, tol, sweeps, off), = exits
+    assert off == _off_norm_of(a) <= tol
+    assert dec.off_norm <= 1e-14 * np.linalg.norm(h)
+    if factor > 1.0:
+        assert dec.sweeps <= honest.sweeps
+    np.testing.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(h),
+                               rtol=0, atol=1e-13 * dim * np.linalg.norm(h))
+    v = dec.eigenvectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-13 * dim
+    assert np.max(np.abs((v * dec.eigenvalues) @ v.conj().T - h)) < 1e-13 * dim * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("key, rounds, sweeps", [("si-sb", 77, 5), ("si-bi", 99, 5)])
+def test_tilted_hamiltonian_round_count(monkeypatch, key, rounds, sweeps):
+    # a pin on the schedule: the dominant-pair round, Brent & Luk's order and
+    # the ledger's mid-sweep stop together take this many rounds at 1 T tilted
+    # by 30 degrees (80 and 100 rounds when every sweep ran to its end)
+    calls = []
+    real = linalg._rotate
+    monkeypatch.setattr(linalg, "_rotate", lambda *args: calls.append(1) or real(*args))
+    h = build_hamiltonian(get_system(key), np.array([0.3, 0.4, np.sqrt(0.75)]))
+    dec = hermitian_eigendecompose(h)
+    assert (len(calls), dec.sweeps) == (rounds, sweeps)
+    assert dec.off_norm <= 1e-14 * np.linalg.norm(h)
