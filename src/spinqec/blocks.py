@@ -47,8 +47,10 @@ AMP_CUT = 1e-12
 FIDELITY_TOL = 1e-10  # a validated block's target fidelity exceeds 1 - FIDELITY_TOL
 PHASE_TOL = 1e-9  # strip_global_phase drops a part below this of max |entry|
 
-#: A-levels whose (m, 0, 0) populations the entangling stage copies to B and C
-ENTANGLE_LEVELS = (1, 2, 5, 6, 7)
+#: A-levels whose (m, 0, 0) populations the entangling stage copies to B and C:
+#: every level of the three-qudit words but 0, where B and C already are
+ENTANGLE_LEVELS = tuple(sorted({lvl for word in (THREEQ_ZERO, THREEQ_ONE)
+                               for lvl, _ in word} - {0}))
 
 
 class SynthesisError(NumericalError):
@@ -66,11 +68,6 @@ class Block:
     @property
     def pulse_count(self):
         return len(self.gates)
-
-    def angle_cosines(self):
-        """|cos theta| of every pulse off the ancilla, sorted."""
-        return tuple(sorted(abs(float(np.cos(g.theta)))
-                            for g in self.gates if g.axis != ANCILLA_AXIS))
 
 
 def validate_block(block, targets):

@@ -7,10 +7,12 @@ branch angles by independent corrections (eps1, eps2).  Spin 7/2 has
 ``ideal-7/2`` / ``distorted-7/2`` (theta0 = arccos(sqrt(3/10)), signed), spin
 9/2 ``ideal-9/2`` / ``tailored-9/2`` (theta0 = pi/3).  These words live on the
 ideal basis (bare |m> states) or on the dressed m_S = -1/2 eigenstates of a
-coupled electron-nuclear system.  ``spin-23/2`` (three-component words on one
-spin 23/2 correcting the full first-order electron-bath error set) and
-``three-qudit`` (|m>_ABC = |m>|m>|m> across three spin-7/2 qudits) exist on the
-ideal basis only, as rows of one (dim, entries) table.
+coupled electron-nuclear system, and one route builds both: each word is the
+sum of amplitude * vector(m) over its branch supports, the vectors being the
+unit vectors e_{m+I} or the dressed states.  ``spin-23/2`` (three-component
+words on one spin 23/2 correcting the full first-order electron-bath error
+set) and ``three-qudit`` (|m>_ABC = |m>|m>|m> across three spin-7/2 qudits)
+exist on the ideal basis only, as rows of one (dim, entries) table.
 """
 
 from dataclasses import dataclass
@@ -123,17 +125,6 @@ def check_nuclear_spin(family, system):
                                 f"system has I={system.i}")
 
 
-def _ideal_entries(family, eps1, eps2):
-    """(dim, |0_L> entries, |1_L> entries) of ``family``'s words on the ideal basis."""
-    if family in _IDEAL_ONLY:
-        return _IDEAL_ONLY[family]
-    spin_i, _, sup0, sup1, _ = _TWO_LEVEL[family]
-    c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
-    index = lambda m: round(m + spin_i)  # noqa: E731
-    return (round(2 * spin_i) + 1, zip(map(index, sup0), (c1, s1)),
-            zip(map(index, sup1), (c2, s2)))
-
-
 def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
     """Construct a :class:`CodeWord`.
 
@@ -162,9 +153,12 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
         raise PreconditionError(f"{family} words exist on the ideal basis only")
 
     if system is None and b_field is None:
-        dim, word0, word1 = _ideal_entries(family, eps1, eps2)
-        angles = (_TWO_LEVEL[family][1], eps1, eps2) if family in _TWO_LEVEL else ()
-        return CodeWord(family, "ideal", _vector(dim, word0), _vector(dim, word1), *angles)
+        if family in _IDEAL_ONLY:
+            dim, word0, word1 = _IDEAL_ONLY[family]
+            return CodeWord(family, "ideal", _vector(dim, word0), _vector(dim, word1))
+        spin_i = _TWO_LEVEL[family][0]
+        eye = _single_spin_table(spin_i)["I"]  # e_k: row k of the cached identity
+        return _two_level_word(family, "ideal", lambda m: eye[round(m + spin_i)], eps1, eps2)
     if system is None or b_field is None:
         raise PreconditionError("dressed words need both system and b_field")
     check_nuclear_spin(family, system)
@@ -178,15 +172,17 @@ def dressed_word(family, system, b_field, manifold, eps1, eps2):
     ``manifold`` is ``manifold_states(system, b_field)``, passed in so that a
     caller holding it skips the labelled eigensolve.
     """
+    return _two_level_word(family, f"dressed({system.name}, B={float(b_field):g} T)",
+                           lambda m: manifold[m].vector, eps1, eps2)
+
+
+def _two_level_word(family, basis, vector, eps1, eps2):
+    """The :class:`CodeWord` with |0_L> and |1_L> the sums of amplitude * ``vector(m)``
+    over the two branch supports, the amplitudes from :func:`branch_amplitudes`."""
     _, theta0, sup0, sup1, _ = _TWO_LEVEL[family]
     c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
-    zero = np.zeros(system.dim, dtype=np.complex128)
-    one = np.zeros(system.dim, dtype=np.complex128)
-    for m, amp in zip(sup0, (c1, s1)):
-        zero += amp * manifold[m].vector
-    for m, amp in zip(sup1, (c2, s2)):
-        one += amp * manifold[m].vector
-    basis = f"dressed({system.name}, B={float(b_field):g} T)"
+    zero, one = (sum(amp * vector(m) for m, amp in zip(sup, amps))
+                 for sup, amps in ((sup0, (c1, s1)), (sup1, (c2, s2))))
     return CodeWord(family, basis, zero, one, theta0, eps1, eps2)
 
 

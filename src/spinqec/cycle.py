@@ -88,10 +88,6 @@ class DetectionPlan:
         object.__setattr__(self, "emitted",
                            tuple(c for c in self.cases if not c.absorbed))
 
-    @property
-    def absorbed_labels(self):
-        return tuple(c.label for c in self.cases if c.absorbed)
-
     def case(self, label):
         for c in self.cases:
             if c.label == label:
@@ -234,9 +230,12 @@ def detection_records(reg, order=None, reference=None):
 
 def sample_records(records, n_samples, rng=None):
     """Draw trajectory outcomes from an exact record distribution by the
-    inverse-CDF steps of ``Generator.choice(p=...)``: the same draws."""
+    inverse-CDF steps of ``Generator.choice(p=...)``: the same draws.  ``rng``
+    is None, a Generator or a seed; a negative integer seed is refused."""
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise PreconditionError(f"n_samples {n_samples!r} is not a count")
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise PreconditionError(f"seed {rng!r} is not a non-negative integer")
     probs = np.array([r.probability for r in records], dtype=float)
     if not np.all(probs >= 0.0):  # NaN fails too; inf fails the sum below
         raise PreconditionError(f"outcome probabilities {probs} must be >= 0")

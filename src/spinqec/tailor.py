@@ -12,7 +12,8 @@ and an offdiag one p cos t1 sin t2 + q sin t1 cos t2
 (:meth:`TailoringProblem.coefficients`), so the solvers need no iteration:
 two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
 diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
-tan^2 t1 (:func:`closed_form_roots`).  Contours are marching squares on
+tan^2 t1.  Both give principal angle pairs, which :func:`closed_form_roots`
+alone expands into the branches in the box.  Contours are marching squares on
 crossed edges and vertices found per grid line in closed form, with no n x n
 grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
 cell when one of its corners is <= 0 and one is >= 0 (:func:`_qualifies`),
@@ -21,6 +22,7 @@ with no grid for a diag condition (:meth:`TailoringProblem.cells`).
 tests' oracle.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import sub
@@ -296,14 +298,14 @@ def _field_setup(family, system, b_field):
 # ---------------------------------------------------------------------------
 
 def _branches(t, box, theta0):
-    """Every eps = t + k pi - theta0 (k integer) with |eps| <= box."""
-    lo, hi = (theta0 - box - t) / np.pi, (theta0 + box - t) / np.pi
-    k = np.arange(np.ceil(lo), np.floor(hi) + 1.0)
-    return [float(eps) for eps in t + k * np.pi - theta0 if abs(eps) <= box]
+    """Every eps = t + k pi - theta0 (k integer) with |eps| <= box, in float arithmetic."""
+    t = float(t)
+    lo, hi = math.ceil((theta0 - box - t) / np.pi), math.floor((theta0 + box - t) / np.pi)
+    return [e for e in (t + k * np.pi - theta0 for k in range(lo, hi + 1)) if abs(e) <= box]
 
 
-def _diag_pair_roots(problem, names, box):
-    """Two diag conditions: a 2 x 2 linear system in (cos 2t1, cos 2t2)."""
+def _diag_pair_roots(problem, names):
+    """Two diag conditions: (+-arccos(u1) / 2, +-arccos(u2) / 2), u_k = cos 2t_k solved."""
     rows, rhs = [], []
     for name in names:
         (a1, b1), (a2, b2) = problem.coefficients(name)
@@ -318,19 +320,18 @@ def _diag_pair_roots(problem, names, box):
     cos2t = ((r11 * rhs[0] - r01 * rhs[1]) / det, (r00 * rhs[1] - r10 * rhs[0]) / det)
     if max(abs(u) for u in cos2t) > 1.0:
         return []
-    eps = [{e for sign in (-1.0, 1.0)
-            for e in _branches(sign * np.arccos(u) / 2.0, box, problem.theta0)}
-           for u in cos2t]
-    return [(e1, e2) for e1 in eps[0] for e2 in eps[1]]
+    h1, h2 = (np.arccos(u) / 2.0 for u in cos2t)
+    return [(s1 * h1, s2 * h2) for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0)]
 
 
-def _mixed_pair_roots(problem, diag_name, offdiag_name, box):
+def _mixed_pair_roots(problem, diag_name, offdiag_name):
     """A diag and an offdiag condition: tan t2 = kappa tan t1, then a quadratic.
 
     With x = tan^2 t1, cos 2t1 = (1 - x) / (1 + x) and cos 2t2 =
     (1 - kappa^2 x) / (1 + kappa^2 x); clearing the (positive) denominators
-    leaves A x^2 + B x + C = 0.  Roots with cos t1 = 0 need A = 0 exactly
-    and are not listed.
+    leaves A x^2 + B x + C = 0; each real tan t1 = +-sqrt(x) gives the principal
+    pair (arctan tan t1, arctan kappa tan t1).  Roots with cos t1 = 0 need A = 0
+    exactly and are not listed.
     """
     (a1, b1), (a2, b2) = problem.coefficients(diag_name)
     p, q = problem.coefficients(offdiag_name)
@@ -349,35 +350,33 @@ def _mixed_pair_roots(problem, diag_name, offdiag_name, box):
     # the root of larger magnitude first, the other from the product C / A
     big = -(quad_b + np.copysign(np.sqrt(disc), quad_b)) / 2.0
     tan_sq = (big / quad_a if quad_a else np.inf, quad_c / big if big else np.inf)
-    roots = set()
-    for tan1 in {sign * np.sqrt(x) for x in tan_sq if 0.0 <= x < np.inf
-                 for sign in (-1.0, 1.0)}:
-        for e1 in _branches(np.arctan(tan1), box, problem.theta0):
-            for e2 in _branches(np.arctan(kappa * tan1), box, problem.theta0):
-                roots.add((e1, e2))
-    return list(roots)
+    tans = {sign * np.sqrt(x) for x in tan_sq if 0.0 <= x < np.inf for sign in (-1.0, 1.0)}
+    return [(np.arctan(tan1), np.arctan(kappa * tan1)) for tan1 in tans]
 
 
 def closed_form_roots(problem, names, box=DEFAULT_BOX):
     """Every common root of the two conditions ``names`` with |eps1|, |eps2| <= box.
 
-    Sorted by distance from the origin (nearest first); an empty list when
-    the solution's cosines leave [-1, 1] or no branch lies in the box.  A box
-    :func:`_check_box` refuses, or ``names`` not two diag conditions or a diag
-    then an offdiag one, raise :class:`PreconditionError`; near-dependent diag
-    conditions (the sine between their 2 x 2 rows below 1e-12), or an offdiag
-    one that vanishes or factorises (p or q below 1e-12 of the other),
-    :class:`DegenerateConditionsError`; see :meth:`TailoringProblem.coefficients`
-    for :class:`StructuralZeroError`.
+    Each distinct angle of the pair solvers' principal pairs (t1, t2) is
+    expanded once into its branches (:func:`_branches`).  Sorted by distance
+    from the origin (nearest first); an empty list when the solution's cosines
+    leave [-1, 1] or no branch lies in the box.  A box :func:`_check_box`
+    refuses, or ``names`` not two diag conditions or a diag then an offdiag one,
+    raise :class:`PreconditionError`; near-dependent diag conditions (the sine
+    between their 2 x 2 rows below 1e-12), or an offdiag one that vanishes or
+    factorises (p or q below 1e-12 of the other), :class:`DegenerateConditionsError`;
+    see :meth:`TailoringProblem.coefficients` for :class:`StructuralZeroError`.
     """
     _check_box(box)
     kinds = [problem._sandwiches(name)[0] for name in names]
     if kinds == ["diag", "diag"]:
-        roots = _diag_pair_roots(problem, names, box)
+        pairs = _diag_pair_roots(problem, names)
     elif kinds == ["diag", "offdiag"]:
-        roots = _mixed_pair_roots(problem, *names, box)
+        pairs = _mixed_pair_roots(problem, *names)
     else:
         raise PreconditionError(f"no closed form for the conditions {tuple(names)}")
+    eps = {t: _branches(t, box, problem.theta0) for t in set().union(*pairs)}
+    roots = {(e1, e2) for t1, t2 in pairs for e1 in eps[t1] for e2 in eps[t2]}
     return sorted(roots, key=lambda r: (float(np.hypot(*r)), r))
 
 

@@ -268,7 +268,9 @@ def test_exit_code_2_cases(runner, tmp_path):
                  ["tailor", "--b", "1", "--box", "1e300"],
                  ["contour", "--b", "1", "--what", "common-cells",
                   "--scan-points", str(10**15)],
-                 ["contour", "--system", "si-sb", "--b", "1", "--family", "ideal-7/2"]):
+                 ["contour", "--system", "si-sb", "--b", "1", "--family", "ideal-7/2"],
+                 ["qec", "--error", "X@B", "--mode", "full", "--trajectories", "10",
+                  "--seed", "-1"]):
         res = runner.invoke(cli, argv)
         assert res.exit_code == 2, res.output
         assert "precondition error:" in res.output
@@ -472,5 +474,29 @@ def test_hostile_float_options_exit_cleanly(runner, base, option):
         res = runner.invoke(cli, base + [option, value])
         where = f"{option} {value}: {res.output!r}"
         assert res.exit_code in (0, 2, 3), where
+        assert res.exception is None or isinstance(res.exception, SystemExit), where
+        assert "Traceback" not in res.output, where
+
+
+#: every integer option of the README commands, each on a small base command
+_HOSTILE_COUNTS = ("-1", "0", "1", str(2**63))
+_INT_OPTIONS = [
+    (["levels", "--bstop", "0.3"], "--bpoints"),
+    (["klsweep", "--system", "si-sb"], "--bpoints"),
+    (["tailor", "--bstart", "1", "--bstop", "2"], "--bpoints"),
+    (["contour", "--system", "si-sb", "--b", "1", "--what", "common-cells", *_README_BOX],
+     "--scan-points"),
+    (["qec", "--error", "X@B", "--mode", "full"], "--trajectories"),
+    (["qec", "--error", "X@B", "--mode", "full", "--trajectories", "10"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("base, option", _INT_OPTIONS,
+                         ids=[f"{b[0]}{o}" for b, o in _INT_OPTIONS])
+def test_hostile_integer_options_exit_cleanly(runner, base, option):
+    for value in _HOSTILE_COUNTS:
+        res = runner.invoke(cli, base + [option, value])
+        where = f"{option} {value}: {res.output!r}"
+        assert res.exit_code in (0, 2), where
         assert res.exception is None or isinstance(res.exception, SystemExit), where
         assert "Traceback" not in res.output, where

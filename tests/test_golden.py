@@ -84,7 +84,8 @@ def blocks_listing():
         lines += [_gate_line(g) for g in block.gates]
     for name, order in (("full", full_order()), ("z-biased", z_biased_order())):
         plan = build_detection_plan(order)
-        lines.append(f"order {name} absorbed {' '.join(plan.absorbed_labels)}")
+        absorbed = " ".join(c.label for c in plan.cases if c.absorbed)
+        lines.append(f"order {name} absorbed {absorbed}")
         for case in plan.emitted:
             meta, phase = case.block.meta, complex(case.block.meta["phase"])
             lines.append(f"case {case.label} {case.index} dest {meta['dest0']} "
