@@ -1,0 +1,168 @@
+"""spinqec bit-identity corpus: one SHA-256 per group of results.
+
+    python3 identity/run.py [--write | --check]
+
+Run from anywhere; the package is imported from the checkout's ``src``.  Each
+group hashes a fixed corpus as text: every float as ``float.hex``, and every
+refusal as its type and text, so a refactor that claims "the same numbers"
+can show that no last bit moved.  The groups:
+
+- ``contours``: ``trace_zero_contour`` polylines for both tailored families on
+  their presets, at six fields, for all six conditions and five (box, step)
+  grids (360 traces);
+- ``scans``: ``scan_common_zero_cells`` for every ordered choice of one to
+  three conditions, both families, the six fields and three (cells, box)
+  grids (5,616 scans);
+- ``roots``: ``solve_tailoring``'s root and ``all_roots`` for both families
+  at 0.2, 0.3, ..., 6.0 T.
+
+With no flag the digests are printed.  ``--write`` stores them in
+``identity/digests.json`` with the environment (numpy, Python, machine,
+system, libc).  ``--check`` compares group by group with that file and exits
+1 if a group differs; when the environment differs it reports the difference
+and exits 2 without judging, since another numpy or libm may move last bits.
+"""
+
+import argparse
+import hashlib
+import itertools
+import json
+import os
+import platform
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(HERE), "src")
+DIGESTS = os.path.join(HERE, "digests.json")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, SRC)
+from spinqec.linalg import NumericalError, PreconditionError  # noqa: E402
+from spinqec.spin import get_system  # noqa: E402
+from spinqec.tailor import CONDITIONS, TailoringProblem, scan_common_zero_cells, \
+    solve_tailoring, trace_zero_contour  # noqa: E402
+
+#: each tailored family on the preset it is tailored for
+PRESETS = {"tailored-9/2": "si-bi", "distorted-7/2": "si-sb"}
+FIELDS = (0.2, 0.7, 1.0, 1.37, 2.9, 5.0)
+#: (box, step) of the traced contours
+CONTOUR_GRIDS = ((0.05, 0.0025), (5e-4, 1e-4), (0.05, 1e-4), (1.0, 0.01), (2.5, 0.005))
+#: (cells per side, box) of the scans
+SCAN_GRIDS = ((40, 0.05), (400, 0.05), (100, 1.0))
+ROOT_FIELDS = tuple(round(0.2 + 0.1 * i, 10) for i in range(59))
+
+
+def _hex(values):
+    return " ".join(float(v).hex() for v in np.ravel(values))
+
+
+def _refusal(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _problems(b):
+    return [TailoringProblem(family, get_system(preset), b)
+            for family, preset in PRESETS.items()]
+
+
+def contours():
+    for b in FIELDS:
+        for problem, name, (box, step) in itertools.product(
+                _problems(b), CONDITIONS, CONTOUR_GRIDS):
+            yield f"{problem.family} {b!r} {name} {box!r} {step!r}"
+            try:
+                lines = trace_zero_contour(problem.condition(name), box, step)
+            except (NumericalError, PreconditionError) as exc:
+                yield _refusal(exc)
+                continue
+            for line in lines:
+                yield _hex(line)
+
+
+def scans():
+    choices = [c for r in (1, 2, 3) for c in itertools.permutations(CONDITIONS, r)]
+    for b in FIELDS:
+        for problem, names, (n, box) in itertools.product(
+                _problems(b), choices, SCAN_GRIDS):
+            yield f"{problem.family} {b!r} {','.join(names)} {n} {box!r}"
+            try:
+                cells = scan_common_zero_cells(
+                    [problem.condition(name) for name in names], box, n)
+            except (NumericalError, PreconditionError) as exc:
+                yield _refusal(exc)
+                continue
+            yield _hex(cells)
+
+
+def roots():
+    for b, (family, preset) in itertools.product(ROOT_FIELDS, PRESETS.items()):
+        yield f"{family} {b!r}"
+        try:
+            sol = solve_tailoring(family, get_system(preset), b)
+        except (NumericalError, PreconditionError) as exc:
+            yield _refusal(exc)
+            continue
+        yield _hex((sol.eps1, sol.eps2))
+        yield _hex(sol.all_roots)
+
+
+GROUPS = {"contours": contours, "scans": scans, "roots": roots}
+
+
+def digest(group):
+    """(SHA-256 of the group's lines, number of lines)."""
+    sha, count = hashlib.sha256(), 0
+    for line in GROUPS[group]():
+        sha.update(line.encode() + b"\n")
+        count += 1
+    return sha.hexdigest(), count
+
+
+def environment():
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "machine": platform.machine(), "system": platform.system(),
+            "libc": " ".join(platform.libc_ver())}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help=f"store the digests in {DIGESTS}")
+    mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS}")
+    args = parser.parse_args(argv)
+    stored = None
+    if args.check:
+        with open(DIGESTS, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        env = environment()
+        moved = {k: (stored["environment"].get(k), v) for k, v in env.items()
+                 if stored["environment"].get(k) != v}
+        if moved:
+            for key, (old, new) in moved.items():
+                print(f"environment differs: {key} {old!r} stored, {new!r} here")
+            print("not judged: digests are only comparable in the same environment")
+            return 2
+    t0, result, differ = time.perf_counter(), {}, []
+    for group in GROUPS:
+        g0 = time.perf_counter()
+        sha, count = result[group] = digest(group)
+        verdict = ""
+        if stored is not None:
+            same = stored["groups"].get(group) == [sha, count]
+            verdict = "  equal" if same else "  DIFFERS"
+            if not same:
+                differ.append(group)
+        print(f"{group:9s} {sha} {count:8d} lines {time.perf_counter() - g0:7.1f} s{verdict}")
+    print(f"total {time.perf_counter() - t0:.1f} s")
+    if args.write:
+        with open(DIGESTS, "w", encoding="utf-8") as fh:
+            json.dump({"environment": environment(),
+                       "groups": {g: list(v) for g, v in result.items()}}, fh, indent=2)
+            fh.write("\n")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

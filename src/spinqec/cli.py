@@ -21,7 +21,7 @@ import numpy as np
 from . import tailor as tailoring
 from .codewords import branch_amplitudes, default_family, expectation, kl_residuals, \
     lift_to_electron_nuclear, make_codeword, standard_error_sets
-from .cycle import case_weights, fidelity_threshold, full_order, pulse_budget, \
+from .cycle import case_weights, check_seed, fidelity_threshold, full_order, pulse_budget, \
     run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, \
     require_finite
@@ -263,6 +263,7 @@ def _parse_amp(text):
 @click.option("--seed", type=int, default=None)
 def qec(alpha, beta, error, mode, trajectories, seed):
     """Encode a qubit, inject an error, run a detection sweep (JSON lines)."""
+    check_seed(seed)  # in every mode, though only the sampled ones draw
     a = _parse_amp(alpha)
     b = _parse_amp(beta)
     nrm = np.hypot(abs(a), abs(b))

@@ -257,10 +257,6 @@ def dressed_eigenstates(system, b_field):
         taken_weight[p] = w
         if len(label_of_state) == dim:
             break
-    if len(label_of_state) != dim:
-        raise NumericalError(
-            f"labelling is not a bijection: {len(label_of_state)} of {dim} states labelled"
-        )
     states = []  # in the eigensolver's ascending energy order
     for k in range(dim):
         p = label_of_state[k]

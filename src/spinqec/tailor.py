@@ -14,8 +14,9 @@ two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
 diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
 tan^2 t1.  Both give principal angle pairs, which :func:`closed_form_roots`
 alone expands into the branches in the box.  Contours are marching squares on
-crossed edges and vertices found per grid line in closed form, with no n x n
-grid (:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
+the sign changes of each grid line's closed form at every node, with vertices
+at its roots and no n x n evaluation of the condition
+(:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
 cell when one of its corners is <= 0 and one is >= 0 (:func:`_qualifies`),
 with no grid for a diag condition (:meth:`TailoringProblem.cells`).
 ``newton_solve`` and ``find_roots``, the former Newton route, remain as the
@@ -161,14 +162,14 @@ class TailoringProblem:
 
         Along a grid line f = alpha + a cos kt + b sin kt in the moving angle
         t = theta0 + eps (k = 2 diag, 1 offdiag); two calls on broadcast axes at
-        kt = 0, pi/2, pi give (alpha, a, b) on all 2n lines, and so the roots
-        atan2(b, a) +- arccos(-alpha / hypot(a, b)) + 2 pi m.  Only the edges
-        beside each root's nearest node can change sign; their end values come
-        from the form, or from one elementwise call (the grid's own values) where
-        it is within 1e-11 of max |alpha| + hypot(a, b) of zero.  An edge is
-        crossed on the split f < 0 against f >= 0 (a fold, two roots in one edge,
-        is not) at its zero end node, else the root nearest its midpoint clipped
-        into it.  Returns (edges, vertices, zero, negative), per crossed edge the
+        kt = 0, pi/2, pi give (alpha, a, b) on all 2n lines.  The form gives f at
+        every node of every line, (2n, n), and one elementwise call gives the
+        grid's own values where it is within 1e-11 of max |alpha| + hypot(a, b)
+        of zero.  An edge is crossed where f changes sign between its ends on the
+        split f < 0 against f >= 0 (a fold, two roots in one edge, is not).  Its
+        vertex is at its zero end node, else at the root atan2(b, a) +-
+        arccos(-alpha / hypot(a, b)) + 2 pi m nearest its midpoint, clipped into
+        the edge.  Returns (edges, vertices, zero, negative), per crossed edge the
         moving axis and lower node (i, j) (k x 3; axis 0 runs to (i + 1, j), axis
         1 to (i, j + 1)), the vertex (k x 2), i n + j of a zero end node or -1,
         and f(i, j) < 0.  A condition that vanishes on the box, or is NaN or
@@ -176,6 +177,7 @@ class TailoringProblem:
         refuses (its box half the span of xs), or whose nodes theta0 + xs do not
         all differ in floating point, raise PreconditionError first.
         """
+        # the bound on n also bounds the (2n, n) node values below
         _check_grid(xs.size, 2, MAX_GRID_NODES, "grid nodes", float(xs[-1] - xs[0]) / 2.0)
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
         n, tau = xs.size, 2.0 * np.pi
@@ -191,33 +193,22 @@ class TailoringProblem:
         if np.count_nonzero(size < 1e-13) > 0.9 * 2 * n:
             raise NumericalError(
                 "condition vanishes identically over the box; no curve to trace")
-        half = np.arccos(np.clip(-alpha / np.maximum(radius, 1e-300), -1.0, 1.0))
-        roots = np.arctan2(b, a) + np.multiply.outer((-1.0, 1.0), half)
-        # each root's nearest node at every 2 pi shift, as a flat index into rows of
-        # n + 2 marks, where column e + 1 is edge e and roots past the box land in n
         kx = k * (self.theta0 + xs)
         if not (np.diff(kx) > 0.0).all():
             raise PreconditionError(f"nodes theta0 + eps coincide for |eps| <= {xs[-1]:g}")
-        spacing = (kx[-1] - kx[0]) / (n - 1)
-        turns = tau * np.arange(int(n * spacing / tau) + 1)[:, None, None]
-        near = np.minimum(((np.mod(roots - kx[0] + spacing / 2.0, tau) + turns) / spacing)
-                          .astype(int), n) + np.arange(0, 2 * n * (n + 2), n + 2)
-        marked = np.zeros((2 * n, n + 2), dtype=bool)
-        marked.ravel()[near] = marked.ravel()[near + 1] = True
-        line, lo = np.divmod(np.flatnonzero(marked[:, 1:n]), n - 1)
-        ends = lo + np.array([[0], [1]])
-        value = alpha[line] + a[line] * np.cos(kx)[ends] + b[line] * np.sin(kx)[ends]
+        value = alpha[:, None] + a[:, None] * np.cos(kx) + b[:, None] * np.sin(kx)
         unsure = np.abs(value) < 1e-11 * size.max()  # rounding is far below this
         if unsure.any():
-            rows, node = np.broadcast_to(line, ends.shape)[unsure], ends[unsure]
+            rows, node = np.nonzero(unsure)
             value[unsure] = self.evaluate(name, xs[np.where(rows < n, node, rows - n)],
                                           xs[np.where(rows < n, rows, node)])
         neg = value < 0.0
-        crossed = np.flatnonzero(neg[0] != neg[1])
-        line, lo, value = line[crossed], lo[crossed], value[:, crossed]
+        line, lo = np.nonzero(neg[:, :-1] != neg[:, 1:])
+        value, neg = value[line, lo + np.array([[0], [1]])], neg[line, lo]
+        half = np.arccos(np.clip(-alpha[line] / np.maximum(radius[line], 1e-300), -1.0, 1.0))
+        roots = np.arctan2(b[line], a[line]) + np.multiply.outer((-1.0, 1.0), half)
         ends = xs[lo], xs[lo + 1]
         mid = k * (self.theta0 + (ends[0] + ends[1]) / 2.0)
-        roots = roots[:, line]
         roots = roots + tau * np.rint((mid - roots) / tau)
         kt = np.where(np.abs(roots[0] - mid) <= np.abs(roots[1] - mid), *roots)
         t = np.minimum(np.maximum(kt / k - self.theta0, ends[0]), ends[1])
@@ -229,7 +220,7 @@ class TailoringProblem:
         for side, at in enumerate(value == 0.0 if not value.all() else ()):
             node = edges[1:, at] + side * np.stack((line[at] < n, line[at] >= n))
             zero[at], pts[:, at] = node[0] * n + node[1], xs[node]  # the zero end
-        return edges.T, pts.T, zero, neg[0, crossed]
+        return edges.T, pts.T, zero, neg
 
     def coefficients(self, name):
         """The closed-form coefficients of condition ``name`` in t_k = theta0 + eps_k.

@@ -270,7 +270,8 @@ def test_exit_code_2_cases(runner, tmp_path):
                   "--scan-points", str(10**15)],
                  ["contour", "--system", "si-sb", "--b", "1", "--family", "ideal-7/2"],
                  ["qec", "--error", "X@B", "--mode", "full", "--trajectories", "10",
-                  "--seed", "-1"]):
+                  "--seed", "-1"],
+                 ["qec", "--error", "X@B", "--seed", "-1"]):
         res = runner.invoke(cli, argv)
         assert res.exit_code == 2, res.output
         assert "precondition error:" in res.output
