@@ -14,7 +14,11 @@ can show that no last bit moved.  The groups:
   three conditions, both families, the six fields and three (cells, box)
   grids (5,616 scans);
 - ``roots``: ``solve_tailoring``'s root and ``all_roots`` for both families
-  at 0.2, 0.3, ..., 6.0 T.
+  at 0.2, 0.3, ..., 6.0 T;
+- ``zero_nodes``: ``diag-IZ`` with m00's diagonal as both of its diag blocks,
+  so that it is exactly 0 on every diagonal node, for both families at the six
+  fields: its polylines on the five contour grids and its
+  ``scan_common_zero_cells`` cells on the three scan grids.
 
 With no flag the digests are printed.  ``--write`` stores them in
 ``identity/digests.json`` with the environment (numpy, Python, machine,
@@ -108,7 +112,36 @@ def roots():
         yield _hex(sol.all_roots)
 
 
-GROUPS = {"contours": contours, "scans": scans, "roots": roots}
+def _zero_node_problem(problem):
+    """``problem`` with ``diag-IZ`` = g(eps1) - g(eps2), exactly 0 where eps1 == eps2."""
+    sandwiches = problem._sandwiches
+    kind, m00, _, m01 = sandwiches("diag-IZ")
+    block = np.diag(np.diag(m00))
+    problem._sandwiches = lambda name: (
+        (kind, block, block, m01) if name == "diag-IZ" else sandwiches(name))
+    return problem
+
+
+def zero_nodes():
+    for b in FIELDS:
+        for problem in map(_zero_node_problem, _problems(b)):
+            fn = problem.condition("diag-IZ")
+            for box, step in CONTOUR_GRIDS:
+                yield f"{problem.family} {b!r} contour {box!r} {step!r}"
+                try:
+                    for line in trace_zero_contour(fn, box, step):
+                        yield _hex(line)
+                except (NumericalError, PreconditionError) as exc:
+                    yield _refusal(exc)
+            for n, box in SCAN_GRIDS:
+                yield f"{problem.family} {b!r} scan {n} {box!r}"
+                try:
+                    yield _hex(scan_common_zero_cells([fn], box, n))
+                except (NumericalError, PreconditionError) as exc:
+                    yield _refusal(exc)
+
+
+GROUPS = {"contours": contours, "scans": scans, "roots": roots, "zero_nodes": zero_nodes}
 
 
 def digest(group):
@@ -154,7 +187,7 @@ def main(argv=None):
             verdict = "  equal" if same else "  DIFFERS"
             if not same:
                 differ.append(group)
-        print(f"{group:9s} {sha} {count:8d} lines {time.perf_counter() - g0:7.1f} s{verdict}")
+        print(f"{group:10s} {sha} {count:8d} lines {time.perf_counter() - g0:7.1f} s{verdict}")
     print(f"total {time.perf_counter() - t0:.1f} s")
     if args.write:
         with open(DIGESTS, "w", encoding="utf-8") as fh:
