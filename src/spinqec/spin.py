@@ -68,6 +68,7 @@ class SpinSystem:
     def __post_init__(self):
         _check_spin(self.s, "S")
         _check_spin(self.i, "I")
+        require_finite(g_e=self.g_e, g_n=self.g_n, a=self.a)
 
     @property
     def dim_e(self):
@@ -152,7 +153,7 @@ def load_system(path):
             g_n=float(fields["g_n_MHz_per_T"]),
             a=float(fields["A_MHz"]),
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, PreconditionError) as exc:
         raise PreconditionError(f"{path}: {exc}") from exc
 
 
@@ -179,7 +180,8 @@ def build_hamiltonian(system, b_field):
     """Hamiltonian matrix (MHz) for ``system`` in field ``b_field``.
 
     ``b_field`` may be a scalar (interpreted as B_z) or a 3-vector in tesla;
-    a NaN or infinite component raises :class:`PreconditionError`.
+    a NaN or infinite component, or a field and constants whose Hamiltonian
+    overflows float64, raise :class:`PreconditionError`.
     """
     b = np.atleast_1d(np.asarray(b_field, dtype=float))
     require_finite(b_field=b_field)
@@ -192,9 +194,15 @@ def build_hamiltonian(system, b_field):
     eye_e = np.eye(system.dim_e, dtype=np.complex128)
     eye_n = np.eye(system.dim_n, dtype=np.complex128)
     # lifting B.S and B.I once equals lifting each term: kron by an identity is exact
-    h = system.g_e * kron(b[0] * sx + b[1] * sy + b[2] * sz, eye_n)
-    h += system.g_n * kron(eye_e, b[0] * ix + b[1] * iy + b[2] * iz)
-    h += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+    try:
+        with np.errstate(over="raise"):
+            h = system.g_e * kron(b[0] * sx + b[1] * sy + b[2] * sz, eye_n)
+            h += system.g_n * kron(eye_e, b[0] * ix + b[1] * iy + b[2] * iz)
+            h += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+    except FloatingPointError:
+        raise PreconditionError(
+            f"the Hamiltonian of {system.name} at b_field={b_field} overflows float64"
+        ) from None
     return h
 
 

@@ -14,9 +14,9 @@ two diag conditions are a 2 x 2 linear system in (cos 2t1, cos 2t2), and a
 diag plus an offdiag condition give tan t2 = kappa tan t1 and a quadratic in
 tan^2 t1.  Both give principal angle pairs, which :func:`closed_form_roots`
 alone expands into the branches in the box.  Contours are marching squares on
-the sign changes of each grid line's closed form at every node, with vertices
-at its roots and no n x n evaluation of the condition
-(:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
+the sign changes of the condition at the grid nodes, with vertices at each grid
+line's closed-form roots, from one evaluation on the grid axes extended by the
+fit angles (:meth:`TailoringProblem.line_zeros`).  The common-cell scan keeps a
 cell when one of its corners is <= 0 and one is >= 0 (:func:`_qualifies`),
 with no grid for a diag condition (:meth:`TailoringProblem.cells`).
 ``newton_solve`` and ``find_roots``, the former Newton route, remain as the
@@ -160,31 +160,31 @@ class TailoringProblem:
     def line_zeros(self, name, xs):
         """The grid edges that ``name`` crosses on xs x xs (xs ascending, evenly spaced).
 
-        Along a grid line f = alpha + a cos kt + b sin kt in the moving angle
-        t = theta0 + eps (k = 2 diag, 1 offdiag); two calls on broadcast axes at
-        kt = 0, pi/2, pi give (alpha, a, b) on all 2n lines.  The form gives f at
-        every node of every line, (2n, n), and one elementwise call gives the
-        grid's own values where it is within 1e-11 of max |alpha| + hypot(a, b)
-        of zero.  An edge is crossed where f changes sign between its ends on the
-        split f < 0 against f >= 0 (a fold, two roots in one edge, is not).  Its
-        vertex is at its zero end node, else at the root atan2(b, a) +-
-        arccos(-alpha / hypot(a, b)) + 2 pi m nearest its midpoint, clipped into
-        the edge.  Returns (edges, vertices, zero, negative), per crossed edge the
-        moving axis and lower node (i, j) (k x 3; axis 0 runs to (i + 1, j), axis
-        1 to (i, j + 1)), the vertex (k x 2), i n + j of a zero end node or -1,
-        and f(i, j) < 0.  A condition that vanishes on the box, or is NaN or
-        infinite on a line, raises NumericalError; xs that :func:`_check_grid`
-        refuses (its box half the span of xs), or whose nodes theta0 + xs do not
-        all differ in floating point, raise PreconditionError first.
+        One call evaluates ``name`` on the grid axes extended by the fit angles,
+        xs and kt = 0, pi/2, pi, as an (n + 3) x (n + 3) array.  Its n x n block
+        is f at every node; its fit-angle blocks give each of the 2n grid lines
+        its closed form f = alpha + a cos kt + b sin kt in the moving angle
+        t = theta0 + eps (k = 2 diag, 1 offdiag).  An edge is crossed where f
+        changes sign between its ends on the split f < 0 against f >= 0 (a
+        fold, two roots in one edge, is not).  Its vertex is at its zero end
+        node, else at the root atan2(b, a) +- arccos(-alpha / hypot(a, b)) +
+        2 pi m nearest its midpoint, clipped into the edge.  Returns (edges,
+        vertices, zero, negative), per crossed edge the moving axis and lower
+        node (i, j) (k x 3; axis 0 runs to (i + 1, j), axis 1 to (i, j + 1)),
+        the vertex (k x 2), i n + j of a zero end node or -1, and f(i, j) < 0.
+        A condition that vanishes on the box, or is NaN or infinite on a line,
+        raises NumericalError; xs that :func:`_check_grid` refuses (its box half
+        the span of xs), or whose nodes theta0 + xs do not all differ in
+        floating point, raise PreconditionError first.
         """
-        # the bound on n also bounds the (2n, n) node values below
+        # the bound on n also bounds the (n + 3) x (n + 3) evaluation below
         _check_grid(xs.size, 2, MAX_GRID_NODES, "grid nodes", float(xs[-1] - xs[0]) / 2.0)
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
         n, tau = xs.size, 2.0 * np.pi
-        moving = (np.array([0.0, np.pi / 2.0, np.pi]) / k - self.theta0)[:, None]
+        axis = np.concatenate((xs, np.array([0.0, np.pi / 2.0, np.pi]) / k - self.theta0))
+        grid = self.evaluate(name, axis[:, None], axis[None, :])
         # rows l < n run along eps1 at eps2 = xs[l], the rest along eps2
-        f0, f1, f2 = np.hstack((self.evaluate(name, moving, xs[None, :]),
-                                self.evaluate(name, xs[None, :], moving)))
+        f0, f1, f2 = np.hstack((grid[n:, :n], grid[:n, n:].T))
         alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
         radius = np.hypot(a, b)
         size = np.abs(alpha) + radius  # bounds |f| along each line
@@ -193,15 +193,9 @@ class TailoringProblem:
         if np.count_nonzero(size < 1e-13) > 0.9 * 2 * n:
             raise NumericalError(
                 "condition vanishes identically over the box; no curve to trace")
-        kx = k * (self.theta0 + xs)
-        if not (np.diff(kx) > 0.0).all():
+        if not (np.diff(self.theta0 + xs) > 0.0).all():
             raise PreconditionError(f"nodes theta0 + eps coincide for |eps| <= {xs[-1]:g}")
-        value = alpha[:, None] + a[:, None] * np.cos(kx) + b[:, None] * np.sin(kx)
-        unsure = np.abs(value) < 1e-11 * size.max()  # rounding is far below this
-        if unsure.any():
-            rows, node = np.nonzero(unsure)
-            value[unsure] = self.evaluate(name, xs[np.where(rows < n, node, rows - n)],
-                                          xs[np.where(rows < n, rows, node)])
+        value = np.concatenate((grid[:n, :n].T, grid[:n, :n]))
         neg = value < 0.0
         line, lo = np.nonzero(neg[:, :-1] != neg[:, 1:])
         value, neg = value[line, lo + np.array([[0], [1]])], neg[line, lo]

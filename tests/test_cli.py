@@ -373,6 +373,48 @@ def test_non_finite_numbers_are_refused_by_name(runner, argv, name):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+_SI_BI_FILE = {"name": "custom-bi", "S": "1/2", "I": "9/2", "g_e_MHz_per_T": "28020.0",
+               "g_n_MHz_per_T": "6.841", "A_MHz": "1475.4"}
+
+
+def _system_file(tmp_path, **changes):
+    path = tmp_path / "system.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {**_SI_BI_FILE, **changes}.items()))
+    return path
+
+
+@pytest.mark.parametrize("key, name", [("g_e_MHz_per_T", "g_e"), ("g_n_MHz_per_T", "g_n"),
+                                       ("A_MHz", "a")])
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_non_finite_system_constants_are_refused_by_name(runner, tmp_path, key, name, value):
+    path = _system_file(tmp_path, **{key: value})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(cli, ["levels", "--system", str(path), "--bpoints", "2"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"precondition error: {path}: {name} must be finite, got {value}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv, system, field", [
+    (["tailor", "--b", "1e306"], "Si:Bi-209", "1e+306"),
+    (["levels", "--bstart", "1e306", "--bstop", "1e306", "--bpoints", "1"], "Si:Sb-123",
+     "1e+306"),
+    (["levels", "--bpoints", "1", "--system"], "custom-bi", "0.0"),  # A = 1e308 MHz
+])
+def test_hamiltonian_overflow_is_refused_before_numpy_warns(runner, tmp_path, argv, system,
+                                                            field):
+    if argv[-1] == "--system":
+        argv = argv + [str(_system_file(tmp_path, A_MHz="1e308"))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(cli, argv)
+    assert res.exit_code == 2, res.output
+    assert res.stderr == (f"precondition error: the Hamiltonian of {system} "
+                          f"at b_field={field} overflows float64\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_system_file_path(runner, tmp_path):
     cfg = tmp_path / "system.cfg"
     cfg.write_text(

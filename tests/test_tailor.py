@@ -707,7 +707,7 @@ def _equal_diag_blocks(kind, m00, m11, m01):
 def test_zero_nodes_trace_as_the_dense_oracle(monkeypatch, family, box_step):
     # equal m00 and m11 blocks without cross terms give f = g(eps1) - g(eps2),
     # exactly 0 at every diagonal node, so the contour runs through nodes whose
-    # closed-form values are rounding noise; they are settled by evaluation
+    # evaluated values are exact zeros
     problem = TailoringProblem(family, get_system(_SYSTEM_OF[family]), 1.0)
     _patch_sandwiches(monkeypatch, problem, "diag-IZ", _equal_diag_blocks)
     n = max(3, int(np.ceil(2.0 * box_step[0] / box_step[1])) + 1)
@@ -722,10 +722,10 @@ def test_zero_nodes_trace_as_the_dense_oracle(monkeypatch, family, box_step):
     assert np.count_nonzero(vertices[:, 0] == vertices[:, 1]) >= n  # every diagonal node
 
 
-def test_condition_lines_take_two_broadcast_evaluations(monkeypatch, sb):
-    # two 3 x n calls on broadcast axes give every grid line's coefficients:
-    # no n x n grid, and no more calls as the crossed edges multiply; scalar
-    # calls are the saddle-cell centres
+def test_condition_lines_take_one_broadcast_evaluation(monkeypatch, sb):
+    # one call on the grid axes extended by the three fit angles gives every
+    # node's value and every grid line's coefficients, and no more calls as the
+    # crossed edges multiply; scalar calls are the saddle-cell centres
     calls = []
     evaluate = TailoringProblem.evaluate
     monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
@@ -737,8 +737,7 @@ def test_condition_lines_take_two_broadcast_evaluations(monkeypatch, sb):
             calls.clear()
             vertices.append(sum(map(len, trace_zero_contour(problem.condition(name),
                                                             0.05, step))))
-            assert [call for call in calls if call != ((), ())] == \
-                [((3, 1), (1, n)), ((1, n), (3, 1))]
+            assert [call for call in calls if call != ((), ())] == [((n + 3, 1), (1, n + 3))]
         assert vertices[1] > 4 * vertices[0]
 
 
