@@ -18,7 +18,11 @@ can show that no last bit moved.  The groups:
 - ``zero_nodes``: ``diag-IZ`` with m00's diagonal as both of its diag blocks,
   so that it is exactly 0 on every diagonal node, for both families at the six
   fields: its polylines on the five contour grids and its
-  ``scan_common_zero_cells`` cells on the three scan grids.
+  ``scan_common_zero_cells`` cells on the three scan grids;
+- ``plans``: the ENC and ENTANGLE gates and, for ``full_order()`` and
+  ``z_biased_order()``, each case's label, index, absorbed flag and pulse
+  counts, each block's ``meta`` and gates, the plan's ``projector`` and
+  ``phases``, and ``pulse_budget``.
 
 With no flag the digests are printed.  ``--write`` stores them in
 ``identity/digests.json`` with the environment (numpy, Python, machine,
@@ -43,6 +47,9 @@ DIGESTS = os.path.join(HERE, "digests.json")
 import numpy as np  # noqa: E402
 
 sys.path.insert(0, SRC)
+from spinqec.blocks import enc_block, entangle_block  # noqa: E402
+from spinqec.cycle import build_detection_plan, full_order, pulse_budget, \
+    z_biased_order  # noqa: E402
 from spinqec.linalg import NumericalError, PreconditionError  # noqa: E402
 from spinqec.spin import get_system  # noqa: E402
 from spinqec.tailor import CONDITIONS, TailoringProblem, scan_common_zero_cells, \
@@ -141,7 +148,33 @@ def zero_nodes():
                     yield _refusal(exc)
 
 
-GROUPS = {"contours": contours, "scans": scans, "roots": roots, "zero_nodes": zero_nodes}
+def _gates(block):
+    meta = {k: _hex((complex(v).real, complex(v).imag)) if k == "phase" else v
+            for k, v in block.meta.items()}
+    yield f"block {block.name} {sorted(meta.items())!r}"
+    for g in block.gates:
+        yield f"{g.axis} {g.levels!r} {g.controls!r} {float(g.theta).hex()}"
+
+
+def plans():
+    yield from _gates(enc_block())
+    yield from _gates(entangle_block())
+    for order in (full_order(), z_biased_order()):
+        plan = build_detection_plan(order)
+        yield " ".join(plan.order)
+        for case in plan.cases:
+            yield (f"{case.label} {case.index} {case.absorbed} "
+                   f"{case.detect_pulses} {case.recover_pulses}")
+            if not case.absorbed:
+                yield from _gates(case.block)
+        for values in (plan.projector, plan.phases):
+            yield _hex(values.real)
+            yield _hex(values.imag)
+        yield repr(pulse_budget(order))
+
+
+GROUPS = {"contours": contours, "scans": scans, "roots": roots, "zero_nodes": zero_nodes,
+          "plans": plans}
 
 
 def digest(group):
