@@ -136,69 +136,56 @@ def psi_encoded(alpha, beta):
 # ---------------------------------------------------------------------------
 
 def zigzag_merge(axis, amps, dest, controls=()):
-    """Fold a real single-axis amplitude profile into one level.
+    """Fold a real single-axis amplitude profile into level ``dest``.
 
-    Returns (gates, final_amplitude); the final amplitude is +norm of the
-    profile whenever more than one level was occupied.
+    The occupied levels, farthest from ``dest`` first (the two farthest
+    swapped when three or more are occupied), then ``dest`` form one chain;
+    each neighbouring (source, receiver) pair empties the amplitude carried
+    so far into the receiver.  Returns (gates, final_amplitude): +norm of the
+    profile, or the lone amplitude when ``dest`` alone is occupied.
     """
     cur = {int(l): float(a) for l, a in amps.items() if abs(a) > AMP_CUT}
     if not cur:
         raise PreconditionError("zigzag_merge needs at least one occupied level")
     order = sorted(cur, key=lambda l: (-abs(l - dest), l))
-    gates = []
-
-    def empty(src, recv):
-        a_src = cur.pop(src)
+    chain = [order[1], order[0], *order[2:]] if len(order) >= 3 else order
+    if chain[-1] != dest:
+        chain.append(dest)
+    gates, amp = [], cur[chain[0]]
+    for src, recv in zip(chain, chain[1:]):
         a_recv = cur.get(recv, 0.0)
-        theta = float(np.arctan2(a_src, a_recv))
-        gates.append(rotation(axis, src, recv, theta, controls))
-        cur[recv] = float(np.hypot(a_src, a_recv))
-
-    if len(order) >= 3:
-        empty(order[1], order[0])
-        acc = order[0]
-        rest = order[2:]
-    else:
-        acc = order[0]
-        rest = order[1:]
-    for lvl in rest:
-        empty(acc, lvl)
-        acc = lvl
-    if acc != dest:
-        empty(acc, dest)
-        acc = dest
-    return gates, cur[dest]
+        gates.append(rotation(axis, src, recv, float(np.arctan2(amp, a_recv)), controls))
+        amp = float(np.hypot(amp, a_recv))
+    return gates, amp
 
 
 def _clear_qudit(state, axis):
-    """Clear qudit ``axis`` of ``state`` in place; returns the pulses.
+    """Clear qudit ``axis`` of ``state``; returns (pulses, cleared state).
 
     The amplitudes are grouped by the levels of the other two qudits; the
     groups are visited in descending order of those levels, read last qudit
     first, and each one's occupied levels of qudit ``axis`` are zigzag-merged
-    into level 0 under controls on the group's levels.
+    into level 0 under controls on the group's levels.  The cleared state
+    holds one level-0 entry per group; a group already at level 0 alone
+    keeps its amplitude and adds no pulse.
     """
     others = tuple(k for k in range(3) if k != axis)
     groups = {}
     for key, amp in state.items():
         groups.setdefault(tuple(key[k] for k in others), {})[key[axis]] = amp
-    gates = []
+    gates, cleared = [], {}
     for levels in sorted(groups, key=lambda lv: lv[::-1], reverse=True):
-        sub = groups[levels]
-        if set(sub) == {0}:
-            continue
-        g, amp = zigzag_merge(axis, sub, 0, controls=tuple(zip(others, levels)))
+        g, amp = zigzag_merge(axis, groups[levels], 0, controls=tuple(zip(others, levels)))
         gates += g
-        for lvl in sub:
-            del state[levels[:axis] + (lvl,) + levels[axis:]]
-        state[levels[:axis] + (0,) + levels[axis:]] = amp
-    if any(k[axis] != 0 for k in state):
-        raise SynthesisError(f"clearing left qudit {'ABC'[axis]} occupied")
-    return gates
+        cleared[levels[:axis] + (0,) + levels[axis:]] = amp
+    return gates, cleared
 
 
 def collapse_gates(entries):
     """Synthesise the collapse of one real branch vector.
+
+    Clears qudit C, then qudit B from the state the C pass returned, then
+    zigzag-merges what is left on qudit A into ``dest_level``.
 
     Parameters
     ----------
@@ -212,8 +199,8 @@ def collapse_gates(entries):
     state = {k: float(v) for k, v in entries.items() if abs(v) > AMP_CUT}
     if not state:
         raise PreconditionError("collapse_gates got an empty branch")
-    disent = _clear_qudit(state, 2) + _clear_qudit(state, 1)
-
+    c_gates, state = _clear_qudit(state, 2)
+    b_gates, state = _clear_qudit(state, 1)
     a_amps = {k[0]: a for k, a in state.items()}
     parities = {l % 2 for l in a_amps}
     if len(parities) != 1:
@@ -222,7 +209,7 @@ def collapse_gates(entries):
     dec, final = zigzag_merge("A", a_amps, dest, ())
     if not abs(final - 1.0) < 1e-9:
         raise PreconditionError("branch vector was not normalised")
-    return disent, dec, dest
+    return c_gates + b_gates, dec, dest
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +269,10 @@ def encode_register(alpha, beta):
 # ---------------------------------------------------------------------------
 
 def _register_entries(reg):
-    """Real amplitude dict of a register state (ancilla must be empty)."""
-    view = reg.view()
-    arr = view[..., 0]
-    if not (np.max(np.abs(view[..., 1])) < 1e-10 and np.max(np.abs(arr.imag)) < 1e-9):
-        raise PreconditionError("expected a real register state with an empty ancilla")
-    entries = {}
-    for la, lb, lc in zip(*np.nonzero(np.abs(arr) > AMP_CUT)):
-        entries[(int(la), int(lb), int(lc))] = float(arr[la, lb, lc].real)
-    return entries
+    """Amplitude per occupied (A, B, C) level triple of a real, ancilla-empty state."""
+    arr = reg.view()[..., 0].real
+    return {(int(la), int(lb), int(lc)): float(arr[la, lb, lc])
+            for la, lb, lc in zip(*np.nonzero(np.abs(arr) > AMP_CUT))}
 
 
 def detection_block(name, p0, p1):

@@ -31,6 +31,9 @@ LABEL_GAP_TOL = 1e-6
 #: electron projection m_S of the manifold that holds the code words
 MANIFOLD_M_S = -0.5
 
+#: largest (2S+1)(2I+1) a SpinSystem accepts; every dense matrix is dim x dim
+MAX_SYSTEM_DIM = 256
+
 
 class LabelingError(NumericalError):
     """Dressed-state labelling was ambiguous (near-degenerate overlaps)."""
@@ -68,6 +71,9 @@ class SpinSystem:
     def __post_init__(self):
         _check_spin(self.s, "S")
         _check_spin(self.i, "I")
+        if self.dim > MAX_SYSTEM_DIM:
+            raise PreconditionError(f"system dimension (2S+1)(2I+1) = {self.dim} exceeds "
+                                    f"MAX_SYSTEM_DIM = {MAX_SYSTEM_DIM}")
         require_finite(g_e=self.g_e, g_n=self.g_n, a=self.a)
 
     @property
@@ -116,7 +122,8 @@ def load_system(path):
     """Read a :class:`SpinSystem` from a key-value text file.
 
     Expected keys: ``name``, ``S``, ``I``, ``g_e_MHz_per_T``,
-    ``g_n_MHz_per_T``, ``A_MHz``.  Lines starting with ``#`` are comments.
+    ``g_n_MHz_per_T``, ``A_MHz``, each set once.  Lines starting with ``#``
+    are comments.
     A path that cannot be read as UTF-8 text (a directory, an unreadable or a
     binary file) is a :class:`PreconditionError` naming it.
     """
@@ -129,7 +136,7 @@ def load_system(path):
         raise PreconditionError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from exc
-    fields = {}
+    fields, set_on = {}, {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -139,7 +146,12 @@ def load_system(path):
                 f"{path}:{lineno}: expected 'key = value', got {line!r}"
             )
         key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
+        key = key.strip()
+        if key in set_on:
+            raise PreconditionError(
+                f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}"
+            )
+        fields[key], set_on[key] = val.strip(), lineno
     required = {"name", "S", "I", "g_e_MHz_per_T", "g_n_MHz_per_T", "A_MHz"}
     missing = required - fields.keys()
     if missing:

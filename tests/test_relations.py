@@ -12,6 +12,12 @@ not see that.  A component that the scaling makes subnormal keeps fewer
 bits, so there the eigenvectors are held to differences below the smallest
 normal number instead.
 
+The transition gradients are sums of |v_p|^2 (g_e m_S + g_n m_I), so they
+scale by exactly 2^k as well.  A factor 3 is not exact: the tailoring roots
+then agree to rtol 1e-12 and the gradients with 3x the originals within
+1e-12 of 3 g_e, the largest gradient scale (a per-element relative bound
+fails on differences that cancel).
+
 Reversing an axial field maps the Hamiltonian onto itself with every
 (m_S, m_I) relabelled (-m_S, -m_I), so both spectra and the labelled
 energies keep their bytes; a tilted field and its reverse give the same
@@ -27,7 +33,7 @@ from hypothesis import strategies as st
 
 from spinqec.linalg import NumericalError, hermitian_eigendecompose
 from spinqec.spin import SpinSystem, build_hamiltonian, dressed_eigenstates, get_system, \
-    manifold_states
+    manifold_states, transition_gradients
 from spinqec.tailor import TAILORING, TailoringProblem, scan_common_zero_cells, \
     solve_tailoring, trace_zero_contour
 
@@ -57,6 +63,12 @@ def scaled(system, k):
                                g_n=math.ldexp(system.g_n, k), a=math.ldexp(system.a, k))
 
 
+def tripled(system):
+    """``system`` with g_e, g_n and A multiplied by 3."""
+    return dataclasses.replace(system, g_e=3.0 * system.g_e, g_n=3.0 * system.g_n,
+                               a=3.0 * system.a)
+
+
 def _solve(family, system, b):
     """The solution's roots and residuals as bytes, or the refusal's text."""
     try:
@@ -73,6 +85,42 @@ def _solve(family, system, b):
 def test_tailoring_keeps_its_bytes_under_scaling(k, b, family):
     system = _preset(family)
     assert _solve(family, scaled(system, k), b) == _solve(family, system, b)
+
+
+def _roots(family, system, b):
+    """The solution's root and ``all_roots`` as one array, or the refusal's type."""
+    try:
+        sol = solve_tailoring(family, system, b)
+    except NumericalError as exc:
+        return type(exc)
+    return np.array([(sol.eps1, sol.eps2), *sol.all_roots])
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=FIELDS, family=st.sampled_from(sorted(TAILORING)))
+def test_tailoring_roots_keep_their_values_under_tripling(b, family):
+    system = _preset(family)
+    plain, big = _roots(family, system, b), _roots(family, tripled(system), b)
+    if isinstance(plain, type):
+        assert big is plain
+    else:
+        np.testing.assert_allclose(big, plain, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=SCALES, b=st.floats(0.3, 5.0), preset=st.sampled_from(("si-sb", "si-bi")))
+def test_transition_gradients_scale_exactly(k, b, preset):
+    system = get_system(preset)
+    plain = transition_gradients(system, b)
+    assert transition_gradients(scaled(system, k), b).tobytes() == np.ldexp(plain, k).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.floats(0.3, 5.0), preset=st.sampled_from(("si-sb", "si-bi")))
+def test_transition_gradients_triple(b, preset):
+    system = get_system(preset)
+    plain, big = transition_gradients(system, b), transition_gradients(tripled(system), b)
+    assert np.abs(big - 3.0 * plain).max() <= 1e-12 * 3.0 * system.g_e
 
 
 def _contours_and_cells(family, system, b):

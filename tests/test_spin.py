@@ -1,5 +1,8 @@
 """Spin operators, Hamiltonian assembly, dressed-state labelling."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from spinqec.linalg import PreconditionError, hermitian_eigendecompose, kron
 from spinqec.spin import (
+    MAX_SYSTEM_DIM,
     PRESETS,
     LabelingError,
     SpinSystem,
@@ -371,6 +375,36 @@ def test_load_system_errors(tmp_path):
     )
     with pytest.raises(PreconditionError):
         load_system(path)
+    # a repeated key is refused, not read as its last value
+    path.write_text(
+        "name = x\nS = 1/2\nI = 7/2\nI = 9/2\n"
+        "g_e_MHz_per_T = 1\ng_n_MHz_per_T = 1\nA_MHz = 1\n"
+    )
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"{path}:4: key 'I' is already set on line 3")):
+        load_system(path)
+
+
+@pytest.mark.parametrize("s, i", [(0.5, 1e9), (1e9, 3.5), (1e300, 0.5), (0.5, 127.5)])
+def test_huge_systems_are_refused_before_any_allocation(tmp_path, s, i):
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"name = x\nS = {s!r}\nI = {i!r}\n"
+                    "g_e_MHz_per_T = 1\ng_n_MHz_per_T = 1\nA_MHz = 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match=f"exceeds MAX_SYSTEM_DIM = {MAX_SYSTEM_DIM}"):
+            SpinSystem("x", s, i, 1.0, 1.0, 1.0)
+        with pytest.raises(PreconditionError, match=re.escape(f"{path}: system dimension")):
+            load_system(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_largest_accepted_system():
+    assert SpinSystem("x", 0.5, 63.5, 1.0, 1.0, 1.0).dim == MAX_SYSTEM_DIM
+    assert SpinSystem("x", 0.0, 127.5, 1.0, 1.0, 1.0).dim == MAX_SYSTEM_DIM
 
 
 @pytest.mark.parametrize("spin", ["inf", "-inf", "nan", "1e400", "7/0", "0/0"])
