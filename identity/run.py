@@ -22,7 +22,14 @@ can show that no last bit moved.  The groups:
 - ``plans``: the ENC and ENTANGLE gates and, for ``full_order()`` and
   ``z_biased_order()``, each case's label, index, absorbed flag and pulse
   counts, each block's ``meta`` and gates, the plan's ``projector`` and
-  ``phases``, and ``pulse_budget``.
+  ``phases``, and ``pulse_budget``;
+- ``spectra``: ``hermitian_eigendecompose`` of ``build_hamiltonian`` (values,
+  vectors, sweeps and off-diagonal norm) for the two presets, the two user
+  donors of the perfbench ``spectra`` workload and one S = 3/2 system, at
+  four axial and four tilted fields;
+- ``labelling``: ``dressed_eigenstates`` (energy, labels, weight, vector) of
+  the two presets at 0 T and the six fields, and the three blocks of each of
+  the six condition sandwiches of both tailored families there.
 
 With no flag the digests are printed.  ``--write`` stores them in
 ``identity/digests.json`` with the environment (numpy, Python, machine,
@@ -50,8 +57,10 @@ sys.path.insert(0, SRC)
 from spinqec.blocks import enc_block, entangle_block  # noqa: E402
 from spinqec.cycle import build_detection_plan, full_order, pulse_budget, \
     z_biased_order  # noqa: E402
-from spinqec.linalg import NumericalError, PreconditionError  # noqa: E402
-from spinqec.spin import get_system  # noqa: E402
+from spinqec.linalg import NumericalError, PreconditionError, \
+    hermitian_eigendecompose  # noqa: E402
+from spinqec.spin import SpinSystem, build_hamiltonian, dressed_eigenstates, \
+    get_system  # noqa: E402
 from spinqec.tailor import CONDITIONS, TailoringProblem, scan_common_zero_cells, \
     solve_tailoring, trace_zero_contour  # noqa: E402
 
@@ -63,6 +72,13 @@ CONTOUR_GRIDS = ((0.05, 0.0025), (5e-4, 1e-4), (0.05, 1e-4), (1.0, 0.01), (2.5, 
 #: (cells per side, box) of the scans
 SCAN_GRIDS = ((40, 0.05), (400, 0.05), (100, 1.0))
 ROOT_FIELDS = tuple(round(0.2 + 0.1 * i, 10) for i in range(59))
+#: the spectra systems: both presets, perfbench's two user donors and an S = 3/2 one
+SPECTRA_SYSTEMS = (get_system("si-sb"), get_system("si-bi"),
+                   SpinSystem("user-i11_2", 0.5, 5.5, 28020.0, 5.0, 300.0),
+                   SpinSystem("user-i23_2", 0.5, 11.5, 28020.0, 3.0, 200.0),
+                   SpinSystem("s3_2-i5_2", 1.5, 2.5, 28020.0, -4.0, 150.0))
+SPECTRA_FIELDS = (0.2, 1.0, -1.37, 5.0, (0.3, 0.4, 1.0), (1.2, -0.7, 0.5),
+                  (-2.0, 1.5, -3.0), (0.05, 0.0, 0.0))
 
 
 def _hex(values):
@@ -173,8 +189,37 @@ def plans():
         yield repr(pulse_budget(order))
 
 
+def spectra():
+    for system, b in itertools.product(SPECTRA_SYSTEMS, SPECTRA_FIELDS):
+        yield f"{system.name} {b!r}"
+        dec = hermitian_eigendecompose(build_hamiltonian(system, b))
+        yield f"{dec.sweeps} {float(dec.off_norm).hex()} {dec.phase_convention}"
+        yield _hex(dec.eigenvalues)
+        yield _hex(dec.eigenvectors.real)
+        yield _hex(dec.eigenvectors.imag)
+
+
+def labelling():
+    for b, (family, preset) in itertools.product((0.0, *FIELDS), PRESETS.items()):
+        yield f"{preset} {b!r}"
+        try:
+            states = dressed_eigenstates(get_system(preset), b)
+        except (NumericalError, PreconditionError) as exc:
+            yield _refusal(exc)
+            continue
+        for st in states:
+            yield f"{st.m_s!r} {st.m_i!r} {_hex((st.energy, st.weight))}"
+            yield _hex(st.vector.view(float))
+        problem = TailoringProblem(family, get_system(preset), b)
+        for name in CONDITIONS:
+            kind, *blocks = problem._sandwiches(name)
+            yield f"{family} {name} {kind}"
+            for block in blocks:
+                yield _hex(block)
+
+
 GROUPS = {"contours": contours, "scans": scans, "roots": roots, "zero_nodes": zero_nodes,
-          "plans": plans}
+          "plans": plans, "spectra": spectra, "labelling": labelling}
 
 
 def digest(group):
