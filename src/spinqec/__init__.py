@@ -26,7 +26,7 @@ from .register import AnnihilationError, Gate, QuditRegister, apply_error, \
     pi_pulse, rotation
 from .spin import LabelingError, SpinSystem, build_hamiltonian, \
     dressed_eigenstates, get_system, load_system, manifold_states, \
-    nuclear_transition_frequencies, spin_operators, transition_gradients
+    spin_operators, transition_gradients
 from .tailor import TailoringProblem, TailoringSolution, field_sweep_tailoring, \
     solve_full_tailoring_92, solve_partial_tailoring_72, trace_zero_contour
 
@@ -55,8 +55,8 @@ __all__ = [
     "gates_matrix", "get_system", "hermitian_eigendecompose",
     "init_register", "inverted_gates",
     "kl_residuals", "kron", "lift_to_electron_nuclear", "load_system",
-    "make_codeword", "manifold_states", "nuclear_transition_frequencies",
-    "pi_pulse", "psi_encoded", "pulse_budget", "rotation", "run_detection",
+    "make_codeword", "manifold_states", "pi_pulse", "psi_encoded",
+    "pulse_budget", "rotation", "run_detection",
     "solve_full_tailoring_92", "solve_partial_tailoring_72",
     "spin_operators", "standard_error_sets", "trace_zero_contour",
     "transition_gradients", "z_biased_order", "__version__",

@@ -21,6 +21,11 @@ Conventions
   picks the pivot, so the column's global phase is unstable: a last-bit change
   can turn it (|v|^2, and everything read from it, is unaffected);
 * matrices are plain ``numpy.ndarray`` (complex128, C-contiguous).
+
+Work that does not depend on the matrix is done once per size n: the
+round-robin schedule and the lower-triangle mask of the off-diagonal norm are
+cached and read-only.  Per matrix, max |entry| is read once, for the
+Hermiticity check and the power-of-two scaling alike.
 """
 
 import functools
@@ -89,8 +94,13 @@ def is_hermitian(m):
         return False
     if not a.size:
         raise PreconditionError("matrix is empty (0 x 0)")
-    scale = float(np.max(np.abs(a)))  # no floor: a tiny matrix is judged at its own scale
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * scale)
+    return _hermitian_at(a, np.max(np.abs(a)))
+
+
+def _hermitian_at(a, top):
+    """Whether square ``a``, of max |entry| ``top``, is Hermitian within
+    :data:`HERMITIAN_TOL` of it (no floor: a tiny matrix is judged at its own scale)."""
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * float(top))
 
 
 def _fix_column_phases(m):
@@ -102,14 +112,18 @@ def _fix_column_phases(m):
     some inner loops only, so its last bit would depend on the array's shape.
     """
     mags = np.abs(m)
-    at = (np.argmax(mags, axis=0), np.arange(m.shape[1]))
-    zero = mags[at] == 0.0
-    size = np.where(zero, 1.0, mags[at])
-    fr, fi = m[at].real / size, -m[at].imag / size
+    cols = np.arange(m.shape[1])
+    rows = np.argmax(mags, axis=0)
+    pivot, size = m[rows, cols], mags[rows, cols]
+    zero = size == 0.0
+    if zero.any():
+        size = np.where(zero, 1.0, size)
+    fr, fi = pivot.real / size, -pivot.imag / size
     out = np.empty_like(m)
     out.real = m.real * fr - m.imag * fi
     out.imag = m.real * fi + m.imag * fr
-    out[:, zero] = m[:, zero]
+    if zero.any():
+        out[:, zero] = m[:, zero]
     return out
 
 
@@ -155,9 +169,19 @@ def _dominant_pairs(a):
     return p, best[p]
 
 
+@functools.lru_cache(maxsize=32)
+def _lower(n):
+    """The read-only mask of the diagonal and lower triangle of an n x n matrix."""
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _off_norm(a):
     """Frobenius norm of the strict upper triangle of ``a``."""
-    return np.sqrt(np.sum(np.abs(np.triu(a, 1)) ** 2))
+    mags = np.abs(a)
+    mags[_lower(len(a))] = 0.0
+    return np.sqrt(np.sum(mags ** 2))
 
 
 def _rotate(w, p, q, pq, off, diag):
@@ -263,22 +287,29 @@ def hermitian_eigendecompose(h):
     Raises
     ------
     PreconditionError
-        If ``h`` is empty, not square, non-finite or not Hermitian within tolerance.
+        If ``h`` is empty, not square, non-finite, has an entry whose magnitude
+        overflows float64, or is not Hermitian within tolerance.
     NumericalError
         If the sweep cap is reached before convergence.
     """
-    a = as_matrix(h)
-    if not (a.size and np.isfinite(a).all()):
+    m = as_matrix(h)
+    if not m.size:
+        raise PreconditionError("matrix is empty (0 x 0)")
+    top = np.max(np.abs(m))
+    if not np.isfinite(top):
         raise PreconditionError("matrix has non-finite (NaN or inf) entries"
-                                if a.size else "matrix is empty (0 x 0)")
-    if not is_hermitian(a):
+                                if not np.isfinite(m).all() else
+                                "matrix has an entry whose magnitude overflows float64")
+    if not _hermitian_at(m, top):
         raise PreconditionError("matrix is not Hermitian within tolerance")
-    n = a.shape[0]
+    n = m.shape[0]
+    work = np.zeros((2 * n, n), dtype=np.complex128)  # a over the identity
+    a = work[:n]
+    np.fill_diagonal(work[n:], 1.0)
     # an exact power of two brings max |entry| into [1/2, 1), so the norm below
     # neither overflows nor underflows; the rotations do not depend on it
-    shift = int(np.frexp(np.max(np.abs(a)))[1])
-    a = np.ldexp(a.view(np.float64), -shift).view(np.complex128)
-    work = np.vstack([a, np.eye(n, dtype=np.complex128)])
+    shift = int(np.frexp(top)[1])
+    np.ldexp(m.view(np.float64), -shift, out=a.view(np.float64))
     scale = np.sqrt(np.sum(np.abs(a) ** 2))
     tol = 1e-14 * max(scale, 1e-300)
     sweeps, off = _jacobi(work, tol, MAX_JACOBI_SWEEPS)

@@ -11,6 +11,10 @@ with both quantum numbers ascending; a full-space index is
 
     p = (m_S + S) * (2I + 1) + (m_I + I).
 
+The spin operators, the two identities and the lifted S . I depend only on
+(S, I), so they are built once per spin pair and kept read-only; a field
+lifts only B . S and B . I.
+
 Dressed (exact) eigenstates are labelled by the product-basis state they
 overlap most with; the labelling is a greedy bijection on descending overlap
 and raises :class:`LabelingError` when a state's two largest overlaps, or two
@@ -19,6 +23,7 @@ states claiming one label, are within a gap of 1e-6 (e.g. at B = 0).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,11 +123,15 @@ def _parse_halfint(text):
     return float(text)
 
 
+#: the keys of a system file (:func:`load_system`), each required exactly once
+SYSTEM_KEYS = ("name", "S", "I", "g_e_MHz_per_T", "g_n_MHz_per_T", "A_MHz")
+
+
 def load_system(path):
     """Read a :class:`SpinSystem` from a key-value text file.
 
-    Expected keys: ``name``, ``S``, ``I``, ``g_e_MHz_per_T``,
-    ``g_n_MHz_per_T``, ``A_MHz``, each set once.  Lines starting with ``#``
+    The keys are :data:`SYSTEM_KEYS`, each set exactly once; any other key,
+    such as a miscased one, is refused by name.  Lines starting with ``#``
     are comments.
     A path that cannot be read as UTF-8 text (a directory, an unreadable or a
     binary file) is a :class:`PreconditionError` naming it.
@@ -147,13 +156,16 @@ def load_system(path):
             )
         key, _, val = line.partition("=")
         key = key.strip()
+        if key not in SYSTEM_KEYS:
+            raise PreconditionError(
+                f"{path}:{lineno}: unknown key {key!r}; the keys are {', '.join(SYSTEM_KEYS)}"
+            )
         if key in set_on:
             raise PreconditionError(
                 f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}"
             )
         fields[key], set_on[key] = val.strip(), lineno
-    required = {"name", "S", "I", "g_e_MHz_per_T", "g_n_MHz_per_T", "A_MHz"}
-    missing = required - fields.keys()
+    missing = set(SYSTEM_KEYS) - fields.keys()
     if missing:
         raise PreconditionError(f"{path}: missing keys {sorted(missing)}")
     try:
@@ -188,12 +200,28 @@ def spin_operators(j):
     return jx, jy, jz
 
 
+@lru_cache(maxsize=16)
+def _operators(s, i):
+    """The field-independent operators of :func:`build_hamiltonian` for spins
+    ``s`` and ``i``, built once and read-only: (S_x, S_y, S_z), (I_x, I_y, I_z),
+    the two identities and the product-space S.I."""
+    (sx, sy, sz), (ix, iy, iz) = spin_operators(s), spin_operators(i)
+    eye_e = np.eye(len(sx), dtype=np.complex128)
+    eye_n = np.eye(len(ix), dtype=np.complex128)
+    s_dot_i = kron(sx, ix) + kron(sy, iy) + kron(sz, iz)
+    for op in (sx, sy, sz, ix, iy, iz, eye_e, eye_n, s_dot_i):
+        op.flags.writeable = False
+    return (sx, sy, sz), (ix, iy, iz), eye_e, eye_n, s_dot_i
+
+
 def build_hamiltonian(system, b_field):
     """Hamiltonian matrix (MHz) for ``system`` in field ``b_field``.
 
     ``b_field`` may be a scalar (interpreted as B_z) or a 3-vector in tesla;
     a NaN or infinite component, or a field and constants whose Hamiltonian
-    overflows float64, raise :class:`PreconditionError`.
+    overflows float64, raise :class:`PreconditionError`.  The spin operators
+    and the lifted S.I do not depend on the field and are built once per spin
+    pair; only B.S and B.I are lifted per call.
     """
     b = np.atleast_1d(np.asarray(b_field, dtype=float))
     require_finite(b_field=b_field)
@@ -201,16 +229,14 @@ def build_hamiltonian(system, b_field):
         b = np.array([0.0, 0.0, float(b[0])])
     if b.shape != (3,):
         raise PreconditionError(f"b_field must be scalar or length 3, got {b.shape}")
-    sx, sy, sz = spin_operators(system.s)
-    ix, iy, iz = spin_operators(system.i)
-    eye_e = np.eye(system.dim_e, dtype=np.complex128)
-    eye_n = np.eye(system.dim_n, dtype=np.complex128)
-    # lifting B.S and B.I once equals lifting each term: kron by an identity is exact
+    (sx, sy, sz), (ix, iy, iz), eye_e, eye_n, s_dot_i = _operators(system.s, system.i)
+    # lifting B.S and B.I once equals lifting each term: kron by an identity is
+    # exact in value (summing lifted terms instead can turn the sign of a zero)
     try:
         with np.errstate(over="raise"):
             h = system.g_e * kron(b[0] * sx + b[1] * sy + b[2] * sz, eye_n)
             h += system.g_n * kron(eye_e, b[0] * ix + b[1] * iy + b[2] * iz)
-            h += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+            h += system.a * s_dot_i
     except FloatingPointError:
         raise PreconditionError(
             f"the Hamiltonian of {system.name} at b_field={b_field} overflows float64"
@@ -277,20 +303,13 @@ def dressed_eigenstates(system, b_field):
         taken_weight[p] = w
         if len(label_of_state) == dim:
             break
-    states = []  # in the eigensolver's ascending energy order
-    for k in range(dim):
-        p = label_of_state[k]
-        ks, ki = divmod(p, system.dim_n)
-        states.append(
-            DressedState(
-                energy=float(dec.eigenvalues[k]),
-                vector=dec.eigenvectors[:, k].copy(),
-                m_s=ks - system.s,
-                m_i=ki - system.i,
-                weight=float(weights[p, k]),
-            )
-        )
-    return states
+    # in the eigensolver's ascending energy order; state k's vector is row k
+    labels, dim_n = [label_of_state[k] for k in range(dim)], system.dim_n
+    return [DressedState(energy=energy, vector=vector, m_s=p // dim_n - system.s,
+                         m_i=p % dim_n - system.i, weight=weight)
+            for energy, vector, p, weight in zip(
+                dec.eigenvalues.tolist(), dec.eigenvectors.T.copy(), labels,
+                weights[labels, range(dim)].tolist())]
 
 
 def manifold_states(system, b_field):
@@ -304,18 +323,6 @@ def manifold_states(system, b_field):
             f"manifold m_S={MANIFOLD_M_S} is incomplete: {len(out)} of {system.dim_n} states"
         )
     return out
-
-
-def nuclear_transition_frequencies(system, b_z):
-    """Adjacent nuclear transition frequencies f_k within the code manifold.
-
-    f_k = E(m_i = -I + k + 1) - E(m_i = -I + k) at m_S = :data:`MANIFOLD_M_S`,
-    k = 0 .. 2I-1, in MHz.
-    """
-    states = manifold_states(system, b_z)
-    mis = sorted(states)
-    energies = np.array([states[mi].energy for mi in mis])
-    return np.diff(energies)
 
 
 def transition_gradients(system, b_z):

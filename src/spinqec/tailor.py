@@ -90,7 +90,9 @@ class TailoringProblem:
 
     Problems at one (family, system, field) share one labelled eigensolve and
     the six sandwiches of :data:`CONDITIONS`, built once per field (a small
-    LRU cache, :func:`_field_setup`); the shared arrays are read-only.
+    LRU cache, :func:`_field_setup`) by one contraction with the condition
+    operators, which are stacked once per nuclear spin; the shared arrays are
+    read-only.
     """
 
     def __init__(self, family, system, b_field):
@@ -257,6 +259,17 @@ class TailoringProblem:
 
 
 @lru_cache(maxsize=8)
+def _condition_ops(i):
+    """The nuclear operators of the :data:`CONDITIONS`, in table order, stacked
+    (6, 2i + 1, 2i + 1) and read-only: they do not depend on the field."""
+    nuclear = dict(zip(("IX", "IY", "IZ"), spin_operators(i)))
+    ops = np.stack([reduce(np.matmul, (nuclear[f] for f in factors))
+                    for _, factors, _ in CONDITIONS.values()])
+    ops.flags.writeable = False
+    return ops
+
+
+@lru_cache(maxsize=8)
 def _field_setup(family, system, b_field):
     """The labelled m_S = -1/2 states, stacked branch basis (dim_e, dim_n, 4) and
     map of each condition name to its (kind, m00, m11, m01) of ``family`` at one
@@ -265,17 +278,25 @@ def _field_setup(family, system, b_field):
     manifold = manifold_states(system, b_field)
     basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)]).reshape(
         system.dim_e, system.dim_n, 4)
-    nuclear = dict(zip(("IX", "IY", "IZ"), spin_operators(system.i)))
+    # one contraction of every condition operator over the stacked basis
+    sandwiches = np.einsum("eia,cij,ejb->cab", basis.conj(), _condition_ops(system.i), basis)
     blocks = {}
-    for name, (kind, factors, part) in CONDITIONS.items():
-        op = reduce(np.matmul, (nuclear[f] for f in factors))
-        # one contraction over the stacked basis; blocks of the 4 x 4 result
-        m = getattr(np.einsum("eia,ij,ejb->ab", basis.conj(), op, basis), part)
+    for m, (name, (kind, _, part)) in zip(sandwiches, CONDITIONS.items()):
+        m = getattr(m, part)  # blocks of the 4 x 4 sandwich
         m.flags.writeable = False
         blocks[name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
     for array in (basis, *(st.vector for st in manifold.values())):
         array.flags.writeable = False
     return manifold, basis, MappingProxyType(blocks)
+
+
+@lru_cache(maxsize=8)
+def _first_order_errors(system):
+    """The first-order error set lifted to ``system``'s electron-nuclear space, read-only."""
+    errs = lift_to_electron_nuclear(standard_error_sets("firstorder-B", system.i), system)
+    for op in errs.ops:
+        op.flags.writeable = False
+    return errs
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +587,8 @@ def solve_tailoring(family, system, b_field, box=DEFAULT_BOX):
                  for name in (*target_names, *leftover_names)}
     kl_max = float("nan")
     if verify_kl:
-        word = problem.codeword(x[0], x[1])
-        errs = standard_error_sets("firstorder-B", problem.system.i)
-        errs = lift_to_electron_nuclear(errs, problem.system)
-        kl_max = kl_residuals(word, errs).max_residual
+        kl_max = kl_residuals(problem.codeword(x[0], x[1]),
+                              _first_order_errors(problem.system)).max_residual
         if kl_max > 1e-10:
             raise VerificationError(f"root ({x[0]:.3e}, {x[1]:.3e}) fails first-order KL "
                                     f"verification: max residual {kl_max:.3e}")

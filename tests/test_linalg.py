@@ -589,6 +589,15 @@ def test_rejects_empty_and_non_finite_input(bad, message):
             hermitian_eigendecompose(bad)
 
 
+def test_entry_whose_magnitude_overflows_is_refused():
+    # both parts are finite but |a| is not; the solver returned eigenvalues
+    # (0, 0) with an infinite off-diagonal norm
+    h = np.array([[0.0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(PreconditionError, match="magnitude overflows float64"):
+            hermitian_eigendecompose(h)
+
+
 def test_empty_and_non_finite_input_refused_under_python_O():
     script = textwrap.dedent("""
         import numpy as np

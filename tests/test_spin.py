@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinqec.spin
 from spinqec.linalg import PreconditionError, hermitian_eigendecompose, kron
 from spinqec.spin import (
     MAX_SYSTEM_DIM,
@@ -19,7 +20,6 @@ from spinqec.spin import (
     get_system,
     load_system,
     manifold_states,
-    nuclear_transition_frequencies,
     spin_operators,
     transition_gradients,
 )
@@ -117,6 +117,45 @@ def test_hamiltonian_matches_term_by_term_lift(key, field, axial):
     ref += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
     h = build_hamiltonian(system, field[2] if axial else b)
     assert np.array_equal(h, ref)
+
+
+def _per_call_hamiltonian(system, b):
+    """The Hamiltonian with every operator built per call, kept as the oracle."""
+    sx, sy, sz = spin_operators(system.s)
+    ix, iy, iz = spin_operators(system.i)
+    eye_e = np.eye(system.dim_e, dtype=np.complex128)
+    eye_n = np.eye(system.dim_n, dtype=np.complex128)
+    h = system.g_e * kron(b[0] * sx + b[1] * sy + b[2] * sz, eye_n)
+    h += system.g_n * kron(eye_e, b[0] * ix + b[1] * iy + b[2] * iz)
+    h += system.a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+    return h
+
+
+_component = st.one_of(st.floats(min_value=-6.0, max_value=6.0), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spins=st.sampled_from([(0.5, 3.5), (0.5, 4.5), (1.5, 1.5), (1.5, 2.5)]),
+       constants=st.tuples(*[st.floats(min_value=-3e4, max_value=3e4)] * 3),
+       field=st.tuples(_component, _component, _component), axial=st.booleans())
+def test_cached_operators_keep_every_hamiltonian_byte(spins, constants, field, axial):
+    # signed zeros included: bytes, not values, must match the per-call build
+    system = SpinSystem("x", *spins, *constants)
+    b = (0.0, 0.0, field[2]) if axial else field
+    h = build_hamiltonian(system, field[2] if axial else np.array(field))
+    assert h.tobytes() == _per_call_hamiltonian(system, b).tobytes()
+
+
+def test_cached_operators_are_read_only_and_spin_operators_fresh(sb):
+    (sx, sy, sz), (ix, iy, iz), eye_e, eye_n, s_dot_i = spinqec.spin._operators(sb.s, sb.i)
+    for op in (sx, sy, sz, ix, iy, iz, eye_e, eye_n, s_dot_i):
+        with pytest.raises(ValueError, match="read-only"):
+            op[0, 0] = 1.0
+    before = build_hamiltonian(sb, (0.3, -0.2, 1.0)).tobytes()
+    for op in spin_operators(sb.s) + spin_operators(sb.i):
+        assert op.flags.writeable
+        op[...] = 7.0  # a caller's own copy: later Hamiltonians do not move
+    assert build_hamiltonian(sb, (0.3, -0.2, 1.0)).tobytes() == before
 
 
 def test_hamiltonian_is_hermitian(sb, bi):
@@ -241,7 +280,8 @@ def test_transition_frequencies_against_numpy(sb, bi):
                 energies[ki] = w[k]
         ordered = [energies[k] for k in sorted(energies)]
         ref = np.diff(ordered)
-        got = nuclear_transition_frequencies(system, 1.0)
+        states = manifold_states(system, 1.0)
+        got = np.diff([states[mi].energy for mi in sorted(states)])
         assert got.shape == (system.dim_n - 1,)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-8)
         # telescoping: the diffs sum to the manifold's end-to-end splitting
@@ -382,6 +422,17 @@ def test_load_system_errors(tmp_path):
     )
     with pytest.raises(PreconditionError,
                        match=re.escape(f"{path}:4: key 'I' is already set on line 3")):
+        load_system(path)
+
+
+def test_load_system_refuses_unknown_keys_by_name(tmp_path):
+    # a miscased key was ignored, so A = 5000 loaded as A = 101.52 without a word
+    path = tmp_path / "system.cfg"
+    path.write_text("name = x\nS = 1/2\nI = 7/2\ng_e_MHz_per_T = 28020\n"
+                    "g_n_MHz_per_T = 5.55\nA_MHz = 101.52\nA_mhz = 5000\n")
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"{path}:7: unknown key 'A_mhz'; the keys are name, S, "
+                                       "I, g_e_MHz_per_T, g_n_MHz_per_T, A_MHz")):
         load_system(path)
 
 

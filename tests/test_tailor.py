@@ -291,6 +291,34 @@ def test_conditions_match_direct_expectations(sb, bi):
             assert np.isclose(abs(got), abs(ref), atol=1e-12)
 
 
+@pytest.mark.parametrize("box, count", [(1.5, 2), (3.0, 5)])
+def test_wide_box_roots_close_their_targets_by_the_dense_route(sb, box, count):
+    # beyond the default box the 7/2 pair has roots from both signs of tan t1;
+    # each must close diag-IZ and offdiag-IXIX on the word make_codeword builds
+    jx, _, jz = spin_operators(3.5)
+    iz, ixix = np.kron(np.eye(2), jz), np.kron(np.eye(2), jx @ jx)
+    roots = solve_tailoring("distorted-7/2", sb, 1.0, box).all_roots
+    assert len(set(roots)) == len(roots) == count
+    for eps in roots:
+        assert max(abs(e) for e in eps) <= box
+        cw = make_codeword("distorted-7/2", sb, 1.0, *eps)
+        e0, e1 = expectation(cw, iz)
+        assert abs((e0 - e1).real) < 1e-10
+        assert abs(np.vdot(cw.zero_l, ixix @ cw.one_l).real) < 1e-10
+
+
+def test_field_independent_operators_are_read_only(sb, bi):
+    # the cached condition operators and lifted error sets are shared by
+    # every field; a write into one must raise, not move later solves
+    for system in (sb, bi):
+        ops = spinqec.tailor._condition_ops(system.i)
+        assert ops.shape == (len(CONDITIONS), system.dim_n, system.dim_n)
+        errors = spinqec.tailor._first_order_errors(system)
+        for op in (ops, *errors.ops):
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 1.0
+
+
 def test_newton_on_linear_system():
     funcs = (lambda x, y: x + y - 0.01, lambda x, y: x - y + 0.002)
     root, converged, iters, res = newton_solve(funcs, (0.0, 0.0))
