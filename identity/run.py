@@ -29,7 +29,12 @@ can show that no last bit moved.  The groups:
   four axial and four tilted fields;
 - ``labelling``: ``dressed_eigenstates`` (energy, labels, weight, vector) of
   the two presets at 0 T and the six fields, and the three blocks of each of
-  the six condition sandwiches of both tailored families there.
+  the six condition sandwiches of both tailored families there;
+- ``records``: ``run_detection`` for each of the 28 labels of ``full_order()``
+  (the ``multiqudit`` error set's; "I" as the identity on qudit A) on each of
+  the 12 Bloch states of acceptance criterion 07, under ``full_order()`` and
+  ``z_biased_order()``: the error weight, and per record its detected case,
+  ancilla outcomes, probability, recovered amplitudes and fidelity.
 
 With no flag the digests are printed.  ``--write`` stores them in
 ``identity/digests.json`` with the environment (numpy, Python, machine,
@@ -56,7 +61,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, SRC)
 from spinqec.blocks import enc_block, entangle_block  # noqa: E402
 from spinqec.cycle import build_detection_plan, full_order, pulse_budget, \
-    z_biased_order  # noqa: E402
+    run_detection, z_biased_order  # noqa: E402
 from spinqec.linalg import NumericalError, PreconditionError, \
     hermitian_eigendecompose  # noqa: E402
 from spinqec.spin import SpinSystem, build_hamiltonian, dressed_eigenstates, \
@@ -79,6 +84,11 @@ SPECTRA_SYSTEMS = (get_system("si-sb"), get_system("si-bi"),
                    SpinSystem("s3_2-i5_2", 1.5, 2.5, 28020.0, -4.0, 150.0))
 SPECTRA_FIELDS = (0.2, 1.0, -1.37, 5.0, (0.3, 0.4, 1.0), (1.2, -0.7, 0.5),
                   (-2.0, 1.5, -3.0), (0.05, 0.0, 0.0))
+#: the logical states of acceptance criterion 07: polar angles pi/4, pi/2, 3 pi/4
+#: by azimuths 0, pi/2, pi, 3 pi/2
+BLOCH_STATES = tuple((np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi))
+                     for theta in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
+                     for phi in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2))
 
 
 def _hex(values):
@@ -218,8 +228,25 @@ def labelling():
                 yield _hex(block)
 
 
+def _complex_hex(values):
+    return " ".join(f"{complex(z).real.hex()} {complex(z).imag.hex()}" for z in values)
+
+
+def records():
+    for order, label in itertools.product((full_order(), z_biased_order()), full_order()):
+        error = ("I", "A") if label == "I" else tuple(label.split("@"))
+        for alpha, beta in BLOCH_STATES:
+            recs, weight = run_detection(alpha, beta, error, order)
+            yield f"{len(order)} {label} {_complex_hex((alpha, beta))} {float(weight).hex()}"
+            for r in recs:
+                amps = "-" if r.recovered_amplitudes is None else \
+                    _complex_hex(r.recovered_amplitudes)
+                yield (f"{r.detected_case} {r.ancilla_outcomes!r} {float(r.probability).hex()} "
+                       f"{amps} {float(r.logical_fidelity).hex()}")
+
+
 GROUPS = {"contours": contours, "scans": scans, "roots": roots, "zero_nodes": zero_nodes,
-          "plans": plans, "spectra": spectra, "labelling": labelling}
+          "plans": plans, "spectra": spectra, "labelling": labelling, "records": records}
 
 
 def digest(group):
