@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from . import tailor as tailoring
-from .codewords import branch_amplitudes, default_family, expectation, kl_residuals, \
-    lift_to_electron_nuclear, make_codeword, standard_error_sets
+from .codewords import branch_amplitudes, default_family, expectation, first_order_errors, \
+    kl_residuals, make_codeword
 from .cycle import case_weights, check_seed, fidelity_threshold, full_order, pulse_budget, \
     run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, \
@@ -42,10 +42,14 @@ _POSITIVE = click.FloatRange(min=0.0, min_open=True)
 
 
 def _resolve_system(key):
-    """Preset name, alias, or path to a key-value system file."""
-    if os.path.exists(key):
-        return load_system(key)
-    return get_system(key)
+    """A preset name or alias always means the preset; any other value is the path
+    of a key-value system file, and one that is neither lists the presets."""
+    try:
+        return get_system(key)
+    except PreconditionError:
+        if not os.path.exists(key):
+            raise
+    return load_system(key)
 
 
 def _csv(header, rows):
@@ -135,8 +139,7 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints):
     system = _resolve_system(system_key)
     if family is None:
         family = default_family(system.i, distorted=bool(eps1 or eps2))
-    errs = lift_to_electron_nuclear(
-        standard_error_sets("firstorder-B", system.i), system)
+    errs = first_order_errors(system)
     header = ["b_tesla", "kl_max", "offdiag_max", "diagdiff_max", "z_diag_gap"]
     rows = []
     for b in _field_axis(bstart, bstop, bpoints):
@@ -276,15 +279,6 @@ def qec(alpha, beta, error, mode, trajectories, seed):
     order = "full" if mode == "exact-branch" else mode
     case_order = _ORDERS[order]()
     records, weight = run_detection(a, b, err, case_order)
-    lines = [json.dumps({
-        "type": "record",
-        "case": r.detected_case,
-        "probability": r.probability,
-        "fidelity": r.logical_fidelity,
-        "outcomes": list(r.ancilla_outcomes),
-        "recovered": None if r.recovered_amplitudes is None else
-            [[z.real, z.imag] for z in r.recovered_amplitudes],
-    }) for r in records]
     summary = {
         "type": "summary",
         "mode": mode,
@@ -296,7 +290,17 @@ def qec(alpha, beta, error, mode, trajectories, seed):
             r.probability * r.logical_fidelity for r in records
             if r.logical_fidelity is not None)),
     }
-    if mode != "exact-branch":
+    if mode == "exact-branch":
+        lines = [json.dumps({
+            "type": "record",
+            "case": r.detected_case,
+            "probability": r.probability,
+            "fidelity": r.logical_fidelity,
+            "outcomes": list(r.ancilla_outcomes),
+            "recovered": None if r.recovered_amplitudes is None else
+                [[z.real, z.imag] for z in r.recovered_amplitudes],
+        }) for r in records]
+    else:
         draws = sample_records(records, trajectories, seed)
         counts = Counter("none" if r.detected_case is None else r.detected_case
                          for r in draws)

@@ -66,12 +66,8 @@ class CodeWord:
     """A logical qubit: two orthonormal word vectors over some basis."""
 
     family: str
-    basis: str
     zero_l: np.ndarray
     one_l: np.ndarray
-    theta0: float = 0.0
-    eps1: float = 0.0
-    eps2: float = 0.0
 
     def __post_init__(self):
         n0 = np.linalg.norm(self.zero_l)
@@ -155,35 +151,33 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
     if system is None and b_field is None:
         if family in _IDEAL_ONLY:
             dim, word0, word1 = _IDEAL_ONLY[family]
-            return CodeWord(family, "ideal", _vector(dim, word0), _vector(dim, word1))
+            return CodeWord(family, _vector(dim, word0), _vector(dim, word1))
         spin_i = _TWO_LEVEL[family][0]
         eye = _single_spin_table(spin_i)["I"]  # e_k: row k of the cached identity
-        return _two_level_word(family, "ideal", lambda m: eye[round(m + spin_i)], eps1, eps2)
+        return _two_level_word(family, lambda m: eye[round(m + spin_i)], eps1, eps2)
     if system is None or b_field is None:
         raise PreconditionError("dressed words need both system and b_field")
     check_nuclear_spin(family, system)
-    return dressed_word(family, system, b_field, manifold_states(system, b_field),
-                        eps1, eps2)
+    return dressed_word(family, manifold_states(system, b_field), eps1, eps2)
 
 
-def dressed_word(family, system, b_field, manifold, eps1, eps2):
+def dressed_word(family, manifold, eps1, eps2):
     """A two-level family's words from its dressed m_S = -1/2 states.
 
     ``manifold`` is ``manifold_states(system, b_field)``, passed in so that a
     caller holding it skips the labelled eigensolve.
     """
-    return _two_level_word(family, f"dressed({system.name}, B={float(b_field):g} T)",
-                           lambda m: manifold[m].vector, eps1, eps2)
+    return _two_level_word(family, lambda m: manifold[m].vector, eps1, eps2)
 
 
-def _two_level_word(family, basis, vector, eps1, eps2):
+def _two_level_word(family, vector, eps1, eps2):
     """The :class:`CodeWord` with |0_L> and |1_L> the sums of amplitude * ``vector(m)``
     over the two branch supports, the amplitudes from :func:`branch_amplitudes`."""
-    _, theta0, sup0, sup1, _ = _TWO_LEVEL[family]
+    _, _, sup0, sup1, _ = _TWO_LEVEL[family]
     c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
     zero, one = (sum(amp * vector(m) for m, amp in zip(sup, amps))
                  for sup, amps in ((sup0, (c1, s1)), (sup1, (c2, s2))))
-    return CodeWord(family, basis, zero, one, theta0, eps1, eps2)
+    return CodeWord(family, zero, one)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +265,15 @@ def lift_to_electron_nuclear(errors, system):
     eye_e = np.eye(system.dim_e, dtype=np.complex128)
     ops = tuple(kron(eye_e, op) for op in errors.ops)
     return ErrorSet(errors.kind, errors.labels, ops)
+
+
+@lru_cache(maxsize=8)
+def first_order_errors(system):
+    """The ``firstorder-B`` set lifted to ``system``'s electron-nuclear space, read-only."""
+    errs = lift_to_electron_nuclear(standard_error_sets("firstorder-B", system.i), system)
+    for op in errs.ops:
+        op.flags.writeable = False
+    return errs
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,6 @@ class DetectionPlan:
         object.__setattr__(self, "emitted",
                            tuple(c for c in self.cases if not c.absorbed))
 
-    def case(self, label):
-        for c in self.cases:
-            if c.label == label:
-                return c
-        raise PreconditionError(f"no case {label!r} in this plan")
-
 
 def build_detection_plan(order=None):
     """The cached plan for ``order``, any label sequence; None is :func:`full_order`."""
@@ -178,7 +172,6 @@ class SyndromeRecord:
     """
 
     detected_case: object
-    case_index: object
     ancilla_outcomes: tuple
     probability: float
     recovered_amplitudes: object
@@ -217,14 +210,12 @@ def detection_records(reg, order=None, reference=None):
         if w > 1e-24 * survival[k]:
             rec = (a0 / math.sqrt(w), a1 / math.sqrt(w))
             fid = None if ref is None else abs(ref[0] * rec[0] + ref[1] * rec[1]) ** 2
-            records.append(SyndromeRecord(case.label, case.index,
-                                          (0,) * k + (1,), w, rec, fid))
+            records.append(SyndromeRecord(case.label, (0,) * k + (1,), w, rec, fid))
         if survival[k + 1] < 1e-15 * survival[k]:
             return tuple(records)
     if rest > 1e-12:
         records.append(SyndromeRecord(
-            None, None, (0,) * len(cap), rest, None,
-            0.0 if reference is not None else None))
+            None, (0,) * len(cap), rest, None, 0.0 if reference is not None else None))
     return tuple(records)
 
 

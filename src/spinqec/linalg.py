@@ -87,22 +87,6 @@ def as_matrix(m):
     return a
 
 
-def is_hermitian(m):
-    """Whether ``m`` is square and Hermitian within :data:`HERMITIAN_TOL` of max |entry|."""
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    if not a.size:
-        raise PreconditionError("matrix is empty (0 x 0)")
-    return _hermitian_at(a, np.max(np.abs(a)))
-
-
-def _hermitian_at(a, top):
-    """Whether square ``a``, of max |entry| ``top``, is Hermitian within
-    :data:`HERMITIAN_TOL` of it (no floor: a tiny matrix is judged at its own scale)."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL * float(top))
-
-
 def _fix_column_phases(m):
     """Rotate each column's global phase so its largest |entry| is real > 0 (a copy).
 
@@ -300,7 +284,8 @@ def hermitian_eigendecompose(h):
         raise PreconditionError("matrix has non-finite (NaN or inf) entries"
                                 if not np.isfinite(m).all() else
                                 "matrix has an entry whose magnitude overflows float64")
-    if not _hermitian_at(m, top):
+    # no floor on the tolerance: a tiny matrix is judged at its own scale
+    if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL * float(top):
         raise PreconditionError("matrix is not Hermitian within tolerance")
     n = m.shape[0]
     work = np.zeros((2 * n, n), dtype=np.complex128)  # a over the identity

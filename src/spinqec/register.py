@@ -50,9 +50,6 @@ class QuditRegister:
         """(8, 8, 8, 2) view of the amplitudes."""
         return self.amp.reshape(DIMS)
 
-    def amplitude(self, la, lb, lc, anc=0):
-        return self.amp[flat_index(la, lb, lc, anc)]
-
 
 def flat_index(la, lb, lc, anc=0):
     return ((la * 8 + lb) * 8 + lc) * 2 + anc

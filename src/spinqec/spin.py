@@ -21,8 +21,8 @@ and raises :class:`LabelingError` when a state's two largest overlaps, or two
 states claiming one label, are within a gap of 1e-6 (e.g. at B = 0).
 """
 
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -117,10 +117,20 @@ def get_system(key):
     return PRESETS[name]
 
 
-def _parse_halfint(text):
-    if "/" in text:
-        return float(Fraction(text))
-    return float(text)
+#: an exact half-integer spin in a system file: an integer, n/2, or a decimal ending
+#: in .0 or .5, all ASCII digits
+_HALF_INTEGER = re.compile(r"([0-9]+)(/2|\.[05])?")
+
+
+def _parse_halfint(key, text):
+    """The value of spin ``key`` written as ``text`` (see :data:`_HALF_INTEGER`)."""
+    match = _HALF_INTEGER.fullmatch(text)
+    if match is None:
+        raise PreconditionError(f"{key} must be an integer, n/2 or a decimal ending in "
+                                f".0 or .5, got {text!r}")
+    whole, tail = match.groups()
+    value = float(whole)  # exact below 2**53; SpinSystem refuses any spin that large
+    return value / 2.0 if tail == "/2" else value + (0.5 if tail == ".5" else 0.0)
 
 
 #: the keys of a system file (:func:`load_system`), each required exactly once
@@ -131,8 +141,9 @@ def load_system(path):
     """Read a :class:`SpinSystem` from a key-value text file.
 
     The keys are :data:`SYSTEM_KEYS`, each set exactly once; any other key,
-    such as a miscased one, is refused by name.  Lines starting with ``#``
-    are comments.
+    such as a miscased one, is refused by name.  S and I are exact
+    half-integers (:data:`_HALF_INTEGER`): an integer, ``n/2``, or a decimal
+    ending in ``.0`` or ``.5``.  Lines starting with ``#`` are comments.
     A path that cannot be read as UTF-8 text (a directory, an unreadable or a
     binary file) is a :class:`PreconditionError` naming it.
     """
@@ -171,13 +182,13 @@ def load_system(path):
     try:
         return SpinSystem(
             name=fields["name"],
-            s=_parse_halfint(fields["S"]),
-            i=_parse_halfint(fields["I"]),
+            s=_parse_halfint("S", fields["S"]),
+            i=_parse_halfint("I", fields["I"]),
             g_e=float(fields["g_e_MHz_per_T"]),
             g_n=float(fields["g_n_MHz_per_T"]),
             a=float(fields["A_MHz"]),
         )
-    except (ValueError, ZeroDivisionError, PreconditionError) as exc:
+    except (ValueError, PreconditionError) as exc:
         raise PreconditionError(f"{path}: {exc}") from exc
 
 

@@ -32,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .codewords import _TWO_LEVEL, branch_amplitudes, check_nuclear_spin, default_family, \
-    dressed_word, kl_residuals, lift_to_electron_nuclear, standard_error_sets
+    dressed_word, first_order_errors, kl_residuals
 from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
@@ -104,7 +104,7 @@ class TailoringProblem:
         self.family = family
         self.system = system
         self.b_field = float(b_field)
-        self._manifold, _, self._blocks = _field_setup(family, system, self.b_field)
+        self._manifold, self._blocks = _field_setup(family, system, self.b_field)
 
     def _sandwiches(self, name):
         """(kind, m00, m11, m01) of condition ``name``, from the field's shared map."""
@@ -254,8 +254,7 @@ class TailoringProblem:
 
     def codeword(self, eps1, eps2):
         """The dressed code word at (eps1, eps2), as ``make_codeword`` builds it."""
-        return dressed_word(self.family, self.system, self.b_field, self._manifold,
-                            eps1, eps2)
+        return dressed_word(self.family, self._manifold, eps1, eps2)
 
 
 @lru_cache(maxsize=8)
@@ -271,9 +270,8 @@ def _condition_ops(i):
 
 @lru_cache(maxsize=8)
 def _field_setup(family, system, b_field):
-    """The labelled m_S = -1/2 states, stacked branch basis (dim_e, dim_n, 4) and
-    map of each condition name to its (kind, m00, m11, m01) of ``family`` at one
-    field, all read-only."""
+    """The labelled m_S = -1/2 states and the map of each condition name to its
+    (kind, m00, m11, m01) of ``family`` at one field, all read-only."""
     _, _, sup0, sup1, _ = _TWO_LEVEL[family]
     manifold = manifold_states(system, b_field)
     basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)]).reshape(
@@ -285,18 +283,9 @@ def _field_setup(family, system, b_field):
         m = getattr(m, part)  # blocks of the 4 x 4 sandwich
         m.flags.writeable = False
         blocks[name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
-    for array in (basis, *(st.vector for st in manifold.values())):
-        array.flags.writeable = False
-    return manifold, basis, MappingProxyType(blocks)
-
-
-@lru_cache(maxsize=8)
-def _first_order_errors(system):
-    """The first-order error set lifted to ``system``'s electron-nuclear space, read-only."""
-    errs = lift_to_electron_nuclear(standard_error_sets("firstorder-B", system.i), system)
-    for op in errs.ops:
-        op.flags.writeable = False
-    return errs
+    for st in manifold.values():
+        st.vector.flags.writeable = False
+    return manifold, MappingProxyType(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +577,7 @@ def solve_tailoring(family, system, b_field, box=DEFAULT_BOX):
     kl_max = float("nan")
     if verify_kl:
         kl_max = kl_residuals(problem.codeword(x[0], x[1]),
-                              _first_order_errors(problem.system)).max_residual
+                              first_order_errors(problem.system)).max_residual
         if kl_max > 1e-10:
             raise VerificationError(f"root ({x[0]:.3e}, {x[1]:.3e}) fails first-order KL "
                                     f"verification: max residual {kl_max:.3e}")

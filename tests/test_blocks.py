@@ -98,13 +98,13 @@ def test_entangle_block_copies_levels():
         reg = QuditRegister()
         reg.amp[flat_index(m, 0, 0)] = 1.0
         apply_gates(reg, blk.gates)
-        assert abs(reg.amplitude(m, m, m) - 1.0) < 1e-12
+        assert abs(reg.amp[flat_index(m, m, m)] - 1.0) < 1e-12
     # levels outside the list stay put
     for m in (0, 3, 4):
         reg = QuditRegister()
         reg.amp[flat_index(m, 0, 0)] = 1.0
         apply_gates(reg, blk.gates)
-        assert abs(reg.amplitude(m, 0, 0) - 1.0) < 1e-12
+        assert abs(reg.amp[flat_index(m, 0, 0)] - 1.0) < 1e-12
 
 
 def test_encode_register_matches_codeword():
@@ -118,7 +118,7 @@ def test_encode_register_matches_codeword():
 
 def test_unencode_inverts_entangle_exactly():
     plan = build_detection_plan()
-    blk = plan.case("I").block
+    blk = plan.cases[plan.order.index("I")].block
     n_pre = len(entangle_block().gates)
     pre = blk.gates[:n_pre]
     mat_pre = gates_matrix(pre)
@@ -239,7 +239,7 @@ def test_collapse_angles_quadratic_error_case():
 
 def test_detection_block_superposition_output():
     plan = build_detection_plan()
-    case = plan.case("I")
+    case = plan.cases[plan.order.index("I")]
     reg = QuditRegister(psi_encoded(0.6, 0.8))
     apply_gates(reg, case.block.gates)
     expect = np.zeros(1024, dtype=np.complex128)
@@ -255,7 +255,7 @@ def test_zigzag_merge_two_levels():
     reg.amp[flat_index(0, 0, 0)] = 0.6
     reg.amp[flat_index(3, 0, 0)] = 0.8
     apply_gates(reg, gates)
-    assert abs(reg.amplitude(0, 0, 0) - 1.0) < 1e-12
+    assert abs(reg.amp[flat_index(0, 0, 0)] - 1.0) < 1e-12
 
 
 def test_collapse_gates_preconditions():
@@ -293,7 +293,7 @@ def test_validate_block_rejects_tampered_angle():
 @pytest.mark.parametrize("label", ["X@A", "I"])  # "I" opens with the entangle inverse
 def test_recovery_gates_invert_detection(label):
     plan = build_detection_plan()
-    case = plan.case(label)
+    case = plan.cases[plan.order.index(label)]
     rec = recovery_gates(case.block)
     mat_fwd = gates_matrix(case.block.gates[:-2])
     mat_rec = gates_matrix(rec)

@@ -1,18 +1,23 @@
 """End-to-end CLI checks (click runner, no subprocesses)."""
 
 import json
+import os
+import tempfile
 import warnings
 from types import MappingProxyType
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinqec import spin, tailor
 from spinqec.cli import cli
 from spinqec.codewords import kl_residuals, lift_to_electron_nuclear, \
     make_codeword, standard_error_sets
-from spinqec.spin import get_system
+from spinqec.linalg import PreconditionError
+from spinqec.spin import SYSTEM_KEYS, get_system, load_system
 
 BI_AMPLITUDES = (0.502073864, 0.864824742, 0.498463308, 0.866910797)
 
@@ -434,6 +439,66 @@ def test_system_file_path(runner, tmp_path):
                               "--bstart", "1", "--bstop", "1",
                               "--bpoints", "1"])
     assert res.output == ref.output
+
+
+def test_a_preset_name_always_means_the_preset(runner, tmp_path, monkeypatch):
+    # a directory named si-bi in the working directory made `--system si-bi`
+    # exit 2 with "si-bi: cannot read: Is a directory"; a file of a preset's
+    # name or alias no longer replaces the preset either
+    monkeypatch.chdir(tmp_path)
+    argv = ["levels", "--bstart", "1", "--bstop", "1", "--bpoints", "2", "--system"]
+    want = {key: runner.invoke(cli, argv + [key]) for key in ("si-bi", "si-sb", "Si:Sb-123")}
+    assert all(res.exit_code == 0 for res in want.values())
+    (tmp_path / "si-bi").mkdir()
+    (tmp_path / "si-sb").write_text("name = x\n")
+    (tmp_path / "Si:Sb-123").write_text("name = x\n")
+    for key, ref in want.items():
+        res = runner.invoke(cli, argv + [key])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == ref.stdout
+    # any other value is a path, and one that is neither lists the presets
+    (tmp_path / "other").write_text("name = x\n")
+    res = runner.invoke(cli, argv + ["other"])
+    assert res.exit_code == 2 and "other: missing keys" in res.stderr
+    res = runner.invoke(cli, argv + ["si-p"])
+    assert res.exit_code == 2 and "unknown system 'si-p'; presets:" in res.stderr
+
+
+#: a well-formed donor, and values a system file may hold instead
+_DONOR = {"name": "donor", "S": "1/2", "I": "3/2", "g_e_MHz_per_T": "28020",
+          "g_n_MHz_per_T": "5.55", "A_MHz": "101.52"}
+_HOSTILE = ("", "1/0", "0/0", "-1/2", "1e-400", "1e400", "1_0/2", "nan", "-inf", "1e308",
+            "7/2", "4.5", "0", "3", "0x10", "\u0663", "1/2 # note", "=", "5e-324")
+_TEXT = st.text("0123456789./_-+eE =#\tSIAnx\u0663\u00e9", max_size=10)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(SYSTEM_KEYS),
+              st.one_of(st.sampled_from(_HOSTILE), _TEXT)).map(" = ".join),
+    st.sampled_from(("A_mhz = 5000", "s = 1/2", "B_T = 3", "junk", "# comment", "",
+                     "= 3", "name")),
+    _TEXT,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drop=st.sets(st.sampled_from(SYSTEM_KEYS), max_size=1),
+       extra=st.lists(_LINES, max_size=3), order=st.randoms(use_true_random=False))
+def test_generated_system_files_load_or_are_refused_by_path(drop, extra, order):
+    # known keys with hostile values, unknown keys, junk and repeated lines: a
+    # file loads, or is refused with its path first; a loaded one runs levels
+    # to exit 0 or 2, never a crash
+    lines = [f"{key} = {value}" for key, value in _DONOR.items() if key not in drop] + extra
+    order.shuffle(lines)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "donor.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            load_system(path)
+        except PreconditionError as exc:
+            assert str(exc).startswith(path)
+            return
+        res = CliRunner().invoke(cli, ["levels", "--system", path, "--bpoints", "2"])
+    assert res.exit_code in (0, 2), res.output
 
 
 #: (family without, family with branch-angle corrections); None: no default

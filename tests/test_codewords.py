@@ -141,7 +141,6 @@ def test_kl_images_route_vs_naive_products():
 def test_dressed_words_live_on_full_space(sb, bi):
     cw = make_codeword("tailored-9/2", bi, 1.0)
     assert cw.zero_l.shape == (20,)
-    assert cw.basis.startswith("dressed(")
     # dominant bare components: cos(pi/3) on |m_S=-1/2, m_I=-9/2>
     assert abs(abs(cw.zero_l[0]) - 0.5) < 5e-3
     cw72 = make_codeword("distorted-7/2", sb, 1.0)
@@ -249,9 +248,9 @@ def test_codeword_asserts_orthonormality():
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0
     with pytest.raises(PreconditionError):
-        CodeWord("ideal-7/2", "ideal", 2.0 * v, v)
+        CodeWord("ideal-7/2", 2.0 * v, v)
     with pytest.raises(PreconditionError):
-        CodeWord("ideal-7/2", "ideal", v, v)
+        CodeWord("ideal-7/2", v, v)
 
 
 @settings(max_examples=20, deadline=None)
@@ -283,14 +282,17 @@ def test_families_registry():
 
 @pytest.mark.parametrize("row", SPIN_ROWS, ids=lambda row: row[6])
 def test_spin_rows_give_defaults_angles_and_spin_checks(row):
-    spin_i, theta0, _, _, _, ideal, branch = row
+    spin_i, theta0, sup0, sup1, sign1, ideal, branch = row
     assert _TWO_LEVEL[ideal] == _TWO_LEVEL[branch] == row[:5]
     assert default_family(spin_i) == default_family(spin_i + 1e-12) == branch
     assert default_family(spin_i, distorted=False) == ideal
     with pytest.raises(PreconditionError, match=f"{ideal} does not take angle corrections"):
         make_codeword(ideal, eps2=1e-3)
     word = make_codeword(branch, eps1=1e-3, eps2=-2e-3)
-    assert (word.theta0, word.eps1, word.eps2) == (theta0, 1e-3, -2e-3)
+    # the row's theta0 plus each branch's own correction, on the row's supports
+    t1, t2 = theta0 + 1e-3, theta0 - 2e-3
+    assert [word.zero_l[round(m + spin_i)] for m in sup0] == [np.cos(t1), np.sin(t1)]
+    assert [word.one_l[round(m + spin_i)] for m in sup1] == [sign1 * np.cos(t2), np.sin(t2)]
     assert word.zero_l.shape == (round(2 * spin_i) + 1,)
     other = {3.5: "si-bi", 4.5: "si-sb"}[spin_i]
     for family in (ideal, branch):

@@ -69,13 +69,13 @@ def test_layout_and_flat_index():
     reg = QuditRegister()
     reg.amp[flat_index(3, 1, 4, 1)] = 1.0
     assert reg.view()[3, 1, 4, 1] == 1.0
-    assert reg.amplitude(3, 1, 4, 1) == 1.0
+    assert reg.amp[flat_index(3, 1, 4, 1)] == 1.0
 
 
 def test_init_register():
     reg = init_register(0.6, 0.8j)
-    assert abs(reg.amplitude(0, 0, 0) - 0.6) < 1e-15
-    assert abs(reg.amplitude(1, 0, 0) - 0.8j) < 1e-15
+    assert abs(reg.amp[flat_index(0, 0, 0)] - 0.6) < 1e-15
+    assert abs(reg.amp[flat_index(1, 0, 0)] - 0.8j) < 1e-15
     assert abs(reg.norm() - 1.0) < 1e-12
     with pytest.raises(PreconditionError):
         init_register(1.0, 1.0)
@@ -85,10 +85,10 @@ def test_pi_pulse_transfer():
     reg = QuditRegister()
     reg.amp[flat_index(2, 0, 0)] = 1.0
     apply_gate(reg, pi_pulse("A", 2, 5))
-    assert abs(reg.amplitude(5, 0, 0) - 1.0) < 1e-15
+    assert abs(reg.amp[flat_index(5, 0, 0)] - 1.0) < 1e-15
     # and back: |q> -> -|p>
     apply_gate(reg, pi_pulse("A", 2, 5))
-    assert abs(reg.amplitude(2, 0, 0) + 1.0) < 1e-15
+    assert abs(reg.amp[flat_index(2, 0, 0)] + 1.0) < 1e-15
 
 
 def test_rotation_sign_convention():
@@ -98,8 +98,8 @@ def test_rotation_sign_convention():
     reg.amp[flat_index(0, 4, 0)] = 0.8  # level q
     apply_gate(reg, rotation("B", 1, 4, theta))
     c, s = np.cos(theta), np.sin(theta)
-    assert abs(reg.amplitude(0, 1, 0) - (c * 0.6 - s * 0.8)) < 1e-14
-    assert abs(reg.amplitude(0, 4, 0) - (s * 0.6 + c * 0.8)) < 1e-14
+    assert abs(reg.amp[flat_index(0, 1, 0)] - (c * 0.6 - s * 0.8)) < 1e-14
+    assert abs(reg.amp[flat_index(0, 4, 0)] - (s * 0.6 + c * 0.8)) < 1e-14
 
 
 def test_controls_gate_only_matching_states():
@@ -107,9 +107,9 @@ def test_controls_gate_only_matching_states():
     reg.amp[flat_index(3, 0, 0)] = np.sqrt(0.5)
     reg.amp[flat_index(4, 0, 0)] = np.sqrt(0.5)
     apply_gate(reg, pi_pulse("B", 0, 2, controls=(("A", 3),)))
-    assert abs(reg.amplitude(3, 2, 0) - np.sqrt(0.5)) < 1e-14
-    assert abs(reg.amplitude(4, 0, 0) - np.sqrt(0.5)) < 1e-14
-    assert abs(reg.amplitude(4, 2, 0)) < 1e-15
+    assert abs(reg.amp[flat_index(3, 2, 0)] - np.sqrt(0.5)) < 1e-14
+    assert abs(reg.amp[flat_index(4, 0, 0)] - np.sqrt(0.5)) < 1e-14
+    assert abs(reg.amp[flat_index(4, 2, 0)]) < 1e-15
 
 
 def test_gate_preconditions():
@@ -141,9 +141,9 @@ def test_ancilla_excitation_and_pulse_count():
     reg.amp[flat_index(0, 0, 0, 0)] = 0.6
     reg.amp[flat_index(7, 0, 0, 0)] = -0.8
     apply_gates(reg, gates)
-    assert abs(reg.amplitude(0, 0, 0, 1) - 0.6) < 1e-14
-    assert abs(reg.amplitude(7, 0, 0, 1) + 0.8) < 1e-14
-    assert abs(reg.amplitude(0, 0, 0, 0)) < 1e-15
+    assert abs(reg.amp[flat_index(0, 0, 0, 1)] - 0.6) < 1e-14
+    assert abs(reg.amp[flat_index(7, 0, 0, 1)] + 0.8) < 1e-14
+    assert abs(reg.amp[flat_index(0, 0, 0, 0)]) < 1e-15
 
 
 def test_kernel_route_matches_matrix_route(rng):
@@ -232,12 +232,12 @@ def test_apply_error_weight_and_normalisation():
     _, weight = apply_error(reg, "X", "A")
     # X on the bottom level climbs one rung: weight = (sqrt(7)/2)^2
     assert np.isclose(weight, 7.0 / 4.0, atol=1e-12)
-    assert abs(reg.amplitude(1, 0, 0) - 1.0) < 1e-12
+    assert abs(reg.amp[flat_index(1, 0, 0)] - 1.0) < 1e-12
     assert abs(reg.norm() - 1.0) < 1e-12
     reg2 = init_register(1.0, 0.0)
     _, w2 = apply_error(reg2, "Z", "B")
     assert np.isclose(w2, 3.5**2, atol=1e-12)
-    assert abs(reg2.amplitude(0, 0, 0) + 1.0) < 1e-12  # phase -3.5/3.5
+    assert abs(reg2.amp[flat_index(0, 0, 0)] + 1.0) < 1e-12  # phase -3.5/3.5
 
 
 def test_apply_error_against_dense_operator(rng):

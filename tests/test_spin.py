@@ -439,7 +439,8 @@ def test_load_system_refuses_unknown_keys_by_name(tmp_path):
 @pytest.mark.parametrize("s, i", [(0.5, 1e9), (1e9, 3.5), (1e300, 0.5), (0.5, 127.5)])
 def test_huge_systems_are_refused_before_any_allocation(tmp_path, s, i):
     path = tmp_path / "huge.cfg"
-    path.write_text(f"name = x\nS = {s!r}\nI = {i!r}\n"
+    # a system file spells a spin in digits: 1e300 as its 301-digit decimal
+    path.write_text(f"name = x\nS = {s:.1f}\nI = {i:.1f}\n"
                     "g_e_MHz_per_T = 1\ng_n_MHz_per_T = 1\nA_MHz = 1\n")
     tracemalloc.start()
     try:
@@ -471,3 +472,30 @@ def test_load_system_refuses_non_finite_spins(tmp_path, spin):
     for value in (float("inf"), float("nan")):
         with pytest.raises(PreconditionError, match="half-integer"):
             SpinSystem("x", 0.5, value, 1.0, 1.0, 1.0)
+
+
+def _spin_file(path, key, text):
+    values = {"S": "1/2", "I": "7/2", key: text}
+    path.write_text(f"name = x\nS = {values['S']}\nI = {values['I']}\n"
+                    "g_e_MHz_per_T = 28020\ng_n_MHz_per_T = 5.55\nA_MHz = 101.52\n")
+    return path
+
+
+#: spins that loaded wrongly or were refused unreadably (a zero denominator gave
+#: "Fraction(1, 0)", 1e-400 underflowed to I = 0, 1_0/2 loaded as S = 5), then other
+#: spellings outside the grammar
+@pytest.mark.parametrize("text", ["1/0", "1e-400", "1_0/2", "+7/2", "-7/2", "7 / 2", "7/4",
+                                  "7/2.0", "3.50", "3.25", "3.5e0", "0x7", "\u0663/2", ""])
+def test_load_system_reads_spins_only_as_exact_half_integers(tmp_path, text):
+    for key in ("S", "I"):
+        path = _spin_file(tmp_path / "spin.cfg", key, text)
+        with pytest.raises(PreconditionError, match=re.escape(
+                f"{path}: {key} must be an integer, n/2 or a decimal ending in .0 or .5, "
+                f"got {text!r}")):
+            load_system(path)
+
+
+@pytest.mark.parametrize("text, value", [("7/2", 3.5), ("3.5", 3.5), ("4", 4.0), ("4.0", 4.0),
+                                         ("8/2", 4.0), ("0", 0.0), ("007/2", 3.5)])
+def test_load_system_spin_grammar_accepts_each_form_exactly(tmp_path, text, value):
+    assert load_system(_spin_file(tmp_path / "spin.cfg", "I", text)).i == value
