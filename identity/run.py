@@ -34,17 +34,21 @@ can show that no last bit moved.  The groups:
   (the ``multiqudit`` error set's; "I" as the identity on qudit A) on each of
   the 12 Bloch states of acceptance criterion 07, under ``full_order()`` and
   ``z_biased_order()``: the error weight, and per record its detected case,
-  ancilla outcomes, probability, recovered amplitudes and fidelity.
+  ancilla outcomes, probability, recovered amplitudes and fidelity;
+- ``cli``: each argv of ``tests/test_golden.py``'s ``CASES``, run in-process as
+  that file runs it, with its exit code and stdout, then each argv of
+  :data:`REFUSED_ARGV` with its exit code and stderr.
 
 With no flag the digests are printed.  ``--write`` stores them in
 ``identity/digests.json`` with the environment (numpy, Python, machine,
-system, libc).  ``--check`` compares group by group with that file and exits
+system, libc, click).  ``--check`` compares group by group with that file and exits
 1 if a group differs; when the environment differs it reports the difference
 and exits 2 without judging, since another numpy or libm may move last bits.
 """
 
 import argparse
 import hashlib
+from importlib.metadata import version
 import itertools
 import json
 import os
@@ -54,12 +58,15 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
+TESTS = os.path.join(os.path.dirname(HERE), "tests")
 DIGESTS = os.path.join(HERE, "digests.json")
 
 import numpy as np  # noqa: E402
+from click.testing import CliRunner  # noqa: E402
 
-sys.path.insert(0, SRC)
+sys.path[:0] = [SRC, TESTS]
 from spinqec.blocks import enc_block, entangle_block  # noqa: E402
+from spinqec.cli import cli as spinqec_cli  # noqa: E402
 from spinqec.cycle import build_detection_plan, full_order, pulse_budget, \
     run_detection, z_biased_order  # noqa: E402
 from spinqec.linalg import NumericalError, PreconditionError, \
@@ -68,6 +75,7 @@ from spinqec.spin import SpinSystem, build_hamiltonian, dressed_eigenstates, \
     get_system  # noqa: E402
 from spinqec.tailor import CONDITIONS, TailoringProblem, scan_common_zero_cells, \
     solve_tailoring, trace_zero_contour  # noqa: E402
+from test_golden import CASES as GOLDEN_ARGV  # noqa: E402
 
 #: each tailored family on the preset it is tailored for
 PRESETS = {"tailored-9/2": "si-bi", "distorted-7/2": "si-sb"}
@@ -89,6 +97,14 @@ SPECTRA_FIELDS = (0.2, 1.0, -1.37, 5.0, (0.3, 0.4, 1.0), (1.2, -0.7, 0.5),
 BLOCH_STATES = tuple((np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi))
                      for theta in (np.pi / 4, np.pi / 2, 3 * np.pi / 4)
                      for phi in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2))
+#: argv the CLI refuses: a usage or precondition problem exits 2, a numerical failure 3
+REFUSED_ARGV = (("tailor",), ("levels", "--bpoints", "0"), ("levels", "--system", "nope"),
+                ("levels", "--bstart", "1", "--bstop", "0"), ("tailor", "--b", "1e306"),
+                ("contour", "--b", "1", "--family", "ideal-7/2"), ("qec", "--error", "XX"),
+                ("qec", "--error", "XX@3"), ("qec", "--mode", "full", "--seed", "-1"),
+                ("qec", "--alpha", "0", "--beta", "0"), ("budget", "--error-budget", "2"),
+                ("tailor", "--system", "si-sb", "--b", "0"),
+                ("tailor", "--b", "1", "--box", "1e-9"))
 
 
 def _hex(values):
@@ -245,8 +261,18 @@ def records():
                        f"{amps} {float(r.logical_fidelity).hex()}")
 
 
+def cli_runs():
+    runs = [(argv, "stdout") for argv in GOLDEN_ARGV.values()]
+    for argv, stream in runs + [(argv, "stderr") for argv in REFUSED_ARGV]:
+        result = CliRunner().invoke(spinqec_cli, list(argv), prog_name="spinqec",
+                                    terminal_width=80)
+        yield f"{' '.join(argv)} exit {result.exit_code} {stream}"
+        yield from getattr(result, stream).split("\n")
+
+
 GROUPS = {"contours": contours, "scans": scans, "roots": roots, "zero_nodes": zero_nodes,
-          "plans": plans, "spectra": spectra, "labelling": labelling, "records": records}
+          "plans": plans, "spectra": spectra, "labelling": labelling, "records": records,
+          "cli": cli_runs}
 
 
 def digest(group):
@@ -261,7 +287,7 @@ def digest(group):
 def environment():
     return {"numpy": np.__version__, "python": platform.python_version(),
             "machine": platform.machine(), "system": platform.system(),
-            "libc": " ".join(platform.libc_ver())}
+            "libc": " ".join(platform.libc_ver()), "click": version("click")}
 
 
 def main(argv=None):
