@@ -234,7 +234,7 @@ def contour(system_key, family, b_field, box, step, what, scan_points):
 
 
 def _parse_error(text):
-    if text is None or text.lower() == "none":
+    if text.lower() == "none":
         return None
     label, _, qudit = text.partition("@")
     if not qudit:
@@ -286,9 +286,7 @@ def qec(alpha, beta, error, mode, trajectories, seed):
         "error": error,
         "error_weight": weight,
         "cases": len(records),
-        "mean_fidelity": float(sum(
-            r.probability * r.logical_fidelity for r in records
-            if r.logical_fidelity is not None)),
+        "mean_fidelity": float(sum(r.probability * r.logical_fidelity for r in records)),
     }
     if mode == "exact-branch":
         lines = [json.dumps({
@@ -304,7 +302,7 @@ def qec(alpha, beta, error, mode, trajectories, seed):
         draws = sample_records(records, trajectories, seed)
         counts = Counter("none" if r.detected_case is None else r.detected_case
                          for r in draws)
-        fid_sum = sum(r.logical_fidelity for r in draws if r.logical_fidelity is not None)
+        fid_sum = sum(r.logical_fidelity for r in draws)
         lines = [json.dumps({"type": "sample", "case": k, "count": n,
                              "fraction": n / trajectories})
                  for k, n in sorted(counts.items())]

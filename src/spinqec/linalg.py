@@ -90,8 +90,7 @@ def as_matrix(m):
 def _fix_column_phases(m):
     """Rotate each column's global phase so its largest |entry| is real > 0 (a copy).
 
-    Zero columns are returned unchanged.
-
+    The columns are those of a unitary, so each largest |entry| is >= 1/sqrt(n).
     Real products, because numpy's complex multiply fuses multiply-adds in
     some inner loops only, so its last bit would depend on the array's shape.
     """
@@ -99,15 +98,10 @@ def _fix_column_phases(m):
     cols = np.arange(m.shape[1])
     rows = np.argmax(mags, axis=0)
     pivot, size = m[rows, cols], mags[rows, cols]
-    zero = size == 0.0
-    if zero.any():
-        size = np.where(zero, 1.0, size)
     fr, fi = pivot.real / size, -pivot.imag / size
     out = np.empty_like(m)
     out.real = m.real * fr - m.imag * fi
     out.imag = m.real * fi + m.imag * fr
-    if zero.any():
-        out[:, zero] = m[:, zero]
     return out
 
 

@@ -135,9 +135,10 @@ class TailoringProblem:
 
         On the grid a diag condition is g(xs[i]) - h(xs[j]), and the IEEE
         difference of two finite numbers is < 0 exactly when g < h and 0 exactly
-        when g == h; so the rule is the same predicate in separable form: min g
-        <= max h and max g >= min h over the cell, read from the 2n line terms
-        (:func:`_range_cells`), which must be finite (else NumericalError).  An
+        when g == h; so on the full grid the rule is the same predicate in
+        separable form: min g <= max h and max g >= min h over the cell, read
+        from the 2n line terms (:func:`_range_cells`), which must be finite (else
+        NumericalError).  Given cells take g[i] - h[j] at their corners.  An
         offdiag condition is evaluated on the grid axes, or, from its amplitudes
         on the axis nodes, on the given cells' corners.
         """
@@ -146,11 +147,9 @@ class TailoringProblem:
             g, h = self._diag_terms(m00, m11, xs, xs)
             if not (np.isfinite(g).all() and np.isfinite(h).all()):
                 raise NumericalError(f"{name} is NaN or infinite on the scan grid")
-            g_lo, g_hi = np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:])
             if rows is None:
-                return _range_cells(g_lo, g_hi, h)
-            h_lo, h_hi = np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])
-            keep = (g_lo[rows] <= h_hi[cols]) & (g_hi[rows] >= h_lo[cols])
+                return _range_cells(np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:]), h)
+            keep = _corner_cells(lambda i, j: g[i] - h[j], rows, cols)
         elif rows is None:
             return _grid_cells(partial(self.evaluate, name), xs)
         else:
@@ -632,16 +631,11 @@ def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
         frozen = solve_tailoring(family, system, freeze_at, box)
     rows = []
     for b in b_values:
-        if frozen is None:
-            sol = solve_tailoring(family, system, b, box)
-            residuals = sol.residuals
-        else:
-            sol = frozen
-            problem = TailoringProblem(family, system, b)
-            residuals = {name: problem.evaluate(name, sol.eps1, sol.eps2)
-                         for name in sol.residuals}
+        sol = frozen or solve_tailoring(family, system, b, box)
+        problem = TailoringProblem(family, system, b)
         rows.append({"b_tesla": float(b), "eps1_rad": sol.eps1, "eps2_rad": sol.eps2,
-                     **{f"residual_{name}": value for name, value in residuals.items()},
+                     **{f"residual_{name}": problem.evaluate(name, sol.eps1, sol.eps2)
+                        for name in sol.residuals},
                      "converged": sol.converged})
     return rows
 

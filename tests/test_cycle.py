@@ -146,6 +146,23 @@ def test_plan_absorption():
     assert zb.emitted == tuple(c for c in zb.cases if not c.absorbed)
 
 
+@pytest.mark.parametrize("order", [full_order(), z_biased_order(),
+                                   ("I", *full_order()[:0:-1])],
+                         ids=["full", "z-biased", "full-reversed"])
+def test_branch_rows_have_disjoint_supports(order):
+    # every level triple of a branch-0 row has two equal even levels, of a
+    # branch-1 row two equal odd ones, so no projection crosses branches
+    plan = build_detection_plan(order)
+    rows = plan.projector.reshape(2, len(plan.emitted), 512)
+    for parity, branch in enumerate(rows):
+        triples = np.array(np.unravel_index(np.flatnonzero(branch.any(axis=0)), (8, 8, 8)))
+        pairs = [(triples[i] == triples[j]) & (triples[i] % 2 == parity)
+                 for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert np.logical_or.reduce(pairs).all()
+    assert not (rows[0].any(axis=0) & rows[1].any(axis=0)).any()
+    assert all(np.vdot(p0, p1) == 0.0 for p0 in rows[0] for p1 in rows[1])
+
+
 def test_cold_plan_build_stays_small():
     # error words come from one-axis contractions, not from 28 dense
     # 512 x 512 operators (117 MB)
