@@ -120,21 +120,31 @@ def get_system(key):
 #: an exact half-integer spin in a system file: an integer, n/2, or a decimal ending
 #: in .0 or .5, all ASCII digits
 _HALF_INTEGER = re.compile(r"([0-9]+)(/2|\.[05])?")
-
-
-def _parse_halfint(key, text):
-    """The value of spin ``key`` written as ``text`` (see :data:`_HALF_INTEGER`)."""
-    match = _HALF_INTEGER.fullmatch(text)
-    if match is None:
-        raise PreconditionError(f"{key} must be an integer, n/2 or a decimal ending in "
-                                f".0 or .5, got {text!r}")
-    whole, tail = match.groups()
-    value = float(whole)  # exact below 2**53; SpinSystem refuses any spin that large
-    return value / 2.0 if tail == "/2" else value + (0.5 if tail == ".5" else 0.0)
-
-
-#: the keys of a system file (:func:`load_system`), each required exactly once
+#: a constant in a system file: a decimal in ASCII digits with optional sign, fraction and
+#: exponent, or a spelling of nan or inf, which the finite check refuses by name
+_DECIMAL = re.compile(r"[+-]?(?:([0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                      r"|(?i:nan|inf|infinity))")
+#: the keys of a system file (:func:`load_system`), each required exactly once, and
+#: the grammar of each number as (pattern, description)
 SYSTEM_KEYS = ("name", "S", "I", "g_e_MHz_per_T", "g_n_MHz_per_T", "A_MHz")
+_GRAMMAR = {
+    **dict.fromkeys("SI", (_HALF_INTEGER, "an integer, n/2 or a decimal ending in .0 or .5")),
+    **dict.fromkeys(SYSTEM_KEYS[3:], (_DECIMAL, "a decimal in ASCII digits, with optional "
+                                                "sign, fraction and exponent"))}
+
+
+def _parse_number(key, text):
+    """The value of number ``key`` written as ``text`` (see :data:`_GRAMMAR`); a
+    nonzero must not round to 0.0."""
+    pattern, grammar = _GRAMMAR[key]
+    match = pattern.fullmatch(text)
+    if match is None:
+        raise PreconditionError(f"{key} must be {grammar}, got {text!r}")
+    # exact for every spin that SpinSystem accepts
+    value = float(match[1]) / 2.0 if text.endswith("/2") else float(text)
+    if value == 0.0 and re.search("[1-9]", match[1]):
+        raise PreconditionError(f"{key} = {text} is not zero but rounds to 0.0")
+    return value
 
 
 def load_system(path):
@@ -143,7 +153,8 @@ def load_system(path):
     The keys are :data:`SYSTEM_KEYS`, each set exactly once; any other key,
     such as a miscased one, is refused by name.  S and I are exact
     half-integers (:data:`_HALF_INTEGER`): an integer, ``n/2``, or a decimal
-    ending in ``.0`` or ``.5``.  Lines starting with ``#`` are comments.
+    ending in ``.0`` or ``.5``; the constants are decimals (:data:`_DECIMAL`),
+    and a nonzero one must not round to 0.0.  Lines starting with ``#`` are comments.
     A path that cannot be read as UTF-8 text (a directory, an unreadable or a
     binary file) is a :class:`PreconditionError` naming it.
     """
@@ -180,15 +191,8 @@ def load_system(path):
     if missing:
         raise PreconditionError(f"{path}: missing keys {sorted(missing)}")
     try:
-        return SpinSystem(
-            name=fields["name"],
-            s=_parse_halfint("S", fields["S"]),
-            i=_parse_halfint("I", fields["I"]),
-            g_e=float(fields["g_e_MHz_per_T"]),
-            g_n=float(fields["g_n_MHz_per_T"]),
-            a=float(fields["A_MHz"]),
-        )
-    except (ValueError, PreconditionError) as exc:
+        return SpinSystem(fields["name"], *(_parse_number(k, fields[k]) for k in SYSTEM_KEYS[1:]))
+    except PreconditionError as exc:
         raise PreconditionError(f"{path}: {exc}") from exc
 
 

@@ -499,3 +499,46 @@ def test_load_system_reads_spins_only_as_exact_half_integers(tmp_path, text):
                                          ("8/2", 4.0), ("0", 0.0), ("007/2", 3.5)])
 def test_load_system_spin_grammar_accepts_each_form_exactly(tmp_path, text, value):
     assert load_system(_spin_file(tmp_path / "spin.cfg", "I", text)).i == value
+
+
+def _constant_file(path, key, text):
+    values = {"g_e_MHz_per_T": "28020", "g_n_MHz_per_T": "5.55", "A_MHz": "101.52", key: text}
+    path.write_text("name = x\nS = 1/2\nI = 7/2\n"
+                    + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    return path
+
+
+_NOT_DECIMAL = ("{key} must be a decimal in ASCII digits, with optional sign, fraction and "
+                "exponent, got {text!r}")
+
+
+#: constants that loaded wrongly or were refused without their key: 2_8020 and the
+#: Arabic-Indic 28020 loaded as 28020, 1e-400 as 0.0, and 0x1p4 was refused as
+#: "could not convert string to float"
+@pytest.mark.parametrize("text, why", [
+    ("2_8020", _NOT_DECIMAL), ("٢٨٠٢٠", _NOT_DECIMAL),
+    ("1e-400", "{key} = {text} is not zero but rounds to 0.0"), ("0x1p4", _NOT_DECIMAL)],
+    ids=["underscore", "arabic-indic", "underflow", "hex"])
+def test_load_system_reads_constants_only_as_ascii_decimals(tmp_path, text, why):
+    for key in ("g_e_MHz_per_T", "g_n_MHz_per_T", "A_MHz"):
+        path = _constant_file(tmp_path / "donor.cfg", key, text)
+        with pytest.raises(PreconditionError,
+                           match=re.escape(f"{path}: {why.format(key=key, text=text)}")):
+            load_system(path)
+
+
+@pytest.mark.parametrize("text", ["28020", "-5.55", "+1.5e3", ".5", "5.", "1E-3", "0", "-0.0",
+                                  "0e-400", "0.000e999", "5e-324", "1e308", "5.0", "300.0",
+                                  "007"])
+def test_load_system_constant_grammar_reads_each_decimal_as_float_does(tmp_path, text):
+    for key, name in (("g_e_MHz_per_T", "g_e"), ("g_n_MHz_per_T", "g_n"), ("A_MHz", "a")):
+        system = load_system(_constant_file(tmp_path / "donor.cfg", key, text))
+        assert getattr(system, name).hex() == float(text).hex()
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "Infinity", "+NaN", "1e400", "-1e999"])
+def test_load_system_leaves_non_finite_constants_to_the_finite_check(tmp_path, text):
+    path = _constant_file(tmp_path / "donor.cfg", "A_MHz", text)
+    with pytest.raises(PreconditionError,
+                       match=re.escape(f"{path}: a must be finite, got {float(text)}")):
+        load_system(path)
