@@ -258,6 +258,12 @@ def test_zigzag_merge_two_levels():
     assert abs(reg.amp[flat_index(0, 0, 0)] - 1.0) < 1e-12
 
 
+def test_zigzag_merge_needs_an_occupied_level():
+    for amps in ({}, {0: 0.0, 3: 1e-13}):
+        with pytest.raises(PreconditionError, match="needs at least one occupied level"):
+            zigzag_merge("A", amps, 0)
+
+
 def test_collapse_gates_preconditions():
     with pytest.raises(PreconditionError):
         collapse_gates({})
@@ -288,6 +294,24 @@ def test_validate_block_rejects_tampered_angle():
     assert validate_block(Block("ENC", blk.gates), targets).name == "ENC"
     with pytest.raises(SynthesisError):
         validate_block(Block("ENC-tampered", tuple(bad)), targets)
+
+
+def test_validate_block_reports_a_phase_drift():
+    # a global sign flip keeps the target fidelity at one but not the output
+    blk = enc_block()
+    targets = [(init_register(1, 0).amp, -psi_spread(1, 0))]
+    with pytest.raises(SynthesisError, match="output phase drifted"):
+        validate_block(blk, targets)
+
+
+def test_detection_block_refuses_mismatched_branches():
+    plan = build_detection_plan()
+    case, p0, p1 = next(entry for entry in _branch_inputs(plan) if entry[0].label == "X@A")
+    assert detection_block("X@A", p0, p1).gates == case.block.gates
+    with pytest.raises(SynthesisError, match="'X@A': branch phases disagree"):
+        detection_block("X@A", p0, 1j * p1)
+    with pytest.raises(SynthesisError, match="'X@A': branches collapse to the same end"):
+        detection_block("X@A", p0, p0)
 
 
 @pytest.mark.parametrize("label", ["X@A", "I"])  # "I" opens with the entangle inverse

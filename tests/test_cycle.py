@@ -8,6 +8,7 @@ from projections; ``_pulse_records`` runs the plan's pulses instead and
 serves as the oracle they must match.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spinqec.cycle
 from spinqec.blocks import psi_encoded, recovery_gates
+from spinqec.codewords import make_codeword
 from spinqec.cycle import (
     SyndromeRecord,
     _build_plan,
@@ -30,7 +33,7 @@ from spinqec.cycle import (
     sample_records,
     z_biased_order,
 )
-from spinqec.linalg import PreconditionError
+from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.register import QuditRegister, apply_error, apply_gates, flat_index
 
 FULL_ABSORBED = ("Z@B", "Z@C", "ZZ@A", "YY@B", "ZZ@B", "YY@C", "ZZ@C")
@@ -161,6 +164,20 @@ def test_branch_rows_have_disjoint_supports(order):
         assert np.logical_or.reduce(pairs).all()
     assert not (rows[0].any(axis=0) & rows[1].any(axis=0)).any()
     assert all(np.vdot(p0, p1) == 0.0 for p0 in rows[0] for p1 in rows[1])
+
+
+def test_word_failing_knill_laflamme_splits_branch_norms(monkeypatch):
+    # |0_L> reweighted to 4/16, 6/16, 6/16 on levels 0, 2, 6: Z@A leaves it a
+    # squared norm of 6 after the projection, |1_L> 21/4, so no block pairs them
+    word = make_codeword("three-qudit")
+    zero = np.zeros(512, dtype=np.complex128)
+    zero[[0, 2 * 73, 6 * 73]] = np.sqrt([4.0 / 16.0, 6.0 / 16.0, 6.0 / 16.0])
+    bad = dataclasses.replace(word, zero_l=zero)
+    monkeypatch.setattr(spinqec.cycle, "make_codeword", lambda family: bad)
+    # sqrt(6) against sqrt(21 / 4)
+    with pytest.raises(NumericalError,
+                       match=r"case Z@A: branch norms split \(2\.449489\d* vs 2\.291287\d*\)"):
+        _build_plan.__wrapped__(("I", "Z@A"))
 
 
 def test_cold_plan_build_stays_small():

@@ -542,3 +542,16 @@ def test_load_system_leaves_non_finite_constants_to_the_finite_check(tmp_path, t
     with pytest.raises(PreconditionError,
                        match=re.escape(f"{path}: a must be finite, got {float(text)}")):
         load_system(path)
+
+
+def test_states_competing_for_one_label_are_refused():
+    # found by a bounded search over S >= 1 systems at small tilted fields: every
+    # state's top two product weights differ by more than 0.019, yet two states'
+    # top weights on product 4 (m_S = 0, m_I = 0) agree to rounding
+    system = SpinSystem("x", 1.0, 1.0, -5.5, -9.5, 15.0)
+    weights = np.abs(hermitian_eigendecompose(
+        build_hamiltonian(system, (0.125, 0.063, 0.215))).eigenvectors) ** 2
+    top = np.sort(weights, axis=0)
+    assert (top[-1] - top[-2]).min() > 0.019
+    with pytest.raises(LabelingError, match="states compete for product label 4"):
+        dressed_eigenstates(system, (0.125, 0.063, 0.215))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import spinqec.spin
 import spinqec.tailor
 from spinqec.codewords import _TWO_LEVEL, branch_amplitudes, default_family, expectation, \
-    first_order_errors, make_codeword
+    first_order_errors, lift_to_electron_nuclear, make_codeword, standard_error_sets
 from spinqec.linalg import NumericalError, PreconditionError
 from spinqec.spin import SpinSystem, get_system, manifold_states, spin_operators
 from spinqec.tailor import (
@@ -27,6 +27,7 @@ from spinqec.tailor import (
     EmptyContourError,
     StructuralZeroError,
     TailoringProblem,
+    VerificationError,
     _chains,
     _field_setup,
     closed_form_roots,
@@ -923,6 +924,40 @@ def test_broken_structural_zero_is_named(monkeypatch, sb):
             kind, m00 + [[0.0, 1e-3], [0.0, 0.0]], m11, m01 + [[1e-3, 0.0], [0.0, 0.0]]))
         with pytest.raises(StructuralZeroError, match=name):
             problem.coefficients(name)
+
+
+@pytest.mark.parametrize("family, names, coefficients, has_roots", [
+    # cos 2t1 = 2 solves the diag pair: no real angle
+    ("tailored-9/2", ("diag-IZ", "diag-IXIX"), (((0.0, 1.0), (2.0, 0.0)),
+                                                ((0.0, 0.0), (0.0, 1.0))), False),
+    ("tailored-9/2", ("diag-IZ", "diag-IXIX"), (((0.0, 1.0), (0.5, 0.0)),
+                                                ((0.0, 0.0), (0.0, 1.0))), True),
+    # kappa = 2 with quad_b = 0 and quad_a quad_c = 36: the quadratic in tan^2 t1
+    # has a negative discriminant
+    ("distorted-7/2", ("diag-IZ", "offdiag-IXIX"), (((3.0, -2.5), (0.0, -2.5)),
+                                                    (1.0, -2.0)), False),
+    ("distorted-7/2", ("diag-IZ", "offdiag-IXIX"), (((3.0, -2.5), (0.0, 2.5)),
+                                                    (1.0, -2.0)), True),
+], ids=["diag-no-cosine", "diag-roots", "mixed-negative-discriminant", "mixed-roots"])
+def test_pair_without_real_angles_has_no_roots(monkeypatch, sb, bi, family, names,
+                                               coefficients, has_roots):
+    # closed-form coefficients with no real solution give no roots, and no NaN or
+    # numpy warning on the way; nearby ones give roots
+    problem = TailoringProblem(family, sb if family == "distorted-7/2" else bi, 1.0)
+    monkeypatch.setattr(problem, "coefficients", dict(zip(names, coefficients)).__getitem__)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = closed_form_roots(problem, names, box=np.pi)
+    assert bool(found) == has_roots and np.isfinite(found).all()
+
+
+def test_root_failing_knill_laflamme_is_refused(monkeypatch, bi):
+    # the 9/2 root closes the first-order set; against the ten-operator set,
+    # which it does not close, the verification refuses it
+    wider = lift_to_electron_nuclear(standard_error_sets("firstorder-EB", bi.i), bi)
+    monkeypatch.setattr(spinqec.tailor, "first_order_errors", lambda system: wider)
+    with pytest.raises(VerificationError, match="fails first-order KL verification"):
+        solve_tailoring("tailored-9/2", bi, 1.0)
 
 
 @pytest.mark.parametrize("b", [0.3, 1.0, 2.9])
