@@ -41,20 +41,21 @@ can show that no last bit moved.  The groups:
 
 With no flag the digests are printed.  ``--write`` stores them in
 ``identity/digests.json`` with the environment (numpy, Python, machine,
-system, libc, click).  ``--check`` compares group by group with that file and exits
-1 if a group differs; when the environment differs it reports the difference
-and exits 2 without judging, since another numpy or libm may move last bits.
+system, libc, click).  ``--check`` compares group by group with that file and
+exits 1 if a group differs; when the environment differs it reports the
+difference and exits 2 without judging, since another numpy or libm may move
+last bits.
 """
 
 import argparse
 import hashlib
-from importlib.metadata import version
 import itertools
 import json
 import os
 import platform
 import sys
 import time
+from importlib.metadata import version
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")

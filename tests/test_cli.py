@@ -120,18 +120,17 @@ def test_tailor_frozen_needs_anchor(runner):
     assert "precondition" in res.output or res.exception
 
 
-def test_tailor_needs_a_field_or_a_range(runner):
-    for argv in ([], ["--bstart", "0.5"], ["--bstop", "2"]):
-        res = runner.invoke(cli, ["tailor", *argv])
-        assert res.exit_code == 2, res.output
-        assert res.stderr == "precondition error: pass --b for one field or --bstart/--bstop\n"
-
-
-def test_qec_error_on_the_ancilla_axis_is_refused(runner):
-    # qudit 3 is the ancilla's axis: an error there is refused, not a shape error
-    res = runner.invoke(cli, ["qec", "--error", "XX@3"])
+@pytest.mark.parametrize("argv, reason", [
+    (["tailor"], "pass --b for one field or --bstart/--bstop"),
+    (["tailor", "--bstart", "0.5"], "pass --b for one field or --bstart/--bstop"),
+    (["tailor", "--bstop", "2"], "pass --b for one field or --bstart/--bstop"),
+    # qudit 3 is the ancilla's axis: refused by name, not by a shape error
+    (["qec", "--error", "XX@3"], "errors act on qudits A, B, or C"),
+])
+def test_refusals_give_their_reason(runner, argv, reason):
+    res = runner.invoke(cli, argv)
     assert res.exit_code == 2, res.output
-    assert res.stderr == "precondition error: errors act on qudits A, B, or C\n"
+    assert res.stderr == f"precondition error: {reason}\n"
 
 
 def test_tailor_zero_field_is_numerical_error(runner):
