@@ -20,14 +20,15 @@ can show that no last bit moved.  The groups:
   fields: its polylines on the five contour grids and its
   ``scan_common_zero_cells`` cells on the three scan grids;
 - ``plans``: the ENC and ENTANGLE gates and, for ``full_order()`` and
-  ``z_biased_order()``, each case's label, index, absorbed flag and pulse
-  counts, each block's ``meta`` and gates, the plan's ``projector`` and
-  ``phases``, and ``pulse_budget``;
+  ``z_biased_order()``, each case's label, absorbed flag and pulse counts
+  (its index is its position), each block's target phase and gates (the
+  collapse ends are the A-controls of its two ancilla pulses), the plan's
+  ``projector`` and ``phases``, and ``pulse_budget``;
 - ``spectra``: ``hermitian_eigendecompose`` of ``build_hamiltonian`` (values,
   vectors, sweeps and off-diagonal norm) for the two presets, the two user
   donors of the perfbench ``spectra`` workload and one S = 3/2 system, at
   four axial and four tilted fields;
-- ``labelling``: ``dressed_eigenstates`` (energy, labels, weight, vector) of
+- ``labelling``: ``dressed_eigenstates`` (energy, labels, vector) of
   the two presets at 0 T and the six fields, and the three blocks of each of
   the six condition sandwiches of both tailored families there;
 - ``records``: ``run_detection`` for each of the 28 labels of ``full_order()``
@@ -192,9 +193,8 @@ def zero_nodes():
 
 
 def _gates(block):
-    meta = {k: _hex((complex(v).real, complex(v).imag)) if k == "phase" else v
-            for k, v in block.meta.items()}
-    yield f"block {block.name} {sorted(meta.items())!r}"
+    phase = complex(block.meta.get("phase", 1.0))
+    yield f"block {block.name} {_hex((phase.real, phase.imag))}"
     for g in block.gates:
         yield f"{g.axis} {g.levels!r} {g.controls!r} {float(g.theta).hex()}"
 
@@ -206,8 +206,7 @@ def plans():
         plan = build_detection_plan(order)
         yield " ".join(plan.order)
         for case in plan.cases:
-            yield (f"{case.label} {case.index} {case.absorbed} "
-                   f"{case.detect_pulses} {case.recover_pulses}")
+            yield f"{case.label} {case.absorbed} {case.detect_pulses} {case.recover_pulses}"
             if not case.absorbed:
                 yield from _gates(case.block)
         for values in (plan.projector, plan.phases):
@@ -220,7 +219,7 @@ def spectra():
     for system, b in itertools.product(SPECTRA_SYSTEMS, SPECTRA_FIELDS):
         yield f"{system.name} {b!r}"
         dec = hermitian_eigendecompose(build_hamiltonian(system, b))
-        yield f"{dec.sweeps} {float(dec.off_norm).hex()} {dec.phase_convention}"
+        yield f"{dec.sweeps} {float(dec.off_norm).hex()}"
         yield _hex(dec.eigenvalues)
         yield _hex(dec.eigenvectors.real)
         yield _hex(dec.eigenvectors.imag)
@@ -235,7 +234,7 @@ def labelling():
             yield _refusal(exc)
             continue
         for st in states:
-            yield f"{st.m_s!r} {st.m_i!r} {_hex((st.energy, st.weight))}"
+            yield f"{st.m_s!r} {st.m_i!r} {float(st.energy).hex()}"
             yield _hex(st.vector.view(float))
         problem = TailoringProblem(family, get_system(preset), b)
         for name in CONDITIONS:
