@@ -193,7 +193,7 @@ def zero_nodes():
 
 
 def _gates(block):
-    phase = complex(block.meta.get("phase", 1.0))
+    phase = complex(block.phase)
     yield f"block {block.name} {_hex((phase.real, phase.imag))}"
     for g in block.gates:
         yield f"{g.axis} {g.levels!r} {g.controls!r} {float(g.theta).hex()}"

@@ -33,7 +33,7 @@ logical branches of one case therefore land on opposite ends of qudit A and
 never collide.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,7 +63,7 @@ class Block:
 
     name: str
     gates: tuple
-    meta: dict = field(default_factory=dict)
+    phase: complex = 1.0  # a detection block's target phase
 
     @property
     def pulse_count(self):
@@ -293,16 +293,15 @@ def detection_block(name, p0, p1):
         dis, dec, dest = collapse_gates(_register_entries(work))
         folds += dis + dec
         ends.append((ph, dest))
-    (ph0, dest0), (ph1, dest1) = ends
+    (ph0, end0), (ph1, end1) = ends
     if abs(ph0 - ph1) > 1e-9:
         raise SynthesisError(f"case {name!r}: branch phases disagree")
-    if dest1 != 7 - dest0:
+    if end1 != 7 - end0:
         raise SynthesisError(f"case {name!r}: branches collapse to the same end")
-    gates = (*pre, *folds, *ancilla_excitation(((dest0, 0, 0), (dest1, 0, 0))))
+    gates = (*pre, *folds, *ancilla_excitation(((end0, 0, 0), (end1, 0, 0))))
     targets = [(embed_qudit_state(p), ph * (np.arange(1024) == flat_index(d, 0, 0, 1)))
                for p, (ph, d) in zip((p0, p1), ends)]
-    meta = {"dest0": dest0, "dest1": dest1, "phase": ph0}
-    return validate_block(Block(name, gates, meta), targets)
+    return validate_block(Block(name, gates, ph0), targets)
 
 
 def recovery_gates(block):

@@ -65,7 +65,6 @@ FAMILIES = (*_TWO_LEVEL, *_IDEAL_ONLY)
 class CodeWord:
     """A logical qubit: two orthonormal word vectors over some basis."""
 
-    family: str
     zero_l: np.ndarray
     one_l: np.ndarray
 
@@ -151,7 +150,7 @@ def make_codeword(family, system=None, b_field=None, eps1=0.0, eps2=0.0):
     if system is None and b_field is None:
         if family in _IDEAL_ONLY:
             dim, word0, word1 = _IDEAL_ONLY[family]
-            return CodeWord(family, _vector(dim, word0), _vector(dim, word1))
+            return CodeWord(_vector(dim, word0), _vector(dim, word1))
         spin_i = _TWO_LEVEL[family][0]
         eye = _single_spin_table(spin_i)["I"]  # e_k: row k of the cached identity
         return _two_level_word(family, lambda m: eye[round(m + spin_i)], eps1, eps2)
@@ -177,7 +176,7 @@ def _two_level_word(family, vector, eps1, eps2):
     c1, s1, c2, s2 = branch_amplitudes(family, eps1, eps2)
     zero, one = (sum(amp * vector(m) for m, amp in zip(sup, amps))
                  for sup, amps in ((sup0, (c1, s1)), (sup1, (c2, s2))))
-    return CodeWord(family, zero, one)
+    return CodeWord(zero, one)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,6 @@ _QUADRATIC = ("XX", "YY", "ZZ", "XY", "YZ", "ZX")
 class ErrorSet:
     """A labelled list of error operators sharing one Hilbert space."""
 
-    kind: str
     labels: tuple
     ops: tuple  # of ndarray
 
@@ -244,7 +242,7 @@ def standard_error_sets(kind, j=None):
         labels = ("I",) + _LINEAR
         if kind == "firstorder-EB":
             labels = labels + _QUADRATIC
-        return ErrorSet(kind, labels, tuple(table[l] for l in labels))
+        return ErrorSet(labels, tuple(table[l] for l in labels))
     # multiqudit: three spin-7/2 qudits
     table = _single_spin_table(3.5)
     labels = ["I"]
@@ -253,7 +251,7 @@ def standard_error_sets(kind, j=None):
         for l in _LINEAR + _QUADRATIC:
             labels.append(f"{l}@{tag}")
             ops.append(embed_on_qudit(table[l], qudit))
-    return ErrorSet(kind, tuple(labels), tuple(ops))
+    return ErrorSet(tuple(labels), tuple(ops))
 
 
 def lift_to_electron_nuclear(errors, system):
@@ -264,7 +262,7 @@ def lift_to_electron_nuclear(errors, system):
     """
     eye_e = np.eye(system.dim_e, dtype=np.complex128)
     ops = tuple(kron(eye_e, op) for op in errors.ops)
-    return ErrorSet(errors.kind, errors.labels, ops)
+    return ErrorSet(errors.labels, ops)
 
 
 @lru_cache(maxsize=8)
@@ -288,7 +286,6 @@ class KLReport:
     diagdiff[i, j] = | <0_L| A_i^dag A_j |0_L> - <1_L| A_i^dag A_j |1_L> |
     """
 
-    labels: tuple
     offdiag: np.ndarray
     diagdiff: np.ndarray
     max_residual: float
@@ -311,8 +308,7 @@ def kl_residuals(codeword, errors):
     m1 = np.array([op @ codeword.one_l for op in errors.ops])
     offdiag = np.abs(m0.conj() @ m1.T)
     diagdiff = np.abs(m0.conj() @ m0.T - m1.conj() @ m1.T)
-    return KLReport(errors.labels, offdiag, diagdiff,
-                    float(max(offdiag.max(), diagdiff.max())))
+    return KLReport(offdiag, diagdiff, float(max(offdiag.max(), diagdiff.max())))
 
 
 def expectation(codeword, op):

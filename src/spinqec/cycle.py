@@ -60,7 +60,6 @@ class PlanCase:
     """One case of a detection plan (absorbed when ``block`` is None)."""
 
     label: str
-    index: int
     block: object = None
     detect_pulses: int = 0
     recover_pulses: int = 0
@@ -113,7 +112,7 @@ def _build_plan(order):
     words = (word.zero_l, word.one_l)
     bases = ([], [])  # orthonormal detection words emitted so far, per branch
     cases = []
-    for idx, label in enumerate(order):
+    for label in order:
         if label == "I":
             vs = list(words)
         else:
@@ -127,19 +126,19 @@ def _build_plan(order):
                 vs[k] = vs[k] - q * np.vdot(q, vs[k])
         n0, n1 = (float(np.linalg.norm(v)) for v in vs)
         if n0 < GS_CUTOFF and n1 < GS_CUTOFF:
-            cases.append(PlanCase(label, idx))
+            cases.append(PlanCase(label))
             continue
         if abs(n0 - n1) > 1e-9 * max(n0, n1):  # also one branch absorbed alone
             raise NumericalError(f"case {label}: branch norms split ({n0} vs {n1})")
         pair = (vs[0] / n0, vs[1] / n1)
         block = detection_block(label, *pair)
         recover = len(recovery_gates(block))
-        cases.append(PlanCase(label, idx, block, block.pulse_count, recover))
+        cases.append(PlanCase(label, block, block.pulse_count, recover))
         for basis, p in zip(bases, pair):
             basis.append(p)
     projector = np.array(bases[0] + bases[1])
     np.conjugate(projector, out=projector)
-    phases = np.array([c.block.meta["phase"] for c in cases if not c.absorbed])
+    phases = np.array([c.block.phase for c in cases if not c.absorbed])
     projector.setflags(write=False)
     phases.setflags(write=False)
     return DetectionPlan(order, tuple(cases), projector, phases)
@@ -162,27 +161,29 @@ class SyndromeRecord:
     ancilla readings of the executed (non-absorbed) cases, in order.
     ``recovered_amplitudes`` is the unit qubit left on the two detection
     targets, up to a global phase; ``logical_fidelity`` compares it with the
-    reference qubit when one was supplied (0.0 for uncorrectable outcomes).
+    reference qubit (0.0 for uncorrectable outcomes).
     """
 
     detected_case: object
     ancilla_outcomes: tuple
     probability: float
     recovered_amplitudes: object
-    logical_fidelity: object
+    logical_fidelity: float
 
 
-def detection_records(reg, order=None, reference=None):
+def detection_records(reg, order, reference):
     """Exact outcome distribution of one full detection sweep.
 
-    One product ``c = plan.projector @ data`` of the ancilla-0 amplitudes
-    gives case k's amplitudes ``ph * c[k]`` and ``ph * c[m + k]``; the
-    residual ``data - P data`` is what no case detects.  The records come
-    from one Python pass over those m pairs: a case is recorded when its
-    weight relative to the surviving state exceeds 1e-24; the sweep stops
-    once the surviving fraction drops below 1e-15.  The register is left
-    untouched; probabilities sum to one, with an uncorrectable record for
-    any weight outside the detectable span.
+    ``order`` is any label sequence (None is :func:`full_order`); a record's
+    fidelity compares its recovered qubit with the qubit ``reference``.  One
+    product ``c = plan.projector @ data`` of the ancilla-0 amplitudes gives
+    case k's amplitudes ``ph * c[k]`` and ``ph * c[m + k]``; the residual
+    ``data - P data`` is what no case detects.  The records come from one
+    Python pass over those m pairs: a case is recorded when its weight
+    relative to the surviving state exceeds 1e-24; the sweep stops once the
+    surviving fraction drops below 1e-15.  The register is left untouched;
+    probabilities sum to one, with an uncorrectable record for any weight
+    outside the detectable span.
     """
     plan = build_detection_plan(order)
     if not abs(reg.norm() - 1.0) <= 1e-8:  # NaN fails too
@@ -198,18 +199,17 @@ def detection_records(reg, order=None, reference=None):
     cap = [abs(a0) ** 2 + abs(a1) ** 2 for a0, a1 in amps]
     # surviving weight before each emitted case, and after the last one
     survival = [rest + t for t in accumulate(reversed(cap), initial=0.0)][::-1]
-    ref = None if reference is None else [complex(z).conjugate() for z in reference]
+    ref = [complex(z).conjugate() for z in reference]
     records = []
     for k, (case, (a0, a1), w) in enumerate(zip(plan.emitted, amps, cap)):
         if w > 1e-24 * survival[k]:
             rec = (a0 / math.sqrt(w), a1 / math.sqrt(w))
-            fid = None if ref is None else abs(ref[0] * rec[0] + ref[1] * rec[1]) ** 2
+            fid = abs(ref[0] * rec[0] + ref[1] * rec[1]) ** 2
             records.append(SyndromeRecord(case.label, (0,) * k + (1,), w, rec, fid))
         if survival[k + 1] < 1e-15 * survival[k]:
             return tuple(records)
     if rest > 1e-12:
-        records.append(SyndromeRecord(
-            None, (0,) * len(cap), rest, None, 0.0 if reference is not None else None))
+        records.append(SyndromeRecord(None, (0,) * len(cap), rest, None, 0.0))
     return tuple(records)
 
 
@@ -260,7 +260,7 @@ def run_detection(alpha, beta, error=None, order=None):
     if error is not None:
         label, qudit = error
         reg, weight = apply_error(reg, label, qudit)
-    return detection_records(reg, order, reference=(alpha, beta)), weight
+    return detection_records(reg, order, (alpha, beta)), weight
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ Hermiticity check and the power-of-two scaling alike.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +38,6 @@ import numpy as np
 MAX_JACOBI_SWEEPS = 30
 #: Hermiticity tolerance of the eigensolver's input, relative to max |entry|
 HERMITIAN_TOL = 1e-10
-
-PHASE_CONVENTION = "largest-component-real-positive"
 
 
 class PreconditionError(ValueError):
@@ -68,15 +66,12 @@ class EigenDecomposition:
     sweeps, off_norm : int, float
         Jacobi sweeps begun (the last one may stop partway, at the round that
         converged); final Frobenius norm of the strict upper triangle.
-    phase_convention : str
-        Documents how the per-column gauge was fixed.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     sweeps: int
     off_norm: float
-    phase_convention: str = field(default=PHASE_CONVENTION)
 
 
 def as_matrix(m):

@@ -267,7 +267,6 @@ class DressedState:
     vector: np.ndarray
     m_s: float
     m_i: float
-    weight: float  # squared overlap with the labelling product state
 
 
 def dressed_eigenstates(system, b_field):
@@ -321,10 +320,9 @@ def dressed_eigenstates(system, b_field):
     # in the eigensolver's ascending energy order; state k's vector is row k
     labels, dim_n = [label_of_state[k] for k in range(dim)], system.dim_n
     return [DressedState(energy=energy, vector=vector, m_s=p // dim_n - system.s,
-                         m_i=p % dim_n - system.i, weight=weight)
-            for energy, vector, p, weight in zip(
-                dec.eigenvalues.tolist(), dec.eigenvectors.T.copy(), labels,
-                weights[labels, range(dim)].tolist())]
+                         m_i=p % dim_n - system.i)
+            for energy, vector, p in zip(dec.eigenvalues.tolist(),
+                                         dec.eigenvectors.T.copy(), labels)]
 
 
 def manifold_states(system, b_field):

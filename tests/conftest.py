@@ -31,6 +31,12 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * (m + m.conj().T) / 2.0
 
 
+def collapse_ends(block):
+    """A detection block's two collapse ends on qudit A, branch 0's first: the
+    A-controls of its two trailing ancilla pulses."""
+    return tuple(g.controls[0][1] for g in block.gates[-2:])
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

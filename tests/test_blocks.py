@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import collapse_ends
 from spinqec.blocks import (
     ENTANGLE_LEVELS,
     Block,
@@ -163,13 +164,13 @@ def test_detection_block_target_maps_rerun():
     for case, p0, p1 in _branch_inputs(plan):
         blk = case.block
         # outputs are single ancilla-up product states at opposite A ends
-        d0, d1 = blk.meta["dest0"], blk.meta["dest1"]
+        d0, d1 = collapse_ends(blk)
         assert {d0, d1} == {0, 7}
-        assert abs(abs(blk.meta["phase"]) - 1) < 1e-12
+        assert abs(abs(blk.phase) - 1) < 1e-12
         targets = []
         for vin, dest in ((p0, d0), (p1, d1)):
             vout = np.zeros(1024, dtype=np.complex128)
-            vout[flat_index(dest, 0, 0, 1)] = blk.meta["phase"]
+            vout[flat_index(dest, 0, 0, 1)] = blk.phase
             reg = QuditRegister(embed_qudit_state(vin))
             apply_gates(reg, blk.gates)
             assert np.max(np.abs(reg.amp - vout)) < 1e-8, blk.name
@@ -243,8 +244,9 @@ def test_detection_block_superposition_output():
     reg = QuditRegister(psi_encoded(0.6, 0.8))
     apply_gates(reg, case.block.gates)
     expect = np.zeros(1024, dtype=np.complex128)
-    expect[flat_index(case.block.meta["dest0"], 0, 0, 1)] = 0.6
-    expect[flat_index(case.block.meta["dest1"], 0, 0, 1)] = 0.8
+    end0, end1 = collapse_ends(case.block)
+    expect[flat_index(end0, 0, 0, 1)] = 0.6
+    expect[flat_index(end1, 0, 0, 1)] = 0.8
     assert np.max(np.abs(reg.amp - expect)) < 1e-10
 
 

@@ -70,7 +70,7 @@ def test_eb_residuals_ideal_basis_structure():
     cw = make_codeword("ideal-7/2")
     es = standard_error_sets("firstorder-EB", 3.5)
     rep = kl_residuals(cw, es)
-    ix = {lab: k for k, lab in enumerate(rep.labels)}
+    ix = {lab: k for k, lab in enumerate(es.labels)}
     assert np.isclose(rep.offdiag[ix["X"], ix["XX"]], 21.0 / 4.0, atol=1e-12)
     assert np.isclose(rep.diagdiff[ix["Z"], ix["ZZ"]], 21.0, atol=1e-12)
     assert np.isclose(rep.max_residual, 21.0, atol=1e-12)
@@ -248,9 +248,9 @@ def test_codeword_asserts_orthonormality():
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0
     with pytest.raises(PreconditionError):
-        CodeWord("ideal-7/2", 2.0 * v, v)
+        CodeWord(2.0 * v, v)
     with pytest.raises(PreconditionError):
-        CodeWord("ideal-7/2", v, v)
+        CodeWord(v, v)
 
 
 @settings(max_examples=20, deadline=None)

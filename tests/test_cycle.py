@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinqec.cycle
+from conftest import collapse_ends
 from spinqec.blocks import psi_encoded, recovery_gates
 from spinqec.codewords import make_codeword
 from spinqec.cycle import (
@@ -54,32 +55,28 @@ PER_CASE = {
 }
 
 
-def _pulse_records(reg, order=None, reference=None):
+def _pulse_records(reg, order, reference):
     """Outcome distribution of a sweep by running every block's pulses.
 
     Each case either detects (ancilla reads 1 on the two product-state
     targets) or passes (the targets are cleared, the rest renormalised and
     the case's pulses exactly inverted); the branching tree is walked once.
     """
-    plan = build_detection_plan(tuple(order) if order is not None else None)
+    plan = build_detection_plan(order)
+    alpha, beta = reference
     work = QuditRegister(reg.amp.copy())
     records = []
     outcomes = []
     survival = 1.0
     for case in plan.emitted:
-        t0 = flat_index(case.block.meta["dest0"], 0, 0, 1)
-        t1 = flat_index(case.block.meta["dest1"], 0, 0, 1)
+        t0, t1 = (flat_index(end, 0, 0, 1) for end in collapse_ends(case.block))
         apply_gates(work, case.block.gates)
         a0 = complex(work.amp[t0])
         a1 = complex(work.amp[t1])
         w = abs(a0) ** 2 + abs(a1) ** 2
         if w > 1e-24:
             rec = (a0 / np.sqrt(w), a1 / np.sqrt(w))
-            fid = None
-            if reference is not None:
-                alpha, beta = reference
-                fid = float(abs(np.conj(alpha) * rec[0]
-                                + np.conj(beta) * rec[1]) ** 2)
+            fid = float(abs(np.conj(alpha) * rec[0] + np.conj(beta) * rec[1]) ** 2)
             records.append(SyndromeRecord(case.label, tuple(outcomes) + (1,),
                                           survival * w, rec, fid))
         work.amp[t0] = 0.0
@@ -93,13 +90,11 @@ def _pulse_records(reg, order=None, reference=None):
         apply_gates(work, recovery_gates(case.block))
         outcomes.append(0)
     if survival > 1e-12:
-        records.append(SyndromeRecord(
-            None, tuple(outcomes), survival, None,
-            0.0 if reference is not None else None))
+        records.append(SyndromeRecord(None, tuple(outcomes), survival, None, 0.0))
     return tuple(records)
 
 
-def _assert_routes_agree(reg, order, reference=None):
+def _assert_routes_agree(reg, order, reference):
     fast = detection_records(reg, order, reference)
     slow = _pulse_records(reg, order, reference)
     assert [r.detected_case for r in fast] == [r.detected_case for r in slow]
@@ -112,10 +107,7 @@ def _assert_routes_agree(reg, order, reference=None):
         else:
             diff = np.subtract(f.recovered_amplitudes, s.recovered_amplitudes)
             assert np.max(np.abs(diff)) < 1e-12, f.detected_case
-        if s.logical_fidelity is None:
-            assert f.logical_fidelity is None
-        else:
-            assert abs(f.logical_fidelity - s.logical_fidelity) < 1e-12
+        assert abs(f.logical_fidelity - s.logical_fidelity) < 1e-12, f.detected_case
     return fast
 
 
@@ -201,9 +193,9 @@ def test_default_order_shares_one_cached_plan():
     build_detection_plan.cache_clear()
     build_detection_plan()
     pulse_budget()
-    detection_records(reg)
+    detection_records(reg, None, (0.6, 0.8))
     pulse_budget(full_order())
-    detection_records(reg, list(full_order()))
+    detection_records(reg, list(full_order()), (0.6, 0.8))
     build_detection_plan(list(full_order()))
     assert build_detection_plan.cache_info().misses == 1
 
@@ -287,7 +279,7 @@ def test_uncorrectable_component_recorded():
     reg.amp[0] = np.sqrt(0.5)  # |000>, in span
     rogue = ((3 * 8 + 3) * 8 + 3) * 2  # |333>, undetectable
     reg.amp[rogue] = np.sqrt(0.5)
-    records = detection_records(reg, reference=(1.0, 0.0))
+    records = detection_records(reg, None, (1.0, 0.0))
     none_recs = [r for r in records if r.detected_case is None]
     assert len(none_recs) == 1
     assert none_recs[0].logical_fidelity == 0.0
@@ -326,12 +318,12 @@ def test_sampling_draws_what_generator_choice_draws(weights, n, seed):
 
 def test_exact_records_and_sampled_draw(rng):
     reg = QuditRegister(psi_encoded(1.0, 0.0))
-    records = detection_records(reg)
+    records = detection_records(reg, None, (1.0, 0.0))
     assert isinstance(records, tuple) and len(records) == 1
     (single,) = sample_records(records, 1, rng)
     assert single is records[0] and single.detected_case == "I"
     with pytest.raises(PreconditionError):
-        detection_records(QuditRegister(np.ones(1024)))  # not normalised
+        detection_records(QuditRegister(np.ones(1024)), None, (1.0, 0.0))  # not normalised
 
 
 def test_pulse_budget_full():
@@ -396,8 +388,9 @@ def test_projections_match_pulses_on_random_states(seed):
     data = gen.normal(size=512) + 1j * gen.normal(size=512)
     reg = QuditRegister()
     reg.amp.reshape(512, 2)[:, 0] = data / np.linalg.norm(data)
+    ref = gen.normal(size=2) + 1j * gen.normal(size=2)
     for order in (full_order(), z_biased_order()):
-        records = _assert_routes_agree(reg, order)
+        records = _assert_routes_agree(reg, order, ref / np.linalg.norm(ref))
         assert records[-1].detected_case is None  # generic states leave the span
 
 
@@ -419,7 +412,7 @@ def test_occupied_ancilla_is_refused():
     amp = psi_encoded(0.6, 0.8)
     amp[1] = 1e-6  # ancilla raised on |000>
     with pytest.raises(PreconditionError):
-        detection_records(QuditRegister(amp / np.linalg.norm(amp)))
+        detection_records(QuditRegister(amp / np.linalg.norm(amp)), None, (0.6, 0.8))
 
 
 def test_state_inside_detected_span_has_no_uncorrectable_record():
@@ -431,6 +424,6 @@ def test_state_inside_detected_span_has_no_uncorrectable_record():
         reg, weight = apply_error(QuditRegister(psi_encoded(a, b)), label, qudit)
         image += np.sqrt(weight) * reg.amp
     reg = QuditRegister(image / np.linalg.norm(image))
-    records = _assert_routes_agree(reg, full_order())
+    records = _assert_routes_agree(reg, full_order(), (0.6, 0.8))
     assert all(r.detected_case is not None for r in records)
     assert np.isclose(sum(r.probability for r in records), 1.0, atol=1e-12)

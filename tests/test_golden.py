@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import collapse_ends
 from spinqec.blocks import enc_block, entangle_block
 from spinqec.cli import cli
 from spinqec.cycle import build_detection_plan, full_order, z_biased_order
@@ -75,8 +76,9 @@ def _gate_line(gate):
 def blocks_listing():
     """Every synthesised pulse as text: axis, levels, [controls] and theta.
 
-    Each detection block's header carries its plan index, collapse ends,
-    target phase (real, imaginary) and detect/recover pulse counts.
+    Each detection block's header carries its case's position in the plan,
+    its collapse ends (the A-controls of its two ancilla pulses), its target
+    phase (real, imaginary) and its detect/recover pulse counts.
     """
     lines = []
     for block in (enc_block(), entangle_block()):
@@ -86,10 +88,12 @@ def blocks_listing():
         plan = build_detection_plan(order)
         absorbed = " ".join(c.label for c in plan.cases if c.absorbed)
         lines.append(f"order {name} absorbed {absorbed}")
-        for case in plan.emitted:
-            meta, phase = case.block.meta, complex(case.block.meta["phase"])
-            lines.append(f"case {case.label} {case.index} dest {meta['dest0']} "
-                         f"{meta['dest1']} phase {phase.real:g} {phase.imag:g} "
+        for index, case in enumerate(plan.cases):
+            if case.absorbed:
+                continue
+            (end0, end1), phase = collapse_ends(case.block), complex(case.block.phase)
+            lines.append(f"case {case.label} {index} dest {end0} {end1} "
+                         f"phase {phase.real:g} {phase.imag:g} "
                          f"pulses {case.detect_pulses} {case.recover_pulses}")
             lines += [_gate_line(g) for g in case.block.gates]
     return "\n".join(lines) + "\n"

@@ -81,8 +81,8 @@ def test_zeeman_limit_exact():
     np.testing.assert_allclose(dec.eigenvalues, expect, atol=1e-12)
     states = dressed_eigenstates(sys0, 1.0)
     for st in states:
-        assert st.weight > 1.0 - 1e-12
         k = product_index(sys0, st.m_s, st.m_i)
+        assert abs(st.vector[k]) ** 2 > 1.0 - 1e-12
         assert abs(abs(st.vector[k]) - 1.0) < 1e-12
 
 
@@ -221,7 +221,9 @@ def _labels_or_error(fn, system, b_field):
 
 
 def _package_labels(system, b_field):
-    return sorted((st.energy, st.m_s, st.m_i, st.weight)
+    # a state's weight is |vector|^2 at its label, read as the reference reads it
+    return sorted((st.energy, st.m_s, st.m_i,
+                   float((np.abs(st.vector) ** 2)[product_index(system, st.m_s, st.m_i)]))
                   for st in dressed_eigenstates(system, b_field))
 
 
@@ -251,7 +253,8 @@ def test_dressed_weights_high_field(sb, bi):
     for system in (sb, bi):
         states = dressed_eigenstates(system, 1.0)
         assert len(states) == system.dim
-        assert all(st.weight > 0.98 for st in states)
+        assert all(abs(st.vector[product_index(system, st.m_s, st.m_i)]) ** 2 > 0.98
+                   for st in states)
         labels = {(st.m_s, st.m_i) for st in states}
         assert len(labels) == system.dim
         man = manifold_states(system, 1.0)
