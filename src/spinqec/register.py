@@ -70,14 +70,14 @@ def init_register(alpha, beta):
 
 
 def _axis_of(qudit):
-    key = qudit.upper() if isinstance(qudit, str) else qudit
-    try:
-        axis = QUDIT_NAMES[key] if key in QUDIT_NAMES else int(key)
-    except ValueError:
-        raise PreconditionError(f"unknown qudit {qudit!r}") from None
-    if not 0 <= axis < len(DIMS):
-        raise PreconditionError(f"axis {axis} outside 0..{len(DIMS) - 1}")
-    return axis
+    """The axis of a qudit name in :data:`QUDIT_NAMES` or of an ``int`` axis 0..3."""
+    if isinstance(qudit, str) and qudit in QUDIT_NAMES:
+        return QUDIT_NAMES[qudit]
+    if not isinstance(qudit, int) or isinstance(qudit, bool):
+        raise PreconditionError(f"unknown qudit {qudit!r}")
+    if not 0 <= qudit < len(DIMS):
+        raise PreconditionError(f"axis {qudit} outside 0..{len(DIMS) - 1}")
+    return qudit
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,8 @@ def apply_on_axis(op, arr, axis):
 def apply_error(reg, label, qudit):
     """Hit one qudit with an error operator and renormalise.
 
-    Returns (register, weight) where ``weight`` is the squared norm before
-    renormalisation (the raw detection weight of the error branch).
+    ``qudit`` is "A", "B" or "C".  Returns (register, weight) where ``weight``
+    is the squared norm before renormalisation (the raw error-branch weight).
 
     Raises
     ------
@@ -208,10 +208,9 @@ def apply_error(reg, label, qudit):
         If the operator sends the state to zero.
     """
     op = single_qudit_error(label)
-    axis = _axis_of(qudit)
-    if axis not in (0, 1, 2):
+    if not isinstance(qudit, str) or qudit not in QUDIT_NAMES:
         raise PreconditionError("errors act on qudits A, B, or C")
-    new = apply_on_axis(op, reg.view(), axis)
+    new = apply_on_axis(op, reg.view(), QUDIT_NAMES[qudit])
     weight = float(np.vdot(new, new).real)
     if weight < 1e-24:
         raise AnnihilationError(f"error {label}@{qudit} annihilated the state")

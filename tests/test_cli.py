@@ -17,6 +17,7 @@ from spinqec.cli import cli
 from spinqec.codewords import kl_residuals, lift_to_electron_nuclear, \
     make_codeword, standard_error_sets
 from spinqec.linalg import PreconditionError
+from spinqec.register import apply_error, init_register
 from spinqec.spin import SYSTEM_KEYS, get_system, load_system
 
 BI_AMPLITUDES = (0.502073864, 0.864824742, 0.498463308, 0.866910797)
@@ -131,6 +132,19 @@ def test_refusals_give_their_reason(runner, argv, reason):
     res = runner.invoke(cli, argv)
     assert res.exit_code == 2, res.output
     assert res.stderr == f"precondition error: {reason}\n"
+
+
+def test_an_error_acts_on_a_qudit_named_a_b_or_c(runner):
+    # int() read "0_1", "１", " 1" and "+1" as qudit B, "٢" as C, and "-0" and
+    # "0" as A, and upper() read "b" as B; each is refused like the ancilla
+    reason = "errors act on qudits A, B, or C"
+    for qudit in ("0_1", "１", " 1", "+1", "٢", "-0", "0", "b", 1, True):
+        with pytest.raises(PreconditionError, match=f"^{reason}$"):
+            apply_error(init_register(0.6, 0.8), "Z", qudit)
+    for spec in ("Z@0_1", "Z@１", "Z@ 1", "Z@+1", "Z@٢", "Z@-0", "XX@0", "XX@b"):
+        res = runner.invoke(cli, ["qec", "--error", spec])
+        assert res.exit_code == 2, (spec, res.output)
+        assert res.stderr == f"precondition error: {reason}\n", spec
 
 
 def test_tailor_zero_field_is_numerical_error(runner):

@@ -334,7 +334,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         from spinqec.codewords import CodeWord, make_codeword
         from spinqec.cycle import run_detection, sample_records
         from spinqec.linalg import hermitian_eigendecompose, kron_all
-        from spinqec.register import init_register
+        from spinqec.register import apply_error, init_register
         from spinqec.spin import SpinSystem, build_hamiltonian, get_system, load_system
         from spinqec.spin import manifold_states
         from spinqec.spin import transition_gradients
@@ -397,6 +397,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "seed-empty": lambda: seed_cells([]),
             "run_detection-nan": lambda: run_detection(float("nan"), 0.8),
             "init_register-nan": lambda: init_register(float("nan"), 0.8),
+            "apply_error-qudit": lambda: apply_error(init_register(0.6, 0.8), "Z", "+1"),
             "scan-nan": lambda: scan_common_zero_cells(
                 [lambda x, y: np.where(x > 0.0, np.nan, -1.0 + 0.0 * y)], 0.05, 10),
             "load_system-inf": lambda: load_system(sys.argv[1]),
@@ -471,6 +472,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "seed-empty", "PreconditionError",
         "run_detection-nan", "PreconditionError",
         "init_register-nan", "PreconditionError",
+        "apply_error-qudit", "PreconditionError",
         "scan-nan", "NumericalError",
         "load_system-inf", "PreconditionError",
         "trace-box-1e300", "PreconditionError",

@@ -131,6 +131,13 @@ def test_gate_preconditions():
         rotation(-1, 0, 1, 0.1)
     with pytest.raises(PreconditionError):
         rotation("A", 0, 1, 0.1, controls=((9, 0),))
+    # a qudit is a name of QUDIT_NAMES or an int axis: no other case, no
+    # spelling that int() reads, and no bool
+    for qudit in ("a", "1", "+1", "１", True):
+        with pytest.raises(PreconditionError):
+            rotation(qudit, 0, 1, 0.1)
+    with pytest.raises(PreconditionError):
+        rotation("A", 0, 1, 0.1, controls=((False, 0),))
 
 
 def test_ancilla_excitation_and_pulse_count():
