@@ -441,6 +441,22 @@ def test_trace_zero_contour_errors():
         trace_zero_contour(lambda x, y: x + y, box=0.05)
 
 
+@pytest.mark.parametrize("edges", [[(0, 5, 5)], [(0, 5, 5), (1, 5, 5), (0, 7, 7)]],
+                         ids=["one-edge", "three-edges"])
+def test_unpaired_crossed_edges_are_refused(edges):
+    # a hand-made line_zeros whose crossed edges leave a cell with one edge;
+    # unchecked, one edge raised EmptyContourError and three gave a mispaired
+    # polyline
+    def fn(x, y):
+        return x + y
+
+    edges = np.array(edges)
+    fn.line_zeros = lambda xs: (edges, np.zeros((len(edges), 2)),
+                                np.full(len(edges), -1), np.zeros(len(edges), bool))
+    with pytest.raises(NumericalError, match="crossed edges do not pair up within grid cells"):
+        trace_zero_contour(fn, 0.05, 0.01)
+
+
 def test_scan_common_zero_cells():
     cells = scan_common_zero_cells(
         (lambda x, y: x, lambda x, y: y), box=0.05, n=100
