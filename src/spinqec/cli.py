@@ -21,8 +21,8 @@ import numpy as np
 from . import tailor as tailoring
 from .codewords import branch_amplitudes, default_family, expectation, first_order_errors, \
     kl_residuals, make_codeword
-from .cycle import case_weights, check_seed, fidelity_threshold, full_order, pulse_budget, \
-    run_detection, sample_records, z_biased_order
+from .cycle import DEFAULT_ERROR_BUDGET, case_weights, check_seed, fidelity_threshold, \
+    full_order, pulse_budget, run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, \
     require_finite
 from .spin import build_hamiltonian, get_system, load_system
@@ -172,6 +172,14 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
     system = _resolve_system(system_key)
     if family is None:
         family = default_family(system.i)
+    frozen = sweep_mode == "frozen"
+    if b_field is None and (bstart is None or bstop is None):
+        raise PreconditionError("pass --b for one field or --bstart/--bstop")
+    if b_field is not None and (frozen or (bstart, bstop, freeze_at) != (None, None, None)):
+        raise PreconditionError(
+            "--b takes none of --bstart, --bstop, --freeze-at or --sweep-mode frozen")
+    if frozen != (freeze_at is not None):
+        raise PreconditionError("--sweep-mode frozen and --freeze-at go together")
     if b_field is not None:
         sol = solve_tailoring(family, system, b_field, box)
         payload = {
@@ -189,10 +197,8 @@ def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
             "all_roots": [list(r) for r in sol.all_roots],
         }
         return json.dumps(payload, indent=2) + "\n"
-    if bstart is None or bstop is None:
-        raise PreconditionError("pass --b for one field or --bstart/--bstop")
     rows = field_sweep_tailoring(system, _field_axis(bstart, bstop, bpoints),
-                                 family, sweep_mode, freeze_at, box)
+                                 family, freeze_at, box)
     header = list(rows[0].keys())
     table = [[row[k] if not isinstance(row[k], bool) else int(row[k])
               for k in header] for row in rows]
@@ -317,12 +323,11 @@ def qec(alpha, beta, error, mode, trajectories, seed):
 @_command
 @click.option("--mode", type=click.Choice(sorted(_ORDERS)), default="full",
               show_default=True)
-@click.option("--error-budget", type=float, default=None,
+@click.option("--error-budget", type=float, default=DEFAULT_ERROR_BUDGET,
               help="First-order error weight for the break-even model.")
 def budget(mode, error_budget):
     """Pulse counts per detection case plus the break-even pulse infidelity."""
     info = pulse_budget(_ORDERS[mode]())
-    kwargs = {} if error_budget is None else {"error_budget": error_budget}
     payload = {
         "mode": mode,
         "total_pulses": info["total"],
@@ -330,7 +335,7 @@ def budget(mode, error_budget):
         "emitted_cases": sum(not c["absorbed"] for c in info["cases"].values()),
         "absorbed_cases": [l for l, c in info["cases"].items() if c["absorbed"]],
         "cases": info["cases"],
-        "fidelity_threshold": fidelity_threshold(info["total"], **kwargs),
+        "fidelity_threshold": fidelity_threshold(info["total"], error_budget),
     }
     return json.dumps(payload, indent=2) + "\n"
 

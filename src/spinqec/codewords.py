@@ -16,12 +16,12 @@ exist on the ideal basis only, as rows of one (dim, entries) table.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
-from .linalg import PreconditionError, kron, kron_all, require_finite
+from .linalg import PreconditionError, kron, require_finite
 from .spin import manifold_states, spin_operators
 
 THETA0_72 = float(np.arccos(np.sqrt(3.0 / 10.0)))
@@ -220,7 +220,7 @@ def _single_spin_table(j):
 def embed_on_qudit(op, qudit):
     """Dense embedding of ``op`` on one qudit of three (a test reference)."""
     eye = np.eye(op.shape[0], dtype=np.complex128)
-    return kron_all(op if k == qudit else eye for k in range(3))
+    return reduce(kron, [op if k == qudit else eye for k in range(3)])
 
 
 def standard_error_sets(kind, j=None):
@@ -231,7 +231,8 @@ def standard_error_sets(kind, j=None):
       (squares and symmetrised cross products) -- ten operators (needs j).
     * ``multiqudit``: shared identity + the nine non-identity first-order
       electron-bath operators embedded on each of three spin-7/2 qudits
-      (28 dense 512 x 512 operators: a test reference, no runtime path).
+      (28 dense 512 x 512 operators: a test reference, no runtime path;
+      refuses a j).
     """
     if kind not in ERROR_SET_KINDS:
         raise PreconditionError(f"unknown error-set kind {kind!r}")
@@ -243,7 +244,8 @@ def standard_error_sets(kind, j=None):
         if kind == "firstorder-EB":
             labels = labels + _QUADRATIC
         return ErrorSet(labels, tuple(table[l] for l in labels))
-    # multiqudit: three spin-7/2 qudits
+    if j is not None:
+        raise PreconditionError("multiqudit is three spin-7/2 qudits and takes no j")
     table = _single_spin_table(3.5)
     labels = ["I"]
     ops = [np.eye(512, dtype=np.complex128)]

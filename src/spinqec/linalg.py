@@ -311,14 +311,3 @@ def kron(a, b):
     rb, cb = bm.shape
     out = am[:, None, :, None] * bm[None, :, None, :]
     return np.ascontiguousarray(out.reshape(ra * rb, ca * cb))
-
-
-def kron_all(mats):
-    """Left-fold of :func:`kron` over a sequence of matrices."""
-    mats = list(mats)
-    if not mats:
-        raise PreconditionError("kron_all needs at least one factor")
-    out = np.asarray(mats[0], dtype=np.complex128)
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out

@@ -31,8 +31,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .codewords import _TWO_LEVEL, branch_amplitudes, check_nuclear_spin, default_family, \
-    dressed_word, first_order_errors, kl_residuals
+from .codewords import _TWO_LEVEL, branch_amplitudes, check_nuclear_spin, dressed_word, \
+    first_order_errors, kl_residuals
 from .linalg import NumericalError, PreconditionError
 from .spin import manifold_states, spin_operators
 
@@ -607,28 +607,19 @@ def solve_partial_tailoring_72(system, b_field, box=DEFAULT_BOX):
     return solve_tailoring("distorted-7/2", system, b_field, box)
 
 
-def field_sweep_tailoring(system, b_values, family=None, mode="re-solve",
-                          freeze_at=None, box=DEFAULT_BOX):
-    """Tailoring solutions across a field range.
+def field_sweep_tailoring(system, b_values, family, freeze_at=None, box=DEFAULT_BOX):
+    """Tailoring solutions of ``family`` across a field range.
 
-    mode="re-solve": solve at every field point.
-    mode="frozen":   solve once at ``freeze_at`` (tesla) and re-evaluate the
-                     frozen angles at every field point.
+    ``freeze_at`` is the one switch: ``None`` solves at every field point, and
+    a field in tesla solves once there and re-evaluates the frozen angles at
+    every field point.
     Returns a list of dict rows (b_tesla, eps1_rad, eps2_rad, one column per
     condition residual, converged).  The residual columns are the solver's
     targets followed by its leftovers.
     """
-    if family is None:
-        family = default_family(system.i)
     if family not in TAILORING:
         raise PreconditionError(f"no tailoring solver for family {family!r}")
-    if mode not in ("re-solve", "frozen"):
-        raise PreconditionError(f"unknown sweep mode {mode!r}")
-    frozen = None
-    if mode == "frozen":
-        if freeze_at is None:
-            raise PreconditionError("frozen mode needs freeze_at (tesla)")
-        frozen = solve_tailoring(family, system, freeze_at, box)
+    frozen = None if freeze_at is None else solve_tailoring(family, system, freeze_at, box)
     rows = []
     for b in b_values:
         sol = frozen or solve_tailoring(family, system, b, box)

@@ -121,12 +121,21 @@ def test_tailor_frozen_needs_anchor(runner):
     assert "precondition" in res.output or res.exception
 
 
+_ONE_FIELD = "--b takes none of --bstart, --bstop, --freeze-at or --sweep-mode frozen"
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["tailor"], "pass --b for one field or --bstart/--bstop"),
     (["tailor", "--bstart", "0.5"], "pass --b for one field or --bstart/--bstop"),
     (["tailor", "--bstop", "2"], "pass --b for one field or --bstart/--bstop"),
     # qudit 3 is the ancilla's axis: refused by name, not by a shape error
     (["qec", "--error", "XX@3"], "errors act on qudits A, B, or C"),
+    # tailor refuses a flag that its other flags rule out instead of dropping it
+    (["tailor", "--system", "si-sb", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
+      "--freeze-at", "0.7"], "--sweep-mode frozen and --freeze-at go together"),
+    (["tailor", "--b", "1", "--sweep-mode", "frozen"], _ONE_FIELD),
+    (["tailor", "--b", "1", "--bstart", "0.5", "--bstop", "2"], _ONE_FIELD),
+    (["tailor", "--b", "1", "--freeze-at", "1"], _ONE_FIELD),
 ])
 def test_refusals_give_their_reason(runner, argv, reason):
     res = runner.invoke(cli, argv)

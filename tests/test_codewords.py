@@ -207,6 +207,8 @@ def test_error_set_sizes_and_labels():
         standard_error_sets("secondorder")
     with pytest.raises(PreconditionError):
         standard_error_sets("firstorder-B")  # needs j
+    with pytest.raises(PreconditionError, match="takes no j"):
+        standard_error_sets("multiqudit", 4.5)  # three spin-7/2 qudits, whatever j says
 
 
 def test_embed_on_qudit_matches_numpy(rng):

@@ -31,7 +31,6 @@ from spinqec.linalg import (
     as_matrix,
     hermitian_eigendecompose,
     kron,
-    kron_all,
 )
 from spinqec.spin import build_hamiltonian, get_system
 
@@ -206,9 +205,6 @@ def test_kron_matches_numpy(rng):
     a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     b = rng.normal(size=(2, 5))
     np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=1e-14)
-    mats = [rng.normal(size=(2, 2)) for _ in range(3)]
-    ref = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    np.testing.assert_allclose(kron_all(mats), ref, atol=1e-14)
     with pytest.raises(PreconditionError):
         kron(np.arange(3.0), np.eye(2))
 
@@ -331,9 +327,9 @@ def test_preconditions_hold_under_python_O(tmp_path):
         import numpy as np
         from spinqec.blocks import collapse_gates, enc_block, recovery_gates
         from spinqec.blocks import strip_global_phase
-        from spinqec.codewords import CodeWord, make_codeword
+        from spinqec.codewords import CodeWord, make_codeword, standard_error_sets
         from spinqec.cycle import run_detection, sample_records
-        from spinqec.linalg import hermitian_eigendecompose, kron_all
+        from spinqec.linalg import hermitian_eigendecompose
         from spinqec.register import apply_error, init_register
         from spinqec.spin import SpinSystem, build_hamiltonian, get_system, load_system
         from spinqec.spin import manifold_states
@@ -372,7 +368,6 @@ def test_preconditions_hold_under_python_O(tmp_path):
                                                     0.05, 1),
             "solver-box-neg": lambda: solve_partial_tailoring_72(get_system("si-sb"),
                                                                  1.0, box=-3.0),
-            "kron_all": lambda: kron_all([]),
             "manifold_states": lambda: manifold_states(SpinSystem("x", 0.0, 3.5, 1.0,
                                                                   1.0, 1.0), 1.0),
             "collapse_gates-empty": lambda: collapse_gates({}),
@@ -415,6 +410,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
             "make_codeword-eps": lambda: make_codeword("spin-23/2", eps1=0.1),
             "make_codeword-field": lambda: make_codeword("three-qudit", b_field=2.0),
             "make_codeword-nan": lambda: make_codeword("distorted-7/2", eps1=float("nan")),
+            "standard_error_sets-multiqudit-j": lambda: standard_error_sets("multiqudit", 4.5),
             "build_hamiltonian-inf": lambda: build_hamiltonian(get_system("si-sb"),
                                                                float("inf")),
             "eigendecompose-tiny": lambda: hermitian_eigendecompose(
@@ -449,7 +445,6 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "seed-n-1", "PreconditionError",
         "find_roots-grid-1", "PreconditionError",
         "solver-box-neg", "PreconditionError",
-        "kron_all", "PreconditionError",
         "manifold_states", "PreconditionError",
         "collapse_gates-empty", "PreconditionError",
         "collapse_gates-norm", "PreconditionError",
@@ -488,6 +483,7 @@ def test_preconditions_hold_under_python_O(tmp_path):
         "make_codeword-eps", "PreconditionError",
         "make_codeword-field", "PreconditionError",
         "make_codeword-nan", "PreconditionError",
+        "standard_error_sets-multiqudit-j", "PreconditionError",
         "build_hamiltonian-inf", "PreconditionError",
         "eigendecompose-tiny", "PreconditionError",
     ]

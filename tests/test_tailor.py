@@ -1299,20 +1299,16 @@ def test_unresolved_contour_grid_is_refused(sb, box):
 
 
 def test_field_sweep_modes(sb):
-    rows = field_sweep_tailoring(sb, (0.5, 1.0), mode="re-solve")
+    rows = field_sweep_tailoring(sb, (0.5, 1.0), "distorted-7/2")
     assert [r["b_tesla"] for r in rows] == [0.5, 1.0]
     for row in rows:
         assert row["converged"]
         assert abs(row["residual_diag-IZ"]) < 1e-12
         assert abs(row["residual_offdiag-IXIX"]) < 1e-12
-    frozen = field_sweep_tailoring(sb, (0.5, 1.0), mode="frozen", freeze_at=1.0)
+    frozen = field_sweep_tailoring(sb, (0.5, 1.0), "distorted-7/2", freeze_at=1.0)
     # angles frozen at 1 T no longer cancel the 0.5 T conditions
     assert abs(frozen[0]["residual_diag-IZ"]) > 1e-7
     assert abs(frozen[0]["eps1_rad"] - frozen[1]["eps1_rad"]) < 1e-15
-    with pytest.raises(PreconditionError):
-        field_sweep_tailoring(sb, (1.0,), mode="frozen")
-    with pytest.raises(PreconditionError):
-        field_sweep_tailoring(sb, (1.0,), mode="bogus")
     with pytest.raises(PreconditionError):
         field_sweep_tailoring(sb, (), family="ideal-7/2")  # refused with no field to solve
 
@@ -1329,7 +1325,7 @@ def test_field_sweep_residuals_match_fresh_problem(request, system, family, name
     # is the independent route
     spin_system = request.getfixturevalue(system)
     fields = (0.5, 1.0, 2.0)
-    rows = field_sweep_tailoring(spin_system, fields, mode="re-solve")
+    rows = field_sweep_tailoring(spin_system, fields, family)
     for b, row in zip(fields, rows):
         problem = TailoringProblem(family, spin_system, b)
         assert [k for k in row if k.startswith("residual_")] == \
