@@ -23,7 +23,7 @@ Conventions
 * matrices are plain ``numpy.ndarray`` (complex128, C-contiguous).
 
 Work that does not depend on the matrix is done once per size n: the
-round-robin schedule and the lower-triangle mask of the off-diagonal norm are
+round-robin schedule and the upper-triangle mask of the off-diagonal norm are
 cached and read-only.  Per matrix, max |entry| is read once, for the
 Hermiticity check and the power-of-two scaling alike.
 """
@@ -143,30 +143,39 @@ def _dominant_pairs(a):
 
 
 @functools.lru_cache(maxsize=32)
-def _lower(n):
-    """The read-only mask of the diagonal and lower triangle of an n x n matrix."""
-    mask = np.tri(n, dtype=bool)
+def _upper(n):
+    """The read-only float mask of the strict upper triangle of an n x n matrix:
+    1.0 above the diagonal, 0.0 on and below it."""
+    mask = np.triu(np.ones((n, n)), 1)
     mask.flags.writeable = False
     return mask
 
 
 def _off_norm(a):
-    """Frobenius norm of the strict upper triangle of ``a``."""
+    """Frobenius norm of the strict upper triangle of ``a``.
+
+    Multiplying the finite |a| by the 0/1 mask is exact, so this equals
+    zeroing the lower triangle in place, bit for bit.
+    """
     mags = np.abs(a)
-    mags[_lower(len(a))] = 0.0
+    mags *= _upper(len(a))
     return np.sqrt(np.sum(mags ** 2))
 
 
 def _rotate(w, p, q, pq, off, diag):
     """One Jacobi round on the pairs of a :func:`_round` (see :func:`_jacobi`).
 
-    Returns the round's sum of |a_pq|^2 over the pairs it rotated.
+    Returns the round's sum of |a_pq|^2 over the pairs it rotated.  Each side
+    forms its s-terms as complex products on the gathered block's two halves,
+    then scales the whole block by (c, c) in place: c has no imaginary part,
+    so that product rounds alike whether or not an inner loop fuses its
+    multiply-adds, and every bit is that of the per-half products.
     """
     flat = w.reshape(-1)
     k = len(p)
     apq = flat[off[:k]]
     absapq = np.abs(apq)
-    if absapq.min(initial=np.inf) < 1e-300:
+    if np.minimum.reduce(absapq, initial=np.inf) < 1e-300:
         live = absapq >= 1e-300
         if not live.any():
             return 0.0
@@ -178,21 +187,24 @@ def _rotate(w, p, q, pq, off, diag):
     c = 1.0 / np.sqrt(1.0 + t * t)
     su = t * c * (apq / absapq)
     suc = np.conj(su)
+    cc = np.concatenate((c, c))
     block = w[:, pq]
     x, y = block[:, :k], block[:, k:]
-    out = np.empty_like(block)
-    np.subtract(c * x, suc * y, out=out[:, :k])
-    np.add(su * x, c * y, out=out[:, k:])
-    w[:, pq] = out
-    c, su, suc = c[:, None], su[:, None], suc[:, None]
+    sx, sy = su * x, suc * y
+    block *= cc
+    np.subtract(x, sy, out=x)
+    np.add(sx, y, out=y)
+    w[:, pq] = block
+    su, suc = su[:, None], suc[:, None]
     block = w[pq]
     x, y = block[:k], block[k:]
-    out = np.empty_like(block)
-    np.subtract(c * x, su * y, out=out[:k])
-    np.add(suc * x, c * y, out=out[k:])
-    w[pq] = out
+    sx, sy = suc * x, su * y
+    block *= cc[:, None]
+    np.subtract(x, sy, out=x)
+    np.add(sx, y, out=y)
+    w[pq] = block
     flat[off] = 0.0
-    flat[diag] = flat[diag].real
+    flat.imag[diag] = 0.0
     return np.dot(absapq, absapq)
 
 

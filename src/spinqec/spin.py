@@ -13,7 +13,9 @@ with both quantum numbers ascending; a full-space index is
 
 The spin operators, the two identities and the lifted S . I depend only on
 (S, I), so they are built once per spin pair and kept read-only; a field
-lifts only B . S and B . I.
+lifts only B . S and B . I.  The last few labelled solves are kept, so a
+caller that reads one field twice (states, then transition gradients) pays
+for one solve.
 
 Dressed (exact) eigenstates are labelled by the product-basis state they
 overlap most with; the labelling is a greedy bijection on descending overlap
@@ -22,6 +24,7 @@ states claiming one label, are within a gap of 1e-6 (e.g. at B = 0).
 """
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -269,8 +272,20 @@ class DressedState:
     m_i: float
 
 
+#: labelled solves kept by :func:`dressed_eigenstates`, least recently used
+#: first; well below one spectra pool cycle (4 donors x 63 fields), so only a
+#: repeat at one field hits
+_LABELLED = OrderedDict()
+_LABELLED_SIZE = 8
+
+
 def dressed_eigenstates(system, b_field):
     """All eigenstates of ``system`` at ``b_field``, labelled and sorted.
+
+    The last :data:`_LABELLED_SIZE` solves are kept, keyed by the system and
+    the exact bits of ``np.asarray(b_field, float)`` (so 0.0 and -0.0 are two
+    fields); a repeat returns a new list of the same states, whose vectors are
+    read-only.  A solve that raises is not kept.
 
     Returns
     -------
@@ -284,6 +299,32 @@ def dressed_eigenstates(system, b_field):
         :data:`LABEL_GAP_TOL`: a state's two largest product weights, or two
         states competing for one label, differ by less than it.
     """
+    b = np.asarray(b_field, dtype=float)
+    key = (system, b.shape, b.tobytes())
+    states = _LABELLED.get(key)
+    if states is None:
+        states = _label(system, b_field)
+        _LABELLED[key] = states
+        if len(_LABELLED) > _LABELLED_SIZE:
+            _LABELLED.popitem(last=False)
+    else:
+        _LABELLED.move_to_end(key)
+    return list(states)
+
+
+def _by_overlap(flat, dim):
+    """(entry, weight) of ``flat`` by descending weight, ties in index order,
+    listed ``dim`` at a time: a labelling usually ends within the first few."""
+    # a stable sort on -weight visits them by descending overlap
+    order = np.argsort(-flat, kind="stable")
+    for start in range(0, len(order), dim):
+        chunk = order[start:start + dim]
+        yield from zip(chunk.tolist(), flat[chunk].tolist())
+
+
+def _label(system, b_field):
+    """The labelled solve of :func:`dressed_eigenstates`, as a tuple of states
+    with read-only vectors."""
     h = build_hamiltonian(system, b_field)
     dec = hermitian_eigendecompose(h)
     dim = system.dim
@@ -296,13 +337,10 @@ def dressed_eigenstates(system, b_field):
             f"state {k} has two product labels with overlap gap "
             f"{top[-1, k] - top[-2, k]:.2e} < {LABEL_GAP_TOL:g}"
         )
-    # entry k*dim + p pairs state k with product p; a stable sort on -weight
-    # visits them by descending overlap, ties in index order
-    flat = weights.T.ravel()
-    order = np.argsort(-flat, kind="stable")
     label_of_state = {}
     taken_weight = {}
-    for idx, w in zip(order.tolist(), flat[order].tolist()):
+    # entry k*dim + p pairs state k with product p
+    for idx, w in _by_overlap(weights.T.ravel(), dim):
         k, p = divmod(idx, dim)
         if k in label_of_state:
             continue
@@ -319,10 +357,11 @@ def dressed_eigenstates(system, b_field):
             break
     # in the eigensolver's ascending energy order; state k's vector is row k
     labels, dim_n = [label_of_state[k] for k in range(dim)], system.dim_n
-    return [DressedState(energy=energy, vector=vector, m_s=p // dim_n - system.s,
-                         m_i=p % dim_n - system.i)
-            for energy, vector, p in zip(dec.eigenvalues.tolist(),
-                                         dec.eigenvectors.T.copy(), labels)]
+    vectors = dec.eigenvectors.T.copy()
+    vectors.flags.writeable = False
+    return tuple(DressedState(energy=energy, vector=vector, m_s=p // dim_n - system.s,
+                              m_i=p % dim_n - system.i)
+                 for energy, vector, p in zip(dec.eigenvalues.tolist(), vectors, labels))
 
 
 def manifold_states(system, b_field):

@@ -282,8 +282,6 @@ def _field_setup(family, system, b_field):
         m = getattr(m, part)  # blocks of the 4 x 4 sandwich
         m.flags.writeable = False
         blocks[name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
-    for st in manifold.values():
-        st.vector.flags.writeable = False
     return manifold, MappingProxyType(blocks)
 
 

@@ -651,20 +651,29 @@ def test_power_of_two_scaling_is_exact(rng, power):
 
 
 @settings(max_examples=80, deadline=None)
-@example(dim=1, which=0, dead=0.0, seed=0)
-@example(dim=7, which=-1, dead=0.0, seed=1)
-@example(dim=7, which=-1, dead=0.5, seed=2)
-@example(dim=12, which=3, dead=0.5, seed=3)
-@example(dim=9, which=2, dead=1.0, seed=4)
+@example(dim=1, which=0, dead=0.0, zeros=False, seed=0)
+@example(dim=7, which=-1, dead=0.0, zeros=False, seed=1)
+@example(dim=7, which=-1, dead=0.5, zeros=False, seed=2)
+@example(dim=12, which=3, dead=0.5, zeros=False, seed=3)
+@example(dim=9, which=2, dead=1.0, zeros=False, seed=4)
+@example(dim=2, which=0, dead=0.0, zeros=False, seed=5)
+@example(dim=3, which=1, dead=0.0, zeros=True, seed=6)
+@example(dim=2, which=0, dead=0.0, zeros=True, seed=7)
+@example(dim=10, which=4, dead=0.3, zeros=True, seed=8)
 @given(dim=st.integers(min_value=1, max_value=40),
        which=st.integers(min_value=-1, max_value=40),
        dead=st.sampled_from([0.0, 0.3, 1.0]),
+       zeros=st.booleans(),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_round_is_bit_identical_to_the_oracle(dim, which, dead, seed):
+def test_round_is_bit_identical_to_the_oracle(dim, which, dead, zeros, seed):
     # which = -1 is the dominant-pair round, otherwise a round-robin round;
-    # a share ``dead`` of the round's pairs get |a_pq| < 1e-300
+    # a share ``dead`` of the round's pairs get |a_pq| < 1e-300; ``zeros`` puts
+    # +0.0 on the even and -0.0 on the odd diagonal entries, so a pair with an
+    # even p and an odd q has tau = -0.0 (dims 2 and 3 make one-pair rounds)
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, dim)
+    if zeros:
+        a[np.diag_indices(dim)] = np.where(np.arange(dim) % 2, -0.0, 0.0)
     if which < 0:
         rnd = _round(*_dominant_pairs(a), dim)
     else:

@@ -2,6 +2,8 @@
 
 import re
 import tracemalloc
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +249,97 @@ def test_labeling_fails_at_zero_field(sb, bi):
         with pytest.raises(LabelingError) as info:
             dressed_eigenstates(system, 0.0)
         assert str(info.value) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=7), levels=st.integers(min_value=1, max_value=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_overlap_walk_is_the_full_sorted_sequence(dim, levels, seed):
+    # few distinct weights make ties, which the stable sort keeps in index order
+    flat = np.random.default_rng(seed).integers(0, levels, size=dim * dim) / levels
+    order = np.argsort(-flat, kind="stable")
+    assert list(spinqec.spin._by_overlap(flat, dim)) == \
+        list(zip(order.tolist(), flat[order].tolist()))
+
+
+def test_labelling_that_reads_past_its_first_chunk_matches_the_reference(monkeypatch, bi):
+    # at a small tilted field states compete for labels, so the walk goes on
+    # well past the first dim entries
+    read = []
+    walk = spinqec.spin._by_overlap
+    monkeypatch.setattr(spinqec.spin, "_by_overlap",
+                        lambda flat, dim: (read.append(e) or e for e in walk(flat, dim)))
+    monkeypatch.setattr(spinqec.spin, "_LABELLED", OrderedDict())
+    b_field = (0.01, 0.02, 0.03)
+    assert _package_labels(bi, b_field) == _sorted_labels(bi, b_field)
+    assert len(read) > 3 * bi.dim
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """An empty labelled-solve memo, and the shapes of the eigensolves that
+    labelling makes from here on."""
+    monkeypatch.setattr(spinqec.spin, "_LABELLED", OrderedDict())
+    calls = []
+    solve = spinqec.spin.hermitian_eigendecompose
+    monkeypatch.setattr(spinqec.spin, "hermitian_eigendecompose",
+                        lambda h: calls.append(h.shape) or solve(h))
+    return calls
+
+
+def test_states_then_gradients_at_one_field_make_one_solve(solves, sb):
+    alone = transition_gradients(sb, 1.37)
+    spinqec.spin._LABELLED.clear()
+    states = dressed_eigenstates(sb, 1.37)
+    grads = transition_gradients(sb, 1.37)
+    assert len(solves) == 2
+    assert grads.tobytes() == alone.tobytes()
+    # a repeat hands out a new list of the very same states
+    again = dressed_eigenstates(sb, 1.37)
+    assert len(solves) == 2
+    assert again is not states
+    assert len(again) == len(states) and all(a is b for a, b in zip(again, states))
+
+
+def test_each_field_bit_pattern_and_system_gets_its_own_solve(solves, sb):
+    dressed_eigenstates(sb, (0.0, 0.3, 1.0))
+    dressed_eigenstates(sb, np.array([0.0, 0.3, 1.0]))
+    assert len(solves) == 1
+    dressed_eigenstates(sb, (-0.0, 0.3, 1.0))
+    dressed_eigenstates(replace(sb, name="si-sb-copy"), (0.0, 0.3, 1.0))
+    assert len(solves) == 3
+    # an equal system under the same name is the same key
+    dressed_eigenstates(replace(sb), (0.0, 0.3, 1.0))
+    assert len(solves) == 3
+
+
+def test_a_labelling_error_is_raised_again_not_kept(solves, sb):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(LabelingError) as info:
+            dressed_eigenstates(sb, 0.0)
+        messages.append(str(info.value))
+    assert len(solves) == 2 and messages[0] == messages[1]
+    assert not spinqec.spin._LABELLED
+
+
+def test_kept_states_are_read_only_and_the_memo_is_bounded(solves, sb):
+    size = spinqec.spin._LABELLED_SIZE
+    fields = [1.0 + 0.01 * k for k in range(size + 3)]
+    for b in fields:
+        dressed_eigenstates(sb, b)
+    assert len(spinqec.spin._LABELLED) == size and len(solves) == size + 3
+    # the least recently used go first: a hit on the oldest kept field keeps it
+    dressed_eigenstates(sb, fields[3])
+    dressed_eigenstates(sb, 2.0)
+    dressed_eigenstates(sb, fields[3])
+    assert len(solves) == size + 4
+    dressed_eigenstates(sb, fields[4])
+    dressed_eigenstates(sb, fields[0])
+    assert len(solves) == size + 6 and len(spinqec.spin._LABELLED) == size
+    for st in dressed_eigenstates(sb, fields[-1]):
+        with pytest.raises(ValueError):
+            st.vector[0] = 1.0
 
 
 def test_dressed_weights_high_field(sb, bi):

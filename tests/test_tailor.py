@@ -1384,6 +1384,7 @@ def test_problems_at_one_field_share_one_labelled_solve(monkeypatch, sb, bi):
     monkeypatch.setattr(spinqec.spin, "hermitian_eigendecompose",
                         lambda h: calls.append(h.shape) or solve(h))
     _field_setup.cache_clear()
+    spinqec.spin._LABELLED.clear()
     sol = solve_partial_tailoring_72(sb, 1.37)
     first, second = (TailoringProblem("distorted-7/2", sb, 1.37) for _ in range(2))
     assert len(calls) == 1
