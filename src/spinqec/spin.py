@@ -13,9 +13,8 @@ with both quantum numbers ascending; a full-space index is
 
 The spin operators, the two identities and the lifted S . I depend only on
 (S, I), so they are built once per spin pair and kept read-only; a field
-lifts only B . S and B . I.  The last few labelled solves are kept, so a
-caller that reads one field twice (states, then transition gradients) pays
-for one solve.
+lifts only B . S and B . I.  The last few labelled solves are kept, so the
+states and then the transition gradients at one field cost one solve.
 
 Dressed (exact) eigenstates are labelled by the product-basis state they
 overlap most with; the labelling is a greedy bijection on descending overlap
@@ -313,9 +312,9 @@ def dressed_eigenstates(system, b_field):
 
 
 def _by_overlap(flat, dim):
-    """(entry, weight) of ``flat`` by descending weight, ties in index order,
-    listed ``dim`` at a time: a labelling usually ends within the first few."""
-    # a stable sort on -weight visits them by descending overlap
+    """(entry, weight) of ``flat`` by descending weight, ties in index order
+    (a stable sort on -weight), listed ``dim`` at a time: a labelling usually
+    ends within the first ``dim``."""
     order = np.argsort(-flat, kind="stable")
     for start in range(0, len(order), dim):
         chunk = order[start:start + dim]
