@@ -17,11 +17,12 @@ from collections import Counter
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import tailor as tailoring
 from .codewords import branch_amplitudes, default_family, expectation, first_order_errors, \
     kl_residuals, make_codeword
-from .cycle import DEFAULT_ERROR_BUDGET, case_weights, check_seed, fidelity_threshold, \
+from .cycle import DEFAULT_ERROR_BUDGET, case_weights, fidelity_threshold, \
     full_order, pulse_budget, run_detection, sample_records, z_biased_order
 from .linalg import NumericalError, PreconditionError, hermitian_eigendecompose, \
     require_finite
@@ -72,19 +73,35 @@ def cli():
     """Spin-qudit code tools: spectra, code tailoring, detection cycles."""
 
 
+#: command -> {option: (deciding option, the values under which the option is read)}
+_READ_ONLY_WITH = {
+    "tailor": dict.fromkeys(("bstart", "bstop", "bpoints", "freeze_at"), ("b_field", (None,))),
+    "contour": {"step": ("what", ("contours",)), "scan_points": ("what", ("common-cells",))},
+    "qec": dict.fromkeys(("trajectories", "seed"), ("mode", ("full", "z-biased"))),
+}
+
+
 def _command(body):
     """Register ``body``, which returns the command's text, as a command of :func:`cli`.
 
     ``--out`` follows ``body``'s options (``__click_params__`` lists them last
-    first).  The text goes to stdout or ``--out``; a :class:`PreconditionError`
-    or an ``--out`` that cannot be written exits 2 and a :class:`NumericalError`
-    3, each with a one-line message.
+    first); a typed option that :data:`_READ_ONLY_WITH` leaves unread exits 2.
+    The text goes to stdout or ``--out``; a :class:`PreconditionError` or an
+    ``--out`` that cannot be written exits 2 and a :class:`NumericalError` 3,
+    each with a one-line message.
     """
     @cli.command(body.__name__, help=body.__doc__, params=body.__click_params__[::-1])
     @click.option("--out", type=click.Path(dir_okay=False),
                   help="Write to this file instead of stdout.")
     def run(out, **options):
         try:
+            ctx = click.get_current_context()
+            flag = {p.name: p.opts[0] for p in ctx.command.params}
+            for name, (decider, values) in _READ_ONLY_WITH.get(body.__name__, {}).items():
+                if options[decider] not in values and \
+                        ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                    raise PreconditionError(
+                        f"{flag[name]} is not read with {flag[decider]} {options[decider]}")
             text = body(**options)
             if out is None:
                 click.echo(text, nl=False)
@@ -160,26 +177,17 @@ def klsweep(system_key, family, eps1, eps2, bstart, bstop, bpoints):
 @click.option("--bstart", type=float, default=None)
 @click.option("--bstop", type=float, default=None)
 @click.option("--bpoints", type=_FIELD_POINTS, default=9)
-@click.option("--sweep-mode", type=click.Choice(["re-solve", "frozen"]),
-              default="re-solve", show_default=True)
 @click.option("--freeze-at", type=float, default=None,
-              help="Field (T) whose angles a frozen sweep re-uses.")
+              help="Freeze the sweep at this field's solved angles (T).")
 @click.option("--box", type=_POSITIVE, default=DEFAULT_BOX, show_default=True,
               help="Half-width of the (eps1, eps2) search box in radians.")
-def tailor(system_key, family, b_field, bstart, bstop, bpoints, sweep_mode,
-           freeze_at, box):
+def tailor(system_key, family, b_field, bstart, bstop, bpoints, freeze_at, box):
     """Solve the branch-angle conditions (single field: JSON; sweep: CSV)."""
     system = _resolve_system(system_key)
     if family is None:
         family = default_family(system.i)
-    frozen = sweep_mode == "frozen"
     if b_field is None and (bstart is None or bstop is None):
         raise PreconditionError("pass --b for one field or --bstart/--bstop")
-    if b_field is not None and (frozen or (bstart, bstop, freeze_at) != (None, None, None)):
-        raise PreconditionError(
-            "--b takes none of --bstart, --bstop, --freeze-at or --sweep-mode frozen")
-    if frozen != (freeze_at is not None):
-        raise PreconditionError("--sweep-mode frozen and --freeze-at go together")
     if b_field is not None:
         sol = solve_tailoring(family, system, b_field, box)
         payload = {
@@ -272,7 +280,6 @@ def _parse_amp(text):
 @click.option("--seed", type=int, default=None)
 def qec(alpha, beta, error, mode, trajectories, seed):
     """Encode a qubit, inject an error, run a detection sweep (JSON lines)."""
-    check_seed(seed)  # in every mode, though only the sampled ones draw
     a = _parse_amp(alpha)
     b = _parse_amp(beta)
     nrm = np.hypot(abs(a), abs(b))

@@ -213,19 +213,14 @@ def detection_records(reg, order, reference):
     return tuple(records)
 
 
-def check_seed(rng):
-    """Refuse a negative integer seed; None, a Generator or a seed >= 0 pass."""
-    if isinstance(rng, (int, np.integer)) and rng < 0:
-        raise PreconditionError(f"seed {rng!r} is not a non-negative integer")
-
-
 def sample_records(records, n_samples, rng=None):
     """Draw trajectory outcomes from an exact record distribution by the
     inverse-CDF steps of ``Generator.choice(p=...)``: the same draws.  ``rng``
-    is None, a Generator or a seed (see :func:`check_seed`)."""
+    is None, a Generator or a seed >= 0."""
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 0:
         raise PreconditionError(f"n_samples {n_samples!r} is not a count")
-    check_seed(rng)
+    if isinstance(rng, (int, np.integer)) and rng < 0:
+        raise PreconditionError(f"seed {rng!r} is not a non-negative integer")
     probs = np.array([r.probability for r in records], dtype=float)
     if not np.all(probs >= 0.0):  # NaN fails too; inf fails the sum below
         raise PreconditionError(f"outcome probabilities {probs} must be >= 0")

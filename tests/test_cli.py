@@ -113,15 +113,12 @@ def test_tailor_sweep_csv(runner):
     assert abs(eps1) < 1e-4
 
 
-def test_tailor_frozen_needs_anchor(runner):
-    res = runner.invoke(cli, ["tailor", "--system", "si-sb", "--bstart", "0.5",
-                              "--bstop", "2", "--bpoints", "2",
-                              "--sweep-mode", "frozen"])
-    assert res.exit_code == 2
-    assert "precondition" in res.output or res.exception
-
-
-_ONE_FIELD = "--b takes none of --bstart, --bstop, --freeze-at or --sweep-mode frozen"
+#: an option given where its command does not read it: the two flags that clash
+_UNREAD = {
+    "bpoints": "--bpoints is not read with --b 1.0",
+    "bstart": "--bstart is not read with --b 1.0",
+    "freeze_at": "--freeze-at is not read with --b 1.0",
+}
 
 
 @pytest.mark.parametrize("argv, reason", [
@@ -130,17 +127,98 @@ _ONE_FIELD = "--b takes none of --bstart, --bstop, --freeze-at or --sweep-mode f
     (["tailor", "--bstop", "2"], "pass --b for one field or --bstart/--bstop"),
     # qudit 3 is the ancilla's axis: refused by name, not by a shape error
     (["qec", "--error", "XX@3"], "errors act on qudits A, B, or C"),
-    # tailor refuses a flag that its other flags rule out instead of dropping it
-    (["tailor", "--system", "si-sb", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
-      "--freeze-at", "0.7"], "--sweep-mode frozen and --freeze-at go together"),
-    (["tailor", "--b", "1", "--sweep-mode", "frozen"], _ONE_FIELD),
-    (["tailor", "--b", "1", "--bstart", "0.5", "--bstop", "2"], _ONE_FIELD),
-    (["tailor", "--b", "1", "--freeze-at", "1"], _ONE_FIELD),
+    # an option that the chosen mode does not read is refused, not dropped
+    (["tailor", "--b", "1", "--bpoints", "5"], _UNREAD["bpoints"]),
+    (["tailor", "--b", "1", "--bpoints", "9"], _UNREAD["bpoints"]),  # typed, though the default
+    (["tailor", "--b", "1", "--bstart", "0.5", "--bstop", "2"], _UNREAD["bstart"]),
+    (["tailor", "--b", "1", "--freeze-at", "1"], _UNREAD["freeze_at"]),
+    (["contour", "--b", "1", "--what", "common-cells", "--step", "0.001"],
+     "--step is not read with --what common-cells"),
+    (["contour", "--b", "1", "--scan-points", "17"],
+     "--scan-points is not read with --what contours"),
+    (["qec", "--trajectories", "7"], "--trajectories is not read with --mode exact-branch"),
+    (["qec", "--seed", "3"], "--seed is not read with --mode exact-branch"),
 ])
 def test_refusals_give_their_reason(runner, argv, reason):
     res = runner.invoke(cli, argv)
     assert res.exit_code == 2, res.output
     assert res.stderr == f"precondition error: {reason}\n"
+
+
+#: small base runs of each command for the option walk
+_LEVELS = ["levels", "--bpoints", "2"]
+_KLSWEEP = ["klsweep", "--bpoints", "2"]
+_TAILOR = ["tailor", "--system", "si-sb", "--b", "1"]
+_CONTOUR = ["contour", "--b", "1", "--box", "5e-3", "--step", "5e-4"]
+_QEC = ["qec", "--error", "XX@A"]
+#: (command, option) -> (base run, the value the walk adds to it); every option but
+#: --out and --help has a row, and each probe changes the base's stdout or exits 2
+_PROBES = {
+    ("levels", "--system"): (_LEVELS, "si-bi"),
+    ("levels", "--bstart"): (_LEVELS, "0.1"),
+    ("levels", "--bstop"): (_LEVELS, "0.3"),
+    ("levels", "--bpoints"): (_LEVELS, "3"),
+    ("klsweep", "--system"): (_KLSWEEP, "si-bi"),
+    # at zero angles a branch-angle family has its ideal family's words, so only a
+    # base with an angle can tell the family: there ideal-7/2 is refused
+    ("klsweep", "--family"): (_KLSWEEP + ["--eps1", "1e-3"], "ideal-7/2"),
+    ("klsweep", "--eps1"): (_KLSWEEP, "1e-3"),
+    ("klsweep", "--eps2"): (_KLSWEEP, "1e-3"),
+    ("klsweep", "--bstart"): (_KLSWEEP, "1"),
+    ("klsweep", "--bstop"): (_KLSWEEP, "2"),
+    ("klsweep", "--bpoints"): (_KLSWEEP, "3"),
+    ("tailor", "--system"): (_TAILOR, "si-bi"),
+    ("tailor", "--family"): (_TAILOR, "ideal-7/2"),
+    ("tailor", "--b"): (_TAILOR, "2"),
+    ("tailor", "--bstart"): (_TAILOR, "0.5"),
+    ("tailor", "--bstop"): (_TAILOR, "2"),
+    ("tailor", "--bpoints"): (_TAILOR, "9"),
+    ("tailor", "--freeze-at"): (_TAILOR, "1"),
+    ("tailor", "--box"): (_TAILOR, "2.5"),  # all_roots gains the roots of further branches
+    ("contour", "--system"): (_CONTOUR, "si-bi"),
+    ("contour", "--family"): (_CONTOUR, "ideal-7/2"),
+    ("contour", "--b"): (_CONTOUR, "2"),
+    ("contour", "--box"): (_CONTOUR, "4e-3"),
+    ("contour", "--step"): (_CONTOUR, "1e-3"),
+    ("contour", "--what"): (_CONTOUR, "common-cells"),
+    ("contour", "--scan-points"): (_CONTOUR, "17"),
+    ("qec", "--alpha"): (_QEC, "0.8"),
+    ("qec", "--beta"): (_QEC, "0.6j"),
+    ("qec", "--error"): (_QEC, "X@B"),
+    ("qec", "--mode"): (_QEC, "full"),
+    ("qec", "--trajectories"): (_QEC, "7"),
+    ("qec", "--seed"): (_QEC, "3"),
+    ("budget", "--mode"): (["budget"], "z-biased"),
+    ("budget", "--error-budget"): (["budget"], "0.02"),
+}
+
+
+def test_every_option_is_read_or_refused(runner):
+    # an option that a run does not read must not leave its output as it was
+    options = {(name, p.opts[0]) for name, command in cli.commands.items()
+               for p in command.params if p.name != "out"}
+    assert options == set(_PROBES)
+    dropped = []
+    for (command, option), (base, value) in _PROBES.items():
+        plain = runner.invoke(cli, base)
+        assert plain.exit_code == 0, (base, plain.output)
+        res = runner.invoke(cli, base + [option, value])
+        if not (res.exit_code == 2 or res.exit_code == 0 and res.stdout != plain.stdout):
+            dropped.append(f"{' '.join(base)} {option} {value}: exit {res.exit_code}")
+    assert not dropped, dropped
+
+
+def test_freeze_at_alone_freezes_a_sweep(runner):
+    argv = ["tailor", "--system", "si-sb", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
+            "--freeze-at", "0.7"]
+    res = runner.invoke(cli, argv)
+    assert res.exit_code == 0, res.output
+    header, rows = _rows(res.output)
+    want = tailor.field_sweep_tailoring(get_system("si-sb"), np.linspace(0.5, 1, 2),
+                                        "distorted-7/2", freeze_at=0.7)
+    assert rows == [["%.12g" % row[k] if isinstance(row[k], float) else str(int(row[k]))
+                     for k in header] for row in want]
+    assert rows[0][1:3] == rows[1][1:3]  # both fields read the angles solved at 0.7 T
 
 
 def test_an_error_acts_on_a_qudit_named_a_b_or_c(runner):
@@ -398,7 +476,7 @@ _NON_FINITE = [
     (["tailor", "--b", "nan"], "b_field"),
     (["tailor", "--b", "-inf"], "b_field"),
     (["tailor", "--system", "si-sb", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2",
-      "--sweep-mode", "frozen", "--freeze-at", "nan"], "b_field"),
+      "--freeze-at", "nan"], "b_field"),
     (["contour", "--system", "si-sb", "--b", "nan"], "b_field"),
 ]
 
@@ -603,8 +681,8 @@ _FLOAT_OPTIONS = [(base, option) for base, options in (
     (["levels", "--bpoints", "2"], ("--bstart", "--bstop")),
     (["klsweep", "--bpoints", "2"], ("--eps1", "--eps2", "--bstart", "--bstop")),
     (["tailor", "--b", "1"], ("--b", "--box")),
-    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2", "--sweep-mode",
-      "frozen", "--freeze-at", "1"], ("--bstart", "--bstop", "--freeze-at")),
+    (["tailor", "--bstart", "0.5", "--bstop", "1", "--bpoints", "2", "--freeze-at", "1"],
+     ("--bstart", "--bstop", "--freeze-at")),
     (["contour", "--system", "si-sb", "--b", "1", *_README_BOX], ("--b", "--box", "--step")),
     (["qec", "--error", "XX@A"], ("--alpha", "--beta")),
     (["budget"], ("--error-budget",)),
@@ -628,7 +706,7 @@ _INT_OPTIONS = [
     (["levels", "--bstop", "0.3"], "--bpoints"),
     (["klsweep", "--system", "si-sb"], "--bpoints"),
     (["tailor", "--bstart", "1", "--bstop", "2"], "--bpoints"),
-    (["contour", "--system", "si-sb", "--b", "1", "--what", "common-cells", *_README_BOX],
+    (["contour", "--system", "si-sb", "--b", "1", "--what", "common-cells", "--box", "5e-4"],
      "--scan-points"),
     (["qec", "--error", "X@B", "--mode", "full"], "--trajectories"),
     (["qec", "--error", "X@B", "--mode", "full", "--trajectories", "10"], "--seed"),

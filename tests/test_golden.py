@@ -40,7 +40,7 @@ CASES = {
     "tailor-resolve": ["tailor", "--system", "si-sb", "--bstart", "0.5", "--bstop", "2",
                        "--bpoints", "7"],
     "tailor-frozen": ["tailor", "--system", "si-bi", "--bstart", "0.5", "--bstop", "2",
-                      "--bpoints", "4", "--sweep-mode", "frozen", "--freeze-at", "1"],
+                      "--bpoints", "4", "--freeze-at", "1"],
     "contour-sb-small": ["contour", "--system", "si-sb", "--b", "1", "--box", "5e-4",
                          "--step", "1e-4"],
     "contour-sb": ["contour", "--system", "si-sb", "--b", "1.37"],
