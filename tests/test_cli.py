@@ -113,14 +113,6 @@ def test_tailor_sweep_csv(runner):
     assert abs(eps1) < 1e-4
 
 
-#: an option given where its command does not read it: the two flags that clash
-_UNREAD = {
-    "bpoints": "--bpoints is not read with --b 1.0",
-    "bstart": "--bstart is not read with --b 1.0",
-    "freeze_at": "--freeze-at is not read with --b 1.0",
-}
-
-
 @pytest.mark.parametrize("argv, reason", [
     (["tailor"], "pass --b for one field or --bstart/--bstop"),
     (["tailor", "--bstart", "0.5"], "pass --b for one field or --bstart/--bstop"),
@@ -128,10 +120,12 @@ _UNREAD = {
     # qudit 3 is the ancilla's axis: refused by name, not by a shape error
     (["qec", "--error", "XX@3"], "errors act on qudits A, B, or C"),
     # an option that the chosen mode does not read is refused, not dropped
-    (["tailor", "--b", "1", "--bpoints", "5"], _UNREAD["bpoints"]),
-    (["tailor", "--b", "1", "--bpoints", "9"], _UNREAD["bpoints"]),  # typed, though the default
-    (["tailor", "--b", "1", "--bstart", "0.5", "--bstop", "2"], _UNREAD["bstart"]),
-    (["tailor", "--b", "1", "--freeze-at", "1"], _UNREAD["freeze_at"]),
+    (["tailor", "--b", "1", "--bpoints", "5"], "--bpoints is not read with --b 1.0"),
+    # refused when typed, though 9 is the default
+    (["tailor", "--b", "1", "--bpoints", "9"], "--bpoints is not read with --b 1.0"),
+    (["tailor", "--b", "1", "--bstart", "0.5", "--bstop", "2"],
+     "--bstart is not read with --b 1.0"),
+    (["tailor", "--b", "1", "--freeze-at", "1"], "--freeze-at is not read with --b 1.0"),
     (["contour", "--b", "1", "--what", "common-cells", "--step", "0.001"],
      "--step is not read with --what common-cells"),
     (["contour", "--b", "1", "--scan-points", "17"],
