@@ -115,19 +115,16 @@ class TailoringProblem:
 
     def evaluate(self, name, eps1, eps2):
         """Evaluate one condition, in real arithmetic, on broadcastable eps1/eps2."""
-        kind, m00, m11, m01 = self._sandwiches(name)
         e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-        z = (sub(*self._diag_terms(m00, m11, e1, e2)) if kind == "diag"
-             else _offdiag_value(m01, *branch_amplitudes(self.family, e1, e2)))
+        z = self._value(name, branch_amplitudes(self.family, e1, e2))
         return float(z) if np.ndim(z) == 0 else z
 
-    def _diag_terms(self, m00, m11, e1, e2):
-        """A diag condition's line terms (g(e1), h(e2)); the condition is g - h."""
-        c1, s1, c2, s2 = branch_amplitudes(self.family, e1, e2)
-        return (c1 * c1 * m00[0, 0] + c1 * s1 * (m00[0, 1] + m00[1, 0])
-                + s1 * s1 * m00[1, 1],
-                c2 * c2 * m11[0, 0] + c2 * s2 * (m11[0, 1] + m11[1, 0])
-                + s2 * s2 * m11[1, 1])
+    def _value(self, name, amplitudes):
+        """Condition ``name`` from the word amplitudes (:func:`branch_amplitudes`),
+        so that one amplitude pass serves every condition at the same angles."""
+        kind, m00, m11, m01 = self._sandwiches(name)
+        return (sub(*_diag_lines(m00, m11, *amplitudes)) if kind == "diag"
+                else _offdiag_value(m01, *amplitudes))
 
     def cells(self, name, xs, rows=None, cols=None):
         """The lower nodes (rows, cols), row-major, of the cells of xs x xs (or of
@@ -144,7 +141,7 @@ class TailoringProblem:
         """
         kind, m00, m11, m01 = self._sandwiches(name)
         if kind == "diag":
-            g, h = self._diag_terms(m00, m11, xs, xs)
+            g, h = _diag_lines(m00, m11, *branch_amplitudes(self.family, xs, xs))
             if not (np.isfinite(g).all() and np.isfinite(h).all()):
                 raise NumericalError(f"{name} is NaN or infinite on the scan grid")
             if rows is None:
@@ -235,8 +232,9 @@ class TailoringProblem:
         else:
             zeros = (m01[0, 0], m01[1, 1])
             coeffs = (m01[0, 1], self.sign1 * m01[1, 0])
-        scale = max(np.max(np.abs(m)) for m in (m00, m11, m01))
-        if max(abs(z) for z in zeros) > 1e-12 * scale:
+        # the supports make these exact zeros, and 0 never exceeds the scale
+        zero = max(abs(z) for z in zeros)
+        if zero and zero > 1e-12 * np.abs((m00, m11, m01)).max():
             raise StructuralZeroError(
                 f"{name} of {self.family} at B={self.b_field:g} T has a non-zero "
                 f"structural coefficient; its roots have no closed form here")
@@ -275,8 +273,11 @@ def _field_setup(family, system, b_field):
     manifold = manifold_states(system, b_field)
     basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)]).reshape(
         system.dim_e, system.dim_n, 4)
-    # one contraction of every condition operator over the stacked basis
-    sandwiches = np.einsum("eia,cij,ejb->cab", basis.conj(), _condition_ops(system.i), basis)
+    # every condition operator over the stacked basis in two steps, conj(basis) O
+    # first and then its product with basis: the order of the three-operand
+    # einsum, so the same bits, where conj(basis) (O basis) moves last bits
+    bra_ops = np.einsum("eia,cij->ceaj", basis.conj(), _condition_ops(system.i))
+    sandwiches = np.einsum("ceaj,ejb->cab", bra_ops, basis)
     blocks = {}
     for m, (name, (kind, _, part)) in zip(sandwiches, CONDITIONS.items()):
         m = getattr(m, part)  # blocks of the 4 x 4 sandwich
@@ -483,6 +484,12 @@ def _corner_cells(fn, rows, cols):
                       partial(np.any, axis=0))
 
 
+def _diag_lines(m00, m11, c1, s1, c2, s2):
+    """A diag condition's line terms (g, h) from the word amplitudes; it is g - h."""
+    return (c1 * c1 * m00[0, 0] + c1 * s1 * (m00[0, 1] + m00[1, 0]) + s1 * s1 * m00[1, 1],
+            c2 * c2 * m11[0, 0] + c2 * s2 * (m11[0, 1] + m11[1, 0]) + s2 * s2 * m11[1, 1])
+
+
 def _offdiag_value(m01, c1, s1, c2, s2):
     """An offdiag condition's value from the word amplitudes (:func:`branch_amplitudes`)."""
     return (c1 * c2 * m01[0, 0] + c1 * s2 * m01[0, 1]
@@ -569,7 +576,8 @@ def solve_tailoring(family, system, b_field, box=DEFAULT_BOX):
         raise NumericalError(f"no tailoring root found for {problem.family} on "
                              f"{problem.system.name} at B={problem.b_field:g} T")
     x = roots[0]
-    residuals = {name: problem.evaluate(name, x[0], x[1])
+    amplitudes = branch_amplitudes(family, x[0], x[1])
+    residuals = {name: float(problem._value(name, amplitudes))
                  for name in (*target_names, *leftover_names)}
     kl_max = float("nan")
     if verify_kl:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinqec.spin
+from conftest import ORACLE_FIELDS, breit_rabi
 from spinqec.linalg import PreconditionError, hermitian_eigendecompose, kron
 from spinqec.spin import (
     MAX_SYSTEM_DIM,
@@ -402,38 +403,11 @@ def test_gradient_spread_decreases_with_field(sb):
     assert all(s1 > s2 for s1, s2 in zip(spreads, spreads[1:]))
 
 
-def _breit_rabi(system, b):
-    """Axial S = 1/2 levels and slopes in closed form, keyed by (m_S, m_I).
-
-    Nuclear label m pairs |-1/2, m> with |+1/2, m - 1> in a 2 x 2 block; the
-    state labelled (-1/2, m) is the root on h11's side, the other (+1/2, m - 1).
-    m = -I and (+1/2, +I) are 1 x 1 blocks.  Returns {label: (energy, dE/dB)}.
-    """
-    g_e, g_n, a, i = system.g_e, system.g_n, system.a, system.i
-    levels = {(-0.5, -i): (-g_e * b / 2 - g_n * b * i + a * i / 2, -g_e / 2 - g_n * i),
-              (0.5, i): (g_e * b / 2 + g_n * b * i + a * i / 2, g_e / 2 + g_n * i)}
-    for m in -i + np.arange(1, system.dim_n):
-        h11 = -g_e * b / 2 + g_n * b * m - a * m / 2
-        h22 = g_e * b / 2 + g_n * b * (m - 1) + a * (m - 1) / 2
-        off = a / 2 * np.sqrt(i * (i + 1) - (m - 1) * m)
-        mean, half = (h11 + h22) / 2, (h11 - h22) / 2
-        dmean, dhalf = g_n * (2 * m - 1) / 2, (g_n - g_e) / 2
-        root = np.hypot(half, off)
-        side = np.sign(half)  # +1: h11 is the upper diagonal entry
-        slope = side * half * dhalf / root
-        levels[(-0.5, m)] = (mean + side * root, dmean + slope)
-        levels[(0.5, m - 1)] = (mean - side * root, dmean - slope)
-    return levels
-
-
 def _user_donor(tmp_path, i, g_n, a):
     path = tmp_path / "donor.cfg"
     path.write_text(f"name = user\nS = 1/2\nI = {i}\ng_e_MHz_per_T = 28020.0\n"
                     f"g_n_MHz_per_T = {g_n}\nA_MHz = {a}\n")
     return load_system(path)
-
-
-ORACLE_FIELDS = (0.2, 1.0, 5.0, 50.0)
 
 
 @pytest.fixture(params=["si-sb", "si-bi", "user-11/2", "user-23/2"])
@@ -448,7 +422,7 @@ def donor(request, tmp_path):
 def test_gradients_match_breit_rabi(donor):
     # exact slopes: the largest error measured is 1.1e-11 MHz/T
     for b in ORACLE_FIELDS:
-        levels = _breit_rabi(donor, b)
+        levels = breit_rabi(donor, b)
         slopes = [levels[(-0.5, -donor.i + k)][1] for k in range(donor.dim_n)]
         np.testing.assert_allclose(transition_gradients(donor, b), np.diff(slopes),
                                    rtol=0, atol=1e-9)
@@ -467,7 +441,7 @@ def test_tilted_field_spectrum_matches_breit_rabi(donor):
     for b in ORACLE_FIELDS:
         axis = rng.normal(size=3)
         field = b * axis / np.linalg.norm(axis)
-        expect = sorted(e for e, _ in _breit_rabi(donor, b).values())
+        expect = sorted(e for e, *_ in breit_rabi(donor, b).values())
         got = hermitian_eigendecompose(build_hamiltonian(donor, field)).eigenvalues
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
 

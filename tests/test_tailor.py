@@ -1121,7 +1121,8 @@ def test_range_cells_match_outer_comparison_oracle(family, data, n, box, same):
         if same:
             assert not np.any(problem.evaluate("diag-IZ", xs, xs))
         got = problem.cells("diag-IZ", xs)
-    want = _outer_cells(*problem._diag_terms(m00, m11, xs, xs))
+    want = _outer_cells(*spinqec.tailor._diag_lines(
+        m00, m11, *branch_amplitudes(problem.family, xs, xs)))
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
 
@@ -1339,9 +1340,11 @@ def test_field_sweep_residuals_match_fresh_problem(request, system, family, name
 @given(b=st.floats(min_value=0.2, max_value=5.0),
        family=st.sampled_from(sorted(_SYSTEM_OF)),
        name=st.sampled_from(_CONDITIONS))
+@example(b=1.1, family="distorted-7/2", name="offdiag-IXIX")
 def test_stacked_sandwiches_equal_three_einsums(b, family, name):
-    # one contraction over the stacked (dim_e, dim_n, 4) basis gives the same
-    # bits as the three 2-column sandwiches built from fresh branch vectors
+    # the two ordered steps over the stacked (dim_e, dim_n, 4) basis give the
+    # same bits, signs of zeros included, as the three 2-column sandwiches
+    # built from fresh branch vectors; conj(b) (O b) moves m01 at 1.1 T
     system = get_system(_SYSTEM_OF[family])
     _, _, sup0, sup1, _ = _TWO_LEVEL[family]
     manifold = manifold_states(system, b)
@@ -1355,7 +1358,24 @@ def test_stacked_sandwiches_equal_three_einsums(b, family, name):
             for bra, ket in ((v0, v0), (v1, v1), (v0, v1))]
     got = TailoringProblem(family, system, b)._sandwiches(name)
     assert got[0] == kind
-    assert all(np.array_equal(g, w) for g, w in zip(got[1:], want))
+    assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64))
+               for g, w in zip(got[1:], want))
+
+
+@pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
+def test_solver_residuals_are_evaluate_bits(family):
+    # the solver reads every residual from one amplitude pass at its root; the
+    # public evaluate at the same angles is the reference, bit for bit
+    system = get_system(_SYSTEM_OF[family])
+    targets, leftovers = TAILORING[family][:2]
+    for b in (round(0.2 + 0.1 * k, 10) for k in range(59)):
+        sol = solve_tailoring(family, system, b)
+        problem = TailoringProblem(family, system, b)
+        assert tuple(sol.residuals) == (*targets, *leftovers)
+        for name, value in sol.residuals.items():
+            want = problem.evaluate(name, sol.eps1, sol.eps2)
+            assert type(value) is float
+            assert np.float64(value).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_conditions_are_the_six_table_names(sb):
