@@ -90,9 +90,10 @@ class TailoringProblem:
 
     Problems at one (family, system, field) share one labelled eigensolve and
     the six sandwiches of :data:`CONDITIONS`, built once per field (a small
-    LRU cache, :func:`_field_setup`) by one contraction with the condition
-    operators, which are stacked once per nuclear spin; the shared arrays are
-    read-only.
+    LRU cache, :func:`_field_setup`) from the condition operators, which are
+    stacked once per nuclear spin, in two steps: conj(basis) O, then its
+    product with the basis.  That keeps the product order, and so the bits,
+    of one three-operand einsum; the shared arrays are read-only.
     """
 
     def __init__(self, family, system, b_field):
