@@ -275,8 +275,8 @@ def _field_setup(family, system, b_field):
     basis = np.column_stack([manifold[m].vector for m in (*sup0, *sup1)]).reshape(
         system.dim_e, system.dim_n, 4)
     # every condition operator over the stacked basis in two steps, conj(basis) O
-    # first and then its product with basis: the order of the three-operand
-    # einsum, so the same bits, where conj(basis) (O basis) moves last bits
+    # and then its product with basis: the product order of the three-operand
+    # einsum, and so its bits (conj(basis) (O basis) moves last bits)
     bra_ops = np.einsum("eia,cij->ceaj", basis.conj(), _condition_ops(system.i))
     sandwiches = np.einsum("ceaj,ejb->cab", bra_ops, basis)
     blocks = {}
