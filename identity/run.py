@@ -1,6 +1,6 @@
 """spinqec bit-identity corpus: one SHA-256 per group of results.
 
-    python3 identity/run.py [--write | --check]
+    python3 identity/run.py [--write | --check] [--group NAME ...]
 
 Run from anywhere; the package is imported from the checkout's ``src``.  Each
 group hashes a fixed corpus as text: every float as ``float.hex``, and every
@@ -45,7 +45,10 @@ With no flag the digests are printed.  ``--write`` stores them in
 system, libc, click).  ``--check`` compares group by group with that file and
 exits 1 if a group differs; when the environment differs it reports the
 difference and exits 2 without judging, since another numpy or libm may move
-last bits.
+last bits.  ``--group NAME`` (repeatable) prints or checks only the named
+groups, in the order above, so that a change confined to one layer can check
+its own groups without waiting for the slow ``scans``.  ``--write`` refuses
+it, because a partial write would drop the other groups' digests.
 """
 
 import argparse
@@ -295,7 +298,12 @@ def main(argv=None):
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--write", action="store_true", help=f"store the digests in {DIGESTS}")
     mode.add_argument("--check", action="store_true", help=f"compare with {DIGESTS}")
+    parser.add_argument("--group", action="append", choices=list(GROUPS), metavar="NAME",
+                        help=f"only this group, repeatable: {', '.join(GROUPS)}")
     args = parser.parse_args(argv)
+    if args.write and args.group:
+        parser.error("--write stores every group and does not take --group")
+    groups = [g for g in GROUPS if args.group is None or g in args.group]
     stored = None
     if args.check:
         with open(DIGESTS, encoding="utf-8") as fh:
@@ -309,7 +317,7 @@ def main(argv=None):
             print("not judged: digests are only comparable in the same environment")
             return 2
     t0, result, differ = time.perf_counter(), {}, []
-    for group in GROUPS:
+    for group in groups:
         g0 = time.perf_counter()
         sha, count = result[group] = digest(group)
         verdict = ""

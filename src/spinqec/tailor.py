@@ -631,8 +631,9 @@ def field_sweep_tailoring(system, b_values, family, freeze_at=None, box=DEFAULT_
     for b in b_values:
         sol = frozen or solve_tailoring(family, system, b, box)
         problem = TailoringProblem(family, system, b)
+        amplitudes = branch_amplitudes(family, sol.eps1, sol.eps2)
         rows.append({"b_tesla": float(b), "eps1_rad": sol.eps1, "eps2_rad": sol.eps2,
-                     **{f"residual_{name}": problem.evaluate(name, sol.eps1, sol.eps2)
+                     **{f"residual_{name}": float(problem._value(name, amplitudes))
                         for name in sol.residuals},
                      "converged": sol.converged})
     return rows

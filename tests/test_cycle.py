@@ -415,6 +415,31 @@ def test_occupied_ancilla_is_refused():
         detection_records(QuditRegister(amp / np.linalg.norm(amp)), None, (0.6, 0.8))
 
 
+def _with_ancilla(values):
+    """An encoded state with ``values`` on the ancilla-raised amplitudes."""
+    amp = psi_encoded(0.6, 0.8)
+    amp.reshape(512, 2)[:, 1] = values
+    return QuditRegister(amp)
+
+
+def test_ancilla_bound_is_exact_at_its_edges():
+    # a sum of squares up to 0.5e-20 passes at once; everything else takes the
+    # exact max|a| <= 1e-10 test, so the accepted set is exactly that test's
+    edge = np.zeros(512)
+    edge[7] = 1e-10
+    assert detection_records(_with_ancilla(edge), None, (0.6, 0.8))
+    edge[7] = np.nextafter(1e-10, 1)
+    with pytest.raises(PreconditionError, match="ancilla empty"):
+        detection_records(_with_ancilla(edge), None, (0.6, 0.8))
+    spread = np.full(512, 0.9e-10)
+    assert np.vdot(spread, spread) > 0.5e-20  # only the exact test accepts it
+    records = detection_records(_with_ancilla(spread), None, (0.6, 0.8))
+    assert np.isclose(sum(r.probability for r in records), 1.0, atol=1e-12)
+    edge[7] = np.nan  # refused by the norm check before the ancilla test
+    with pytest.raises(PreconditionError):
+        detection_records(_with_ancilla(edge), None, (0.6, 0.8))
+
+
 def test_state_inside_detected_span_has_no_uncorrectable_record():
     # error images of encoded states lie in the span of the words the plan
     # detects, absorbed labels included

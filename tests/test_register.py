@@ -234,6 +234,39 @@ def test_axis_contraction_matches_tensordot(seed):
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.linalg.norm(want)
 
 
+def _batched_route(op, arr, axis):
+    """``op @ arr.reshape(pre, 8, post)`` on every axis: the layout rule's oracle."""
+    return (op @ arr.reshape(arr.shape[:axis + 1] + (-1,))).reshape(arr.shape)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_axis_layout_rule_keeps_the_batched_bits(seed):
+    # qudit C's transposed one-product route gives the batched product's bits
+    # for every error label, on register and code-word shapes
+    gen = np.random.default_rng(seed)
+    for shape in ((8, 8, 8), (8, 8, 8, 2)):
+        arr = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        for name in _single_spin_table(3.5):
+            op = single_qudit_error(name)
+            for axis in range(3):
+                got = apply_on_axis(op, arr, axis)
+                assert got.shape == shape and got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64),
+                                      _batched_route(op, arr, axis).view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.floats(min_value=1e-3, max_value=1e3))
+def test_norm_is_numpy_norm_bit_for_bit(seed, scale):
+    gen = np.random.default_rng(seed)
+    for amp in (random_state(gen), scale * random_state(gen)):
+        got = QuditRegister(amp).norm()
+        assert type(got) is float
+        assert np.float64(got).view(np.uint64) == np.linalg.norm(amp).view(np.uint64)
+
+
 def test_apply_error_weight_and_normalisation():
     reg = init_register(1.0, 0.0)  # |0,0,0>, ancilla down
     _, weight = apply_error(reg, "X", "A")

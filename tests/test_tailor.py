@@ -1378,6 +1378,24 @@ def test_solver_residuals_are_evaluate_bits(family):
             assert np.float64(value).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
+@pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
+@pytest.mark.parametrize("freeze_at", (None, 1.3))
+def test_field_sweep_residuals_are_evaluate_bits(family, freeze_at):
+    # a sweep row reads its residuals from one amplitude pass at its angles;
+    # the public evaluate at the row's field is the reference, bit for bit
+    system = get_system(_SYSTEM_OF[family])
+    fields = (0.4, 1.0, 2.9)
+    rows = field_sweep_tailoring(system, fields, family, freeze_at=freeze_at)
+    for b, row in zip(fields, rows):
+        problem = TailoringProblem(family, system, b)
+        for key, value in row.items():
+            if key.startswith("residual_"):
+                want = problem.evaluate(key[len("residual_"):], row["eps1_rad"],
+                                        row["eps2_rad"])
+                assert type(value) is float
+                assert np.float64(value).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 def test_conditions_are_the_six_table_names(sb):
     assert tuple(CONDITIONS) == _CONDITIONS
     problem = TailoringProblem("distorted-7/2", sb, 1.0)
