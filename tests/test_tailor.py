@@ -1322,18 +1322,22 @@ def test_field_sweep_modes(sb):
       "offdiag-IXIY")),
 ])
 def test_field_sweep_residuals_match_fresh_problem(request, system, family, names):
-    # re-solve rows reuse the solver's residuals; a fresh problem per field
-    # is the independent route
+    # a row reads its residuals from one amplitude pass at its angles; the
+    # public evaluate of a fresh problem per field is the reference, bit for
+    # bit, in re-solve and frozen sweeps
     spin_system = request.getfixturevalue(system)
     fields = (0.5, 1.0, 2.0)
-    rows = field_sweep_tailoring(spin_system, fields, family)
-    for b, row in zip(fields, rows):
-        problem = TailoringProblem(family, spin_system, b)
-        assert [k for k in row if k.startswith("residual_")] == \
-            [f"residual_{name}" for name in names]
-        for name in names:
-            assert row[f"residual_{name}"] == problem.evaluate(
-                name, row["eps1_rad"], row["eps2_rad"])
+    for freeze_at in (None, 1.3):
+        rows = field_sweep_tailoring(spin_system, fields, family, freeze_at=freeze_at)
+        for b, row in zip(fields, rows):
+            problem = TailoringProblem(family, spin_system, b)
+            assert [k for k in row if k.startswith("residual_")] == \
+                [f"residual_{name}" for name in names]
+            for name in names:
+                value = row[f"residual_{name}"]
+                want = problem.evaluate(name, row["eps1_rad"], row["eps2_rad"])
+                assert type(value) is float
+                assert np.float64(value).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1376,24 +1380,6 @@ def test_solver_residuals_are_evaluate_bits(family):
             want = problem.evaluate(name, sol.eps1, sol.eps2)
             assert type(value) is float
             assert np.float64(value).view(np.uint64) == np.float64(want).view(np.uint64)
-
-
-@pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
-@pytest.mark.parametrize("freeze_at", (None, 1.3))
-def test_field_sweep_residuals_are_evaluate_bits(family, freeze_at):
-    # a sweep row reads its residuals from one amplitude pass at its angles;
-    # the public evaluate at the row's field is the reference, bit for bit
-    system = get_system(_SYSTEM_OF[family])
-    fields = (0.4, 1.0, 2.9)
-    rows = field_sweep_tailoring(system, fields, family, freeze_at=freeze_at)
-    for b, row in zip(fields, rows):
-        problem = TailoringProblem(family, system, b)
-        for key, value in row.items():
-            if key.startswith("residual_"):
-                want = problem.evaluate(key[len("residual_"):], row["eps1_rad"],
-                                        row["eps2_rad"])
-                assert type(value) is float
-                assert np.float64(value).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_conditions_are_the_six_table_names(sb):
