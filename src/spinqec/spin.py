@@ -23,7 +23,6 @@ states claiming one label, are within a gap of 1e-6 (e.g. at B = 0).
 """
 
 import re
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -271,20 +270,14 @@ class DressedState:
     m_i: float
 
 
-#: labelled solves kept by :func:`dressed_eigenstates`, least recently used
-#: first; well below one spectra pool cycle (4 donors x 63 fields), so only a
-#: repeat at one field hits
-_LABELLED = OrderedDict()
-_LABELLED_SIZE = 8
-
-
 def dressed_eigenstates(system, b_field):
     """All eigenstates of ``system`` at ``b_field``, labelled and sorted.
 
-    The last :data:`_LABELLED_SIZE` solves are kept, keyed by the system and
-    the exact bits of ``np.asarray(b_field, float)`` (so 0.0 and -0.0 are two
-    fields); a repeat returns a new list of the same states, whose vectors are
-    read-only.  A solve that raises is not kept.
+    The last eight solves are kept (:func:`_labelled`, least recently used
+    out first), keyed by the system and the exact bits of
+    ``np.asarray(b_field, float)`` (so 0.0 and -0.0 are two fields); a repeat
+    returns a new list of the same states, whose vectors are read-only.  A
+    solve that raises is not kept.
 
     Returns
     -------
@@ -299,16 +292,7 @@ def dressed_eigenstates(system, b_field):
         states competing for one label, differ by less than it.
     """
     b = np.asarray(b_field, dtype=float)
-    key = (system, b.shape, b.tobytes())
-    states = _LABELLED.get(key)
-    if states is None:
-        states = _label(system, b_field)
-        _LABELLED[key] = states
-        if len(_LABELLED) > _LABELLED_SIZE:
-            _LABELLED.popitem(last=False)
-    else:
-        _LABELLED.move_to_end(key)
-    return list(states)
+    return list(_labelled(system, b.shape, b.tobytes()))
 
 
 def _by_overlap(flat, dim):
@@ -321,10 +305,14 @@ def _by_overlap(flat, dim):
         yield from zip(chunk.tolist(), flat[chunk].tolist())
 
 
-def _label(system, b_field):
-    """The labelled solve of :func:`dressed_eigenstates`, as a tuple of states
-    with read-only vectors."""
-    h = build_hamiltonian(system, b_field)
+# well below one spectra pool cycle (4 donors x 63 fields), so only a repeat
+# at one field hits
+@lru_cache(maxsize=8)
+def _labelled(system, shape, raw):
+    """The labelled solve of :func:`dressed_eigenstates` at the field of shape
+    ``shape`` whose float64 bytes are ``raw``, as a tuple of states with
+    read-only vectors."""
+    h = build_hamiltonian(system, np.frombuffer(raw).reshape(shape))
     dec = hermitian_eigendecompose(h)
     dim = system.dim
     weights = np.abs(dec.eigenvectors) ** 2  # [product index, state]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import spinqec.spin
 from spinqec.spin import get_system
 
 #: one line per acceptance criterion, echoed after the test summary so the
@@ -23,6 +24,18 @@ def sb():
 @pytest.fixture(scope="session")
 def bi():
     return get_system("si-bi")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """An empty labelled-solve memo, and the shapes of the eigensolves that
+    labelling makes from here on."""
+    spinqec.spin._labelled.cache_clear()
+    calls = []
+    solve = spinqec.spin.hermitian_eigendecompose
+    monkeypatch.setattr(spinqec.spin, "hermitian_eigendecompose",
+                        lambda h: calls.append(h.shape) or solve(h))
+    return calls
 
 
 def random_hermitian(rng, dim, scale=1.0):

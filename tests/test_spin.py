@@ -2,7 +2,6 @@
 
 import re
 import tracemalloc
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -270,27 +269,15 @@ def test_labelling_that_reads_past_its_first_chunk_matches_the_reference(monkeyp
     walk = spinqec.spin._by_overlap
     monkeypatch.setattr(spinqec.spin, "_by_overlap",
                         lambda flat, dim: (read.append(e) or e for e in walk(flat, dim)))
-    monkeypatch.setattr(spinqec.spin, "_LABELLED", OrderedDict())
+    spinqec.spin._labelled.cache_clear()
     b_field = (0.01, 0.02, 0.03)
     assert _package_labels(bi, b_field) == _sorted_labels(bi, b_field)
     assert len(read) > 3 * bi.dim
 
 
-@pytest.fixture
-def solves(monkeypatch):
-    """An empty labelled-solve memo, and the shapes of the eigensolves that
-    labelling makes from here on."""
-    monkeypatch.setattr(spinqec.spin, "_LABELLED", OrderedDict())
-    calls = []
-    solve = spinqec.spin.hermitian_eigendecompose
-    monkeypatch.setattr(spinqec.spin, "hermitian_eigendecompose",
-                        lambda h: calls.append(h.shape) or solve(h))
-    return calls
-
-
 def test_states_then_gradients_at_one_field_make_one_solve(solves, sb):
     alone = transition_gradients(sb, 1.37)
-    spinqec.spin._LABELLED.clear()
+    spinqec.spin._labelled.cache_clear()
     states = dressed_eigenstates(sb, 1.37)
     grads = transition_gradients(sb, 1.37)
     assert len(solves) == 2
@@ -321,15 +308,17 @@ def test_a_labelling_error_is_raised_again_not_kept(solves, sb):
             dressed_eigenstates(sb, 0.0)
         messages.append(str(info.value))
     assert len(solves) == 2 and messages[0] == messages[1]
-    assert not spinqec.spin._LABELLED
+    assert spinqec.spin._labelled.cache_info().currsize == 0
 
 
 def test_kept_states_are_read_only_and_the_memo_is_bounded(solves, sb):
-    size = spinqec.spin._LABELLED_SIZE
+    memo = spinqec.spin._labelled
+    size = memo.cache_info().maxsize
+    assert size == 8
     fields = [1.0 + 0.01 * k for k in range(size + 3)]
     for b in fields:
         dressed_eigenstates(sb, b)
-    assert len(spinqec.spin._LABELLED) == size and len(solves) == size + 3
+    assert memo.cache_info().currsize == size and len(solves) == size + 3
     # the least recently used go first: a hit on the oldest kept field keeps it
     dressed_eigenstates(sb, fields[3])
     dressed_eigenstates(sb, 2.0)
@@ -337,7 +326,7 @@ def test_kept_states_are_read_only_and_the_memo_is_bounded(solves, sb):
     assert len(solves) == size + 4
     dressed_eigenstates(sb, fields[4])
     dressed_eigenstates(sb, fields[0])
-    assert len(solves) == size + 6 and len(spinqec.spin._LABELLED) == size
+    assert len(solves) == size + 6 and memo.cache_info().currsize == size
     for st in dressed_eigenstates(sb, fields[-1]):
         with pytest.raises(ValueError):
             st.vector[0] = 1.0

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import spinqec.spin
 import spinqec.tailor
 from spinqec.codewords import _TWO_LEVEL, branch_amplitudes, default_family, expectation, \
     first_order_errors, lift_to_electron_nuclear, make_codeword, standard_error_sets
@@ -1402,16 +1401,11 @@ def test_shared_sandwich_map_refuses_assignment(sb):
         CONDITIONS["diag-IX"] = ("diag", ("IX",), "real")
 
 
-def test_problems_at_one_field_share_one_labelled_solve(monkeypatch, sb, bi):
-    calls = []
-    solve = spinqec.spin.hermitian_eigendecompose
-    monkeypatch.setattr(spinqec.spin, "hermitian_eigendecompose",
-                        lambda h: calls.append(h.shape) or solve(h))
+def test_problems_at_one_field_share_one_labelled_solve(solves, sb, bi):
     _field_setup.cache_clear()
-    spinqec.spin._LABELLED.clear()
     sol = solve_partial_tailoring_72(sb, 1.37)
     first, second = (TailoringProblem("distorted-7/2", sb, 1.37) for _ in range(2))
-    assert len(calls) == 1
+    assert len(solves) == 1
     # the solver's sandwiches are the very arrays the later problems read
     assert first._sandwiches("diag-IZ")[1] is second._sandwiches("diag-IZ")[1]
     assert first.evaluate("offdiag-IXIX", sol.eps1, sol.eps2) == \
@@ -1421,7 +1415,7 @@ def test_problems_at_one_field_share_one_labelled_solve(monkeypatch, sb, bi):
     TailoringProblem("distorted-7/2", sb, 1.38)
     TailoringProblem("tailored-9/2", bi, 1.37)
     TailoringProblem("distorted-7/2", replace(sb, name="si-sb-copy"), 1.37)
-    assert len(calls) == 4
+    assert len(solves) == 4
     for array in (first._sandwiches("diag-IZ")[1], first._sandwiches("offdiag-IXIX")[3],
                   first._manifold[1.5].vector):
         with pytest.raises(ValueError):
