@@ -44,10 +44,10 @@ from spinqec.register import ANCILLA_AXIS, QUDIT_NAMES, apply_on_axis, \
 
 WINDOWS = {"full": (1000, 2500), "z-biased": (300, 800)}
 ORDERS = {"full": full_order(), "z-biased": z_biased_order()}
-#: pulse_budget's rule, one value per choice
-REFERENCE = {"rot": "1", "flip": "state", "recover": "yes", "absorbed": "no", "encode": "no"}
+#: the values of each choice, pulse_budget's first
 CHOICES = {"rot": ("1", "1+c"), "flip": ("state", "one"), "recover": ("yes", "no"),
            "absorbed": ("no", "yes"), "encode": ("no", "yes")}
+REFERENCE = {key: values[0] for key, values in CHOICES.items()}
 
 
 def _raw_block(label):
@@ -91,7 +91,9 @@ def scan():
         head = "  ".join(f"{k} {v:5s}" for k, v in rule.items())
         mark = ""
         if rule == REFERENCE:
-            assert all(totals[k] == pulse_budget(o)["total"] for k, o in ORDERS.items())
+            if any(totals[k] != pulse_budget(o)["total"] for k, o in ORDERS.items()):
+                raise SystemExit(f"budget_scan: pulse_budget's rule counts {totals}, "
+                                 "not pulse_budget's totals")
             mark = "  <- pulse_budget"
         if all(ok.values()):
             inside.append(head.rstrip())

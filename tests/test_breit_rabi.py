@@ -49,7 +49,7 @@ def test_diag_sandwich_diagonals_match_breit_rabi(family, preset):
                                        rtol=0, atol=1e-15 * system.i * (system.i + 1))
 
 
-def _oracle_roots(system, b, box=DEFAULT_BOX):
+def _oracle_roots(system, b):
     """Every `tailored-9/2` root in the box from the oracle's diag sandwiches.
 
     A diag condition is (a1 + b1 cos 2t1) - (a2 + b2 cos 2t2), with
@@ -66,7 +66,7 @@ def _oracle_roots(system, b, box=DEFAULT_BOX):
         rhs.append(a2 - a1)
     u1, u2 = np.linalg.solve(np.array(rows), np.array(rhs))
     eps = [[e for s in (-1.0, 1.0) for k in range(-2, 3)
-            for e in [s * np.arccos(u) / 2 + k * np.pi - theta0] if abs(e) <= box]
+            for e in [s * np.arccos(u) / 2 + k * np.pi - theta0] if abs(e) <= DEFAULT_BOX]
            for u in (u1, u2)]
     return np.array([(e1, e2) for e1 in eps[0] for e2 in eps[1]]).reshape(-1, 2)
 
