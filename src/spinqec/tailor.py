@@ -26,6 +26,7 @@ tests' oracle.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
+from itertools import accumulate
 from operator import sub
 from types import MappingProxyType
 
@@ -131,36 +132,39 @@ class TailoringProblem:
         """The lower nodes (rows, cols), row-major, of the cells of xs x xs (or of
         the given cells) that qualify for ``name`` (see :func:`_qualifies`).
 
+        Every route reads the word amplitudes on the axis nodes from
+        :func:`_amplitudes`, one trig pass per (family, axis) in the process.
         On the grid a diag condition is g(xs[i]) - h(xs[j]), and the IEEE
         difference of two finite numbers is < 0 exactly when g < h and 0 exactly
         when g == h; so on the full grid the rule is the same predicate in
         separable form: min g <= max h and max g >= min h over the cell, read
         from the 2n line terms (:func:`_range_cells`), which must be finite (else
         NumericalError).  Given cells take g[i] - h[j] at their corners.  An
-        offdiag condition is evaluated on the grid axes, or, from its amplitudes
-        on the axis nodes, on the given cells' corners.
+        offdiag condition is evaluated on the grid axes, or on the given cells'
+        corners.
         """
-        kind, m00, m11, m01 = self._sandwiches(name)
+        kind, m00, m11, _ = self._sandwiches(name)
+        c1, s1, c2, s2 = _amplitudes(self.family, np.asarray(xs, dtype=float).tobytes())
         if kind == "diag":
-            g, h = _diag_lines(m00, m11, *branch_amplitudes(self.family, xs, xs))
+            g, h = _diag_lines(m00, m11, c1, s1, c2, s2)
             if not (np.isfinite(g).all() and np.isfinite(h).all()):
                 raise NumericalError(f"{name} is NaN or infinite on the scan grid")
             if rows is None:
                 return _range_cells(np.minimum(g[:-1], g[1:]), np.maximum(g[:-1], g[1:]), h)
             keep = _corner_cells(lambda i, j: g[i] - h[j], rows, cols)
         elif rows is None:
-            return _grid_cells(partial(self.evaluate, name), xs)
+            return _grid_cells(self._value(name, (c1[:, None], s1[:, None], c2, s2)))
         else:
-            c1, s1, c2, s2 = branch_amplitudes(self.family, xs, xs)
-            keep = _corner_cells(lambda i, j: _offdiag_value(
-                m01, c1[i], s1[i], c2[j], s2[j]), rows, cols)
+            keep = _corner_cells(lambda i, j: self._value(name, (c1[i], s1[i], c2[j], s2[j])),
+                                 rows, cols)
         return rows[keep], cols[keep]
 
     def line_zeros(self, name, xs):
         """The grid edges that ``name`` crosses on xs x xs (xs ascending, evenly spaced).
 
-        One call evaluates ``name`` on the grid axes extended by the fit angles,
-        xs and kt = 0, pi/2, pi, as an (n + 3) x (n + 3) array.  Its n x n block
+        One :meth:`_value` call evaluates ``name`` on the grid axes extended by
+        the fit angles, xs and kt = 0, pi/2, pi, as an (n + 3) x (n + 3) array,
+        from the axis amplitudes that :func:`_line_axis` keeps.  Its n x n block
         is f at every node; its fit-angle blocks give each of the 2n grid lines
         its closed form f = alpha + a cos kt + b sin kt in the moving angle
         t = theta0 + eps (k = 2 diag, 1 offdiag).  An edge is crossed where f
@@ -179,9 +183,9 @@ class TailoringProblem:
         # the bound on n also bounds the (n + 3) x (n + 3) evaluation below
         _check_grid(xs.size, 2, MAX_GRID_NODES, "grid nodes", float(xs[-1] - xs[0]) / 2.0)
         k = 2.0 if self._sandwiches(name)[0] == "diag" else 1.0
-        n, tau = xs.size, 2.0 * np.pi
-        axis = np.concatenate((xs, np.array([0.0, np.pi / 2.0, np.pi]) / k - self.theta0))
-        grid = self.evaluate(name, axis[:, None], axis[None, :])
+        n, tau, raw = xs.size, 2.0 * np.pi, np.asarray(xs, dtype=float).tobytes()
+        amplitudes, distinct = _line_axis(self.family, k, raw)
+        grid = self._value(name, amplitudes)
         # rows l < n run along eps1 at eps2 = xs[l], the rest along eps2
         f0, f1, f2 = np.hstack((grid[n:, :n], grid[:n, n:].T))
         alpha, a, b = (f0 + f2) / 2.0, (f0 - f2) / 2.0, f1 - (f0 + f2) / 2.0
@@ -192,11 +196,11 @@ class TailoringProblem:
         if np.count_nonzero(size < 1e-13) > 0.9 * 2 * n:
             raise NumericalError(
                 "condition vanishes identically over the box; no curve to trace")
-        if not (np.diff(self.theta0 + xs) > 0.0).all():
+        if not distinct:
             raise PreconditionError(f"nodes theta0 + eps coincide for |eps| <= {xs[-1]:g}")
         value = np.concatenate((grid[:n, :n].T, grid[:n, :n]))
         neg = value < 0.0
-        line, lo = np.nonzero(neg[:, :-1] != neg[:, 1:])
+        line, lo = np.divmod(np.flatnonzero(neg[:, :-1] != neg[:, 1:]), n - 1)
         value, neg = value[line, lo + np.array([[0], [1]])], neg[line, lo]
         half = np.arccos(np.clip(-alpha[line] / np.maximum(radius[line], 1e-300), -1.0, 1.0))
         roots = np.arctan2(b[line], a[line]) + np.multiply.outer((-1.0, 1.0), half)
@@ -285,6 +289,37 @@ def _field_setup(family, system, b_field):
         m.flags.writeable = False
         blocks[name] = (kind, m[:2, :2], m[2:, 2:], m[:2, 2:])
     return manifold, MappingProxyType(blocks)
+
+
+@lru_cache(maxsize=8)
+def _grid(box, n):
+    """``np.linspace(-box, box, n)``, read-only: a contour or scan grid axis."""
+    xs = np.linspace(-box, box, n)
+    xs.flags.writeable = False
+    return xs
+
+
+@lru_cache(maxsize=8)
+def _amplitudes(family, raw):
+    """:func:`branch_amplitudes` of ``family`` with both angles on the axis whose
+    float64 bytes are ``raw``, as read-only (c1, s1, c2, s2); they depend on no field."""
+    amplitudes = branch_amplitudes(family, np.frombuffer(raw), np.frombuffer(raw))
+    for a in amplitudes:
+        a.flags.writeable = False
+    return amplitudes
+
+
+@lru_cache(maxsize=8)
+def _line_axis(family, k, raw):
+    """For :meth:`TailoringProblem.line_zeros` on the grid axis with float64
+    bytes ``raw``: the word amplitudes on the axis extended by the fit angles kt
+    = 0, pi/2, pi, as (c1, s1) down and (c2, s2) across it, read-only; and
+    whether the nodes theta0 + xs all differ in floating point."""
+    theta0, xs = _TWO_LEVEL[family][1], np.frombuffer(raw)
+    axis = np.concatenate((xs, np.array([0.0, np.pi / 2.0, np.pi]) / k - theta0))
+    c1, s1, c2, s2 = _amplitudes(family, axis.tobytes())
+    return (c1[:, None], s1[:, None], c2[None, :], s2[None, :]), bool(
+        (np.diff(theta0 + xs) > 0.0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +462,15 @@ def seed_cells(funcs, box=DEFAULT_BOX, n=41):
     :class:`PreconditionError`.
     """
     _check_grid(n, 2, MAX_GRID_NODES, "grid nodes", box)
-    xs = np.linspace(-box, box, n)
+    xs = _grid(float(box), n)
     centres = (xs[:-1] + xs[1:]) / 2.0
     rows = cols = None  # the kept cells' lower-left nodes, row-major
     for fn in funcs:
-        cells = fn.cells if hasattr(fn, "cells") else partial(_grid_cells, fn)
-        rows, cols = cells(xs, rows, cols)
+        if hasattr(fn, "cells"):
+            rows, cols = fn.cells(xs, rows, cols)
+        else:
+            rows, cols = _grid_cells(
+                np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n)), rows, cols)
         if not rows.size:
             break
     if rows is None:
@@ -469,12 +507,11 @@ def _any_corner(mask):
     return mask[:, :-1] | mask[:, 1:]
 
 
-def _grid_cells(fn, xs, rows=None, cols=None):
-    """As :meth:`TailoringProblem.cells`, from one call of ``fn`` on the grid axes."""
-    n = xs.size
-    mask = _qualifies(np.broadcast_to(fn(xs[:, None], xs[None, :]), (n, n)), _any_corner)
+def _grid_cells(values, rows=None, cols=None):
+    """As :meth:`TailoringProblem.cells`, from a condition's (n, n) node values."""
+    mask = _qualifies(values, _any_corner)
     if rows is None:  # flat indices: a 2-d nonzero of a 400 x 400 mask is ten times slower
-        return np.divmod(np.flatnonzero(mask), n - 1)
+        return np.divmod(np.flatnonzero(mask), mask.shape[1])
     keep = mask[rows, cols]
     return rows[keep], cols[keep]
 
@@ -643,25 +680,31 @@ def field_sweep_tailoring(system, b_values, family, freeze_at=None, box=DEFAULT_
 # contours
 # ---------------------------------------------------------------------------
 
-def _chains(segments):
-    """Join segments, a (k, 2) array of non-negative vertex ids, into ordered chains.
-
-    A segment repeated either way counts once, at its first occurrence (a row of
-    zero nodes that f <= 0 only touches gives each segment twice).  A stable
-    sort of the ends lists each vertex's incidences in segment order (CSR rows);
-    a walk leaves each vertex by its first unused segment and ends at one with
-    none.  Walks start at odd-degree vertices, then at every vertex, each in
-    order of first appearance.
-    """
-    seg = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
-    low, high = np.sort(seg, axis=1).T
+def _distinct_segments(segments):
+    """``segments`` (k x 2 vertex ids) with each segment repeated either way kept
+    once, at its first occurrence (a row of zero nodes that f <= 0 only touches
+    gives each segment twice)."""
+    low, high = np.sort(segments, axis=1).T
     _, first = np.unique(low * (high.max(initial=0) + 1) + high, return_index=True)
-    ends = seg[np.sort(first)].ravel()  # segment s joins ends[2 s] and ends[2 s + 1]
-    degree = np.bincount(ends)
-    stop = np.cumsum(degree)
-    cursor, stop, degree = (stop - degree).tolist(), stop.tolist(), degree.tolist()
-    ends, at, chains = ends.tolist(), np.argsort(ends, kind="stable").tolist(), []
-    order, used, left = list(dict.fromkeys(ends)), [False] * len(first), len(first)
+    return segments[np.sort(first)]
+
+
+def _chains(segments):
+    """Join distinct segments, a (k, 2) array of non-negative vertex ids, into
+    ordered chains.
+
+    A stable sort of the ends lists each vertex's incidences in segment order
+    (CSR rows); a walk leaves each vertex by its first unused segment and ends
+    at one with none.  Walks start at odd-degree vertices, then at every vertex,
+    each in order of first appearance.
+    """
+    ends = np.asarray(segments, dtype=np.int64).ravel()  # segment s: ends[2 s], ends[2 s + 1]
+    degree = np.bincount(ends).tolist()
+    stop = list(accumulate(degree))
+    cursor = [0, *stop[:-1]]
+    at, ends, chains = np.argsort(ends, kind="stable").tolist(), ends.tolist(), []
+    order, left = list(dict.fromkeys(ends)), len(ends) // 2
+    used = [False] * left
     for v in [u for u in order if degree[u] % 2] + order:
         if not left:
             break
@@ -688,8 +731,9 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
     The strict split f < 0 against f >= 0 gives every cell 0, 2 or 4 crossed
     edges: two are joined first to last in the order bottom, right, top, left,
     and a saddle cell's four are paired by the sign of ``fn`` at its centre.
-    A vertex at an exactly-zero node is shared by every segment reaching it.
-    The segments, in row-major cell order, join into chains by :func:`_chains`;
+    A vertex at an exactly-zero node is shared by every segment reaching it,
+    and so only there can a segment repeat (:func:`_distinct_segments`).  The
+    segments, in row-major cell order, join into chains by :func:`_chains`;
     returns one ordered polyline (array of shape (k, 2)) per chain.
 
     Raises :class:`PreconditionError` if :func:`_check_box` refuses ``box``,
@@ -705,10 +749,10 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
     if not hasattr(fn, "line_zeros"):
         raise PreconditionError("fn has no line_zeros; trace TailoringProblem.condition")
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
-    xs = np.linspace(-box, box, n)
+    xs = _grid(float(box), n)
     edges, pts, zero, neg = fn.line_zeros(xs)
-    vertex = np.arange(len(edges))
-    if (zero >= 0).any():  # edges ending at one zero node share its first edge's vertex
+    vertex, merged = np.arange(len(edges)), (zero >= 0).any()
+    if merged:  # edges ending at one zero node share its first edge's vertex
         _, first, inverse = np.unique(np.where(zero >= 0, zero, -1 - vertex),
                                       return_index=True, return_inverse=True)
         vertex = first[inverse]
@@ -731,7 +775,10 @@ def trace_zero_contour(fn, box=DEFAULT_BOX, step=DEFAULT_STEP):
         centre = fn((xs[i] + xs[i + 1]) / 2.0, (xs[j] + xs[j + 1]) / 2.0)
         if (centre < 0.0) != neg[edge[2 * s]]:  # (bottom, left), (right, top)
             segments[s:s + 2] = segments[s:s + 2].ravel()[[0, 3, 1, 2]].reshape(2, 2)
-    segments = segments[segments[:, 0] != segments[:, 1]]  # not at one zero node
+    # distinct edges have distinct vertices, so only merged ones can give a
+    # segment at one zero node or a segment twice
+    if merged:
+        segments = _distinct_segments(segments[segments[:, 0] != segments[:, 1]])
     if not segments.size:
         raise EmptyContourError("no zero crossing inside the box")
     return [pts[chain] for chain in _chains(segments)]

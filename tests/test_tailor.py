@@ -28,7 +28,10 @@ from spinqec.tailor import (
     TailoringProblem,
     VerificationError,
     _chains,
+    _amplitudes,
+    _distinct_segments,
     _field_setup,
+    _line_axis,
     closed_form_roots,
     field_sweep_tailoring,
     find_roots,
@@ -148,7 +151,7 @@ def _dense_trace(fn, box, step, edge_zeros):
     One grid call on the axes, the crossed edges of ``_edge_crossings``, a
     vertex per edge from ``edge_zeros(lo, hi)`` (or its exactly-zero node,
     shared by de-duplication), a (cells, 4) stack of each cell's edges in the
-    order bottom, right, top, left, and ``_chains``.
+    order bottom, right, top, left, and ``_chains_oracle``.
     """
     n = max(3, int(np.ceil(2.0 * box / step)) + 1)
     xs = np.linspace(-box, box, n)
@@ -191,7 +194,7 @@ def _dense_trace(fn, box, step, edge_zeros):
     segments = [tuple(pair) for pair in ends[ends[:, 0] != ends[:, 1]].tolist()]
     if not segments:
         raise EmptyContourError("no zero crossing inside the box")
-    return [pts[chain] for chain in _chains(segments)]
+    return [pts[chain] for chain in _chains_oracle(segments)]
 
 
 def _oracle_trace(problem, name, box, step):
@@ -256,8 +259,16 @@ def _segment_lists(draw):
 @example(segments=[(0, 1), (1, 2), (1, 3), (1, 4)])  # odd ends meeting at degree 4
 @example(segments=[])
 def test_chains_match_generator_walk_oracle(segments):
-    # same chains, in the same order and direction
-    assert _chains(segments) == _chains_oracle(segments)
+    # the duplicates go where trace_zero_contour removes them, each segment
+    # kept at its first occurrence either way round
+    distinct = _distinct_segments(np.asarray(segments, dtype=np.int64).reshape(-1, 2))
+    want = []
+    for a, b in segments:
+        if [a, b] not in want and [b, a] not in want:
+            want.append([a, b])
+    assert distinct.tolist() == want
+    # then the same chains, in the same order and direction
+    assert _chains(distinct) == _chains_oracle(segments)
 
 
 def test_evaluate_is_vectorised(bi):
@@ -837,23 +848,43 @@ def test_zero_nodes_trace_as_the_dense_oracle(monkeypatch, family, box_step):
     assert np.count_nonzero(vertices[:, 0] == vertices[:, 1]) >= n  # every diagonal node
 
 
+def _recording_amplitudes(monkeypatch, passes):
+    """Record the argument shapes of every non-scalar amplitude pass in tailor."""
+    branch = spinqec.tailor.branch_amplitudes
+    monkeypatch.setattr(spinqec.tailor, "branch_amplitudes", lambda family, e1, e2: (
+        np.ndim(e1) and passes.append((family, np.shape(e1), np.shape(e2)))
+        or branch(family, e1, e2)))
+
+
 def test_condition_lines_take_one_broadcast_evaluation(monkeypatch, sb):
-    # one call on the grid axes extended by the three fit angles gives every
-    # node's value and every grid line's coefficients, and no more calls as the
-    # crossed edges multiply; scalar calls are the saddle-cell centres
-    calls = []
-    evaluate = TailoringProblem.evaluate
-    monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
-        calls.append((np.shape(e1), np.shape(e2))) or evaluate(self, name, e1, e2)))
+    # one _value call on the amplitudes of the grid axes extended by the three
+    # fit angles gives every node's value and every grid line's coefficients,
+    # and no more calls as the crossed edges multiply; scalar calls are the
+    # saddle-cell centres.  The amplitudes are computed once per (family,
+    # condition kind, grid) and only read by later traces
+    calls, passes = [], []
+    value = TailoringProblem._value
+    monkeypatch.setattr(TailoringProblem, "_value", lambda self, name, amplitudes: (
+        calls.append((np.shape(amplitudes[0]), np.shape(amplitudes[2])))
+        or value(self, name, amplitudes)))
+    _recording_amplitudes(monkeypatch, passes)
+    _line_axis.cache_clear()
+    _amplitudes.cache_clear()
     problem = TailoringProblem("distorted-7/2", sb, 1.0)
     for name in ("diag-IZ", "offdiag-IXIX"):
         vertices = []
         for step, n in ((0.0025, 41), (0.0005, 201)):
-            calls.clear()
-            vertices.append(sum(map(len, trace_zero_contour(problem.condition(name),
-                                                            0.05, step))))
-            assert [call for call in calls if call != ((), ())] == [((n + 3, 1), (1, n + 3))]
+            first, again = [], []
+            for polylines in (first, again):
+                calls.clear()
+                polylines += trace_zero_contour(problem.condition(name), 0.05, step)
+                assert [call for call in calls if call != ((), ())] == \
+                    [((n + 3, 1), (1, n + 3))]
+            assert len(first) == len(again)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+            vertices.append(sum(map(len, first)))
         assert vertices[1] > 4 * vertices[0]
+    assert passes == [("distorted-7/2", (n + 3,), (n + 3,)) for n in (41, 201)] * 2
 
 
 _TARGETS = {"tailored-9/2": ("diag-IZ", "diag-IXIX"),
@@ -1007,33 +1038,83 @@ def test_corner_scan_matches_grid_route(b, family, scanned, n):
         scan_common_zero_cells(plain, 0.05, n)
 
 
-def test_scan_evaluates_later_conditions_on_kept_corners(monkeypatch, sb):
-    calls, amplitudes = [], []
+def test_scan_evaluates_later_conditions_on_kept_corners(monkeypatch, sb, bi):
+    calls, passes = [], []
     evaluate = TailoringProblem.evaluate
     monkeypatch.setattr(TailoringProblem, "evaluate", lambda self, name, e1, e2: (
         calls.append(name) or evaluate(self, name, e1, e2)))
-    offdiag, branch = spinqec.tailor._offdiag_value, spinqec.tailor.branch_amplitudes
+    offdiag = spinqec.tailor._offdiag_value
     monkeypatch.setattr(spinqec.tailor, "_offdiag_value", lambda m01, c1, *rest: (
         calls.append(np.shape(c1)) or offdiag(m01, c1, *rest)))
-    monkeypatch.setattr(spinqec.tailor, "branch_amplitudes", lambda family, e1, e2: (
-        amplitudes.append((np.shape(e1), np.shape(e2))) or branch(family, e1, e2)))
+    _recording_amplitudes(monkeypatch, passes)
+    _amplitudes.cache_clear()
     problem = TailoringProblem("distorted-7/2", sb, 1.0)
     names = ("diag-IZ", "offdiag-IXIX", "offdiag-IXIY")
-    cells = scan_common_zero_cells([problem.condition(n) for n in names], 0.05, 400)
-    assert len(cells) == 2
-    # no evaluate call: the diag first condition's cells come from its line
-    # terms, and each offdiag one is computed once, on kept corners only, from
-    # amplitudes on the 401 axis nodes
-    assert amplitudes == [((401,), (401,))] * 3
-    assert len(calls) == 2
-    for corners, kept in calls:
-        assert corners == 4 and 4 * kept < 0.02 * 401 * 401
+    for _ in range(2):
+        calls.clear()
+        cells = scan_common_zero_cells([problem.condition(n) for n in names], 0.05, 400)
+        assert len(cells) == 2
+        # no evaluate call: the diag first condition's cells come from its line
+        # terms, and each offdiag one is computed once, on kept corners only;
+        # every condition reads the amplitudes on the 401 axis nodes that the
+        # first scan computed once
+        assert passes == [("distorted-7/2", (401,), (401,))]
+        assert len(calls) == 2
+        for corners, kept in calls:
+            assert corners == 4 and 4 * kept < 0.02 * 401 * 401
+    # another family or grid is one more pass each
+    scan_common_zero_cells([TailoringProblem("tailored-9/2", bi, 1.0).condition("diag-IZ")],
+                           0.05, 400)
+    scan_common_zero_cells([problem.condition(n) for n in names], 0.05, 40)
+    assert passes[1:] == [("tailored-9/2", (401,), (401,)), ("distorted-7/2", (41,), (41,))]
     # no cell left: the remaining conditions are not evaluated at all
     calls.clear()
     far = [problem.condition("diag-IZ"), lambda x, y: 1.0 + 0.0 * x,
            problem.condition("offdiag-IXIX")]
     assert scan_common_zero_cells(far, 0.05, 400) == []
     assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(sorted(_SYSTEM_OF)),
+       box=st.floats(min_value=1e-6, max_value=2.0),
+       cells=st.integers(min_value=2, max_value=1000), kind=st.sampled_from([1.0, 2.0]))
+@example(family="distorted-7/2", box=0.05, cells=40, kind=2.0)  # the default contour grid
+@example(family="tailored-9/2", box=0.05, cells=400, kind=1.0)  # the default scan grid
+def test_cached_grids_and_amplitudes_are_the_uncached_bits(family, box, cells, kind):
+    # the grid axis, its amplitudes and the extended axis's amplitudes, as
+    # line_zeros and cells read them, hold the very bits of the calls they replace
+    n = cells + 1
+    xs = spinqec.tailor._grid(box, n)
+    assert xs.tobytes() == np.linspace(-box, box, n).tobytes()
+    got = _amplitudes(family, xs.tobytes())
+    want = branch_amplitudes(family, xs, xs)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    theta0 = _TWO_LEVEL[family][1]
+    axis = np.concatenate((xs, np.array([0.0, np.pi / 2.0, np.pi]) / kind - theta0))
+    got, distinct = _line_axis(family, kind, xs.tobytes())
+    want = branch_amplitudes(family, axis[:, None], axis[None, :])
+    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+    assert distinct == (np.diff(theta0 + xs) > 0.0).all()
+
+
+def test_grid_caches_are_read_only_and_bounded(sb):
+    grid, amplitudes, line_axis = spinqec.tailor._grid, _amplitudes, _line_axis
+    for cache in (grid, amplitudes, line_axis):
+        cache.cache_clear()
+    fn = TailoringProblem("distorted-7/2", sb, 1.0).condition("offdiag-IXIX")
+    for box in np.linspace(0.01, 0.05, 12):
+        trace_zero_contour(fn, box, box / 20.0)
+        scan_common_zero_cells([fn], box, 40)
+    for cache in (grid, amplitudes, line_axis):
+        info = cache.cache_info()
+        assert info.maxsize == 8 and info.currsize == 8
+    xs = grid(0.05, 41)
+    arrays = [xs, *amplitudes("distorted-7/2", xs.tobytes()),
+              *line_axis("distorted-7/2", 1.0, xs.tobytes())[0]]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
 
 
 @pytest.mark.parametrize("family", sorted(_SYSTEM_OF))
